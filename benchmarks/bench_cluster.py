@@ -123,13 +123,13 @@ def _assert_detectors_uninstalled() -> None:
 
     # Dispatch fast-path seam: with every monitor and sink above clean, a
     # fresh engine must take the bare specialized loop, not the
-    # instrumented one — otherwise the numbers below measure hook
+    # instrumented one — otherwise the numbers below measure sink
     # dispatch, not the engine.
     probe = Engine()
-    if probe._step_hooks or probe._event_sinks or Engine._global_event_sinks:
+    if probe._event_sinks or Engine._global_event_sinks:
         raise SystemExit(
-            "fresh engine is instrumented: step hooks or event sinks are "
-            "installed, so the bare dispatch fast path will not engage"
+            "fresh engine is instrumented: event sinks are installed, so "
+            "the bare dispatch fast path will not engage"
         )
 
 

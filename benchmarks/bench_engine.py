@@ -1,7 +1,6 @@
 """E2 — DES core throughput: the engine's events/sec trajectory.
 
-Three workloads, each timed per scheduler (and, for the cluster slice,
-per fluid mode):
+Four workloads:
 
 * ``event_churn`` — callback chains rescheduling bare timeouts: the
   dispatch loop and timeout pool with nothing else in the way.
@@ -12,25 +11,25 @@ per fluid mode):
   item 1 (10k-tenant serving) actually gates on.
 * ``cluster_dense`` — the bandwidth-saturated steady state: 1024
   tenants streaming 256 KiB reads through the shared fabric, keeping
-  ~1000 flows in flight.  This is the regime the hybrid fluid handoff
-  exists for — the seed engine pays O(#flows) per event here, the
-  transition-driven solver pays nothing between rate changes — and it
-  is the configuration the headline speedup-vs-seed is measured on.
+  ~1000 flows in flight.  This is the regime the transition-driven
+  fluid solver exists for — the seed engine pays O(#flows) per event
+  here, the solver pays nothing between rate changes — and it is the
+  configuration the headline speedup-vs-seed is measured on.
 
 Standalone (the CI engine-bench job)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke
 
-writes ``BENCH_engine.json`` and exits non-zero if any configuration's
-events/sec drops more than 20% below the committed baseline in
-``benchmarks/baselines/BENCH_engine_baseline.json``.  The JSON also
-carries each configuration's speedup over the seed engine (the revision
-before the fast DES core landed), measured once in this environment
-with this same script — see ``docs/performance.md`` for how to read it.
+writes ``BENCH_engine.json`` and exits non-zero if the committed
+baseline ``benchmarks/baselines/BENCH_engine_baseline.json`` is missing
+or any configuration's events/sec drops more than 20% below it.  The
+JSON also carries each configuration's speedup over the seed engine
+(the revision before the fast DES core landed), measured with this same
+script — see ``docs/performance.md`` for how to read it.
 
-The script runs unmodified against the seed engine (``--seed-compat``
-skips configurations the seed does not support), which is how the seed
-column was produced.
+The script runs unmodified against the seed engine; ``--capture``
+measures and writes the JSON without the gate, which is how both the
+seed column and the baseline floors are recorded.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ import pytest
 
 from repro.sim.engine import Engine
 
-#: committed baseline: current events/sec per configuration (regression
-#: gate) plus the seed engine's rates measured with `--seed-compat` on a
-#: worktree of the pre-fast-core revision (speedup column)
+#: committed baseline: events/sec floors per configuration (regression
+#: gate) plus the seed engine's rates measured with `--capture` on a
+#: checkout of the pre-fast-core revision (speedup column)
 _BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "BENCH_engine_baseline.json"
 
 #: allowed events/sec drop vs. the committed baseline before CI fails
@@ -81,22 +80,12 @@ def _calibrate() -> float:
     return best
 
 
-def _make_engine(seed: int, scheduler: str) -> Engine:
-    try:
-        return Engine(seed=seed, scheduler=scheduler)
-    except TypeError:
-        # seed engine (pre-scheduler-protocol): heap only
-        if scheduler != "heap":
-            raise
-        return Engine(seed=seed)
-
-
 # -- workload 1: event churn ------------------------------------------------
 
 
-def event_churn(total_events: int = 200_000, scheduler: str = "heap") -> tuple[int, float]:
+def event_churn(total_events: int = 200_000) -> tuple[int, float]:
     """Callback chains rescheduling timeouts; no processes, no fluid."""
-    eng = _make_engine(1, scheduler)
+    eng = Engine(seed=1)
     chains = 64
     per_chain = total_events // chains
 
@@ -124,11 +113,9 @@ def event_churn(total_events: int = 200_000, scheduler: str = "heap") -> tuple[i
 # -- workload 2: timeout storm ----------------------------------------------
 
 
-def timeout_storm(
-    procs: int = 200, ops: int = 500, scheduler: str = "heap"
-) -> tuple[int, float]:
+def timeout_storm(procs: int = 200, ops: int = 500) -> tuple[int, float]:
     """Generator processes yielding timeouts: resume/suspend on every event."""
-    eng = _make_engine(2, scheduler)
+    eng = Engine(seed=2)
 
     def body(delays: list[float]):
         for i in range(ops):
@@ -147,12 +134,7 @@ def timeout_storm(
 # -- workload 3: cluster-driver slice ---------------------------------------
 
 
-def cluster_slice(
-    tenants: int = 32,
-    ops_per_tenant: int = 150,
-    scheduler: str = "heap",
-    hybrid: bool = False,
-) -> tuple[int, float, int]:
+def cluster_slice(tenants: int = 32, ops_per_tenant: int = 150) -> tuple[int, float, int]:
     """The real multi-tenant driver on the paper's logical rack,
     data-heavy mix (the regime ROADMAP's 10k-tenant item lives in).
 
@@ -165,14 +147,7 @@ def cluster_slice(
     from repro.topology.builder import build_logical
     from repro.units import kib, mib
 
-    kwargs: dict[str, _t.Any] = {}
-    if scheduler != "heap":
-        kwargs["scheduler"] = scheduler
-    if hybrid:
-        kwargs["hybrid_fluid"] = True
-    deployment = build_logical(
-        "link0", server_count=4, server_dram_bytes=mib(32), **kwargs
-    )
+    deployment = build_logical("link0", server_count=4, server_dram_bytes=mib(32))
     runtime = LmpRuntime(
         deployment,
         geometry=PageGeometry(page_bytes=kib(16), extent_bytes=kib(64)),
@@ -198,12 +173,7 @@ def cluster_slice(
     return deployment.engine.events_processed, elapsed, report.total_ops
 
 
-def cluster_dense(
-    tenants: int = 1024,
-    ops_per_tenant: int = 12,
-    scheduler: str = "heap",
-    hybrid: bool = False,
-) -> tuple[int, float, int]:
+def cluster_dense(tenants: int = 1024, ops_per_tenant: int = 12) -> tuple[int, float, int]:
     """The bandwidth-saturated steady state: every tenant keeps a
     256 KiB read in flight, so ~#tenants flows share the fabric at all
     times.  Large pages make each access a single long-lived flow, and
@@ -219,14 +189,7 @@ def cluster_dense(
     from repro.topology.builder import build_logical
     from repro.units import kib, mib
 
-    kwargs: dict[str, _t.Any] = {}
-    if scheduler != "heap":
-        kwargs["scheduler"] = scheduler
-    if hybrid:
-        kwargs["hybrid_fluid"] = True
-    deployment = build_logical(
-        "link0", server_count=4, server_dram_bytes=mib(512), **kwargs
-    )
+    deployment = build_logical("link0", server_count=4, server_dram_bytes=mib(512))
     runtime = LmpRuntime(
         deployment,
         geometry=PageGeometry(page_bytes=kib(256), extent_bytes=mib(1)),
@@ -256,27 +219,18 @@ def cluster_dense(
 
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_e2_event_churn(benchmark, scheduler):
-    events, _ = benchmark.pedantic(
-        event_churn, args=(200_000, scheduler), rounds=1, iterations=1
-    )
+def test_e2_event_churn(benchmark):
+    events, _ = benchmark.pedantic(event_churn, args=(200_000,), rounds=1, iterations=1)
     assert events >= 200_000
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_e2_timeout_storm(benchmark, scheduler):
-    events, _ = benchmark.pedantic(
-        timeout_storm, args=(200, 500, scheduler), rounds=1, iterations=1
-    )
+def test_e2_timeout_storm(benchmark):
+    events, _ = benchmark.pedantic(timeout_storm, args=(200, 500), rounds=1, iterations=1)
     assert events >= 200 * 500
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("hybrid", [False, True])
-def test_e2_cluster_slice(benchmark, hybrid):
-    events, _, ops = benchmark.pedantic(
-        cluster_slice, args=(8, 30, "heap", hybrid), rounds=1, iterations=1
-    )
+def test_e2_cluster_slice(benchmark):
+    events, _, ops = benchmark.pedantic(cluster_slice, args=(8, 30), rounds=1, iterations=1)
     assert ops == 8 * 30
     assert events > 0
 
@@ -284,81 +238,55 @@ def test_e2_cluster_slice(benchmark, hybrid):
 # -- standalone smoke mode (CI: BENCH_engine.json + regression gate) --------
 
 
-def _configs(seed_compat: bool) -> list[tuple[str, _t.Callable[[], dict[str, float]]]]:
-    def churn(sched: str):
+def _configs() -> list[tuple[str, _t.Callable[[], dict[str, float]]]]:
+    def timed(workload: _t.Callable[[], tuple]) -> _t.Callable[[], dict[str, float]]:
         def run() -> dict[str, float]:
-            events, secs = event_churn(200_000, sched)
-            return {"events": events, "seconds": round(secs, 4),
-                    "events_per_sec": round(events / secs, 1)}
+            events, secs, *ops = workload()
+            result = {"events": events, "seconds": round(secs, 4),
+                      "events_per_sec": round(events / secs, 1)}
+            if ops:
+                result["ops"] = ops[0]
+                result["ops_per_sec"] = round(ops[0] / secs, 1)
+            return result
         return run
 
-    def storm(sched: str):
-        def run() -> dict[str, float]:
-            events, secs = timeout_storm(200, 500, sched)
-            return {"events": events, "seconds": round(secs, 4),
-                    "events_per_sec": round(events / secs, 1)}
-        return run
-
-    def slice_(sched: str, hybrid: bool):
-        def run() -> dict[str, float]:
-            events, secs, ops = cluster_slice(32, 150, sched, hybrid)
-            return {"events": events, "seconds": round(secs, 4), "ops": ops,
-                    "events_per_sec": round(events / secs, 1),
-                    "ops_per_sec": round(ops / secs, 1)}
-        return run
-
-    def dense(sched: str, hybrid: bool):
-        def run() -> dict[str, float]:
-            events, secs, ops = cluster_dense(1024, 12, sched, hybrid)
-            return {"events": events, "seconds": round(secs, 4), "ops": ops,
-                    "events_per_sec": round(events / secs, 1),
-                    "ops_per_sec": round(ops / secs, 1)}
-        return run
-
-    configs: list[tuple[str, _t.Callable[[], dict[str, float]]]] = [
-        ("event_churn/heap", churn("heap")),
-        ("timeout_storm/heap", storm("heap")),
-        ("cluster_slice/heap", slice_("heap", False)),
+    return [
+        ("event_churn", timed(lambda: event_churn(200_000))),
+        ("timeout_storm", timed(lambda: timeout_storm(200, 500))),
+        ("cluster_slice", timed(lambda: cluster_slice(32, 150))),
+        ("cluster_dense", timed(lambda: cluster_dense(1024, 12))),
     ]
-    if seed_compat:
-        # The seed column for the headline: the dense steady state on the
-        # per-event solver (the seed's only mode).  Slow by construction —
-        # that is the measurement — so the CI run skips it and compares
-        # against this recorded rate instead.
-        configs += [("cluster_dense/heap", dense("heap", False))]
-    else:
-        configs += [
-            ("event_churn/calendar", churn("calendar")),
-            ("timeout_storm/calendar", storm("calendar")),
-            ("cluster_slice/calendar", slice_("calendar", False)),
-            ("cluster_slice/heap+hybrid", slice_("heap", True)),
-            ("cluster_dense/heap+hybrid", dense("heap", True)),
-        ]
-    return configs
-
-
-#: the headline compares the hybrid dense run against the seed engine
-#: running the SAME workload in its only (per-event) mode, so the seed
-#: rate lives under a different configuration name
-_SEED_KEY = {"cluster_dense/heap+hybrid": "cluster_dense/heap"}
 
 
 def smoke(
-    out: str = "BENCH_engine.json", seed_compat: bool = False, rounds: int = 2
+    out: str = "BENCH_engine.json",
+    rounds: int = 2,
+    capture: bool = False,
 ) -> None:
     """Time every configuration, keeping the best of *rounds* runs per
     configuration — throughput noise on a shared machine is one-sided
     (external load only ever slows a run down), so best-of-N is the
-    stable estimator the 20% regression gate needs."""
+    stable estimator the 20% regression gate needs.
+
+    Exits non-zero before measuring anything when the baseline is
+    missing, unless *capture* (measure and write only, no gate)."""
+    baseline: dict[str, _t.Any] = {}
+    if _BASELINE_PATH.exists():
+        baseline = json.loads(_BASELINE_PATH.read_text())
+    elif not capture:
+        raise SystemExit(
+            f"engine bench: no committed baseline at {_BASELINE_PATH}; "
+            "the regression gate cannot run (record one with --capture)"
+        )
+
     # warm-up: imports, bytecode, and allocator pools out of the timing
     event_churn(20_000)
     timeout_storm(20, 50)
     cluster_slice(4, 20)
-    if not seed_compat:
-        cluster_dense(64, 4, "heap", True)
+    cluster_dense(64, 4)
 
     results: dict[str, dict[str, float]] = {}
-    for name, run in _configs(seed_compat):
+    for name, run in _configs():
         best: dict[str, float] | None = None
         for _ in range(max(1, rounds)):
             # drop the previous run's garbage (engines are webs of
@@ -375,18 +303,13 @@ def smoke(
             line += f"  ({results[name]['ops_per_sec']:,.0f} ops/s)"
         print(line)
 
-    baseline: dict[str, _t.Any] = {}
-    if _BASELINE_PATH.exists():
-        baseline = json.loads(_BASELINE_PATH.read_text())
     seed_rates: dict[str, float] = baseline.get("seed_events_per_sec", {})
     for name, result in results.items():
-        seed_rate = seed_rates.get(_SEED_KEY.get(name, name))
+        seed_rate = seed_rates.get(name)
         if seed_rate:
             result["speedup_vs_seed"] = round(result["events_per_sec"] / seed_rate, 2)
-    headline = results.get("cluster_dense/heap+hybrid") or results.get(
-        "cluster_slice/heap"
-    )
-    if headline and "speedup_vs_seed" in headline:
+    headline = results["cluster_dense"]
+    if "speedup_vs_seed" in headline:
         print(f"cluster-driver dense slice speedup vs seed engine: "
               f"{headline['speedup_vs_seed']:.2f}x")
 
@@ -400,6 +323,9 @@ def smoke(
         + "\n"
     )
     print(f"wrote {path}")
+    if capture:
+        print("regression gate: skipped (--capture)")
+        return
 
     # regression gate: >20% events/sec drop vs the committed baseline
     # fails, with the floors scaled down on machines the calibration
@@ -427,11 +353,8 @@ def smoke(
             )
     if failures:
         raise SystemExit("engine bench regression:\n  " + "\n  ".join(failures))
-    if baseline:
-        print(f"regression gate: all configurations within "
-              f"{REGRESSION_TOLERANCE:.0%} of committed baseline — OK")
-    else:
-        print("regression gate: no committed baseline found (gate skipped)")
+    print(f"regression gate: all configurations within "
+          f"{REGRESSION_TOLERANCE:.0%} of committed baseline — OK")
 
 
 if __name__ == "__main__":
@@ -445,9 +368,9 @@ if __name__ == "__main__":
     )
     parser.add_argument("--out", default="BENCH_engine.json")
     parser.add_argument(
-        "--seed-compat",
+        "--capture",
         action="store_true",
-        help="only run configurations the seed engine supports (baseline capture)",
+        help="measure and write --out without the gate (baseline / seed capture)",
     )
     parser.add_argument(
         "--rounds",
@@ -458,4 +381,8 @@ if __name__ == "__main__":
     cli_args = parser.parse_args()
     if not cli_args.smoke:
         parser.error("pass --smoke (benchmark mode runs under pytest-benchmark)")
-    smoke(out=cli_args.out, seed_compat=cli_args.seed_compat, rounds=cli_args.rounds)
+    smoke(
+        out=cli_args.out,
+        rounds=cli_args.rounds,
+        capture=cli_args.capture,
+    )

@@ -202,7 +202,7 @@ def test_s1_experiment(run_once, record_result):
 def _assert_seams_cold() -> None:
     """Every monitor/observability seam must default to None, and a
     fresh engine must take the bare dispatch fast path — otherwise the
-    rates below measure hook dispatch, not the population machinery."""
+    rates below measure sink dispatch, not the population machinery."""
     from repro.cluster.driver import ClusterDriver
     from repro.core.api import LmpSession
     from repro.fabric.transport import MemoryTransport
@@ -223,10 +223,10 @@ def _assert_seams_cold() -> None:
     if stale:
         raise SystemExit(f"detector seams unexpectedly installed: {', '.join(stale)}")
     probe = Engine()
-    if probe._step_hooks or probe._event_sinks or Engine._global_event_sinks:
+    if probe._event_sinks or Engine._global_event_sinks:
         raise SystemExit(
-            "fresh engine is instrumented: step hooks or event sinks are "
-            "installed, so the bare dispatch fast path will not engage"
+            "fresh engine is instrumented: event sinks are installed, so "
+            "the bare dispatch fast path will not engage"
         )
 
 

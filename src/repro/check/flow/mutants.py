@@ -366,7 +366,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         rule="LMP014",
         description=(
             "bare fluid.transfer() without on_complete drops the wait; the "
-            "hybrid callback form consumes it"
+            "on_complete callback form consumes it"
         ),
         bad=_src(
             """

@@ -883,7 +883,7 @@ class YieldDisciplineRule(FlowRule):
         if attr == "transfer" and any(
             kw.arg == "on_complete" for kw in call.keywords
         ):
-            # hybrid fluid handoff: `fluid.transfer(..., on_complete=cb)`
+            # callback fluid handoff: `fluid.transfer(..., on_complete=cb)`
             # hands the wait to the solver's completion callback — the
             # event is consumed, just not by a yield
             return []

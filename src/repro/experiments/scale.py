@@ -143,7 +143,7 @@ def _build_manager(
         link="link0",
         trunk_width=4.0,
     )
-    deployment = build_multirack_deployment(pod, seed=seed, hybrid_fluid=True)
+    deployment = build_multirack_deployment(pod, seed=seed)
     runtime = LmpRuntime(
         deployment,
         geometry=PageGeometry(page_bytes=_PAGE, extent_bytes=_EXTENT),

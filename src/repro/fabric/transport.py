@@ -10,19 +10,13 @@ use when they are not streaming (streaming goes through
 4. optionally moves *real* contents between backing stores, so
    functional layers (migration, erasure coding) keep data intact.
 
-Two execution styles are supported.  The default runs each operation as
-a generator-based :class:`~repro.sim.process.Process` — one init event,
-one resume per wait — which is what every existing scenario exercises
-and what the determinism traces pin down.  With
-``MemoryTransport(..., hybrid_transfers=True)`` the same pipeline runs
-as a callback chain instead: the latency timeout's callback starts the
-fluid transfer, and the transfer's ``on_complete`` callback touches the
-device and triggers the operation's completion event.  No process, no
-generator frame, no relay events — the discrete cost of a bandwidth-
-bound operation drops to its rate *transitions* (start and finish),
-which is the hybrid fluid/DES handoff ROADMAP item 1 calls for.  Timing
-is identical; only the event count (and therefore the trace) differs,
-which is why the flag defaults to off.
+Every operation runs as a callback chain rather than a simulation
+process: the latency timeout's callback starts the fluid transfer, and
+the transfer's ``on_complete`` callback touches the device and triggers
+the operation's completion event.  No generator frame and no relay
+events — the discrete cost of a bandwidth-bound operation is its rate
+*transitions* (start and finish).  An exception in the final step
+fails the completion event, so it surfaces in whoever waits on it.
 """
 
 from __future__ import annotations
@@ -34,25 +28,19 @@ from repro.sim.events import Event
 from repro.sim.fluid import FluidModel
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fabric.switch import AccessRoute
     from repro.sim.engine import Engine
-    from repro.sim.process import Process
 
 
 class MemoryTransport:
     """Issue loads/stores/copies between endpoints attached to a switch."""
 
-    #: installed by repro.obs.Observability: annotates the running
-    #: operation's span (route, bytes) and charges link/fabric/DRAM time
-    #: to the latency-breakdown categories.  None = disabled.
+    #: installed by repro.obs.Observability: opens one span per operation
+    #: (route, bytes) and charges its link/fabric/DRAM time to the
+    #: latency-breakdown categories.  None = disabled.
     _obs: _t.ClassVar[_t.Any] = None
 
-    def __init__(
-        self,
-        engine: "Engine",
-        fluid: FluidModel,
-        switch: FabricSwitch,
-        hybrid_transfers: bool = False,
-    ) -> None:
+    def __init__(self, engine: "Engine", fluid: FluidModel, switch: FabricSwitch) -> None:
         self.engine = engine
         self.fluid = fluid
         self.switch = switch
@@ -64,9 +52,6 @@ class MemoryTransport:
         #: fabric-level copy volume (migration, cache fills) — the
         #: independent ledger migration-cost conservation checks audit
         self.bytes_copied = 0
-        #: callback-chained (processless) reads/writes/copies; see module
-        #: docstring.  Off by default: existing traces stay byte-identical.
-        self.hybrid_transfers = hybrid_transfers
         #: interned operation names — "read:c0<-s1" etc. — so steady-state
         #: traffic between the same endpoints never re-renders the f-string
         self._op_names: dict[tuple[str, str, str], str] = {}
@@ -78,249 +63,44 @@ class MemoryTransport:
             name = self._op_names[key] = f"{op}:{left}{sep}{right}"
         return name
 
-    # -- data-path operations (simulation processes) -----------------------------
-
-    def read(self, requester: str, owner: str, addr: int, size: int) -> "Process | Event":
-        """Load *size* bytes; the returned event fires with the bytes
-        (zeros if the range was never written)."""
-        if self.hybrid_transfers:
-            return self._read_fast(requester, owner, addr, size)
-        return self.engine.process(
-            self._read_body(requester, owner, addr, size),
-            name=self._op_name("read", requester, "<-", owner),
-        )
-
-    def _read_body(self, requester: str, owner: str, addr: int, size: int):
-        route = self.switch.read_route(requester, owner)
-        self.reads_issued += 1
-        self.bytes_read += size
-        obs = MemoryTransport._obs
-        latency = route.loaded_latency()
-        if obs is not None:
-            obs.annotate(
-                op="read", requester=requester, owner=owner,
-                bytes=size, remote=route.remote,
-            )
-        yield self.engine.timeout(latency)
-        started = self.engine.now
-        if route.path:
-            yield self.fluid.transfer(route.path, size, tag=route.description)
-        if obs is not None:
-            obs.route_time(route.remote, latency, self.engine.now - started)
-        device = self.switch.device_of(owner)
-        return device.read_bytes(addr, size)
-
-    def _read_fast(self, requester: str, owner: str, addr: int, size: int) -> Event:
-        engine = self.engine
-        route = self.switch.read_route(requester, owner)
-        self.reads_issued += 1
-        self.bytes_read += size
-        obs = MemoryTransport._obs
-        latency = route.loaded_latency()
-        if obs is not None:
-            obs.annotate(
-                op="read", requester=requester, owner=owner,
-                bytes=size, remote=route.remote,
-            )
-        done = engine.event(self._op_name("read", requester, "<-", owner))
-
-        def _finish(started: float) -> None:
-            # mirrors a process body's error semantics: an exception here
-            # fails the operation's event, surfacing in whoever waits on it
-            try:
-                if obs is not None:
-                    obs.route_time(route.remote, latency, engine.now - started)
-                data = self.switch.device_of(owner).read_bytes(addr, size)
-            except Exception as exc:
-                done.fail(exc)
-                return
-            done.succeed(data)
-
-        def _after_latency(_ev: Event) -> None:
-            started = engine.now
-            if route.path:
-                try:
-                    self.fluid.transfer(
-                        route.path,
-                        size,
-                        tag=route.description,
-                        on_complete=lambda _xfer, _s=started: _finish(_s),
-                    )
-                except Exception as exc:
-                    done.fail(exc)
-                return
-            _finish(started)
-
-        engine.timeout(latency).callbacks.append(_after_latency)
-        return done
-
-    def write(self, requester: str, owner: str, addr: int, data: bytes) -> "Process | Event":
-        """Store *data*; the returned event fires with the number of
-        bytes written."""
-        if self.hybrid_transfers:
-            return self._write_fast(requester, owner, addr, data)
-        return self.engine.process(
-            self._write_body(requester, owner, addr, data),
-            name=self._op_name("write", requester, "->", owner),
-        )
-
-    def _write_body(self, requester: str, owner: str, addr: int, data: bytes):
-        route = self.switch.write_route(requester, owner)
-        self.writes_issued += 1
-        self.bytes_written += len(data)
-        obs = MemoryTransport._obs
-        latency = route.loaded_latency()
-        if obs is not None:
-            obs.annotate(
-                op="write", requester=requester, owner=owner,
-                bytes=len(data), remote=route.remote,
-            )
-        yield self.engine.timeout(latency)
-        started = self.engine.now
-        if route.path:
-            yield self.fluid.transfer(route.path, len(data), tag=route.description)
-        if obs is not None:
-            obs.route_time(route.remote, latency, self.engine.now - started)
-        device = self.switch.device_of(owner)
-        device.write_bytes(addr, data)
-        return len(data)
-
-    def _write_fast(self, requester: str, owner: str, addr: int, data: bytes) -> Event:
-        engine = self.engine
-        route = self.switch.write_route(requester, owner)
-        self.writes_issued += 1
-        self.bytes_written += len(data)
-        obs = MemoryTransport._obs
-        latency = route.loaded_latency()
-        if obs is not None:
-            obs.annotate(
-                op="write", requester=requester, owner=owner,
-                bytes=len(data), remote=route.remote,
-            )
-        done = engine.event(self._op_name("write", requester, "->", owner))
-        size = len(data)
-
-        def _finish(started: float) -> None:
-            try:
-                if obs is not None:
-                    obs.route_time(route.remote, latency, engine.now - started)
-                self.switch.device_of(owner).write_bytes(addr, data)
-            except Exception as exc:
-                done.fail(exc)
-                return
-            done.succeed(size)
-
-        def _after_latency(_ev: Event) -> None:
-            started = engine.now
-            if route.path:
-                try:
-                    self.fluid.transfer(
-                        route.path,
-                        size,
-                        tag=route.description,
-                        on_complete=lambda _xfer, _s=started: _finish(_s),
-                    )
-                except Exception as exc:
-                    done.fail(exc)
-                return
-            _finish(started)
-
-        engine.timeout(latency).callbacks.append(_after_latency)
-        return done
-
-    def copy(
+    def _issue(
         self,
-        src_owner: str,
-        src_addr: int,
-        dst_owner: str,
-        dst_addr: int,
-        size: int,
-        chunk_bytes: int = 16 * (1 << 20),
-    ) -> "Process | Event":
-        """Fabric-level copy (page migration, cache fill); moves real
-        contents.  The returned event fires with the copy duration in ns.
-
-        The default (process) style chunks the copy so concurrent traffic
-        re-shares links at chunk granularity; the hybrid style issues one
-        flow for the whole copy — the fluid solver already re-fairs rates
-        continuously at every flow transition, so the chunk loop buys no
-        extra fidelity there.
-        """
-        self.copies_issued += 1
-        self.bytes_copied += size
-        if self.hybrid_transfers:
-            return self._copy_fast(src_owner, src_addr, dst_owner, dst_addr, size)
-        return self.engine.process(
-            self._copy_body(src_owner, src_addr, dst_owner, dst_addr, size, chunk_bytes),
-            name=self._op_name("copy", src_owner, "->", dst_owner),
-        )
-
-    def _copy_body(
-        self,
-        src_owner: str,
-        src_addr: int,
-        dst_owner: str,
-        dst_addr: int,
-        size: int,
-        chunk_bytes: int,
-    ):
-        started = self.engine.now
-        route = self.switch.copy_route(src_owner, dst_owner)
-        src_dev = self.switch.device_of(src_owner)
-        dst_dev = self.switch.device_of(dst_owner)
-        moved = 0
-        obs = MemoryTransport._obs
-        latency = route.loaded_latency()
-        if obs is not None:
-            obs.annotate(
-                op="copy", requester=src_owner, owner=dst_owner,
-                bytes=size, remote=route.remote,
-            )
-        yield self.engine.timeout(latency)
-        transferred_at = self.engine.now
-        while moved < size:
-            chunk = min(chunk_bytes, size - moved)
-            yield self.fluid.transfer(route.path, chunk, tag=route.description)
-            # contents move sparsely: untouched pages stay unmaterialized
-            src_dev.store.copy_to(
-                dst_dev.store, src_addr + moved, dst_addr + moved, chunk
-            )
-            moved += chunk
-        if obs is not None:
-            obs.route_time(route.remote, latency, self.engine.now - transferred_at)
-        return self.engine.now - started
-
-    def _copy_fast(
-        self,
-        src_owner: str,
-        src_addr: int,
-        dst_owner: str,
-        dst_addr: int,
-        size: int,
+        op: str,
+        requester: str,
+        sep: str,
+        owner: str,
+        route: "AccessRoute",
+        size: float,
+        tag: str,
+        complete: _t.Callable[[], _t.Any],
     ) -> Event:
+        """Latency, then the fluid transfer, then ``complete()``.
+
+        Returns the operation's completion event, which succeeds with
+        ``complete()``'s result or fails with the exception it raised.
+        """
         engine = self.engine
-        started = engine.now
-        route = self.switch.copy_route(src_owner, dst_owner)
-        src_dev = self.switch.device_of(src_owner)
-        dst_dev = self.switch.device_of(dst_owner)
+        name = self._op_name(op, requester, sep, owner)
         obs = MemoryTransport._obs
         latency = route.loaded_latency()
+        span = None
         if obs is not None:
-            obs.annotate(
-                op="copy", requester=src_owner, owner=dst_owner,
-                bytes=size, remote=route.remote,
-            )
-        done = engine.event(self._op_name("copy", src_owner, "->", dst_owner))
+            span = obs.transport_begin(engine, name, op, requester, owner, size, route.remote)
+        done = engine.event(name)
 
-        def _finish(transferred_at: float) -> None:
+        def _finish(transferred_at: float, error: Exception | None = None) -> None:
+            if span is not None:
+                now = engine.now
+                obs.transport_end(span, now, route.remote, latency, now - transferred_at)
+            if error is not None:
+                done.fail(error)
+                return
             try:
-                src_dev.store.copy_to(dst_dev.store, src_addr, dst_addr, size)
-                if obs is not None:
-                    obs.route_time(route.remote, latency, engine.now - transferred_at)
+                value = complete()
             except Exception as exc:
                 done.fail(exc)
                 return
-            done.succeed(engine.now - started)
+            done.succeed(value)
 
         def _after_latency(_ev: Event) -> None:
             transferred_at = engine.now
@@ -329,40 +109,81 @@ class MemoryTransport:
                     self.fluid.transfer(
                         route.path,
                         size,
-                        tag=route.description,
-                        on_complete=lambda _xfer, _t=transferred_at: _finish(_t),
+                        tag=tag,
+                        on_complete=lambda _xfer: _finish(transferred_at),
                     )
                 except Exception as exc:
-                    done.fail(exc)
+                    _finish(transferred_at, exc)
                 return
             _finish(transferred_at)
 
         engine.timeout(latency).callbacks.append(_after_latency)
         return done
 
-    # -- cache-line probe (latency measurements) -------------------------------
+    # -- data-path operations --------------------------------------------------
 
-    def probe_latency(self, requester: str, owner: str) -> "Process":
-        """One 64 B load, returning its end-to-end latency — the MLC-style
-        probe behind Table 1/Table 2."""
-        return self.engine.process(
-            self._probe_body(requester, owner),
-            name=self._op_name("probe", requester, "<-", owner),
+    def read(self, requester: str, owner: str, addr: int, size: int) -> Event:
+        """Load *size* bytes; the returned event fires with the bytes
+        (zeros if the range was never written)."""
+        route = self.switch.read_route(requester, owner)
+        self.reads_issued += 1
+        self.bytes_read += size
+        return self._issue(
+            "read", requester, "<-", owner, route, size, route.description,
+            lambda: self.switch.device_of(owner).read_bytes(addr, size),
         )
 
-    def _probe_body(self, requester: str, owner: str):
+    def write(self, requester: str, owner: str, addr: int, data: bytes) -> Event:
+        """Store *data*; the returned event fires with the number of
+        bytes written."""
+        route = self.switch.write_route(requester, owner)
+        size = len(data)
+        self.writes_issued += 1
+        self.bytes_written += size
+
+        def complete() -> int:
+            self.switch.device_of(owner).write_bytes(addr, data)
+            return size
+
+        return self._issue(
+            "write", requester, "->", owner, route, size, route.description, complete,
+        )
+
+    def copy(
+        self, src_owner: str, src_addr: int, dst_owner: str, dst_addr: int, size: int
+    ) -> Event:
+        """Fabric-level copy (page migration, cache fill); moves real
+        contents.  The returned event fires with the copy duration in ns.
+
+        The copy is one flow: the fluid solver re-fairs rates at every
+        flow transition, so chunking it would not change how concurrent
+        traffic shares the links.
+        """
+        self.copies_issued += 1
+        self.bytes_copied += size
+        engine = self.engine
+        started = engine.now
+        route = self.switch.copy_route(src_owner, dst_owner)
+        src_dev = self.switch.device_of(src_owner)
+        dst_dev = self.switch.device_of(dst_owner)
+
+        def complete() -> float:
+            # contents move sparsely: untouched pages stay unmaterialized
+            src_dev.store.copy_to(dst_dev.store, src_addr, dst_addr, size)
+            return engine.now - started
+
+        return self._issue(
+            "copy", src_owner, "->", dst_owner, route, size, route.description, complete,
+        )
+
+    # -- cache-line probe (latency measurements) -------------------------------
+
+    def probe_latency(self, requester: str, owner: str) -> Event:
+        """One 64 B load, returning its end-to-end latency — the MLC-style
+        probe behind Table 1/Table 2."""
         route = self.switch.read_route(requester, owner)
-        start = self.engine.now
-        obs = MemoryTransport._obs
-        latency = route.loaded_latency()
-        if obs is not None:
-            obs.annotate(
-                op="probe", requester=requester, owner=owner,
-                bytes=64, remote=route.remote,
-            )
-        yield self.engine.timeout(latency)
-        transferred_at = self.engine.now
-        yield self.fluid.transfer(route.path, 64.0, tag="probe")
-        if obs is not None:
-            obs.route_time(route.remote, latency, self.engine.now - transferred_at)
-        return self.engine.now - start
+        engine = self.engine
+        start = engine.now
+        return self._issue(
+            "probe", requester, "<-", owner, route, 64.0, "probe", lambda: engine.now - start,
+        )

@@ -179,21 +179,27 @@ class SpanRecorder:
         if self._active:
             self._active[-1].attrs.update(attrs)
 
-    def add(self, key: str, delta: float) -> None:
-        """Accumulate a numeric attribute on the currently-running span."""
-        if self._active:
-            attrs = self._active[-1].attrs
-            attrs[key] = attrs.get(key, 0.0) + delta
+    def add(self, key: str, delta: float, span: Span | None = None) -> None:
+        """Accumulate a numeric attribute on *span* (default: the
+        currently-running span, if any)."""
+        if span is None:
+            if not self._active:
+                return
+            span = self._active[-1]
+        attrs = span.attrs
+        attrs[key] = attrs.get(key, 0.0) + delta
 
-    def route_time(self, remote: bool, latency_ns: float, transfer_ns: float) -> None:
+    def route_time(
+        self, remote: bool, latency_ns: float, transfer_ns: float, span: Span | None = None
+    ) -> None:
         """Charge one fabric hop to the latency-breakdown categories:
         a remote hop is link latency plus fabric transfer time; a local
         hop is all DRAM service."""
         if remote:
-            self.add("cat_link_ns", latency_ns)
-            self.add("cat_fabric_ns", transfer_ns)
+            self.add("cat_link_ns", latency_ns, span)
+            self.add("cat_fabric_ns", transfer_ns, span)
         else:
-            self.add("cat_dram_ns", latency_ns + transfer_ns)
+            self.add("cat_dram_ns", latency_ns + transfer_ns, span)
 
     # -- process seam (mirrors repro.check's Process._monitor protocol) ------
 
@@ -386,6 +392,38 @@ class Observability:
 
         assert proc.callbacks is not None  # the process was just created
         proc.callbacks.append(close)
+
+    # -- transport seam ------------------------------------------------------
+
+    def transport_begin(
+        self,
+        engine: _t.Any,
+        name: str,
+        op: str,
+        requester: str,
+        owner: str,
+        nbytes: float,
+        remote: bool,
+    ) -> Span:
+        """Open one fabric-hop span, parented to the active scope.
+
+        Transport operations run as callback chains with no process of
+        their own, so the hop carries its own span instead of charging
+        whatever scope happens to be active when the transfer completes.
+        """
+        span = self.recorder.start(name, "fabric", engine)
+        span.attrs.update(
+            op=op, requester=requester, owner=owner, bytes=nbytes, remote=remote
+        )
+        return span
+
+    def transport_end(
+        self, span: Span, now: float, remote: bool, latency_ns: float, transfer_ns: float
+    ) -> None:
+        """Charge the hop's link/fabric/DRAM time onto *span* and close
+        it at *now*."""
+        self.recorder.route_time(remote, latency_ns, transfer_ns, span)
+        self.recorder.finish(span, now)
 
     # -- driver (tenant request) seam ----------------------------------------
 

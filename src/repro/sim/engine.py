@@ -1,27 +1,24 @@
-"""The discrete-event engine: a virtual clock plus a pluggable event queue.
+"""The discrete-event engine: a virtual clock plus a binary-heap event queue.
 
 The engine is deliberately small.  Time is a float in nanoseconds (see
 :mod:`repro.units`).  Determinism matters for reproducibility, so ties in
 time are broken by a monotonically increasing sequence number — two runs
-of the same model produce byte-identical traces, under either scheduler.
+of the same model produce byte-identical traces.
 
-The dispatch path is specialized for throughput (see
+The future-event set is one ``heapq`` list of ``(when, seq, event)``
+entries, and the dispatch path is specialized for throughput (see
 ``docs/performance.md``):
 
-* Two run loops — *bare* (no hooks, no sinks: the common case) and
-  *instrumented* (hooks/sinks hoisted out of the loop) — selected per
-  ``run()`` and re-selected mid-run whenever instrumentation is added
+* Two run loops — *bare* (no sinks: the common case) and
+  *instrumented* (sinks hoisted out of the loop) — selected per
+  ``run()`` and re-selected mid-run whenever an event sink is added
   or removed (a class-level epoch counter invalidates the bare loop).
-* The future-event set sits behind the :class:`~repro.sim.scheduler
-  .Scheduler` protocol; the default binary heap is driven inline by the
-  bare loop, and a calendar queue is available via
-  ``Engine(scheduler="calendar")``.
 * :class:`~repro.sim.events.Timeout` objects are pooled: a timeout that
   reaches dispatch with no outside references left is recycled by the
   next ``engine.timeout(...)`` call instead of re-allocated.
 
 None of this changes observable order: ``(when, seq)`` dispatch order,
-hook/sink call points, and error semantics are identical to the simple
+sink call points, and error semantics are identical to the simple
 ``step()`` loop, which remains the readable reference implementation.
 """
 
@@ -35,7 +32,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-from repro.sim.scheduler import Scheduler, make_scheduler
 
 #: returned by a drain loop when instrumentation changed under it and the
 #: dispatcher must pick a different specialized loop
@@ -73,27 +69,21 @@ class Engine:
     #: top-level code).  None = one class-attribute test per run() call.
     _monitor: _t.ClassVar[_t.Any] = None
 
-    #: bumped whenever instrumentation (step hooks / event sinks, on any
-    #: engine) is installed or removed.  The bare dispatch loop snapshots
+    #: bumped whenever an event sink (on any engine) is installed or
+    #: removed.  The bare dispatch loop snapshots
     #: it and bails out to reselect when it moves, so a sink registered
     #: from inside a callback still observes the very next event.
     _instr_epoch: _t.ClassVar[int] = 0
 
-    def __init__(self, seed: int = 0, scheduler: "str | Scheduler" = "heap") -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._scheduler = make_scheduler(scheduler)
-        #: the scheduler's backing list when it is heap-shaped, letting
-        #: the hot loops drive ``heapq`` directly; None for other backends
-        self._heap: list[tuple[float, int, Event]] | None = getattr(
-            self._scheduler, "_heap", None
-        )
+        #: the future-event set: a ``heapq`` list ordered by (when, seq)
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.rng = RngStreams(seed)
         #: number of events processed, for instrumentation.  Counted at
         #: pop, before callbacks run, so a raising callback still counts.
         self.events_processed = 0
-        #: hooks called as fn(engine) before each event is processed
-        self._step_hooks: list[_t.Callable[["Engine"], None]] = []
         #: sinks called as fn(engine, when, seq, event) on this engine only
         self._event_sinks: list[_t.Callable[..., None]] = []
         #: recycled Timeout objects (drain path only; see _drain loops)
@@ -130,11 +120,7 @@ class Engine:
             t._defused = False
             t.delay = delay
             self._seq += 1
-            heap = self._heap
-            if heap is not None:
-                heapq.heappush(heap, (self._now + delay, self._seq, t))
-            else:
-                self._scheduler.push(self._now + delay, self._seq, t)
+            heapq.heappush(self._heap, (self._now + delay, self._seq, t))
             return t
         return Timeout(self, delay, value)
 
@@ -157,20 +143,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule event {delay}ns in the past")
         self._seq += 1
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (self._now + delay, self._seq, event))
-        else:
-            self._scheduler.push(self._now + delay, self._seq, event)
-
-    def add_step_hook(self, hook: _t.Callable[["Engine"], None]) -> None:
-        """Register *hook* to run before every event dispatch.
-
-        The fluid bandwidth model uses this to keep transfer progress
-        up to date with the clock.
-        """
-        self._step_hooks.append(hook)
-        Engine._instr_epoch += 1
+        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
 
     def add_event_sink(self, sink: _t.Callable[..., None]) -> None:
         """Register *sink* to observe every event this engine dispatches.
@@ -198,9 +171,7 @@ class Engine:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else float("inf")
-        return self._scheduler.peek_when()
+        return heap[0][0] if heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event.
@@ -208,13 +179,11 @@ class Engine:
         This is the readable reference implementation of one dispatch;
         ``run()`` uses specialized loops with identical semantics.
         """
-        if not len(self._scheduler):
+        if not self._heap:
             raise DeadlockError("step() called with an empty event heap")
-        when, seq, event = self._scheduler.pop()
+        when, seq, event = heapq.heappop(self._heap)
         self._now = when
         self.events_processed += 1
-        for hook in self._step_hooks:
-            hook(self)
         if self._event_sinks or Engine._global_event_sinks:
             for sink in self._event_sinks:
                 sink(self, when, seq, event)
@@ -239,19 +208,16 @@ class Engine:
 
     def _dispatch(self, stop: list | None, deadline: float | None) -> bool:
         while True:
-            if self._step_hooks or self._event_sinks or Engine._global_event_sinks:
+            if self._event_sinks or Engine._global_event_sinks:
                 result = self._drain_instrumented(stop, deadline)
-            elif self._heap is not None:
-                result = self._drain_bare_heap(stop, deadline)
             else:
-                result = self._drain_bare_generic(stop, deadline)
+                result = self._drain_bare(stop, deadline)
             if result is not _RESELECT:
                 return _t.cast(bool, result)
 
-    def _drain_bare_heap(self, stop: list | None, deadline: float | None) -> _t.Any:
-        """The hot loop: heap inlined, no hooks/sinks, timeout recycling."""
+    def _drain_bare(self, stop: list | None, deadline: float | None) -> _t.Any:
+        """The hot loop: heap inlined, no sinks, timeout recycling."""
         heap = self._heap
-        assert heap is not None
         pool = self._timeout_pool
         epoch = Engine._instr_epoch
         pop = heapq.heappop
@@ -281,62 +247,27 @@ class Engine:
                 return False
         return True
 
-    def _drain_bare_generic(self, stop: list | None, deadline: float | None) -> _t.Any:
-        """Bare loop over a non-heap scheduler (e.g. the calendar queue)."""
-        sched = self._scheduler
-        pool = self._timeout_pool
-        epoch = Engine._instr_epoch
-        while len(sched):
-            if deadline is not None and sched.peek_when() > deadline:
-                return False
-            if Engine._instr_epoch != epoch:
-                return _RESELECT
-            when, _seq, event = sched.pop()
-            self._now = when
-            self.events_processed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event.value
-            if (
-                type(event) is Timeout
-                and len(pool) < _TIMEOUT_POOL_MAX
-                and getrefcount(event) == 2
-            ):
-                pool.append(event)
-            if stop is not None and stop:
-                return False
-        return True
-
     def _drain_instrumented(self, stop: list | None, deadline: float | None) -> _t.Any:
-        """Hooks/sinks hoisted: the list *objects* are captured (not
-        copies), so mid-run appends/removals stay visible; the epoch
-        check drops back to reselection when instrumentation empties."""
-        sched = self._scheduler
+        """Sinks hoisted: the list *objects* are captured (not copies), so
+        mid-run appends/removals stay visible; the epoch check drops back
+        to reselection when instrumentation empties."""
         heap = self._heap
-        hooks = self._step_hooks
+        pop = heapq.heappop
         sinks = self._event_sinks
         global_sinks = Engine._global_event_sinks
         epoch = Engine._instr_epoch
-        while len(sched):
-            if deadline is not None:
-                next_when = heap[0][0] if heap is not None else sched.peek_when()
-                if next_when > deadline:
-                    return False
+        while heap:
+            if deadline is not None and heap[0][0] > deadline:
+                return False
             if Engine._instr_epoch != epoch:
                 return _RESELECT
-            when, seq, event = sched.pop()
+            when, seq, event = pop(heap)
             self._now = when
             self.events_processed += 1
-            for hook in hooks:
-                hook(self)
-            if sinks or global_sinks:
-                for sink in sinks:
-                    sink(self, when, seq, event)
-                for sink in global_sinks:
-                    sink(self, when, seq, event)
+            for sink in sinks:
+                sink(self, when, seq, event)
+            for sink in global_sinks:
+                sink(self, when, seq, event)
             callbacks = event.callbacks
             event.callbacks = None
             assert callbacks is not None

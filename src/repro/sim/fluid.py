@@ -15,6 +15,14 @@ flow progress is linear, so the model is exact — not a discretized
 approximation — while remaining event-driven and fast: the number of
 events is O(#flows), independent of transfer sizes.
 
+The solver is *transition-driven*: flow progress is drained and
+completed only at rate transitions — a flow start (:meth:`FluidModel
+.transfer`), the solver's own completion tick, and explicit
+:meth:`FluidModel.settle` calls.  Between transitions every rate is
+constant, so one linear drain per transition is exact and event dispatch
+costs the fluid model nothing.  Large uncapped flow sets are re-solved
+per distinct capacity path rather than per flow (:class:`_PathGroup`).
+
 This is the standard technique for simulating bandwidth-bound systems at
 scale (flow-level network simulation), and it is the reason we can "run"
 96 GB scans in milliseconds of wall-clock time.
@@ -33,8 +41,8 @@ from repro.sim.stats import StatSet
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
-#: flow count at which the transition-driven solver switches to the
-#: path-grouped water-filling pass (below it, grouping overhead loses)
+#: flow count at which the solver switches to the path-grouped
+#: water-filling pass (below it, grouping overhead loses)
 _GROUPED_RECOMPUTE_MIN = 8
 
 
@@ -65,8 +73,8 @@ class Capacity:
         #: the "utilization" gauge, cached at first recompute (setdefault
         #: in StatSet.gauge always hands back this same object)
         self._util_gauge: _t.Any = None
-        #: the "bytes" counter, cached at the first transition-driven
-        #: drain (the per-event mode caches per-flow instead)
+        #: the "bytes" counter, cached at the first drain through this
+        #: capacity
         self._bytes_counter: _t.Any = None
 
     @property
@@ -99,7 +107,6 @@ class Transfer:
         "started_at",
         "size",
         "tag",
-        "_counters",
         "_simple_path",
         "_vtarget",
     )
@@ -121,14 +128,11 @@ class Transfer:
         self.done = done
         self.started_at = started_at
         self.tag = tag
-        #: per-path "bytes" counters, resolved lazily at the first drain so
-        #: StatSet creation order matches the non-cached implementation
-        self._counters: tuple[_t.Any, ...] | None = None
         #: True when the path visits each capacity at most once (lets the
         #: solver take the single-flow fast path; a duplicated node makes
         #: the flow count against it twice, which needs the general pass)
         self._simple_path = len(set(path)) == len(path)
-        #: virtual-service completion target (transition-driven mode): the
+        #: virtual-service completion target while virtualized: the
         #: group's cumulative per-member service at which this flow drains
         self._vtarget = 0.0
 
@@ -138,7 +142,7 @@ class Transfer:
 
 
 class _PathGroup:
-    """Flows sharing one exact capacity path (transition-driven mode).
+    """Flows sharing one exact capacity path.
 
     Max-min fairness gives every uncapped flow on the same path the same
     rate, so the group advances in *virtual service*: ``service`` is the
@@ -172,27 +176,19 @@ class FluidModel:
     its value is the transfer duration in nanoseconds.
     """
 
-    def __init__(self, engine: "Engine", transition_driven: bool = False) -> None:
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         #: insertion-ordered (dict-as-set) for deterministic iteration
         self._transfers: dict[Transfer, None] = {}
         self._last_advance = engine.now
         self._tick_generation = 0
         #: a transfer no larger than COMPLETION_EPSILON is complete the
-        #: moment it starts; this flag makes the next step's completion
+        #: moment it starts; this flag makes the next tick's completion
         #: scan unconditional so such a flow can never linger
         self._tiny_pending = False
-        #: transition-driven (hybrid) mode: flow progress is advanced and
-        #: completed only at rate transitions — flow start (transfer()),
-        #: solver ticks, and explicit settle() calls — instead of on a
-        #: per-event engine hook.  Event dispatch then costs the fluid
-        #: model nothing, and completion times are unchanged: between
-        #: transitions every rate is constant, so the linear drain the
-        #: per-event hook performs piecewise happens in one piece here.
-        self.transition_driven = bool(transition_driven)
-        #: transition-driven bookkeeping, maintained incrementally at flow
-        #: start/finish so each recompute and drain costs O(#path groups +
-        #: #capacities) instead of O(#flows x path length): flows keyed by
+        #: bookkeeping maintained incrementally at flow start/finish so
+        #: each recompute and drain costs O(#path groups + #capacities)
+        #: instead of O(#flows x path length): flows keyed by
         #: identical path (the grouped solver's input), per-capacity flow
         #: crossing refcounts (the drain's byte-accounting input), and the
         #: number of rate-capped flows (gates the grouped pass in O(1))
@@ -205,8 +201,6 @@ class FluidModel:
         #: monotonic flow-start counter: the heap tie-break for equal
         #: completion targets, preserving transfer-start order
         self._flow_seq = 0
-        if not transition_driven:
-            engine.add_step_hook(self._on_step)
 
     # -- public API ------------------------------------------------------------
 
@@ -221,7 +215,7 @@ class FluidModel:
         """Start moving *size* bytes along *path*; returns the completion event.
 
         *on_complete*, when given, is attached as the completion event's
-        first callback — the callback-driven (hybrid) consumption style:
+        first callback — the callback-driven consumption style:
         the caller hands the wait over to the fluid model instead of
         suspending a process on the returned event.  ``repro check
         --flow`` (LMP014) recognizes this form as a consumed wait.
@@ -241,60 +235,40 @@ class FluidModel:
         self._transfers[flow] = None
         for cap in flow.path:
             cap._flows[flow] = None
-        if self.transition_driven:
-            group = self._groups.get(flow.path)
-            if group is None:
-                group = self._groups[flow.path] = _PathGroup(flow.path)
-            group.members[flow] = None
-            if self._virtualized:
-                self._flow_seq += 1
-                flow._vtarget = group.service + flow.remaining
-                heappush(group.heap, (flow._vtarget, self._flow_seq, flow))
-            caps = self._caps
-            for cap in flow.path:  # a duplicated node counts per crossing
-                caps[cap] = caps.get(cap, 0) + 1
-            if rate_cap != math.inf:
-                self._capped_count += 1
-            if size <= self.COMPLETION_EPSILON:
-                self._tiny_pending = True
-            if finished is not None:
-                # Virtualized completions pop off the group heaps exactly
-                # once, so they must be retired here rather than rediscovered
-                # by a later drain.  _finish recomputes with the new flow
-                # already in place.
-                self._finish(finished)
-            else:
-                self._recompute()
-            return done
+        group = self._groups.get(flow.path)
+        if group is None:
+            group = self._groups[flow.path] = _PathGroup(flow.path)
+        group.members[flow] = None
+        if self._virtualized:
+            self._flow_seq += 1
+            flow._vtarget = group.service + flow.remaining
+            heappush(group.heap, (flow._vtarget, self._flow_seq, flow))
+        caps = self._caps
+        for cap in flow.path:  # a duplicated node counts per crossing
+            caps[cap] = caps.get(cap, 0) + 1
+        if rate_cap != math.inf:
+            self._capped_count += 1
         if size <= self.COMPLETION_EPSILON:
             self._tiny_pending = True
-        self._recompute()
+        if finished is not None:
+            # Virtualized completions pop off the group heaps exactly
+            # once, so they must be retired here rather than rediscovered
+            # by a later drain.  _finish recomputes with the new flow
+            # already in place.
+            self._finish(finished)
+        else:
+            self._recompute()
         return done
 
     @property
     def active_transfers(self) -> int:
         return len(self._transfers)
 
-    # -- engine hook -----------------------------------------------------------
-
-    def _on_step(self, engine: "Engine") -> None:
-        # Keep progress current with the clock before any event handler
-        # observes the model; completes any flow that just drained.  The
-        # drain pass reports which flows it finished, so the (O(#flows))
-        # completion scan only runs when there is something to complete.
-        if not self._transfers:
-            return
-        finished = self._advance()
-        if finished is not None:
-            self._finish(finished)
-        elif self._tiny_pending:
-            self._complete_finished()
-
     def settle(self) -> None:
         """Bring flow progress up to the current time and complete any
-        drained flows.  A no-op under the per-event hook (the hook does
-        this before every event); in transition-driven mode, call this
-        before reading byte counters or utilization gauges mid-flight."""
+        drained flows.  Progress otherwise moves only at rate
+        transitions, so call this before reading per-flow ``remaining``
+        or the capacities' byte counters mid-flight."""
         finished = self._advance()
         if finished is not None:
             self._finish(finished)
@@ -317,66 +291,44 @@ class FluidModel:
             return None
         epsilon = self.COMPLETION_EPSILON
         finished: list[Transfer] | None = None
-        if self.transition_driven:
-            # Aggregate byte accounting: rates are constant over the whole
-            # interval, so each capacity's byte total grows by exactly
-            # used_rate * dt — one counter add per capacity instead of one
-            # per flow crossing.  (At a completion tick the per-flow drain
-            # clamps float dust at the finishing flow; the aggregate add
-            # carries that dust, which is inside this mode's documented
-            # rate-drift tolerance.)
-            for cap in self._caps:
-                used = cap._used_rate
-                if used > 0.0:
-                    counter = cap._bytes_counter
-                    if counter is None:
-                        counter = cap._bytes_counter = cap.stats.counter("bytes")
-                    counter.add(used * dt)
-            if self._virtualized:
-                # Virtual-service drain: one multiply per group advances
-                # every member; completions pop off the target heap.
-                for group in self._groups.values():
-                    rate = group.rate
-                    if rate > 0.0:
-                        group.service = service = group.service + rate * dt
-                    else:
-                        service = group.service
-                    heap = group.heap
-                    limit = service + epsilon
-                    while heap and heap[0][0] <= limit:
-                        flow = heappop(heap)[2]
-                        flow.remaining = 0.0
-                        if finished is None:
-                            finished = []
-                        finished.append(flow)
-                return finished
-            for flow in self._transfers:
-                rate = flow.rate
-                if rate > 0:
-                    moved = rate * dt
-                    if moved > flow.remaining:
-                        moved = flow.remaining
-                    flow.remaining -= moved
-                    if flow.remaining <= epsilon:
-                        if finished is None:
-                            finished = []
-                        finished.append(flow)
+        # Aggregate byte accounting: rates are constant over the whole
+        # interval, so each capacity's byte total grows by exactly
+        # used_rate * dt — one counter add per capacity instead of one
+        # per flow crossing.  (At a completion tick a per-flow drain
+        # would clamp float dust at the finishing flow; the aggregate
+        # add carries that dust, a few ulps of the interval's bytes.)
+        for cap in self._caps:
+            used = cap._used_rate
+            if used > 0.0:
+                counter = cap._bytes_counter
+                if counter is None:
+                    counter = cap._bytes_counter = cap.stats.counter("bytes")
+                counter.add(used * dt)
+        if self._virtualized:
+            # Virtual-service drain: one multiply per group advances
+            # every member; completions pop off the target heap.
+            for group in self._groups.values():
+                rate = group.rate
+                if rate > 0.0:
+                    group.service = service = group.service + rate * dt
+                else:
+                    service = group.service
+                heap = group.heap
+                limit = service + epsilon
+                while heap and heap[0][0] <= limit:
+                    flow = heappop(heap)[2]
+                    flow.remaining = 0.0
+                    if finished is None:
+                        finished = []
+                    finished.append(flow)
             return finished
         for flow in self._transfers:
-            if flow.rate > 0:
-                moved = flow.rate * dt
+            rate = flow.rate
+            if rate > 0:
+                moved = rate * dt
                 if moved > flow.remaining:
                     moved = flow.remaining
                 flow.remaining -= moved
-                counters = flow._counters
-                if counters is None:
-                    # resolved on first drain, matching the uncached
-                    # implementation's StatSet creation order
-                    counters = flow._counters = tuple(
-                        cap.stats.counter("bytes") for cap in flow.path
-                    )
-                for counter in counters:
-                    counter.add(moved)
                 if flow.remaining <= epsilon:
                     if finished is None:
                         finished = []
@@ -413,25 +365,23 @@ class FluidModel:
     def _finish(self, finished: list[Transfer]) -> None:
         """Retire *finished* flows (already known to be drained)."""
         self._tiny_pending = False
-        transition = self.transition_driven
+        caps = self._caps
         for flow in finished:
             if flow in self._transfers:
                 del self._transfers[flow]
-                if transition:
-                    group = self._groups.get(flow.path)
-                    if group is not None:
-                        group.members.pop(flow, None)
-                        if not group.members:
-                            del self._groups[flow.path]
-                    caps = self._caps
-                    for cap in flow.path:
-                        n = caps.get(cap, 0) - 1
-                        if n <= 0:
-                            caps.pop(cap, None)
-                        else:
-                            caps[cap] = n
-                    if flow.rate_cap != math.inf:
-                        self._capped_count -= 1
+                group = self._groups.get(flow.path)
+                if group is not None:
+                    group.members.pop(flow, None)
+                    if not group.members:
+                        del self._groups[flow.path]
+                for cap in flow.path:
+                    n = caps.get(cap, 0) - 1
+                    if n <= 0:
+                        caps.pop(cap, None)
+                    else:
+                        caps[cap] = n
+                if flow.rate_cap != math.inf:
+                    self._capped_count -= 1
             for cap in flow.path:
                 cap._flows.pop(flow, None)
             if not flow.done.triggered:
@@ -465,7 +415,7 @@ class FluidModel:
         self._virtualized = False
 
     def _recompute_grouped(self, now: float) -> None:
-        """Path-grouped water-filling for the transition-driven mode.
+        """Path-grouped water-filling.
 
         Max-min fairness never distinguishes uncapped flows that cross the
         identical capacity path: the per-flow pass freezes them together at
@@ -481,9 +431,8 @@ class FluidModel:
         The shares are computed by the same formula in the same bottleneck
         order as the per-flow pass; only the subtraction `n * share` vs.
         `share` repeated n times differs, so rates can drift from the
-        per-flow pass by float associativity (ulps).  That is why this
-        pass runs only in transition-driven (hybrid) mode, which makes no
-        byte-identity promise — the default solver stays bit-for-bit.
+        per-flow pass by float associativity (ulps).  Below
+        ``_GROUPED_RECOMPUTE_MIN`` flows the per-flow pass runs instead.
 
         The caller must rule out rate-capped flows first (via the O(1)
         ``_capped_count`` gate): caps are per-flow constraints the group
@@ -547,7 +496,7 @@ class FluidModel:
 
         # The waterfill residue IS the unused rate: every group froze, so
         # cap.rate - remaining[cap] equals the sum of its flows' rates (up
-        # to subtraction dust, within this mode's drift tolerance).
+        # to subtraction dust, the same ulps the shares carry).
         for cap, rem in remaining.items():  # noqa: LMP003 - stats refresh over the same deterministic order
             used = cap.rate - rem
             if used < 0.0:
@@ -562,18 +511,14 @@ class FluidModel:
     def _recompute(self) -> None:
         """Water-filling max-min allocation (Bertsekas–Gallager)."""
         now = self.engine.now
-        if self.transition_driven:
-            if (
-                not self._capped_count
-                and len(self._transfers) >= _GROUPED_RECOMPUTE_MIN
-            ):
-                self._recompute_grouped(now)
-                return
-            if self._virtualized:
-                # A per-flow solver path is about to run (small flow set,
-                # a rate-capped flow, or emptiness): restore true per-flow
-                # remaining/rate first.
-                self._materialize()
+        if not self._capped_count and len(self._transfers) >= _GROUPED_RECOMPUTE_MIN:
+            self._recompute_grouped(now)
+            return
+        if self._virtualized:
+            # A per-flow solver path is about to run (small flow set, a
+            # rate-capped flow, or emptiness): restore true per-flow
+            # remaining/rate first.
+            self._materialize()
         if not self._transfers:
             # the general pass would touch nothing; _schedule_next_tick
             # would bump the generation and find an infinite horizon
@@ -708,10 +653,9 @@ class FluidModel:
         def _fire(_ev: Event, gen: int = generation) -> None:
             if gen != self._tick_generation:
                 return  # a newer recompute superseded this tick
-            # Same completion discipline as the per-event hook: the drain
-            # reports what it finished, so the full O(#flows) completion
-            # scan only runs for the tiny-transfer corner the drain pass
-            # cannot see.
+            # The drain reports what it finished, so the full O(#flows)
+            # completion scan only runs for the tiny-transfer corner the
+            # drain pass cannot see.
             finished = self._advance()
             if finished is not None:
                 self._finish(finished)

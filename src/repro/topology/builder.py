@@ -1,6 +1,10 @@
 """Instantiate a :class:`~repro.topology.specs.DeploymentSpec` into
 simulated hardware: an engine, a fluid solver, servers, the optional
-pool box, and a wired fabric switch.
+pool box, a wired fabric switch, and the memory transport over it.
+
+There is one wiring: the engine's binary-heap event queue, the
+transition-driven fluid solver, and callback-chained transport
+operations (``docs/performance.md``).
 
 A :class:`Deployment` is the hardware-level handle every higher layer
 (pools, workloads, experiments) operates on.
@@ -64,22 +68,10 @@ class Deployment:
         return self.engine.run(until)
 
 
-def build(
-    spec: DeploymentSpec,
-    seed: int = 0,
-    scheduler: _t.Any = "heap",
-    hybrid_fluid: bool = False,
-) -> Deployment:
-    """Wire the spec into hardware on a fresh engine.
-
-    *scheduler* selects the engine's event-queue backend ("heap" or
-    "calendar"; see :mod:`repro.sim.scheduler`).  *hybrid_fluid* turns on
-    the transition-driven fluid solver and callback-chained transport
-    operations (``docs/performance.md``): identical timing, far fewer
-    discrete events, different traces — hence off by default.
-    """
-    engine = Engine(seed=seed, scheduler=scheduler)
-    fluid = FluidModel(engine, transition_driven=hybrid_fluid)
+def build(spec: DeploymentSpec, seed: int = 0) -> Deployment:
+    """Wire the spec into hardware on a fresh engine."""
+    engine = Engine(seed=seed)
+    fluid = FluidModel(engine)
     tracer = Tracer()
     switch = FabricSwitch(engine, fluid, port_count=spec.switch_ports)
 
@@ -102,7 +94,7 @@ def build(
         pool = PoolDevice(engine, fluid, spec.pool_dram_bytes, spec.pool_link_spec)
         switch.attach(pool.name, pool.link, pool.dram)
 
-    transport = MemoryTransport(engine, fluid, switch, hybrid_transfers=hybrid_fluid)
+    transport = MemoryTransport(engine, fluid, switch)
     return Deployment(
         spec=spec,
         engine=engine,
@@ -118,16 +110,15 @@ def build(
 def build_logical(link: str = "link0", seed: int = 0, **overrides: _t.Any) -> Deployment:
     """The paper's Logical configuration (or a variation of it).
 
-    ``scheduler=`` and ``hybrid_fluid=`` overrides are builder arguments
-    (see :func:`build`), not spec fields; everything else replaces fields
-    on the spec.
+    *overrides* replace fields on the spec.
     """
-    scheduler = overrides.pop("scheduler", "heap")
-    hybrid_fluid = overrides.pop("hybrid_fluid", False)
+    # the no-op keyword goes once benchmarks/lmpbench stops passing it
+    if not overrides.pop("hybrid_fluid", True):
+        raise ConfigError("the per-event fluid mode was removed")
     spec = paper_logical(link)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    return build(spec, seed=seed, scheduler=scheduler, hybrid_fluid=hybrid_fluid)
+    return build(spec, seed=seed)
 
 
 def build_physical(
@@ -137,9 +128,7 @@ def build_physical(
     **overrides: _t.Any,
 ) -> Deployment:
     """The paper's Physical cache / Physical no-cache configurations."""
-    scheduler = overrides.pop("scheduler", "heap")
-    hybrid_fluid = overrides.pop("hybrid_fluid", False)
     spec = paper_physical_cache(link) if cache else paper_physical_nocache(link)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    return build(spec, seed=seed, scheduler=scheduler, hybrid_fluid=hybrid_fluid)
+    return build(spec, seed=seed)

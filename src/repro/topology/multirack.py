@@ -16,7 +16,6 @@ experiment reports.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.errors import ConfigError
 from repro.fabric.routing import FabricGraph
@@ -209,8 +208,7 @@ class RackedSwitch(FabricSwitch):
 def build_multirack_deployment(
     spec: MultiRackSpec,
     seed: int = 0,
-    scheduler: _t.Any = "heap",
-    hybrid_fluid: bool = False,
+    hybrid_fluid: bool = True,
 ) -> Deployment:
     """Wire the pod into *functional* hardware: a logical deployment
     whose servers span racks behind a :class:`RackedSwitch`.
@@ -221,6 +219,9 @@ def build_multirack_deployment(
     serving scenario pool memory across racks.  Server ids are flat
     (``rack * servers_per_rack + index``); names follow
     :meth:`MultiRackSpec.server_name`."""
+    # the no-op keyword goes once benchmarks/lmpbench stops passing it
+    if not hybrid_fluid:
+        raise ConfigError("the per-event fluid mode was removed")
     dspec = DeploymentSpec(
         kind=DeploymentKind.LOGICAL,
         server_count=spec.total_servers,
@@ -228,8 +229,8 @@ def build_multirack_deployment(
         link=spec.link,
         switch_ports=spec.total_servers + 1,
     )
-    engine = Engine(seed=seed, scheduler=scheduler)
-    fluid = FluidModel(engine, transition_driven=hybrid_fluid)
+    engine = Engine(seed=seed)
+    fluid = FluidModel(engine)
     switch = RackedSwitch(engine, fluid, spec)
     servers: list[Server] = []
     for server_id in range(spec.total_servers):
@@ -246,7 +247,7 @@ def build_multirack_deployment(
         switch.attach(server.name, server.link, server.dram)
         switch.assign_rack(server.name, rack)
         servers.append(server)
-    transport = MemoryTransport(engine, fluid, switch, hybrid_transfers=hybrid_fluid)
+    transport = MemoryTransport(engine, fluid, switch)
     return Deployment(
         spec=dspec,
         engine=engine,

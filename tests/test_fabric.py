@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import AddressError, ConfigError
 from repro.fabric.incast import measure_incast
 from repro.fabric.messages import (
     BackInvalidate,
@@ -250,42 +250,54 @@ def test_incast_requires_matching_targets():
         measure_incast(engine, fluid, switch, servers, ["server0"], gib(1))
 
 
-# --- hybrid (callback-chained) transport --------------------------------------
+# --- transport timing -----------------------------------------------------------
 #
-# ``build_logical(..., hybrid_fluid=True)`` swaps the generator-based
-# operation processes for callback chains over the transition-driven
-# fluid solver.  Timing and data movement must be identical to the
-# default mode; only the event count differs.
+# Transport operations are callback chains: the route's latency, then one
+# fluid flow over the route's path, then the device touch.  On an idle
+# rack an operation therefore takes exactly latency + size / bottleneck.
 
 
-def _timed_ops(hybrid: bool) -> tuple[float, float, float, bytes, bytes]:
-    from repro.topology.builder import build_logical
-
-    dep = build_logical("link0", hybrid_fluid=hybrid)
-    engine, transport = dep.engine, dep.transport
-    payload = b"hybrid?!" * 1024
-    engine.run(transport.write("server0", "server2", 4096, payload))
-    t_write = engine.now
-    data = engine.run(transport.read("server1", "server2", 4096, len(payload)))
-    t_read = engine.now
-    engine.run(transport.copy("server2", 4096, "server3", mib(1), len(payload)))
-    copied = dep.switch.device_of("server3").read_bytes(mib(1), len(payload))
-    return t_write, t_read, engine.now, data, copied
+def _idle_op_ns(route, size: int) -> float:
+    return route.loaded_latency() + size / min(cap.rate for cap in route.path)
 
 
-def test_hybrid_transport_matches_process_mode():
-    default, hybrid = _timed_ops(False), _timed_ops(True)
-    assert hybrid[:3] == pytest.approx(default[:3], rel=1e-9)
-    assert hybrid[3:] == default[3:]  # real bytes moved identically
+def test_transport_timing_is_latency_plus_bottleneck_transfer(logical_deployment):
+    dep = logical_deployment
+    engine, transport, switch = dep.engine, dep.transport, dep.switch
+    payload = b"fabric?!" * 1024
+    size = len(payload)
+
+    expected = _idle_op_ns(switch.write_route("server0", "server2"), size)
+    assert expected == pytest.approx(163.0 + size / 34.5)
+    assert engine.run(transport.write("server0", "server2", 4096, payload)) == size
+    assert engine.now == pytest.approx(expected, rel=1e-12)
+
+    started = engine.now
+    expected = _idle_op_ns(switch.read_route("server1", "server2"), size)
+    assert engine.run(transport.read("server1", "server2", 4096, size)) == payload
+    assert engine.now - started == pytest.approx(expected, rel=1e-12)
+
+    started = engine.now
+    expected = _idle_op_ns(switch.copy_route("server2", "server3"), size)
+    duration = engine.run(transport.copy("server2", 4096, "server3", mib(1), size))
+    assert duration == pytest.approx(expected, rel=1e-12)
+    assert engine.now - started == duration
+    assert switch.device_of("server3").read_bytes(mib(1), size) == payload
+    assert transport.bytes_copied == size
 
 
-def test_hybrid_transport_uses_fewer_events():
-    from repro.topology.builder import build_logical
+def test_transport_op_costs_only_its_transitions(logical_deployment):
+    """A write dispatches four events: the latency timeout, the solver's
+    completion tick, the flow's completion, and the operation's own."""
+    engine = logical_deployment.engine
+    engine.run(logical_deployment.transport.write("server0", "server1", 0, b"z" * 4096))
+    assert engine.events_processed == 4
 
-    counts = []
-    for hybrid in (False, True):
-        dep = build_logical("link0", hybrid_fluid=hybrid)
-        engine = dep.engine
-        engine.run(dep.transport.write("server0", "server1", 0, b"z" * 4096))
-        counts.append(engine.events_processed)
-    assert counts[1] < counts[0]
+
+def test_transport_device_error_fails_the_operation(logical_deployment):
+    engine, transport = logical_deployment.engine, logical_deployment.transport
+    end = logical_deployment.switch.device_of("server1").capacity_bytes
+    op = transport.read("server0", "server1", end, 64)
+    with pytest.raises(AddressError):
+        engine.run(op)
+    assert op.triggered and not op.ok

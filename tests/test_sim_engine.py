@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
@@ -304,3 +305,74 @@ def test_run_until_deadline_tie_semantics(engine):
     engine.run()
     assert fired[-1] == "late"
     assert engine.now == pytest.approx(100.5)
+
+
+# -- run() against the step() reference ----------------------------------------
+
+_PROGRAM = st.lists(
+    st.tuples(
+        st.floats(0.0, 500.0, allow_nan=False),
+        st.sampled_from(["plain", "chain", "succeed", "fail"]),
+        st.floats(0.0, 50.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _dispatch_trace(program, drive) -> tuple[list, float, int]:
+    """Build one engine from *program*, run it with *drive*, and record
+    every dispatch.
+
+    Each instruction arms a timeout; its callback may chain another
+    timeout, succeed a bare event, or fail one (defused, so the run
+    survives) — every way user code perturbs the queue mid-dispatch.
+    """
+    engine = Engine(seed=3)
+    trace: list[tuple[float, str]] = []
+
+    def record(tag: str):
+        return lambda _e: trace.append((engine.now, tag))
+
+    for i, (delay, action, extra) in enumerate(program):
+        timeout = engine.timeout(delay)
+        timeout.callbacks.append(record(f"t{i}"))
+        if action == "chain":
+            def chain(_e, i=i, extra=extra):
+                inner = engine.timeout(extra)
+                inner.callbacks.append(record(f"t{i}.chain"))
+            timeout.callbacks.append(chain)
+        elif action == "succeed":
+            target = engine.event(f"ev{i}")
+            target.callbacks.append(record(f"ev{i}.ok"))
+            timeout.callbacks.append(lambda _e, t=target, i=i: t.succeed(i))
+        elif action == "fail":
+            target = engine.event(f"ev{i}")
+            target.callbacks.append(record(f"ev{i}.err"))
+            target.defuse()
+            timeout.callbacks.append(
+                lambda _e, t=target: t.fail(RuntimeError("injected"))
+            )
+    drive(engine)
+    return trace, engine.now, engine.events_processed
+
+
+def _step_until_dry(engine: Engine) -> None:
+    while engine.peek() != float("inf"):
+        engine.step()
+
+
+def _run_with_sink(engine: Engine) -> None:
+    engine.add_event_sink(lambda *_args: None)
+    engine.run()
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=_PROGRAM)
+def test_run_dispatch_matches_step_reference(program):
+    """``step()`` is the documented reference dispatch: both specialized
+    ``run()`` loops — bare (with timeout recycling) and instrumented —
+    must produce the same dispatch trace, final clock, and event count."""
+    reference = _dispatch_trace(program, _step_until_dry)
+    assert _dispatch_trace(program, Engine.run) == reference
+    assert _dispatch_trace(program, _run_with_sink) == reference

@@ -216,63 +216,110 @@ def test_single_capped_flow_matches_closed_form(size, cap, rate):
     assert engine.now == pytest.approx(size / min(cap, rate), rel=1e-6)
 
 
-# -- transition-driven (hybrid) mode -------------------------------------------
+# -- transitions, path groups, and the two waterfill passes --------------------
 #
-# The same solver arithmetic without the per-event step hook: progress is
-# advanced only at rate transitions.  Timing must agree with the default
-# mode to float tolerance; these tests run identical scenarios through
-# both and compare.
+# Progress is advanced only at rate transitions, and at
+# >= _GROUPED_RECOMPUTE_MIN uncapped flows the solver waterfills per
+# distinct path instead of per flow.  These tests pin both against
+# hand-computed max-min schedules.  (The ``test_hybrid_`` prefix dates
+# from when this solver was an opt-in "hybrid" mode.)
 
 
-def make_hybrid() -> tuple[Engine, FluidModel]:
-    engine = Engine()
-    return engine, FluidModel(engine, transition_driven=True)
+def test_hybrid_single_flow_matches_default(monkeypatch):
+    """A lone flow finishes at size/rate whichever waterfill pass runs:
+    the default selection (per-flow, one flow is below the grouped
+    threshold) or the grouped pass forced on from one flow."""
 
-
-def test_hybrid_single_flow_matches_default():
-    engine, fluid = make_hybrid()
-    link = Capacity("link", 10.0)
-    done = fluid.transfer([link], 1000.0)
-    engine.run(done)
-    assert engine.now == pytest.approx(100.0)
-
-
-def test_hybrid_staggered_flows_match_default_mode():
-    """Joins, drains, and a rate-capped flow: completion times in
-    transition-driven mode equal the per-event hook mode's."""
-
-    def scenario(transition: bool) -> list[float]:
-        engine = Engine()
-        fluid = FluidModel(engine, transition_driven=transition)
+    def finish() -> tuple[float, bool]:
+        engine, fluid = make()
         link = Capacity("link", 10.0)
-        wide = Capacity("wide", 40.0)
-        finish_times: list[float] = []
+        done = fluid.transfer([link], 1000.0)
+        grouped = fluid._virtualized
+        engine.run(done)
+        return engine.now, grouped
 
-        def launcher():
-            flows = [
-                fluid.transfer([link, wide], 400.0),
-                fluid.transfer([link], 900.0, rate_cap=3.0),
-            ]
-            yield engine.timeout(25.0)
-            flows.append(fluid.transfer([wide], 2000.0))
-            for flow in flows:
-                flow.callbacks.append(
-                    lambda _e: finish_times.append(engine.now)
-                )
-            yield engine.all_of(flows)
+    default_time, grouped = finish()
+    assert not grouped
+    monkeypatch.setattr("repro.sim.fluid._GROUPED_RECOMPUTE_MIN", 1)
+    forced_time, grouped = finish()
+    assert grouped
+    assert default_time == pytest.approx(100.0)
+    assert forced_time == pytest.approx(default_time, rel=1e-12)
 
-        engine.run(engine.process(launcher()))
-        return finish_times
 
-    default, hybrid = scenario(False), scenario(True)
-    assert hybrid == pytest.approx(default, rel=1e-9)
+def test_staggered_join_drain_capped_completion_times():
+    """Joins, drains, and a rate-capped flow, against the max-min
+    schedule worked by hand.
+
+    t=0:   A=[link,wide] 400 B, B=[link] 900 B capped at 3.
+           link: B binds at its cap 3, A takes the other 7.
+    t=25:  A has 225 B left, B 825.  C=[wide] 2000 B joins; the link
+           still bottlenecks A at 7, so C takes wide's other 33.
+    t=400/7: A drains.  C had 6575/7 B left and now gets all 40 of wide.
+    t=80.625: C drains.  B ran at its cap throughout: 900/3 = 300.
+    """
+    engine, fluid = make()
+    link = Capacity("link", 10.0)
+    wide = Capacity("wide", 40.0)
+    finished: dict[str, float] = {}
+
+    def launcher():
+        flows = {
+            "A": fluid.transfer([link, wide], 400.0),
+            "B": fluid.transfer([link], 900.0, rate_cap=3.0),
+        }
+        yield engine.timeout(25.0)
+        flows["C"] = fluid.transfer([wide], 2000.0)
+        for name, flow in flows.items():
+            flow.callbacks.append(lambda _e, n=name: finished.setdefault(n, engine.now))
+        yield engine.all_of(list(flows.values()))
+
+    engine.run(engine.process(launcher()))
+    assert finished == pytest.approx({"A": 400.0 / 7.0, "B": 300.0, "C": 80.625}, rel=1e-12)
+    assert list(finished) == ["A", "C", "B"]
+
+
+def _mixed_path_completions() -> tuple[dict[int, float], bool]:
+    """Twelve uncapped flows over three overlapping paths; returns each
+    flow's completion time and whether the grouped pass ever engaged."""
+    engine, fluid = make()
+    up = Capacity("up", 34.5)
+    down = Capacity("down", 34.5)
+    chan = Capacity("chan", 97.0)
+    paths = ([up, down], [chan, up], [chan])
+    finished: dict[int, float] = {}
+    grouped = False
+
+    def launcher():
+        nonlocal grouped
+        flows = []
+        for i in range(12):
+            flow = fluid.transfer(paths[i % 3], 1000.0 * (1 + i % 5))
+            flow.callbacks.append(lambda _e, i=i: finished.setdefault(i, engine.now))
+            flows.append(flow)
+            grouped = grouped or fluid._virtualized
+            yield engine.timeout(3.0)
+        yield engine.all_of(flows)
+
+    engine.run(engine.process(launcher()))
+    return finished, grouped
+
+
+def test_grouped_waterfill_matches_per_flow_waterfill(monkeypatch):
+    grouped, used_groups = _mixed_path_completions()
+    assert used_groups
+    monkeypatch.setattr("repro.sim.fluid._GROUPED_RECOMPUTE_MIN", 10**9)
+    per_flow, used_groups = _mixed_path_completions()
+    assert not used_groups
+    assert list(grouped) == list(per_flow)
+    assert grouped == pytest.approx(per_flow, rel=1e-9)
 
 
 def test_hybrid_grouped_solver_virtualizes_large_flow_sets():
     """>= _GROUPED_RECOMPUTE_MIN same-path flows flip the model into
     virtual-service accounting; completions still match the closed form
     (n identical flows through one link finish together at n*size/rate)."""
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 8.0)
     flows = [fluid.transfer([link], 160.0) for _ in range(12)]
     assert fluid._virtualized  # grouped path engaged
@@ -285,7 +332,7 @@ def test_hybrid_grouped_solver_virtualizes_large_flow_sets():
 def test_hybrid_capped_join_materializes_virtual_state():
     """A rate-capped flow joining a virtualized group forces the solver
     back to per-flow accounting without losing progress."""
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     flows = [fluid.transfer([link], 500.0) for _ in range(10)]
     assert fluid._virtualized
@@ -307,7 +354,7 @@ def test_hybrid_capped_join_materializes_virtual_state():
 
 
 def test_hybrid_settle_exposes_midflight_progress():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     done = fluid.transfer([link], 1000.0)
     engine.run(until=40.0)
@@ -319,7 +366,7 @@ def test_hybrid_settle_exposes_midflight_progress():
 
 
 def test_hybrid_aggregate_bytes_match_per_flow_accounting():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     flows = [fluid.transfer([link], 123.0), fluid.transfer([link], 877.0)]
     engine.run(engine.all_of(flows))
@@ -327,7 +374,7 @@ def test_hybrid_aggregate_bytes_match_per_flow_accounting():
 
 
 def test_hybrid_tiny_transfer_completes():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     done = fluid.transfer([link], 1e-6)  # below COMPLETION_EPSILON
     engine.run(done)
@@ -340,11 +387,10 @@ def test_hybrid_tiny_transfer_completes():
     rate=st.floats(0.5, 100.0),
 )
 def test_hybrid_aggregate_throughput_equals_capacity(sizes, rate):
-    """The hybrid solver conserves work: total bytes / makespan equals
+    """The solver conserves work: total bytes / makespan equals
     the link rate, whether or not the flow count crosses the grouped
     (virtual-service) threshold."""
-    engine = Engine()
-    fluid = FluidModel(engine, transition_driven=True)
+    engine, fluid = make()
     link = Capacity("link", rate)
     flows = [fluid.transfer([link], size) for size in sizes]
     engine.run(engine.all_of(flows))

@@ -1,238 +1,54 @@
-"""Tests for the pluggable event schedulers.
+"""Tests for the engine's future-event set.
 
-The engine promises one total order — ``(when, seq)`` — no matter which
-scheduler backs the future-event set.  These tests pin that promise
-three ways: direct push/pop parity between :class:`HeapScheduler` and
-:class:`CalendarQueueScheduler` under randomized operation sequences
-(hypothesis), full-engine dispatch equivalence under randomized
-schedule/succeed/fail/defuse programs, and unit coverage of the calendar
-queue's structural moves (resize, year-wrap after idle gaps, fixed
-widths) that must never leak into ordering.
+The engine keeps one ``heapq`` list of ``(when, seq, event)`` entries and
+promises one total order — ``(when, seq)``.  These tests pin that order
+and the ``peek()`` view of the set directly, below the event API that
+``tests/test_sim_engine.py`` exercises.  The ``calendar`` test name is
+kept from the removed calendar-queue scheduler; the property it pins is
+the same.
 """
 
 from __future__ import annotations
 
 import math
-import random
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.scheduler import (
-    SCHEDULERS,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
-
-
-def drain(sched) -> list[tuple[float, int]]:
-    out = []
-    while len(sched):
-        when, seq, _event = sched.pop()
-        out.append((when, seq))
-    return out
-
-
-# -- calendar queue unit tests -------------------------------------------------
 
 
 def test_calendar_ties_pop_in_seq_order():
-    sched = CalendarQueueScheduler()
-    for seq in (4, 1, 3, 0, 2):
-        sched.push(7.5, seq, None)
-    assert drain(sched) == [(7.5, s) for s in range(5)]
-
-
-def test_calendar_orders_across_buckets():
-    sched = CalendarQueueScheduler(bucket_width=1.0, bucket_count=32)
-    whens = [103.2, 0.1, 55.0, 999.9, 3.0, 3.0, 0.9]
-    for seq, when in enumerate(whens):
-        sched.push(when, seq, None)
-    assert drain(sched) == sorted((w, s) for s, w in enumerate(whens))
-
-
-def test_calendar_pop_empty_raises():
-    sched = CalendarQueueScheduler()
-    with pytest.raises(IndexError):
-        sched.pop()
+    """Events at the same instant dispatch in the order they were
+    scheduled, even when earlier and later events interleaved with them
+    force the heap to rearrange its entries."""
+    engine = Engine()
+    delays = [7.5, 9.0, 7.5, 1.0, 7.5, 3.0, 7.5, 7.5]
+    seen: list[tuple[float, int]] = []
+    for index, delay in enumerate(delays):
+        engine.timeout(delay).callbacks.append(
+            lambda _e, i=index: seen.append((engine.now, i))
+        )
+    assert len(engine._heap) == len(delays)
+    engine.run()
+    ties = [i for when, i in seen if when == 7.5]
+    assert ties == [0, 2, 4, 6, 7]
+    assert [when for when, _i in seen] == sorted(delays)
 
 
 def test_peek_when_empty_is_inf():
-    for sched in (HeapScheduler(), CalendarQueueScheduler()):
-        assert sched.peek_when() == math.inf
+    engine = Engine()
+    assert engine.peek() == math.inf
+    engine.timeout(3.0)
+    engine.run()
+    assert engine.peek() == math.inf
 
 
 def test_peek_when_reports_minimum_without_removing():
-    sched = CalendarQueueScheduler()
-    sched.push(90.0, 0, None)
-    sched.push(10.0, 1, None)
-    assert sched.peek_when() == 10.0
-    assert len(sched) == 2
-    assert sched.pop()[:2] == (10.0, 1)
-
-
-def test_calendar_resize_grow_and_shrink_preserve_order():
-    sched = CalendarQueueScheduler()  # 32 buckets; >64 entries forces growth
-    rng = random.Random(7)
-    entries = [(rng.uniform(0.0, 5000.0), seq) for seq in range(300)]
-    for when, seq in entries:
-        sched.push(when, seq, None)
-    assert sched._mask + 1 > 32  # grew
-    # popping back below a quarter of the bucket count shrinks again
-    assert drain(sched) == sorted(entries)
-    assert sched._mask + 1 == 32
-
-
-def test_calendar_long_idle_gap_jumps_years():
-    # one entry a "year" of buckets away: the ascending scan finds
-    # nothing in the current year and must jump, not spin or strand
-    sched = CalendarQueueScheduler(bucket_width=1.0, bucket_count=32)
-    sched.push(0.5, 0, None)
-    assert sched.pop()[:2] == (0.5, 0)
-    sched.push(1e9, 1, None)
-    assert sched.peek_when() == 1e9
-    assert sched.pop()[:2] == (1e9, 1)
-
-
-def test_calendar_fixed_width_survives_resize():
-    sched = CalendarQueueScheduler(bucket_width=0.25)
-    for seq in range(200):
-        sched.push(float(seq), seq, None)
-    assert sched._width == 0.25  # fixed width is never re-tuned
-    assert drain(sched) == [(float(s), s) for s in range(200)]
-
-
-def test_calendar_push_before_scan_pointer_not_stranded():
-    sched = CalendarQueueScheduler(bucket_width=1.0)
-    sched.push(50.0, 0, None)
-    assert sched.pop()[:2] == (50.0, 0)  # scan pointer now at cell 50
-    sched.push(2.0, 1, None)  # earlier than the pointer
-    assert sched.peek_when() == 2.0
-    assert sched.pop()[:2] == (2.0, 1)
-
-
-def test_make_scheduler_resolves_names():
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarQueueScheduler)
-    assert set(SCHEDULERS) >= {"heap", "calendar"}
-
-
-def test_make_scheduler_passes_instances_through():
-    sched = CalendarQueueScheduler()
-    assert make_scheduler(sched) is sched
-
-
-def test_make_scheduler_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("fifo")
-
-
-def test_make_scheduler_rejects_non_scheduler_object():
-    with pytest.raises(TypeError, match="does not implement"):
-        make_scheduler(object())
-
-
-# -- randomized push/pop parity ------------------------------------------------
-
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), st.floats(0.0, 1e12, allow_nan=False)),
-        st.tuples(st.just("push"), st.sampled_from([0.0, 1.0, 1.0, 64.0, 1e9])),
-        st.tuples(st.just("pop"), st.just(0.0)),
-    ),
-    min_size=1,
-    max_size=200,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=_OPS)
-def test_schedulers_agree_on_any_operation_sequence(ops):
-    """Interleaved pushes and pops produce identical streams from both
-    schedulers, including ties (same when, distinct seq)."""
-    heap, calendar = HeapScheduler(), CalendarQueueScheduler()
-    seq = 0
-    for op, when in ops:
-        if op == "push":
-            heap.push(when, seq, None)
-            calendar.push(when, seq, None)
-            seq += 1
-        elif len(heap):
-            assert heap.pop() == calendar.pop()
-        assert len(heap) == len(calendar)
-        assert heap.peek_when() == calendar.peek_when()
-    assert drain(heap) == drain(calendar)
-
-
-# -- full-engine dispatch equivalence ------------------------------------------
-
-_PROGRAM = st.lists(
-    st.tuples(
-        st.floats(0.0, 500.0, allow_nan=False),
-        st.sampled_from(["plain", "chain", "succeed", "fail"]),
-        st.floats(0.0, 50.0, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-def _run_program(scheduler: str, program) -> tuple[list, float, int]:
-    """Drive one engine through the program, recording every dispatch.
-
-    Each instruction arms a timeout; its callback may chain another
-    timeout, succeed a bare event, or fail one (defused, so the run
-    survives) — covering every way user code perturbs the queue
-    mid-dispatch.
-    """
-    engine = Engine(seed=3, scheduler=scheduler)
-    trace: list[tuple[float, str]] = []
-
-    def record(tag: str):
-        return lambda _e: trace.append((engine.now, tag))
-
-    for i, (delay, action, extra) in enumerate(program):
-        timeout = engine.timeout(delay)
-        timeout.callbacks.append(record(f"t{i}"))
-        if action == "chain":
-            def chain(_e, i=i, extra=extra):
-                inner = engine.timeout(extra)
-                inner.callbacks.append(record(f"t{i}.chain"))
-            timeout.callbacks.append(chain)
-        elif action == "succeed":
-            target = engine.event(f"ev{i}")
-            target.callbacks.append(record(f"ev{i}.ok"))
-            timeout.callbacks.append(lambda _e, t=target, i=i: t.succeed(i))
-        elif action == "fail":
-            target = engine.event(f"ev{i}")
-            target.callbacks.append(record(f"ev{i}.err"))
-            target.defuse()
-            timeout.callbacks.append(
-                lambda _e, t=target: t.fail(RuntimeError("injected"))
-            )
-    engine.run()
-    return trace, engine.now, engine.events_processed
-
-
-@settings(max_examples=40, deadline=None)
-@given(program=_PROGRAM)
-def test_engine_dispatch_identical_under_both_schedulers(program):
-    heap_run = _run_program("heap", program)
-    calendar_run = _run_program("calendar", program)
-    assert heap_run == calendar_run
-
-
-def test_engine_rejects_unknown_scheduler():
-    with pytest.raises(ValueError):
-        Engine(scheduler="fifo")
-
-
-def test_engine_accepts_scheduler_instance():
-    sched = CalendarQueueScheduler(bucket_width=2.0)
-    engine = Engine(scheduler=sched)
-    done = engine.timeout(12.0)
-    assert engine.run(done) is None
-    assert engine.now == 12.0
-    assert len(sched) == 0
+    engine = Engine()
+    late = engine.timeout(90.0)
+    early = engine.timeout(10.0)
+    assert engine.peek() == 10.0
+    assert len(engine._heap) == 2
+    assert engine.peek() == 10.0
+    engine.step()
+    assert engine.now == 10.0
+    assert early.processed and not late.processed
+    assert engine.peek() == 90.0

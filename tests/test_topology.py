@@ -155,3 +155,14 @@ def test_cost_breakdown_total_is_sum():
     assert flat["total"] == pytest.approx(
         sum(v for k, v in flat.items() if k != "total")
     )
+
+
+def test_hybrid_fluid_keyword_accepts_only_true():
+    from repro.topology.multirack import MultiRackSpec, build_multirack_deployment
+
+    build_logical("link0", hybrid_fluid=True)  # the one mode: a no-op
+    build_multirack_deployment(MultiRackSpec(racks=1, servers_per_rack=2), hybrid_fluid=True)
+    with pytest.raises(ConfigError, match="per-event fluid mode was removed"):
+        build_logical("link0", hybrid_fluid=False)
+    with pytest.raises(ConfigError, match="per-event fluid mode was removed"):
+        build_multirack_deployment(MultiRackSpec(racks=1, servers_per_rack=2), hybrid_fluid=False)
