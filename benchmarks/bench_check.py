@@ -1,15 +1,17 @@
 """Wall-clock budget for the static-analysis gate.
 
 The check layer runs on every PR, so its own latency is a product
-metric: the flow pass (CFG + dataflow over every function in
-``src/repro``) must stay under its CI budget or the gate stops being
-"the cheap complement" to simulator-level validation.  Standalone::
+metric: the lint pass (one parse per file, then the syntactic rules
+and the CFG + dataflow rules over every function in ``src/repro``)
+must stay under its CI budget or the gate stops being "the cheap
+complement" to simulator-level validation.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_check.py --smoke
 
-times one full-repo lint pass (LMP001–LMP010), one full-repo flow pass
-(LMP011–LMP015), and the flow mutation self-test, asserts the flow
-budget, and writes ``BENCH_check.json`` for the CI artifact upload.
+times one full-repo lint pass (LMP002–LMP015) and the lint mutation
+self-test, asserts that together they fit the budget and that every
+mutant dies, and writes ``BENCH_check.json`` for the CI artifact
+upload.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ import json
 import pathlib
 import time
 
-#: CI budget for the full-repo flow pass (the ISSUE's acceptance bar)
-FLOW_BUDGET_S = 10.0
+#: CI budget for one full-repo lint pass plus the mutant self-test
+BUDGET_S = 10.0
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def smoke(out: str = "BENCH_check.json") -> None:
-    from repro.check.flow.analyze import analyze_paths
-    from repro.check.flow.mutants import run_flow_mutants
+    from repro.check.flow.mutants import run_lint_mutants
     from repro.check.lint import iter_python_files, lint_paths
 
     files = len(list(iter_python_files([_SRC])))
@@ -34,7 +35,6 @@ def smoke(out: str = "BENCH_check.json") -> None:
 
     # warm-up: imports, bytecode, and the ast module out of the timing
     lint_paths([_SRC])
-    analyze_paths([_SRC])
 
     started = time.perf_counter()
     lint_reports = lint_paths([_SRC])
@@ -42,54 +42,45 @@ def smoke(out: str = "BENCH_check.json") -> None:
     lint_findings = sum(len(r.violations) for r in lint_reports)
 
     started = time.perf_counter()
-    flow_reports = analyze_paths([_SRC])
-    flow_s = time.perf_counter() - started
-    flow_findings = sum(len(r.violations) for r in flow_reports)
-
-    started = time.perf_counter()
-    mutant_reports = run_flow_mutants()
+    mutant_reports = run_lint_mutants()
     mutants_s = time.perf_counter() - started
     caught = sum(1 for r in mutant_reports if r.caught)
 
     results = {
         "files": files,
         "functions": functions,
+        "budget_s": BUDGET_S,
         "lint": {
             "elapsed_s": round(lint_s, 3),
             "files_per_sec": round(files / lint_s, 1) if lint_s else 0.0,
+            "functions_per_sec": round(functions / lint_s, 1) if lint_s else 0.0,
             "findings": lint_findings,
         },
-        "flow": {
-            "elapsed_s": round(flow_s, 3),
-            "files_per_sec": round(files / flow_s, 1) if flow_s else 0.0,
-            "functions_per_sec": round(functions / flow_s, 1) if flow_s else 0.0,
-            "findings": flow_findings,
-            "budget_s": FLOW_BUDGET_S,
-        },
-        "flow_mutants": {
+        "lint_mutants": {
             "elapsed_s": round(mutants_s, 3),
             "seeded": len(mutant_reports),
             "caught": caught,
         },
     }
-    print(f"lint pass: {files} files in {lint_s:.2f}s ({lint_findings} finding(s))")
     print(
-        f"flow pass: {files} files / {functions} functions in {flow_s:.2f}s "
-        f"({flow_findings} finding(s))"
+        f"lint pass: {files} files / {functions} functions in {lint_s:.2f}s "
+        f"({lint_findings} finding(s))"
     )
-    print(f"flow mutants: {caught}/{len(mutant_reports)} caught in {mutants_s:.2f}s")
+    print(f"lint mutants: {caught}/{len(mutant_reports)} caught in {mutants_s:.2f}s")
 
     path = pathlib.Path(out)
     path.write_text(json.dumps({"target": str(_SRC), "results": results}, indent=2) + "\n")
     print(f"wrote {path}")
 
-    if flow_s > FLOW_BUDGET_S:
+    total_s = lint_s + mutants_s
+    if total_s > BUDGET_S:
         raise SystemExit(
-            f"flow pass took {flow_s:.2f}s — over the {FLOW_BUDGET_S:.0f}s CI budget"
+            f"lint pass + mutants took {total_s:.2f}s — over the "
+            f"{BUDGET_S:.0f}s CI budget"
         )
     if caught != len(mutant_reports):
         raise SystemExit(
-            f"flow mutation harness: only {caught}/{len(mutant_reports)} seeded "
+            f"lint mutation harness: only {caught}/{len(mutant_reports)} seeded "
             "defect(s) caught"
         )
 
@@ -118,7 +109,8 @@ if __name__ == "__main__":
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run the fast no-pytest smoke: time both passes + BENCH_check.json",
+        help="run the fast no-pytest smoke: time the lint pass + mutants, "
+        "write BENCH_check.json",
     )
     parser.add_argument("--out", default="BENCH_check.json")
     cli_args = parser.parse_args()

@@ -22,7 +22,9 @@ takes the bare dispatch fast path, then writes ``BENCH_scale.json``
 and exits non-zero if any configuration's rate drops more than 20%
 below the committed floors in
 ``benchmarks/baselines/BENCH_scale_baseline.json`` (machine-speed
-scaled, same scheme as ``bench_engine.py``).
+scaled by ``bench_engine.py``'s calibration probe).  A missing
+baseline file is an error before anything is measured, not a skipped
+gate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import time
 import typing as _t
 
 import pytest
+from bench_engine import _calibrate
 
 from repro.cluster.manager import PoolManager
 from repro.core.runtime import LmpRuntime
@@ -57,27 +60,6 @@ _BASELINE_PATH = (
 
 #: allowed rate drop vs. the committed baseline before CI fails
 REGRESSION_TOLERANCE = 0.20
-
-
-def _calibrate() -> float:
-    """Machine-speed probe (identical scheme to bench_engine): scales
-    the committed floors down on provably slower runners, capped at 1.0
-    so a faster machine never loosens the gate."""
-    from heapq import heappop, heappush
-
-    best = 0.0
-    for _ in range(3):
-        gc.collect()
-        started = time.perf_counter()
-        heap: list[tuple[int, int]] = []
-        n = 200_000
-        for i in range(n):
-            heappush(heap, ((i * 2654435761) % 1000003, i))
-        while heap:
-            heappop(heap)
-        secs = time.perf_counter() - started
-        best = max(best, (2 * n) / secs)
-    return best
 
 
 def _manager(server_count: int = 4) -> PoolManager:
@@ -231,6 +213,12 @@ def _assert_seams_cold() -> None:
 
 
 def smoke(out: str = "BENCH_scale.json", rounds: int = 2) -> None:
+    if not _BASELINE_PATH.exists():
+        raise SystemExit(
+            f"scale bench: no committed baseline at {_BASELINE_PATH}; "
+            "the regression gate cannot run"
+        )
+    baseline: dict[str, _t.Any] = json.loads(_BASELINE_PATH.read_text())
     _assert_seams_cold()
     # warm-up: imports, bytecode, allocator pools
     open_loop_slice(500)
@@ -259,9 +247,6 @@ def smoke(out: str = "BENCH_scale.json", rounds: int = 2) -> None:
     )
     print(f"wrote {path}")
 
-    baseline: dict[str, _t.Any] = {}
-    if _BASELINE_PATH.exists():
-        baseline = json.loads(_BASELINE_PATH.read_text())
     base_cal = baseline.get("calibration_ops_per_sec", 0.0)
     scale = min(1.0, calibration / base_cal) if base_cal else 1.0
     if scale < 1.0:
@@ -284,11 +269,8 @@ def smoke(out: str = "BENCH_scale.json", rounds: int = 2) -> None:
             )
     if failures:
         raise SystemExit("scale bench regression:\n  " + "\n  ".join(failures))
-    if baseline:
-        print(f"regression gate: all configurations within "
-              f"{REGRESSION_TOLERANCE:.0%} of committed baseline — OK")
-    else:
-        print("regression gate: no committed baseline found (gate skipped)")
+    print(f"regression gate: all configurations within "
+          f"{REGRESSION_TOLERANCE:.0%} of committed baseline — OK")
     print("detector seams: all None (zero-cost path) — OK")
 
 

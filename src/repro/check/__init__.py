@@ -1,11 +1,12 @@
 """``repro.check`` — determinism linter, runtime sanitizers, CI gate.
 
-Three layers substitute for the silicon validation real CXL simulators
-lean on:
+Several layers substitute for the silicon validation real CXL
+simulators lean on:
 
-* the ``LMP`` AST linter (:mod:`repro.check.lint`, rules in
-  :mod:`repro.check.rules`) flags simulation-correctness hazards
-  statically,
+* the ``LMP`` linter (:mod:`repro.check.lint`) flags
+  simulation-correctness hazards statically in one pass per file: the
+  syntactic rules in :mod:`repro.check.rules` and the flow-sensitive
+  CFG/dataflow rules in :mod:`repro.check.flow`,
 * the runtime sanitizers (:mod:`repro.check.sanitizers`) enforce
   allocator and coherence invariants while scenarios run,
 * the race/lockset/deadlock detectors (:mod:`repro.check.races`)
@@ -18,13 +19,21 @@ lean on:
   (coherence, leases, admission, recovery) and replays every
   counterexample deterministically through the real DES.
 
-Entry point: ``python -m repro check [--fix] [--determinism ...]
-[--races ...] [--model ... [--scope smoke|deep] [--mutants]]
+Entry point: ``python -m repro check [--fix] [--select ...] [--mutants]
+[--determinism ...] [--races ...] [--model ... [--scope smoke|deep]]
 [--format text|json|github] [path...]``.
 """
 
 from repro.check.determinism import SCENARIOS, DeterminismHarness, DeterminismReport
-from repro.check.lint import FileReport, apply_fixes, fix_file, lint_file, lint_paths, lint_source
+from repro.check.lint import (
+    ALL_RULES,
+    FileReport,
+    apply_fixes,
+    fix_file,
+    lint_file,
+    lint_paths,
+    lint_source,
+)
 from repro.check.model import (
     ExplorationResult,
     Explorer,
@@ -35,7 +44,7 @@ from repro.check.model import (
     checked_replay,
 )
 from repro.check.races import FrameAccess, LocksetReport, RaceReport, RaceSanitizer
-from repro.check.rules import ALL_RULES, LintContext, Rule, Violation
+from repro.check.rules import LintContext, Rule, Violation
 from repro.check.runner import (
     EXIT_CLEAN,
     EXIT_FINDINGS,

@@ -8,17 +8,16 @@ The subpackage splits into the engine and the rules that ride on it:
 * :mod:`~repro.check.flow.solver` — generic worklist fixpoint over
   pluggable abstract domains, forward or backward;
 * :mod:`~repro.check.flow.callgraph` — name-based call graph of the
-  analyzed tree (sim-time-consuming generators, parameter names);
-* :mod:`~repro.check.flow.rules` — the five flow rules;
-* :mod:`~repro.check.flow.analyze` — the parse-once driver;
+  linted tree (sim-time-consuming generators, parameter names);
+* :mod:`~repro.check.flow.rules` — the five flow rules, registered in
+  the linter's one rule registry (:data:`repro.check.lint.ALL_RULES`)
+  and run by its one driver;
 * :mod:`~repro.check.flow.mutants` — the seeded-defect self-test
-  behind ``repro check --flow --mutants``.
+  behind ``repro check --mutants``.
 """
 
-from repro.check.flow.analyze import analyze_paths, analyze_source
 from repro.check.flow.callgraph import CallGraph, FunctionInfo
 from repro.check.flow.cfg import CFG, Edge, Node, build_cfg, iter_functions
-from repro.check.flow.rules import FLOW_RULES, FlowContext, FlowRule
 from repro.check.flow.solver import DataflowResult, Domain, solve
 
 __all__ = [
@@ -27,13 +26,8 @@ __all__ = [
     "DataflowResult",
     "Domain",
     "Edge",
-    "FLOW_RULES",
-    "FlowContext",
-    "FlowRule",
     "FunctionInfo",
     "Node",
-    "analyze_paths",
-    "analyze_source",
     "build_cfg",
     "iter_functions",
     "solve",

@@ -1,49 +1,58 @@
-"""Mutation harness: known-bad code the flow rules must catch.
+"""Mutation harness: known-bad code the lint rules must catch.
 
-A dataflow pass that has never caught a bug is indistinguishable from
-one that checks nothing.  Each mutant below is a small module carrying
-exactly one seeded defect — the kind of edit a refactor of the real
-subsystem could introduce (a cleanup path that frees twice, an
-``except`` arm that swallows the release, a cost charged in bytes) —
-plus the *repaired* twin of the same code.  The harness demands that
-the owning rule kill the defective version **at the seeded line** and
-stay silent on the repaired one; a rule that fires on both is noise,
-and a rule that fires on neither is dead weight.
+A rule that has never caught a bug is indistinguishable from one that
+checks nothing.  Each mutant below is a small module carrying exactly
+one seeded defect — the kind of edit a refactor of the real subsystem
+could introduce (a cleanup path that frees twice, an ``except`` arm
+that swallows the release, a cost charged in bytes) — plus the
+*repaired* twin of the same code.  The harness lints both through the
+linter's own driver and demands that the owning rule kill the
+defective version **at the seeded line** and stay silent on the
+repaired one; a rule that fires on both is noise, and a rule that
+fires on neither is dead weight.
 
-Run via ``repro check --flow --mutants`` (exit 5 if any survive).
+The mutants cover the flow rules (LMP011–LMP015) plus the shapes of
+the two retired rule ids (``docs/static_analysis.md``), so their
+successors prove they still catch them: a release in a ``try`` body
+(now LMP012's) and a wall-clock read in a simulated subsystem (now
+LMP010's).
+
+Run via ``repro check --mutants`` (exit 1 if any survive).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 import textwrap
 import typing as _t
 
-from repro.check.flow.analyze import analyze_source
+from repro.check.lint import lint_source
 
-#: every mutant analyzes under this synthetic path (subsystem: core)
+#: mutants lint under this synthetic path (subsystem: core) by default
 _MUTANT_PATH = "repro/core/__mutant__.py"
 
 
 @dataclasses.dataclass(frozen=True)
-class FlowMutant:
+class LintMutant:
     """One seeded defect, its repaired twin, and where the kill must land."""
 
     name: str
-    rule: str  # the LMP01x id that must catch it
+    rule: str  # the LMP id that must catch it
     description: str
     bad: str  # module source with exactly one defect
-    good: str  # the repaired twin; must analyze clean for `rule`
+    good: str  # the repaired twin; must lint clean for `rule`
     defect_line: int  # 1-based line in `bad` the finding must anchor to
+    path: str = _MUTANT_PATH
 
 
 def _src(text: str) -> str:
     return textwrap.dedent(text).strip("\n") + "\n"
 
 
-MUTANTS: tuple[FlowMutant, ...] = (
+MUTANTS: tuple[LintMutant, ...] = (
     # -- LMP011: handle lifecycle ---------------------------------------------
-    FlowMutant(
+    LintMutant(
         name="double-free-on-cleanup-path",
         rule="LMP011",
         description="error-handling arm frees a handle the happy path already freed",
@@ -68,7 +77,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=6,
     ),
-    FlowMutant(
+    LintMutant(
         name="use-after-compaction",
         rule="LMP011",
         description="handle resolved after compact() relocated every live block",
@@ -91,7 +100,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=4,
     ),
-    FlowMutant(
+    LintMutant(
         name="free-through-stale-handle",
         rule="LMP011",
         description="relocated handle freed under its pre-move identity",
@@ -111,7 +120,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=3,
     ),
-    FlowMutant(
+    LintMutant(
         name="double-free-in-loop",
         rule="LMP011",
         description="loop body frees a handle hoisted out of the loop",
@@ -131,7 +140,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         defect_line=3,
     ),
     # -- LMP012: leak on path -------------------------------------------------
-    FlowMutant(
+    LintMutant(
         name="leak-through-swallowed-exception",
         rule="LMP012",
         description="except arm swallows the failure and skips the release",
@@ -158,7 +167,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=2,
     ),
-    FlowMutant(
+    LintMutant(
         name="leak-on-early-return",
         rule="LMP012",
         description="validation early-return skips the free the tail performs",
@@ -188,7 +197,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=2,
     ),
-    FlowMutant(
+    LintMutant(
         name="semaphore-held-through-except",
         rule="LMP012",
         description="DES semaphore released on the happy path only",
@@ -215,8 +224,63 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=2,
     ),
+    LintMutant(
+        name="release-in-try-body",
+        rule="LMP012",
+        description=(
+            "lock released in the try body; an exception at the yield is "
+            "swallowed and the release skipped (a retired rule's shape)"
+        ),
+        bad=_src(
+            """
+            def body(mutex, engine):
+                yield mutex.acquire()
+                try:
+                    yield engine.timeout(5.0)
+                    mutex.release()
+                except ValueError:
+                    pass
+            """
+        ),
+        good=_src(
+            """
+            def body(mutex, engine):
+                yield mutex.acquire()
+                try:
+                    yield engine.timeout(5.0)
+                finally:
+                    mutex.release()
+            """
+        ),
+        defect_line=2,
+    ),
+    # -- LMP010: wall clock in a simulated subsystem ----------------------------
+    LintMutant(
+        name="wall-clock-in-sim",
+        rule="LMP010",
+        description=(
+            "time.monotonic() stamps a simulated event with host time "
+            "(a retired rule's shape)"
+        ),
+        bad=_src(
+            """
+            import time
+
+            def stamp(engine, event):
+                event.at = time.monotonic()
+            """
+        ),
+        good=_src(
+            """
+            def stamp(engine, event):
+                event.at = engine.now
+            """
+        ),
+        defect_line=4,
+        path="repro/sim/__mutant__.py",
+    ),
     # -- LMP013: unit confusion -----------------------------------------------
-    FlowMutant(
+    LintMutant(
         name="deadline-plus-payload",
         rule="LMP013",
         description="nanosecond deadline added to a byte count",
@@ -240,7 +304,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=5,
     ),
-    FlowMutant(
+    LintMutant(
         name="bytes-charged-as-time",
         rule="LMP013",
         description="a byte count flows into a *_ns keyword argument",
@@ -264,7 +328,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=5,
     ),
-    FlowMutant(
+    LintMutant(
         name="size-formatted-as-time",
         rule="LMP013",
         description="a size lands in fmt_time through two assignments",
@@ -291,7 +355,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         defect_line=6,
     ),
     # -- LMP014: yield discipline ---------------------------------------------
-    FlowMutant(
+    LintMutant(
         name="dropped-timeout-event",
         rule="LMP014",
         description="engine.timeout() as a bare statement: the wait evaporates",
@@ -311,7 +375,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=2,
     ),
-    FlowMutant(
+    LintMutant(
         name="generator-called-not-delegated",
         rule="LMP014",
         description="sim-time generator invoked like a function and discarded",
@@ -337,7 +401,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=6,
     ),
-    FlowMutant(
+    LintMutant(
         name="yield-of-generator-object",
         rule="LMP014",
         description="yield g() suspends on the generator object, not its waits",
@@ -361,7 +425,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=5,
     ),
-    FlowMutant(
+    LintMutant(
         name="hybrid-transfer-callback-dropped",
         rule="LMP014",
         description=(
@@ -385,7 +449,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         defect_line=2,
     ),
     # -- LMP015: dead cost stores ---------------------------------------------
-    FlowMutant(
+    LintMutant(
         name="cost-computed-never-charged",
         rule="LMP015",
         description="migration cost modeled, then the function returns without it",
@@ -406,7 +470,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
         ),
         defect_line=2,
     ),
-    FlowMutant(
+    LintMutant(
         name="cost-overwritten-before-charge",
         rule="LMP015",
         description="accumulated cost clobbered by a constant before the charge",
@@ -431,7 +495,7 @@ MUTANTS: tuple[FlowMutant, ...] = (
 
 
 @dataclasses.dataclass
-class FlowMutantReport:
+class LintMutantReport:
     """Outcome of hunting one seeded defect."""
 
     name: str
@@ -440,7 +504,7 @@ class FlowMutantReport:
     caught: bool
     #: file:line where the rule anchored its finding (evidence of the kill)
     evidence: str = ""
-    #: the repaired twin analyzed clean for this rule
+    #: the repaired twin linted clean for this rule
     clean_ok: bool = True
     message: str = ""
 
@@ -454,45 +518,35 @@ class FlowMutantReport:
         return dataclasses.asdict(self)
 
 
-def run_flow_mutants() -> list[FlowMutantReport]:
-    """Analyze every mutant; each must die at its seeded line.
+def run_lint_mutants() -> list[LintMutantReport]:
+    """Lint every mutant; each must die at its seeded line.
 
     A mutant counts as caught only when its owning rule reports a
     finding **on the defect line** — rule-fired-somewhere is not
     evidence.  The repaired twin must be clean for that rule, or the
     kill is attributed to noise and reported as such.
     """
-    reports: list[FlowMutantReport] = []
+    reports: list[LintMutantReport] = []
     for mutant in MUTANTS:
-        bad_report = analyze_source(mutant.bad, _MUTANT_PATH)
+        path = pathlib.Path(mutant.path)
         hits = [
             v
-            for v in bad_report.violations
+            for v in lint_source(mutant.bad, path).violations
             if v.rule_id == mutant.rule and v.line == mutant.defect_line
         ]
-        good_report = analyze_source(mutant.good, _MUTANT_PATH)
-        clean_ok = not any(v.rule_id == mutant.rule for v in good_report.violations)
-        if hits:
-            hit = hits[0]
-            reports.append(
-                FlowMutantReport(
-                    name=mutant.name,
-                    rule=mutant.rule,
-                    description=mutant.description,
-                    caught=clean_ok,  # a rule that flags the fix too is noise
-                    evidence=f"{_MUTANT_PATH}:{hit.line}",
-                    clean_ok=clean_ok,
-                    message=hit.message,
-                )
+        clean_ok = not any(
+            v.rule_id == mutant.rule for v in lint_source(mutant.good, path).violations
+        )
+        reports.append(
+            LintMutantReport(
+                name=mutant.name,
+                rule=mutant.rule,
+                description=mutant.description,
+                # a rule that flags the fix too is noise
+                caught=bool(hits) and clean_ok,
+                evidence=f"{mutant.path}:{hits[0].line}" if hits else "",
+                clean_ok=clean_ok,
+                message=hits[0].message if hits else "",
             )
-        else:
-            reports.append(
-                FlowMutantReport(
-                    name=mutant.name,
-                    rule=mutant.rule,
-                    description=mutant.description,
-                    caught=False,
-                    clean_ok=clean_ok,
-                )
-            )
+        )
     return reports

@@ -21,67 +21,22 @@ hit it:
 * **LMP015** predicts cost models that compute a charge and never
   apply it to the DES clock.
 
-Every rule reports through the same :class:`~repro.check.rules.Violation`
-shape the classic linter uses, so ``# noqa: LMP01x`` suppression, the
-``--select`` filter, and all three output formats work unchanged.
+They are ordinary :class:`~repro.check.rules.Rule` subclasses that
+implement ``check_function`` instead of ``check``: the linter's driver
+parses each file once, builds the call graph once, and hands every
+flow rule the same per-function CFGs, so ``# noqa: LMP01x``
+suppression, the ``--select`` filter, and all three output formats
+treat them like any other rule.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
-import pathlib
-import typing as _t
 
 from repro.check.flow.callgraph import CallGraph, dotted_name
-from repro.check.flow.cfg import CFG, Node, build_cfg, iter_functions, probe_exprs
+from repro.check.flow.cfg import CFG, Node, probe_exprs
 from repro.check.flow.solver import BACKWARD, Domain, solve
-from repro.check.rules import Violation
-
-__all__ = ["FLOW_RULES", "FlowContext", "FlowRule", "analyze_module_tree"]
-
-
-@dataclasses.dataclass(frozen=True)
-class FlowContext:
-    """Everything a flow rule may consult beyond the function itself."""
-
-    path: pathlib.Path
-    subsystem: str | None
-    callgraph: CallGraph
-
-    @classmethod
-    def for_path(cls, path: pathlib.Path, callgraph: CallGraph) -> "FlowContext":
-        parts = path.parts
-        subsystem: str | None = None
-        for i, part in enumerate(parts):
-            if part == "repro" and i + 2 < len(parts):
-                subsystem = parts[i + 1]
-                break
-        return cls(path=path, subsystem=subsystem, callgraph=callgraph)
-
-
-class FlowRule:
-    """Base class: subclasses define ``id``, ``title``, ``check_function``."""
-
-    id: _t.ClassVar[str] = "LMP000"
-    title: _t.ClassVar[str] = ""
-    #: subsystems the rule applies to, or None for every repro module
-    subsystems: _t.ClassVar[frozenset[str] | None] = None
-
-    def applies(self, ctx: FlowContext) -> bool:
-        return self.subsystems is None or ctx.subsystem in self.subsystems
-
-    def check_function(self, cfg: CFG, ctx: FlowContext) -> list[Violation]:
-        raise NotImplementedError
-
-    def violation(self, ctx: FlowContext, node: ast.AST, message: str) -> Violation:
-        return Violation(
-            rule_id=self.id,
-            path=ctx.path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
+from repro.check.rules import LintContext, Rule, Violation
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +263,7 @@ _LMP011_VERBS = {
 }
 
 
-class HandleLifecycleRule(FlowRule):
+class HandleLifecycleRule(Rule):
     """LMP011 — allocator handle used after ``free``/``relocate``.
 
     Tracks :class:`~repro.mem.arena.AllocatorProtocol` facts
@@ -322,7 +277,7 @@ class HandleLifecycleRule(FlowRule):
     id = "LMP011"
     title = "allocator handle used after free/relocate"
 
-    def check_function(self, cfg: CFG, ctx: FlowContext) -> list[Violation]:
+    def check_function(self, cfg: CFG, ctx: LintContext) -> list[Violation]:
         result = solve(cfg, _HandleDomain())
         findings: list[Violation] = []
         seen: set[tuple[int, int, str]] = set()
@@ -455,14 +410,16 @@ def _resource_effects(stmt: ast.stmt, env: _ResEnv) -> None:
         env.pop(name, None)
 
 
-class ResourceLeakRule(FlowRule):
+class ResourceLeakRule(Rule):
     """LMP012 — resource released on some paths to exit but not all.
 
-    The flow-sensitive upgrade of LMP008: a lease, allocation, lock or
-    span acquired in this function and released on at least one path to
-    the normal exit, but *held* on another (typically the path through
-    an ``except`` arm that swallows the failure), leaks exactly on the
-    path tests rarely exercise.  A resource that is never released at
+    A lease, allocation, lock or span acquired in this function and
+    released on at least one path to the normal exit, but *held* on
+    another, leaks exactly on the path tests rarely exercise.  The
+    classic shape is a ``.release()`` in a ``try`` body whose ``except``
+    arm swallows the failure: an exception at a ``yield`` inside the
+    ``try`` skips the release, the semaphore slot leaks, and every later
+    waiter blocks forever.  A resource that is never released at
     all is assumed to transfer ownership (returned, stored, freed by
     the caller) and is not reported.
     """
@@ -470,7 +427,7 @@ class ResourceLeakRule(FlowRule):
     id = "LMP012"
     title = "resource leaked on some path to exit"
 
-    def check_function(self, cfg: CFG, ctx: FlowContext) -> list[Violation]:
+    def check_function(self, cfg: CFG, ctx: LintContext) -> list[Violation]:
         result = solve(cfg, _ResourceDomain())
         at_exit = result.before(cfg.exit)
         findings: list[Violation] = []
@@ -773,7 +730,7 @@ def _unit_effects(
         env.pop(name, None)
 
 
-class UnitConfusionRule(FlowRule):
+class UnitConfusionRule(Rule):
     """LMP013 — nanoseconds and bytes mixing in one expression.
 
     Taint starts at the :mod:`repro.units` constructors (``ns``/``us``/
@@ -788,7 +745,7 @@ class UnitConfusionRule(FlowRule):
     id = "LMP013"
     title = "unit confusion (ns vs bytes vs bandwidth)"
 
-    def check_function(self, cfg: CFG, ctx: FlowContext) -> list[Violation]:
+    def check_function(self, cfg: CFG, ctx: LintContext) -> list[Violation]:
         result = solve(cfg, _UnitDomain())
         findings: list[Violation] = []
         seen: set[tuple[int, int, str]] = set()
@@ -829,7 +786,7 @@ _ENGINE_WAIT_ATTRS = frozenset(
 )
 
 
-class YieldDisciplineRule(FlowRule):
+class YieldDisciplineRule(Rule):
     """LMP014 — a sim-time wait that can never consume sim time.
 
     In the DES, time passes only when a generator *yields* an event.
@@ -845,7 +802,7 @@ class YieldDisciplineRule(FlowRule):
     id = "LMP014"
     title = "sim-time wait dropped without a yield"
 
-    def check_function(self, cfg: CFG, ctx: FlowContext) -> list[Violation]:
+    def check_function(self, cfg: CFG, ctx: LintContext) -> list[Violation]:
         waiting = ctx.callgraph.time_consuming_generators()
         findings: list[Violation] = []
         for node in cfg.statements():
@@ -877,7 +834,7 @@ class YieldDisciplineRule(FlowRule):
         return None
 
     def _bare_call(
-        self, call: ast.Call, cfg: CFG, ctx: FlowContext, waiting: frozenset[str]
+        self, call: ast.Call, cfg: CFG, ctx: LintContext, waiting: frozenset[str]
     ) -> list[Violation]:
         _recv, attr = _attr_call(call)
         if attr == "transfer" and any(
@@ -970,7 +927,7 @@ def _is_cost_name(name: str) -> bool:
     return "cost" in name.lower() and not name.startswith("_")
 
 
-class DeadCostStoreRule(FlowRule):
+class DeadCostStoreRule(Rule):
     """LMP015 — a cost computed but never charged.
 
     The honest-accounting contract (compaction, migration, transfers)
@@ -984,7 +941,7 @@ class DeadCostStoreRule(FlowRule):
     id = "LMP015"
     title = "dead store to a charged-cost accumulator"
 
-    def check_function(self, cfg: CFG, ctx: FlowContext) -> list[Violation]:
+    def check_function(self, cfg: CFG, ctx: LintContext) -> list[Violation]:
         result = solve(cfg, _LivenessDomain())
         # a statement can occupy several CFG nodes (finally bodies are
         # instantiated once per continuation); the store is dead only
@@ -1019,36 +976,3 @@ class DeadCostStoreRule(FlowRule):
                     )
                 )
         return findings
-
-
-#: every flow rule, in id order — the flow pass's registry
-FLOW_RULES: tuple[FlowRule, ...] = (
-    HandleLifecycleRule(),
-    ResourceLeakRule(),
-    UnitConfusionRule(),
-    YieldDisciplineRule(),
-    DeadCostStoreRule(),
-)
-
-
-def analyze_module_tree(
-    tree: ast.AST, ctx: FlowContext, rules: _t.Sequence[FlowRule]
-) -> list[Violation]:
-    """Run *rules* over every function in an already-parsed module."""
-    applicable = [rule for rule in rules if rule.applies(ctx)]
-    if not applicable:
-        return []
-    violations: list[Violation] = []
-    for func in iter_functions(tree):
-        cfg = build_cfg(func)
-        for rule in applicable:
-            violations.extend(rule.check_function(cfg, ctx))
-    # per-continuation finally instances duplicate statement nodes;
-    # identical findings from two instances collapse to one
-    unique: dict[tuple[int, int, str, str], Violation] = {}
-    for violation in violations:
-        key = (violation.line, violation.col, violation.rule_id, violation.message)
-        unique.setdefault(key, violation)
-    violations = list(unique.values())
-    violations.sort(key=lambda v: (v.line, v.col, v.rule_id))
-    return violations

@@ -1,8 +1,10 @@
-"""Driver for the ``LMP`` determinism linter.
+"""Driver for the ``LMP`` linter.
 
-Walks python files, runs every applicable rule from
-:mod:`repro.check.rules`, and optionally applies autofixes (today:
-wrapping set iteration in ``sorted(...)`` for LMP003).
+Walks python files, parses each one once, builds one call graph over
+all of them, runs every applicable rule from :data:`ALL_RULES` — the
+syntactic rules of :mod:`repro.check.rules` and the flow rules of
+:mod:`repro.check.flow.rules` — and optionally applies autofixes
+(today: wrapping set iteration in ``sorted(...)`` for LMP003).
 """
 
 from __future__ import annotations
@@ -13,7 +15,44 @@ import pathlib
 import re
 import typing as _t
 
-from repro.check.rules import ALL_RULES, LintContext, Rule, Violation
+from repro.check.flow.callgraph import CallGraph
+from repro.check.flow.rules import (
+    DeadCostStoreRule,
+    HandleLifecycleRule,
+    ResourceLeakRule,
+    UnitConfusionRule,
+    YieldDisciplineRule,
+)
+from repro.check.rules import (
+    AmbientNondeterminismRule,
+    BarePrintRule,
+    FloatTimeEqualityRule,
+    GlobalRandomRule,
+    LintContext,
+    MutableDefaultRule,
+    Rule,
+    SetIterationRule,
+    SetPopRule,
+    SharedWriteOutsideSyncRule,
+    Violation,
+)
+
+#: every rule, in id order — the linter's registry
+ALL_RULES: tuple[Rule, ...] = (
+    GlobalRandomRule(),
+    SetIterationRule(),
+    FloatTimeEqualityRule(),
+    MutableDefaultRule(),
+    SetPopRule(),
+    SharedWriteOutsideSyncRule(),
+    BarePrintRule(),
+    AmbientNondeterminismRule(),
+    HandleLifecycleRule(),
+    ResourceLeakRule(),
+    UnitConfusionRule(),
+    YieldDisciplineRule(),
+    DeadCostStoreRule(),
+)
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -57,21 +96,27 @@ def iter_python_files(paths: _t.Sequence[pathlib.Path]) -> _t.Iterator[pathlib.P
                 yield candidate
 
 
-def lint_source(
+def _module_name(path: pathlib.Path) -> str:
+    parts = list(path.parts)
+    if "repro" in parts:
+        parts = parts[parts.index("repro") :]
+    return ".".join([*parts[:-1], path.stem])
+
+
+def _lint_tree(
     source: str,
+    tree: ast.Module,
     path: pathlib.Path,
-    rules: _t.Sequence[Rule] = ALL_RULES,
+    graph: CallGraph,
+    rules: _t.Sequence[Rule],
 ) -> FileReport:
-    """Lint one module's source text."""
-    ctx = LintContext.for_path(path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return FileReport(path=path, violations=(), parse_error=str(exc))
-    violations: list[Violation] = []
-    for rule in rules:
-        if rule.applies(ctx):
-            violations.extend(rule.check(tree, ctx))
+    ctx = LintContext.for_path(path, graph, tree)
+    violations = [
+        violation
+        for rule in rules
+        if rule.applies(ctx)
+        for violation in rule.check(tree, ctx)
+    ]
     suppressed = _suppressed_rules(source)
     if suppressed:
         violations = [
@@ -79,24 +124,54 @@ def lint_source(
             for v in violations
             if not (
                 v.line in suppressed
-                and (suppressed[v.line] is None or v.rule_id in suppressed[v.line])
+                and (suppressed[v.line] is None or v.rule_id in (suppressed[v.line] or ()))
             )
         ]
     violations.sort(key=lambda v: (v.line, v.col, v.rule_id))
     return FileReport(path=path, violations=tuple(violations))
 
 
+def lint_source(
+    source: str,
+    path: pathlib.Path,
+    rules: _t.Sequence[Rule] = ALL_RULES,
+) -> FileReport:
+    """Lint one module's source text; its call graph spans just this module."""
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except (SyntaxError, ValueError) as exc:
+        return FileReport(path=path, violations=(), parse_error=str(exc))
+    graph = CallGraph()
+    graph.add_module(tree, path, _module_name(path))
+    return _lint_tree(source, tree, path, graph, rules)
+
+
 def lint_file(path: pathlib.Path, rules: _t.Sequence[Rule] = ALL_RULES) -> FileReport:
-    return lint_source(path.read_text(), path, rules)
+    return lint_source(path.read_text(encoding="utf-8"), path, rules)
 
 
 def lint_paths(
     paths: _t.Sequence[pathlib.Path], rules: _t.Sequence[Rule] = ALL_RULES
 ) -> list[FileReport]:
-    """Lint every python file under *paths*; reports with findings only."""
-    reports = []
+    """Lint every python file under *paths*; reports with findings only.
+
+    Every file is parsed once, and one call graph spans all of them, so
+    LMP013/LMP014 resolve calls across modules.
+    """
+    graph = CallGraph()
+    parsed: list[FileReport | tuple[str, ast.Module, pathlib.Path]] = []
     for path in iter_python_files(paths):
-        report = lint_file(path, rules)
+        source = path.read_text(encoding="utf-8")
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except (SyntaxError, ValueError) as exc:
+            parsed.append(FileReport(path=path, violations=(), parse_error=str(exc)))
+            continue
+        graph.add_module(tree, path, _module_name(path))
+        parsed.append((source, tree, path))
+    reports = []
+    for entry in parsed:
+        report = entry if isinstance(entry, FileReport) else _lint_tree(*entry, graph, rules)
         if report.violations or report.parse_error:
             reports.append(report)
     return reports
@@ -130,7 +205,7 @@ def apply_fixes(source: str, violations: _t.Sequence[Violation]) -> tuple[str, i
 
 def fix_file(path: pathlib.Path, rules: _t.Sequence[Rule] = ALL_RULES) -> int:
     """Lint *path* and write back autofixes; returns fixes applied."""
-    source = path.read_text()
+    source = path.read_text(encoding="utf-8")
     report = lint_source(source, path, rules)
     fixed, applied = apply_fixes(source, report.violations)
     if applied:

@@ -8,6 +8,12 @@ substitute.  Each rule is a small class with an id, a docstring that
 doubles as its rationale, and an ``autofixable`` flag consumed by
 ``python -m repro check --fix``.
 
+This module holds the rule base, the per-file context, and the
+syntactic rules (LMP002–LMP010), which see one AST at a time.  The
+flow rules in :mod:`repro.check.flow.rules` (LMP011–LMP015) share the
+same base: they implement :meth:`Rule.check_function` over each
+function's CFG instead of :meth:`Rule.check` over the whole tree.
+
 Rules are scoped by *subsystem*: the first package component after
 ``repro`` (``sim``, ``core``, ``fabric``, ``hw``, …).  A rule with
 ``subsystems = None`` applies everywhere.
@@ -17,8 +23,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import pathlib
 import typing as _t
+
+from repro.check.flow.callgraph import CallGraph, dotted_name
+from repro.check.flow.cfg import CFG, build_cfg, iter_functions
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,13 +51,22 @@ class Violation:
 
 @dataclasses.dataclass(frozen=True)
 class LintContext:
-    """Where a module sits in the tree, for subsystem-scoped rules."""
+    """Where a module sits in the tree, plus what the flow rules share."""
 
     path: pathlib.Path
     subsystem: str | None  # first package component after "repro", if any
+    #: every function in the linted modules, by name (LMP013/LMP014)
+    callgraph: CallGraph = dataclasses.field(compare=False)
+    #: the module's parse tree, which :attr:`cfgs` is built from
+    tree: ast.AST | None = dataclasses.field(default=None, compare=False)
 
     @classmethod
-    def for_path(cls, path: pathlib.Path) -> "LintContext":
+    def for_path(
+        cls,
+        path: pathlib.Path,
+        callgraph: CallGraph | None = None,
+        tree: ast.AST | None = None,
+    ) -> "LintContext":
         parts = path.parts
         subsystem: str | None = None
         for i, part in enumerate(parts):
@@ -55,11 +74,25 @@ class LintContext:
                 # repro/<subsystem>/.../module.py
                 subsystem = parts[i + 1]
                 break
-        return cls(path=path, subsystem=subsystem)
+        return cls(
+            path=path,
+            subsystem=subsystem,
+            callgraph=callgraph or CallGraph(),
+            tree=tree,
+        )
+
+    @functools.cached_property
+    def cfgs(self) -> tuple[CFG, ...]:
+        """Each function's CFG, built on first use and shared by every
+        flow rule that runs on this module."""
+        if self.tree is None:
+            return ()
+        return tuple(build_cfg(func) for func in iter_functions(self.tree))
 
 
 class Rule:
-    """Base class: subclasses define ``id``, ``title`` and ``check``."""
+    """Base class: subclasses define ``id``, ``title``, and either
+    ``check`` (whole tree) or ``check_function`` (one CFG at a time)."""
 
     id: _t.ClassVar[str] = "LMP000"
     title: _t.ClassVar[str] = ""
@@ -71,6 +104,17 @@ class Rule:
         return self.subsystems is None or ctx.subsystem in self.subsystems
 
     def check(self, tree: ast.AST, ctx: LintContext) -> list[Violation]:
+        # per-continuation finally instances duplicate statement nodes
+        # in a CFG; identical findings from two instances collapse to one
+        return list(
+            dict.fromkeys(
+                violation
+                for cfg in ctx.cfgs
+                for violation in self.check_function(cfg, ctx)
+            )
+        )
+
+    def check_function(self, cfg: CFG, ctx: LintContext) -> list[Violation]:
         raise NotImplementedError
 
     def violation(
@@ -89,70 +133,6 @@ class Rule:
             autofixable=self.autofixable and fix_span is not None,
             fix_span=fix_span,
         )
-
-
-#: subsystems whose code runs inside the simulation and must not touch
-#: the host machine's clock or global RNG
-SIM_SUBSYSTEMS = frozenset({"sim", "core", "fabric", "hw", "mem"})
-
-_WALL_CLOCK_FUNCS = frozenset(
-    {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"}
-)
-_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Render an attribute chain like ``datetime.datetime.now`` or None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class WallClockRule(Rule):
-    """LMP001 — wall-clock reads inside simulated components.
-
-    ``time.time()`` / ``datetime.now()`` inside ``sim``/``core``/
-    ``fabric``/``hw``/``mem`` leaks host time into the model: results
-    change run to run and the trace diff harness can never pass.
-    Simulated components must read ``engine.now`` only.
-    """
-
-    id = "LMP001"
-    title = "wall-clock call in simulated component"
-    subsystems = SIM_SUBSYSTEMS
-
-    def check(self, tree: ast.AST, ctx: LintContext) -> list[Violation]:
-        out: list[Violation] = []
-        from_time: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module == "time":
-                    from_time.update(
-                        alias.asname or alias.name
-                        for alias in node.names
-                        if alias.name in _WALL_CLOCK_FUNCS
-                    )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in from_time:
-                out.append(self.violation(ctx, node, f"wall-clock call {func.id}()"))
-                continue
-            dotted = _dotted(func)
-            if dotted is None:
-                continue
-            head, _, tail = dotted.rpartition(".")
-            if head.split(".")[-1] == "time" and tail in _WALL_CLOCK_FUNCS:
-                out.append(self.violation(ctx, node, f"wall-clock call {dotted}()"))
-            elif "datetime" in head.split(".") and tail in _DATETIME_FUNCS:
-                out.append(self.violation(ctx, node, f"wall-clock call {dotted}()"))
-        return out
 
 
 _RANDOM_OK = frozenset({"Random", "SystemRandom"})
@@ -577,73 +557,6 @@ class SharedWriteOutsideSyncRule(Rule):
         return out
 
 
-class HoldAcrossYieldRule(Rule):
-    """LMP008 — ``yield`` while holding a resource in a ``try`` without
-    ``finally``.
-
-    A yielded event can deliver an exception (``interrupt()``, a failed
-    transfer, a crashed server).  If the resource's ``.release()`` sits
-    in the ``try`` body rather than a ``finally``, the exception path
-    skips it: the semaphore slot or lock line leaks, every later waiter
-    blocks forever, and the deadlock detector fires far from the cause.
-    Move the release into a ``finally`` (the coherence directory's
-    per-line lock pattern), or ``# noqa: LMP008`` with the reason the
-    exception arm provably releases.
-    """
-
-    id = "LMP008"
-    title = "yield while holding an unreleased resource"
-    subsystems = frozenset({"sim", "core", "fabric", "cluster", "workloads"})
-
-    def check(self, tree: ast.AST, ctx: LintContext) -> list[Violation]:
-        out: list[Violation] = []
-        for scope in _scopes(tree):
-            if isinstance(scope, ast.Module):
-                continue
-            acquires_in_scope = [
-                _pos(n)
-                for n in _direct_walk(scope)
-                if isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr == "acquire"
-            ]
-            for node in _direct_walk(scope):
-                if not isinstance(node, ast.Try) or node.finalbody:
-                    continue
-                body_nodes = [
-                    n for stmt in node.body for n in ast.walk(stmt)
-                ]
-                releases = [
-                    _pos(n)
-                    for n in body_nodes
-                    if isinstance(n, ast.Call)
-                    and isinstance(n.func, ast.Attribute)
-                    and n.func.attr == "release"
-                ]
-                if not releases:
-                    continue
-                yields = [
-                    _pos(n) for n in body_nodes if isinstance(n, (ast.Yield, ast.YieldFrom))
-                ]
-                held_from = [p for p in acquires_in_scope if p < max(releases)]
-                risky = [
-                    y
-                    for y in yields
-                    if y < max(releases) and (not held_from or y > min(held_from))
-                ]
-                if risky:
-                    out.append(
-                        self.violation(
-                            ctx,
-                            node,
-                            "yield inside try while a resource is held and "
-                            "released in the try body, not a finally: an "
-                            "exception at the yield leaks the resource",
-                        )
-                    )
-        return out
-
-
 #: modules allowed to print: CLI surfaces whose *job* is stdout
 _PRINT_EXEMPT_SUFFIXES = ("cli.py", "check/runner.py", "analysis/report.py")
 
@@ -691,6 +604,13 @@ class BarePrintRule(Rule):
         return out
 
 
+#: host-clock reads, by ``time`` function and ``datetime`` method
+_WALL_CLOCK_FUNCS = frozenset(
+    {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"}
+)
+_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
+
+
 #: ambient entropy sources: dotted call names whose result differs on
 #: every invocation regardless of any seed
 _ENTROPY_CALLS = frozenset(
@@ -715,12 +635,15 @@ _CLOCK_EXEMPT_SUFFIXES = ("cli.py", "check/runner.py")
 class AmbientNondeterminismRule(Rule):
     """LMP010 — wall clock or ambient randomness in library code.
 
-    LMP001 keeps host time out of the *simulated* subsystems; this rule
-    covers the rest of the library.  A ``time.time()`` in the control
-    plane, a ``uuid.uuid4()`` naming a lease, or an ``os.urandom()``
-    seeding a workload makes two runs of the same scenario differ even
-    though the DES itself is deterministic — the determinism harness
-    then diffs noise, and cached results stop being comparable.  Take
+    ``time.time()`` / ``datetime.now()`` inside a simulated component
+    leaks host time into the model, so results change run to run and
+    the trace diff harness can never pass; simulated components must
+    read ``engine.now`` only.  Outside the simulator the hazard is the
+    same in a quieter form: a ``time.time()`` in the control plane, a
+    ``uuid.uuid4()`` naming a lease, or an ``os.urandom()`` seeding a
+    workload makes two runs of the same scenario differ even though
+    the DES itself is deterministic — the determinism harness then
+    diffs noise, and cached results stop being comparable.  Take
     timestamps from ``engine.now``, ids from counters, and randomness
     from an injected ``random.Random`` / ``sim.rng`` stream.  The CLI
     and the check runner are exempt (reporting wall-clock timings is
@@ -739,10 +662,6 @@ class AmbientNondeterminismRule(Rule):
         return not any(posix.endswith(suffix) for suffix in _CLOCK_EXEMPT_SUFFIXES)
 
     def check(self, tree: ast.AST, ctx: LintContext) -> list[Violation]:
-        # LMP001 already flags wall-clock reads in the sim subsystems;
-        # here the clock check covers everything else, and the entropy
-        # check covers the whole library (LMP001 has no entropy arm)
-        check_clock = ctx.subsystem not in SIM_SUBSYSTEMS
         out: list[Violation] = []
         from_imports: dict[str, str] = {}
         for node in ast.walk(tree):
@@ -759,14 +678,13 @@ class AmbientNondeterminismRule(Rule):
                 continue
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             dotted = from_imports.get(dotted, dotted)
             head, _, tail = dotted.rpartition(".")
-            if check_clock and (
-                (head.split(".")[-1] == "time" and tail in _WALL_CLOCK_FUNCS)
-                or ("datetime" in head.split(".") and tail in _DATETIME_FUNCS)
+            if (head.split(".")[-1] == "time" and tail in _WALL_CLOCK_FUNCS) or (
+                "datetime" in head.split(".") and tail in _DATETIME_FUNCS
             ):
                 out.append(
                     self.violation(
@@ -787,18 +705,3 @@ class AmbientNondeterminismRule(Rule):
                     )
                 )
         return out
-
-
-#: every rule, in id order — the linter's registry
-ALL_RULES: tuple[Rule, ...] = (
-    WallClockRule(),
-    GlobalRandomRule(),
-    SetIterationRule(),
-    FloatTimeEqualityRule(),
-    MutableDefaultRule(),
-    SetPopRule(),
-    SharedWriteOutsideSyncRule(),
-    HoldAcrossYieldRule(),
-    BarePrintRule(),
-    AmbientNondeterminismRule(),
-)

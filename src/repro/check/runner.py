@@ -1,27 +1,28 @@
 """Orchestrates ``python -m repro check``.
 
-Subcommands of the reproducibility gate: lint (``LMP`` rules, optional
-``--fix``), seed determinism (``--determinism``), the dynamic race /
-lockset / deadlock detectors (``--races``, which replays the
-determinism scenarios under :class:`~repro.check.races.RaceSanitizer`),
-and the explicit-state model checker (``--model``, which exhaustively
-explores the protocol specs in :mod:`repro.check.model` and replays any
-counterexample through the real DES; ``--mutants`` additionally demands
-the checker kill every seeded protocol bug).
+Subcommands of the reproducibility gate: lint (every ``LMP`` rule —
+syntactic and flow-sensitive — in one pass, optional ``--fix``), seed
+determinism (``--determinism``), the dynamic race / lockset / deadlock
+detectors (``--races``, which replays the determinism scenarios under
+:class:`~repro.check.races.RaceSanitizer`), and the explicit-state
+model checker (``--model``, which exhaustively explores the protocol
+specs in :mod:`repro.check.model` and replays any counterexample
+through the real DES).  ``--mutants`` demands the linter kill every
+seeded lint defect, and with ``--model`` also that the model checker
+kill every seeded protocol bug.
 
 Exit codes (stable, asserted by tests and documented in ``--help``):
 
 * ``0`` — clean: no findings of any kind
-* ``1`` — findings: lint violations, parse errors, nondeterministic
-  scenarios, races, lockset violations, or deadlocks
+* ``1`` — findings: lint violations (syntactic or flow), parse errors,
+  a surviving lint mutant, nondeterministic scenarios, races, lockset
+  violations, or deadlocks
 * ``2`` — usage error: unknown path, scenario, rule, spec, scope, or
-  format, or a flow rule (LMP011–LMP015) selected without ``--flow``
+  format
 * ``3`` — internal error: a scenario or the checker itself crashed
 * ``4`` — model-checking failure: a protocol spec has a counterexample,
-  or a seeded mutant survived
-* ``5`` — flow-analysis failure: a flow rule (LMP011–LMP015) found a
-  violation, or a seeded flow mutant survived (the runner exits with
-  the maximum applicable code)
+  or a seeded protocol mutant survived (the runner exits with the
+  maximum applicable code)
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import traceback
 import typing as _t
 
 from repro.check.determinism import SCENARIOS, DeterminismHarness, DeterminismReport
-from repro.check.lint import FileReport, fix_file, iter_python_files, lint_paths
+from repro.check.flow.mutants import run_lint_mutants
+from repro.check.lint import ALL_RULES, FileReport, fix_file, iter_python_files, lint_paths
 from repro.check.races import RaceSanitizer
-from repro.check.rules import ALL_RULES, Rule
 from repro.errors import DeadlockError, DeterminismError
 
 EXIT_CLEAN = 0
@@ -44,7 +45,6 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_MODEL = 4
-EXIT_FLOW = 5
 
 FORMATS = ("text", "json", "github")
 
@@ -55,14 +55,12 @@ def default_paths() -> list[pathlib.Path]:
 
 
 def _selected_ids(select: _t.Sequence[str] | None) -> set[str] | None:
-    """Validate ``--select`` ids against the combined lint + flow
-    registries; the empty set means "everything", None means invalid."""
-    from repro.check.flow.rules import FLOW_RULES
-
+    """Validate ``--select`` ids against the rule registry; the empty
+    set means "everything", None means invalid."""
     if select is None:
         return set()
     wanted = {s.strip().upper() for item in select for s in item.split(",") if s.strip()}
-    known = {rule.id for rule in ALL_RULES} | {rule.id for rule in FLOW_RULES}
+    known = {rule.id for rule in ALL_RULES}
     unknown = sorted(wanted - known)
     if unknown:
         print(
@@ -72,16 +70,6 @@ def _selected_ids(select: _t.Sequence[str] | None) -> set[str] | None:
         )
         return None
     return wanted
-
-
-def select_rules(select: _t.Sequence[str] | None) -> tuple[Rule, ...] | None:
-    """Resolve ``--select`` ids to lint rules; None on an unknown id."""
-    wanted = _selected_ids(select)
-    if wanted is None:
-        return None
-    if not wanted:
-        return ALL_RULES
-    return tuple(rule for rule in ALL_RULES if rule.id in wanted)
 
 
 def _scenario_names(requested: _t.Sequence[str]) -> list[str] | None:
@@ -249,18 +237,16 @@ def run_check(
     scope: str = "smoke",
     depth: int | None = None,
     mutants: bool = False,
-    flow: bool = False,
     fmt: str = "text",
     select: _t.Sequence[str] | None = None,
     stream: _t.TextIO | None = None,
 ) -> int:
     """Lint *paths* (default: the installed ``repro`` package), then
-    optionally run the flow-sensitive dataflow rules (``--flow``),
-    verify seed determinism, run the race/deadlock detectors
-    over the named scenarios, and model-check the named protocol specs
-    (with *mutants*, also self-test the checker against seeded bugs).
-    Returns the exit code documented in the module docstring
-    (0/1/2/3/4/5)."""
+    optionally verify seed determinism, run the race/deadlock detectors
+    over the named scenarios, and model-check the named protocol specs.
+    With *mutants*, also self-test the linter (and, with *model*, the
+    model checker) against seeded bugs.  Returns the exit code
+    documented in the module docstring (0/1/2/3/4)."""
     if stream is None:
         stream = sys.stdout
     if fmt not in FORMATS:
@@ -277,20 +263,6 @@ def run_check(
     selected_ids = _selected_ids(select)
     if selected_ids is None:
         return EXIT_USAGE
-    if selected_ids and not flow:
-        from repro.check.flow.rules import FLOW_RULES
-
-        flow_selected = selected_ids & {rule.id for rule in FLOW_RULES}
-        if flow_selected:
-            # without the guard a flow-only --select would run zero
-            # rules yet still report "clean" with exit 0
-            noun = "is a flow rule" if len(flow_selected) == 1 else "are flow rules"
-            print(
-                f"repro check: {', '.join(sorted(flow_selected))} {noun}; "
-                "pass --flow to run it",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
     rules = tuple(r for r in ALL_RULES if not selected_ids or r.id in selected_ids)
     determinism_names: list[str] | None = None
     if determinism is not None:
@@ -319,17 +291,15 @@ def run_check(
         if depth is not None and depth < 1:
             print(f"repro check: depth must be >= 1, got {depth}", file=sys.stderr)
             return EXIT_USAGE
-    if mutants and model is None and not flow:
-        print("repro check: --mutants requires --model or --flow", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         exit_code = EXIT_CLEAN
         fixes_applied: int | None = None
         if fix:
+            fixers = [r for r in rules if r.autofixable]
             fixes_applied = 0
             for path in iter_python_files(targets):
-                fixes_applied += fix_file(path, rules)
+                fixes_applied += fix_file(path, fixers)
             if fmt != "json":
                 print(f"applied {fixes_applied} autofix(es)", file=stream)
 
@@ -350,61 +320,27 @@ def run_check(
             else:
                 print(f"repro check: {file_count} file(s) clean", file=stream)
 
-        flow_reports: list[FileReport] = []
-        flow_mutant_reports: list[_t.Any] = []
-        flow_elapsed = 0.0
-        if flow:
-            from repro.check.flow.analyze import analyze_paths
-            from repro.check.flow.rules import FLOW_RULES
-
-            flow_rules = tuple(
-                r for r in FLOW_RULES if not selected_ids or r.id in selected_ids
-            )
-            flow_started = time.perf_counter()
-            flow_reports = analyze_paths(targets, flow_rules)
-            flow_elapsed = time.perf_counter() - flow_started
-            flow_violations = sum(len(r.violations) for r in flow_reports)
-            flow_parse_errors = [r for r in flow_reports if r.parse_error]
-            if flow_violations or flow_parse_errors:
-                exit_code = max(exit_code, EXIT_FLOW)
+        lint_mutant_reports = run_lint_mutants() if mutants else []
+        if mutants:
+            lint_missed = [r for r in lint_mutant_reports if not r.caught]
             if fmt != "json":
-                _emit_lint(flow_reports, fmt, stream)
-                if flow_violations:
+                for report in lint_mutant_reports:
+                    print(report.render(), file=stream)
+                print(
+                    f"lint mutation harness: "
+                    f"{len(lint_mutant_reports) - len(lint_missed)}"
+                    f"/{len(lint_mutant_reports)} seeded defect(s) caught",
+                    file=stream,
+                )
+            if fmt == "github":
+                for report in lint_missed:
                     print(
-                        f"repro check --flow: {flow_violations} finding(s) in "
-                        f"{len([r for r in flow_reports if r.violations])} of "
-                        f"{file_count} file(s)  [{flow_elapsed:.2f}s]",
+                        f"::error title=lint mutant survived ({report.name})::"
+                        f"{_github_escape(report.description)}",
                         file=stream,
                     )
-                else:
-                    print(
-                        f"repro check --flow: {file_count} file(s) clean  "
-                        f"[{flow_elapsed:.2f}s]",
-                        file=stream,
-                    )
-            if mutants:
-                from repro.check.flow.mutants import run_flow_mutants
-
-                flow_mutant_reports = list(run_flow_mutants())
-                flow_missed = [r for r in flow_mutant_reports if not r.caught]
-                if fmt != "json":
-                    for report in flow_mutant_reports:
-                        print(report.render(), file=stream)
-                    print(
-                        f"flow mutation harness: "
-                        f"{len(flow_mutant_reports) - len(flow_missed)}"
-                        f"/{len(flow_mutant_reports)} seeded defect(s) caught",
-                        file=stream,
-                    )
-                if fmt == "github":
-                    for report in flow_missed:
-                        print(
-                            f"::error title=flow mutant survived ({report.name})::"
-                            f"{_github_escape(report.description)}",
-                            file=stream,
-                        )
-                if flow_missed:
-                    exit_code = max(exit_code, EXIT_FLOW)
+            if lint_missed:
+                exit_code = max(exit_code, EXIT_FINDINGS)
 
         determinism_reports: list[DeterminismReport] = []
         if determinism_names is not None:
@@ -497,7 +433,7 @@ def run_check(
 
         if fmt == "json":
             payload = {
-                "version": 1,
+                "version": 2,
                 "exit_code": exit_code,
                 "files_checked": file_count,
                 "fixes_applied": fixes_applied,
@@ -554,27 +490,7 @@ def run_check(
                     for record in model_records
                 ],
                 "mutants": [report.to_json() for report in mutant_reports],
-                "flow": {
-                    "enabled": flow,
-                    "elapsed_s": flow_elapsed,
-                    "violations": [
-                        {
-                            "rule": v.rule_id,
-                            "path": str(v.path),
-                            "line": v.line,
-                            "col": v.col + 1,
-                            "message": v.message,
-                        }
-                        for r in flow_reports
-                        for v in r.violations
-                    ],
-                    "parse_errors": [
-                        {"path": str(r.path), "error": r.parse_error}
-                        for r in flow_reports
-                        if r.parse_error
-                    ],
-                },
-                "flow_mutants": [report.to_json() for report in flow_mutant_reports],
+                "lint_mutants": [report.to_json() for report in lint_mutant_reports],
             }
             json.dump(payload, stream, indent=2)
             stream.write("\n")

@@ -237,22 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_cmd = commands.add_parser(
         "check",
-        help="run the LMP determinism linter (and optionally the flow-"
-        "sensitive dataflow rules, seed-determinism scenarios, the "
+        help="run the LMP linter (syntactic and flow-sensitive rules in one "
+        "pass; optionally also seed-determinism scenarios, the "
         "race/deadlock detectors, and the protocol model checker)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
             "  0  clean: no findings\n"
-            "  1  findings: lint violations, nondeterminism, races, locksets,"
-            " or deadlocks\n"
+            "  1  findings: lint violations, a surviving lint mutant,"
+            " nondeterminism, races, locksets, or deadlocks\n"
             "  2  usage error: unknown path, scenario, rule, spec, scope, or"
             " format\n"
             "  3  internal error: a scenario or the checker itself crashed\n"
             "  4  model-checking failure: a protocol spec has a"
-            " counterexample, or a seeded mutant survived\n"
-            "  5  flow-analysis failure: a flow rule (LMP011-LMP015) found a"
-            " violation, or a seeded flow mutant survived"
+            " counterexample, or a seeded protocol mutant survived"
         ),
     )
     check_cmd.add_argument(
@@ -306,17 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound model exploration to N actions deep (default: exhaustive)",
     )
     check_cmd.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the flow-sensitive dataflow rules (LMP011-LMP015: "
-        "handle lifecycle, leak-on-path, unit confusion, yield discipline, "
-        "dead cost stores) over the lint targets",
-    )
-    check_cmd.add_argument(
         "--mutants",
         action="store_true",
-        help="with --model and/or --flow: self-test the checker by seeding "
-        "known bugs; every mutant must die with file:line evidence",
+        help="self-test the linter (and, with --model, the model checker) "
+        "by seeding known bugs; every mutant must die with file:line "
+        "evidence",
     )
     check_cmd.add_argument(
         "--format",
@@ -353,7 +345,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             scope=args.scope,
             depth=args.depth,
             mutants=args.mutants,
-            flow=args.flow,
             fmt=args.fmt,
             select=args.select,
         )

@@ -172,14 +172,6 @@ class ModelCheckError(SanitizerError):
     as counterexamples so the runner can render and replay them."""
 
 
-class FlowAnalysisError(SanitizerError):
-    """The dataflow pass (``repro.check.flow``) failed internally — an
-    unreadable file, or a domain that would not converge.
-
-    Flow *findings* are not exceptions: the analyzer reports them as
-    violations so the runner can render all of them at once."""
-
-
 class DataRaceError(SanitizerError):
     """Two accesses to the same shared frame — at least one a write —
     were not ordered by happens-before (no coherence transition, sync

@@ -217,8 +217,8 @@ class FluidModel:
         *on_complete*, when given, is attached as the completion event's
         first callback — the callback-driven consumption style:
         the caller hands the wait over to the fluid model instead of
-        suspending a process on the returned event.  ``repro check
-        --flow`` (LMP014) recognizes this form as a consumed wait.
+        suspending a process on the returned event.  ``repro check``
+        (LMP014) recognizes this form as a consumed wait.
         """
         if size < 0:
             raise SimulationError(f"negative transfer size {size}")

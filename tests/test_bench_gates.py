@@ -1,5 +1,5 @@
-"""The engine bench's regression gate must run, and fail loudly when its
-committed baseline is missing instead of skipping."""
+"""The engine and scale benches' regression gates must run, and fail
+loudly when their committed baselines are missing instead of skipping."""
 
 from __future__ import annotations
 
@@ -11,15 +11,17 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-BENCH = ROOT / "benchmarks" / "bench_engine.py"
-BASELINE = ROOT / "benchmarks" / "baselines" / "BENCH_engine_baseline.json"
+BENCHMARKS = ROOT / "benchmarks"
+BASELINE = BENCHMARKS / "baselines" / "BENCH_engine_baseline.json"
 
 CONFIGS = {"event_churn", "timeout_storm", "cluster_slice", "cluster_dense"}
 
 
-def load_bench_engine():
-    name = "bench_engine_under_test"
-    spec = importlib.util.spec_from_file_location(name, BENCH)
+def load_bench(stem: str, monkeypatch: pytest.MonkeyPatch):
+    # bench_scale imports bench_engine's calibration probe by module name
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    name = f"{stem}_under_test"
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{stem}.py")
     assert spec is not None and spec.loader is not None
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -38,10 +40,20 @@ def test_engine_baseline_is_committed_for_every_configuration():
 
 
 def test_engine_smoke_fails_without_baseline(tmp_path, monkeypatch):
-    bench_engine = load_bench_engine()
+    bench_engine = load_bench("bench_engine", monkeypatch)
     assert bench_engine._BASELINE_PATH == BASELINE
     monkeypatch.setattr(bench_engine, "_BASELINE_PATH", tmp_path / "missing.json")
     out = tmp_path / "BENCH_engine.json"
     with pytest.raises(SystemExit, match="no committed baseline"):
         bench_engine.smoke(out=str(out))
+    assert not out.exists()  # failed before measuring anything
+
+
+def test_scale_smoke_fails_without_baseline(tmp_path, monkeypatch):
+    bench_scale = load_bench("bench_scale", monkeypatch)
+    assert bench_scale._BASELINE_PATH == BENCHMARKS / "baselines" / "BENCH_scale_baseline.json"
+    monkeypatch.setattr(bench_scale, "_BASELINE_PATH", tmp_path / "missing.json")
+    out = tmp_path / "BENCH_scale.json"
+    with pytest.raises(SystemExit, match="no committed baseline"):
+        bench_scale.smoke(out=str(out))
     assert not out.exists()  # failed before measuring anything

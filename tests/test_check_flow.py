@@ -1,7 +1,7 @@
 """Golden CFG shapes for the tricky constructs, plus one positive and
 one negative case per flow rule (LMP011–LMP015) through the real
-driver (`analyze_source`), so the tests exercise noqa handling and the
-call graph exactly as `repro check --flow` does.
+driver (`lint_source`), so the tests exercise noqa handling and the
+call graph exactly as `repro check` does.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ import ast
 import pathlib
 import textwrap
 
-from repro.check.flow import analyze_source, build_cfg, iter_functions
+from repro.check.flow import build_cfg, iter_functions
+from repro.check.lint import lint_source
 
 #: a fake path inside a simulated subsystem, matching the lint tests
 MEM_PATH = pathlib.Path("src/repro/mem/synthetic.py")
@@ -22,7 +23,7 @@ def first_cfg(source: str):
 
 
 def rule_ids(source: str, path: pathlib.Path = MEM_PATH) -> list[str]:
-    report = analyze_source(textwrap.dedent(source), path)
+    report = lint_source(textwrap.dedent(source), path)
     assert report.parse_error is None
     return [v.rule_id for v in report.violations]
 
@@ -541,7 +542,7 @@ def test_noqa_suppresses_flow_findings():
 
 
 def test_findings_sorted_and_carry_position():
-    report = analyze_source(
+    report = lint_source(
         textwrap.dedent(
             """
             def f(alloc, n):

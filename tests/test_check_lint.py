@@ -1,5 +1,7 @@
-"""Every LMP lint rule fires on a synthetic bad snippet — and the repo
-itself lints clean (the acceptance criterion for `python -m repro check`).
+"""Every syntactic LMP lint rule fires on a synthetic bad snippet, the
+retired ids' cases are caught by their successors — and the repo itself
+lints clean under every rule, flow rules included (the acceptance
+criterion for `python -m repro check`).
 """
 
 from __future__ import annotations
@@ -9,8 +11,8 @@ import textwrap
 
 import pytest
 
-from repro.check.lint import apply_fixes, fix_file, lint_paths, lint_source
-from repro.check.rules import ALL_RULES, LintContext
+from repro.check.lint import ALL_RULES, apply_fixes, fix_file, lint_paths, lint_source
+from repro.check.rules import LintContext
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -42,23 +44,23 @@ def test_context_subsystem_detection():
     assert LintContext.for_path(pathlib.Path("src/repro/cli.py")).subsystem is None
 
 
-# --- LMP001 wall clock --------------------------------------------------------
+# --- wall clock in simulated components (retired id, now LMP010) ---------------
 
 
 def test_lmp001_flags_time_time():
-    assert "LMP001" in rule_ids("import time\nt = time.time()\n")
+    assert "LMP010" in rule_ids("import time\nt = time.time()\n")
 
 
 def test_lmp001_flags_from_import_and_datetime():
-    assert "LMP001" in rule_ids("from time import monotonic\nt = monotonic()\n")
-    assert "LMP001" in rule_ids(
+    assert "LMP010" in rule_ids("from time import monotonic\nt = monotonic()\n")
+    assert "LMP010" in rule_ids(
         "import datetime\nstamp = datetime.datetime.now()\n"
     )
 
 
 def test_lmp001_ignores_outside_sim_subsystems():
     # cli.py measuring wall-clock for progress output is legitimate
-    assert "LMP001" not in rule_ids(
+    assert "LMP010" not in rule_ids(
         "import time\nt = time.perf_counter()\n",
         path=pathlib.Path("src/repro/cli.py"),
     )
@@ -277,7 +279,7 @@ def test_lmp007_scoped_to_cluster_and_workloads():
     )
 
 
-# --- LMP008 yield while holding in try-without-finally ---------------------------
+# --- yield while holding in try-without-finally (retired id, now LMP012) ----------
 
 
 def test_lmp008_flags_yield_between_acquire_and_release_no_finally():
@@ -290,7 +292,7 @@ def test_lmp008_flags_yield_between_acquire_and_release_no_finally():
         except ValueError:
             pass
     """
-    assert "LMP008" in rule_ids(source)
+    assert "LMP012" in rule_ids(source)
 
 
 def test_lmp008_allows_release_in_finally():
@@ -302,7 +304,7 @@ def test_lmp008_allows_release_in_finally():
         finally:
             mutex.release()
     """
-    assert "LMP008" not in rule_ids(source)
+    assert "LMP012" not in rule_ids(source)
 
 
 def test_lmp008_ignores_try_without_held_resource():
@@ -313,7 +315,7 @@ def test_lmp008_ignores_try_without_held_resource():
         except ValueError:
             pass
     """
-    assert "LMP008" not in rule_ids(source)
+    assert "LMP012" not in rule_ids(source)
 
 
 # --- LMP009 bare print in library code -------------------------------------------
@@ -350,19 +352,18 @@ def test_lmp009_ignores_non_name_print():
 
 
 def test_lmp010_flags_wall_clock_outside_sim_subsystems():
-    # LMP001 is scoped to the simulated subsystems; LMP010 extends the
-    # wall-clock ban to the rest of the library (obs, cluster, analysis...)
+    # the wall-clock ban covers the whole library, not only the
+    # simulated subsystems (obs, cluster, analysis...)
     source = "import time\nstamp = time.time()\n"
     assert "LMP010" in rule_ids(source, path=CLUSTER_PATH)
     assert "LMP010" in rule_ids(source, path=pathlib.Path("src/repro/obs/tracing.py"))
 
 
 def test_lmp010_defers_wall_clock_to_lmp001_inside_sim_subsystems():
-    # inside sim/core/fabric/hw/mem the wall-clock ban is LMP001's job;
-    # LMP010 stays silent so one call never produces two findings
+    # inside sim/core/fabric/hw/mem one wall-clock call is exactly one
+    # LMP010 finding: no second rule reports it again
     ids = rule_ids("import time\nt = time.monotonic()\n", path=SIM_PATH)
-    assert "LMP001" in ids
-    assert "LMP010" not in ids
+    assert ids == ["LMP010"]
 
 
 def test_lmp010_flags_ambient_entropy_everywhere():
@@ -416,7 +417,7 @@ def test_noqa_bare_suppresses_everything_on_the_line():
 
 
 def test_noqa_for_other_rule_does_not_suppress():
-    source = "for h in {3, 1, 2}:  # noqa: LMP001\n    print(h)\n"
+    source = "for h in {3, 1, 2}:  # noqa: LMP002\n    print(h)\n"
     assert "LMP003" in rule_ids(source)
 
 

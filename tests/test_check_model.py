@@ -262,10 +262,14 @@ def test_run_check_model_bad_scope_and_depth_are_usage_errors(clean_tree):
     )
 
 
-def test_run_check_mutants_requires_model(clean_tree, capsys):
-    code = run_check([clean_tree], mutants=True, stream=io.StringIO())
-    assert code == EXIT_USAGE
-    assert "--mutants requires --model" in capsys.readouterr().err
+def test_run_check_mutants_without_model_skips_protocol_mutants(clean_tree):
+    # --mutants alone self-tests the linter; the protocol mutants need --model
+    stream = io.StringIO()
+    code = run_check([clean_tree], mutants=True, stream=stream)
+    assert code == EXIT_CLEAN
+    out = stream.getvalue()
+    assert "lint mutation harness:" in out
+    assert "seeded bug(s) caught" not in out
 
 
 def test_run_check_model_violation_exits_4_with_replay(clean_tree, monkeypatch):

@@ -1,7 +1,8 @@
-"""CLI/runner tests: exit codes, formats, rule selection, --fix, --races.
+"""CLI/runner tests: exit codes, formats, rule selection, --fix, --races,
+and flow findings reported as ordinary lint findings.
 
 The exit-code contract is part of the CI interface and must stay
-stable: 0 clean, 1 findings, 2 usage error, 3 internal error.
+stable: 0 clean, 1 findings, 2 usage error, 3 internal error, 4 model.
 """
 
 from __future__ import annotations
@@ -143,15 +144,14 @@ def test_exit_codes_are_distinct_and_documented():
         EXIT_USAGE,
         EXIT_INTERNAL,
         runner_mod.EXIT_MODEL,
-        runner_mod.EXIT_FLOW,
     }
-    assert codes == {0, 1, 2, 3, 4, 5}
+    assert codes == {0, 1, 2, 3, 4}
     doc = runner_mod.__doc__
     for code in sorted(codes):
         assert f"``{code}``" in doc
 
 
-# --- --flow -----------------------------------------------------------------------
+# --- flow rules in the one lint pass ------------------------------------------------
 
 FLOW_BAD_SOURCE = (
     "def f(alloc, n):\n"
@@ -169,22 +169,10 @@ def flow_dirty_tree(tmp_path: pathlib.Path) -> pathlib.Path:
     return tmp_path
 
 
-def test_flow_exit_five_on_finding(flow_dirty_tree):
-    stream = io.StringIO()
-    code = run_check([flow_dirty_tree], flow=True, stream=stream)
-    assert code == runner_mod.EXIT_FLOW
-    assert "LMP011" in stream.getvalue()
-
-
 def test_flow_clean_tree_exits_zero(clean_tree):
     stream = io.StringIO()
-    assert run_check([clean_tree], flow=True, stream=stream) == EXIT_CLEAN
-    assert "--flow" in stream.getvalue()
-
-
-def test_flow_off_ignores_flow_findings(flow_dirty_tree):
-    # without --flow the dirty tree passes the classic lint
-    assert run_check([flow_dirty_tree], stream=io.StringIO()) == EXIT_CLEAN
+    assert run_check([clean_tree], stream=stream) == EXIT_CLEAN
+    assert "1 file(s) clean" in stream.getvalue()
 
 
 def test_flow_noqa_suppresses(flow_dirty_tree):
@@ -193,69 +181,55 @@ def test_flow_noqa_suppresses(flow_dirty_tree):
         "    alloc.free(h)\n    alloc.free(h)\n",
         "    alloc.free(h)\n    alloc.free(h)  # noqa: LMP011\n",
     ))
-    assert run_check([flow_dirty_tree], flow=True, stream=io.StringIO()) == EXIT_CLEAN
+    assert run_check([flow_dirty_tree], stream=io.StringIO()) == EXIT_CLEAN
 
 
 def test_flow_select_filters_flow_rules(flow_dirty_tree):
-    code = run_check(
-        [flow_dirty_tree], flow=True, select=["LMP012"], stream=io.StringIO()
-    )
+    code = run_check([flow_dirty_tree], select=["LMP012"], stream=io.StringIO())
     assert code == EXIT_CLEAN  # LMP011 not selected
-    code = run_check(
-        [flow_dirty_tree], flow=True, select=["LMP011"], stream=io.StringIO()
-    )
-    assert code == runner_mod.EXIT_FLOW
-
-
-def test_flow_rule_select_without_flow_is_usage_error(flow_dirty_tree, capsys):
-    # a flow-only --select without --flow used to run zero rules and
-    # still report "clean" with exit 0
     code = run_check([flow_dirty_tree], select=["LMP011"], stream=io.StringIO())
-    assert code == EXIT_USAGE
-    assert "--flow" in capsys.readouterr().err
-    # mixed lint + flow selection without --flow is rejected the same way
-    code = run_check(
-        [flow_dirty_tree], select=["LMP003,LMP011"], stream=io.StringIO()
-    )
-    assert code == EXIT_USAGE
-
-
-def test_mutants_requires_model_or_flow(clean_tree):
-    assert run_check([clean_tree], mutants=True, stream=io.StringIO()) == EXIT_USAGE
+    assert code == EXIT_FINDINGS
 
 
 def test_flow_mutants_all_caught(clean_tree):
     stream = io.StringIO()
-    code = run_check([clean_tree], flow=True, mutants=True, stream=stream)
+    code = run_check([clean_tree], mutants=True, stream=stream)
     assert code == EXIT_CLEAN
     out = stream.getvalue()
     assert "MISSED" not in out
-    assert "/16 seeded defect(s) caught" in out
+    assert "/18 seeded defect(s) caught" in out
+    # the retired rules' shapes die at their seeded lines
+    assert "caught  release-in-try-body [LMP012] at repro/core/__mutant__.py:2" in out
+    assert "caught  wall-clock-in-sim [LMP010] at repro/sim/__mutant__.py:4" in out
 
 
 def test_flow_json_payload(flow_dirty_tree):
     stream = io.StringIO()
-    code = run_check([flow_dirty_tree], flow=True, fmt="json", stream=stream)
+    code = run_check([flow_dirty_tree], mutants=True, fmt="json", stream=stream)
     payload = json.loads(stream.getvalue())
-    assert payload["exit_code"] == code == runner_mod.EXIT_FLOW
-    (violation,) = payload["flow"]["violations"]
+    assert payload["version"] == 2
+    assert payload["exit_code"] == code == EXIT_FINDINGS
+    (violation,) = payload["violations"]
     assert violation["rule"] == "LMP011"
     assert violation["line"] == 4
     assert violation["path"].endswith("bad_flow.py")
-    assert payload["flow"]["enabled"] is True
+    assert "flow" not in payload and "flow_mutants" not in payload
+    assert len(payload["lint_mutants"]) == 18
+    assert all(m["caught"] for m in payload["lint_mutants"])
 
 
 def test_flow_github_annotations(flow_dirty_tree):
     stream = io.StringIO()
-    code = run_check([flow_dirty_tree], flow=True, fmt="github", stream=stream)
-    assert code == runner_mod.EXIT_FLOW
+    code = run_check([flow_dirty_tree], fmt="github", stream=stream)
+    assert code == EXIT_FINDINGS
     assert "::error file=" in stream.getvalue()
     assert "title=LMP011" in stream.getvalue()
 
 
 def test_cli_flow_flag_end_to_end(flow_dirty_tree, capsys):
-    code = main(["check", str(flow_dirty_tree), "--flow"])
-    assert code == runner_mod.EXIT_FLOW
+    # flow findings need no flag: the plain CLI run reports them
+    code = main(["check", str(flow_dirty_tree)])
+    assert code == EXIT_FINDINGS
     assert "LMP011" in capsys.readouterr().out
 
 
@@ -279,7 +253,7 @@ def test_fix_rewrites_tmp_tree(dirty_tree):
 
 
 def test_select_limits_rules(dirty_tree):
-    code = run_check([dirty_tree], select=["LMP001,LMP002"], stream=io.StringIO())
+    code = run_check([dirty_tree], select=["LMP002"], stream=io.StringIO())
     assert code == EXIT_CLEAN  # LMP003 not selected
     code = run_check([dirty_tree], select=["LMP003"], stream=io.StringIO())
     assert code == EXIT_FINDINGS
