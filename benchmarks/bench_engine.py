@@ -1,6 +1,6 @@
 """E2 — DES core throughput: the engine's events/sec trajectory.
 
-Four workloads:
+Five workloads:
 
 * ``event_churn`` — callback chains rescheduling bare timeouts: the
   dispatch loop and timeout pool with nothing else in the way.
@@ -15,6 +15,10 @@ Four workloads:
   fluid solver exists for — the seed engine pays O(#flows) per event
   here, the solver pays nothing between rate changes — and it is the
   configuration the headline speedup-vs-seed is measured on.
+* ``figure_stream`` — the paper's 14-core vector sum on one
+  Physical-cache pool (Figure 3's 24 GB vector, link0): every core
+  chunk is a rate-capped flow, so this gates the solver's capped
+  (path, cap) groups, the regime Figures 2–5 live in.
 
 Standalone (the CI engine-bench job)::
 
@@ -215,6 +219,28 @@ def cluster_dense(tenants: int = 1024, ops_per_tenant: int = 12) -> tuple[int, f
     return deployment.engine.events_processed, elapsed, report.total_ops
 
 
+# -- workload 5: capped figure stream -----------------------------------------
+
+
+def figure_stream(repetitions: int = 10) -> tuple[int, float]:
+    """Figure 3's vector sum on a Physical-cache pool over link0: 14
+    cores, each streaming its shard as rate-capped chunk flows.
+
+    Returns (events, wall_seconds)."""
+    from repro.core.pool import PhysicalMemoryPool
+    from repro.experiments.figures import FIGURE_SIZES
+    from repro.topology.builder import build_physical
+    from repro.units import gib
+    from repro.workloads.vector_sum import run_vector_sum
+
+    deployment = build_physical("link0", cache=True)
+    pool = PhysicalMemoryPool(deployment)
+    started = time.perf_counter()
+    run_vector_sum(pool, gib(FIGURE_SIZES["figure3"]), repetitions=repetitions)
+    elapsed = time.perf_counter() - started
+    return deployment.engine.events_processed, elapsed
+
+
 # -- pytest-benchmark entry points ------------------------------------------
 
 
@@ -232,6 +258,11 @@ def test_e2_timeout_storm(benchmark):
 def test_e2_cluster_slice(benchmark):
     events, _, ops = benchmark.pedantic(cluster_slice, args=(8, 30), rounds=1, iterations=1)
     assert ops == 8 * 30
+    assert events > 0
+
+@pytest.mark.benchmark(group="engine")
+def test_e2_figure_stream(benchmark):
+    events, _ = benchmark.pedantic(figure_stream, args=(1,), rounds=1, iterations=1)
     assert events > 0
 
 
@@ -255,6 +286,7 @@ def _configs() -> list[tuple[str, _t.Callable[[], dict[str, float]]]]:
         ("timeout_storm", timed(lambda: timeout_storm(200, 500))),
         ("cluster_slice", timed(lambda: cluster_slice(32, 150))),
         ("cluster_dense", timed(lambda: cluster_dense(1024, 12))),
+        ("figure_stream", timed(lambda: figure_stream(10))),
     ]
 
 
@@ -284,6 +316,7 @@ def smoke(
     timeout_storm(20, 50)
     cluster_slice(4, 20)
     cluster_dense(64, 4)
+    figure_stream(1)
 
     results: dict[str, dict[str, float]] = {}
     for name, run in _configs():

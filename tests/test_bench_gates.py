@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 BASELINE = BENCHMARKS / "baselines" / "BENCH_engine_baseline.json"
 
-CONFIGS = {"event_churn", "timeout_storm", "cluster_slice", "cluster_dense"}
+CONFIGS = {"event_churn", "timeout_storm", "cluster_slice", "cluster_dense", "figure_stream"}
 
 
 def load_bench(stem: str, monkeypatch: pytest.MonkeyPatch):

@@ -216,35 +216,29 @@ def test_single_capped_flow_matches_closed_form(size, cap, rate):
     assert engine.now == pytest.approx(size / min(cap, rate), rel=1e-6)
 
 
-# -- transitions, path groups, and the two waterfill passes --------------------
+# -- transitions and (path, cap) groups -----------------------------------------
 #
-# Progress is advanced only at rate transitions, and at
-# >= _GROUPED_RECOMPUTE_MIN uncapped flows the solver waterfills per
-# distinct path instead of per flow.  These tests pin both against
-# hand-computed max-min schedules.  (The ``test_hybrid_`` prefix dates
+# Progress is advanced only at rate transitions, and the solver
+# waterfills per distinct (path, rate cap) group instead of per flow.
+# These tests pin it against hand-computed max-min schedules and against
+# a per-flow reference waterfill.  (The ``test_hybrid_`` prefix dates
 # from when this solver was an opt-in "hybrid" mode.)
 
 
-def test_hybrid_single_flow_matches_default(monkeypatch):
-    """A lone flow finishes at size/rate whichever waterfill pass runs:
-    the default selection (per-flow, one flow is below the grouped
-    threshold) or the grouped pass forced on from one flow."""
+def test_hybrid_single_flow_matches_default():
+    """A lone flow finishes at the closed form: size over its bottleneck
+    (the link, or its own cap), and a path that crosses one node twice
+    charges the flow twice there (half the node's rate)."""
 
-    def finish() -> tuple[float, bool]:
+    def finish(route: str, rate_cap: float = math.inf) -> float:
         engine, fluid = make()
-        link = Capacity("link", 10.0)
-        done = fluid.transfer([link], 1000.0)
-        grouped = fluid._virtualized
-        engine.run(done)
-        return engine.now, grouped
+        nodes = {"l": Capacity("link", 10.0), "w": Capacity("wide", 40.0)}
+        engine.run(fluid.transfer([nodes[c] for c in route], 1000.0, rate_cap=rate_cap))
+        return engine.now
 
-    default_time, grouped = finish()
-    assert not grouped
-    monkeypatch.setattr("repro.sim.fluid._GROUPED_RECOMPUTE_MIN", 1)
-    forced_time, grouped = finish()
-    assert grouped
-    assert default_time == pytest.approx(100.0)
-    assert forced_time == pytest.approx(default_time, rel=1e-12)
+    assert finish("l") == pytest.approx(100.0, rel=1e-12)
+    assert finish("wl", rate_cap=4.0) == pytest.approx(250.0, rel=1e-12)
+    assert finish("lwl") == pytest.approx(200.0, rel=1e-12)
 
 
 def test_staggered_join_drain_capped_completion_times():
@@ -279,78 +273,222 @@ def test_staggered_join_drain_capped_completion_times():
     assert list(finished) == ["A", "C", "B"]
 
 
-def _mixed_path_completions() -> tuple[dict[int, float], bool]:
-    """Twelve uncapped flows over three overlapping paths; returns each
-    flow's completion time and whether the grouped pass ever engaged."""
+def _reference_rates(
+    paths: list[tuple[int, ...]], caps: list[float], rates: tuple[float, ...]
+) -> list[float]:
+    """Per-flow max-min water-fill: each round, every flow whose cap is
+    at or below the bottleneck share freezes at its cap; otherwise the
+    flows through the bottleneck freeze at its share.  A path listing a
+    node twice counts against it twice."""
+    share_of = [0.0] * len(paths)
+    left = list(rates)
+    unfrozen = set(range(len(paths)))
+    while unfrozen:
+        crossings = [0] * len(rates)
+        for i in unfrozen:
+            for node in paths[i]:
+                crossings[node] += 1
+        share, bottleneck = min(
+            (left[node] / k, node) for node, k in enumerate(crossings) if k
+        )
+        capped = {i for i in unfrozen if caps[i] <= share}
+        frozen = capped or {i for i in unfrozen if bottleneck in paths[i]}
+        for i in frozen:
+            share_of[i] = caps[i] if capped else share
+            for node in paths[i]:
+                left[node] -= share_of[i]
+        unfrozen -= frozen
+    return share_of
+
+
+def _reference_completions(
+    specs: list[tuple[float, tuple[int, ...], float, float]], rates: tuple[float, ...]
+) -> dict[int, float]:
+    """Event-by-event fluid schedule of *specs* (start, path, cap, size),
+    re-solving :func:`_reference_rates` at every start and completion."""
+    now = 0.0
+    left: dict[int, float] = {}
+    done: dict[int, float] = {}
+    pending = list(range(len(specs)))
+    while pending or left:
+        active = list(left)
+        shares = _reference_rates([specs[i][1] for i in active], [specs[i][2] for i in active], rates)
+        finish_at = {i: now + left[i] / r for i, r in zip(active, shares)}
+        step = min(finish_at.values(), default=math.inf)
+        if pending:
+            step = min(step, specs[pending[0]][0])
+        for i, r in zip(active, shares):
+            if finish_at[i] <= step * (1 + 1e-12):
+                del left[i]
+                done[i] = step
+            else:
+                left[i] -= r * (step - now)
+        now = step
+        while pending and specs[pending[0]][0] <= now:
+            i = pending.pop(0)
+            left[i] = specs[i][3]
+    return done
+
+
+#: three capacities, and paths over them (the last crosses node 2 twice)
+_REF_RATES = (10.0, 7.0, 13.0)
+_REF_PATHS = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2), (2, 0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e8),
+            st.sampled_from(_REF_PATHS),
+            st.sampled_from((1.5, 3.0, math.inf)),
+            st.floats(1e7, 1e9),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+)
+def test_grouped_waterfill_matches_per_flow_waterfill(flows):
+    """The (path, cap)-grouped solver reproduces a per-flow max-min
+    reference: same completion order, same completion times.  (Sizes
+    are large enough that COMPLETION_EPSILON's early finish of a
+    sub-epsilon residue stays below the tolerance.)"""
+    specs = []
+    start = 0.0
+    for gap, path, cap, size in flows:
+        start += gap
+        specs.append((start, path, cap, size))
+    expected = _reference_completions(specs, _REF_RATES)
+
     engine, fluid = make()
-    up = Capacity("up", 34.5)
-    down = Capacity("down", 34.5)
-    chan = Capacity("chan", 97.0)
-    paths = ([up, down], [chan, up], [chan])
+    nodes = [Capacity(f"c{k}", rate) for k, rate in enumerate(_REF_RATES)]
     finished: dict[int, float] = {}
-    grouped = False
 
     def launcher():
-        nonlocal grouped
-        flows = []
-        for i in range(12):
-            flow = fluid.transfer(paths[i % 3], 1000.0 * (1 + i % 5))
-            flow.callbacks.append(lambda _e, i=i: finished.setdefault(i, engine.now))
-            flows.append(flow)
-            grouped = grouped or fluid._virtualized
-            yield engine.timeout(3.0)
-        yield engine.all_of(flows)
+        for i, (at, path, cap, size) in enumerate(specs):
+            if at > engine.now:
+                yield engine.timeout(at - engine.now)
+            done = fluid.transfer([nodes[k] for k in path], size, rate_cap=cap)
+            done.callbacks.append(lambda _e, i=i: finished.setdefault(i, engine.now))
 
-    engine.run(engine.process(launcher()))
-    return finished, grouped
-
-
-def test_grouped_waterfill_matches_per_flow_waterfill(monkeypatch):
-    grouped, used_groups = _mixed_path_completions()
-    assert used_groups
-    monkeypatch.setattr("repro.sim.fluid._GROUPED_RECOMPUTE_MIN", 10**9)
-    per_flow, used_groups = _mixed_path_completions()
-    assert not used_groups
-    assert list(grouped) == list(per_flow)
-    assert grouped == pytest.approx(per_flow, rel=1e-9)
+    engine.process(launcher())
+    engine.run()
+    assert finished == pytest.approx(expected, rel=1e-9)
+    # completion order: each callback fires no earlier than its
+    # predecessor in the reference schedule (to within float ties)
+    order = list(finished)
+    for before, after in zip(order, order[1:]):
+        assert expected[before] <= expected[after] * (1 + 1e-9)
 
 
 def test_hybrid_grouped_solver_virtualizes_large_flow_sets():
-    """>= _GROUPED_RECOMPUTE_MIN same-path flows flip the model into
-    virtual-service accounting; completions still match the closed form
-    (n identical flows through one link finish together at n*size/rate)."""
+    """n identical flows through one link form one group and finish
+    together at n*size/rate."""
     engine, fluid = make()
     link = Capacity("link", 8.0)
     flows = [fluid.transfer([link], 160.0) for _ in range(12)]
-    assert fluid._virtualized  # grouped path engaged
+    assert len(fluid._groups) == 1
+    finished: list[float] = []
+    for flow in flows:
+        flow.callbacks.append(lambda _e: finished.append(engine.now))
     engine.run(engine.all_of(flows))
-    assert engine.now == pytest.approx(12 * 160.0 / 8.0)
+    assert finished == [pytest.approx(12 * 160.0 / 8.0, rel=1e-12)] * 12
     assert fluid.active_transfers == 0
-    assert not fluid._virtualized
+    assert not fluid._groups
 
 
 def test_hybrid_capped_join_materializes_virtual_state():
-    """A rate-capped flow joining a virtualized group forces the solver
-    back to per-flow accounting without losing progress."""
+    """A rate-capped flow joining a large uncapped group mid-flight
+    starts its own group without losing the others' progress."""
     engine, fluid = make()
     link = Capacity("link", 10.0)
     flows = [fluid.transfer([link], 500.0) for _ in range(10)]
-    assert fluid._virtualized
 
     def join_capped():
         yield engine.timeout(100.0)  # each flow has moved 100 bytes
         capped = fluid.transfer([link], 330.0, rate_cap=0.5)
-        assert not fluid._virtualized
+        assert len(fluid._groups) == 2
         yield capped
 
     joiner = engine.process(join_capped())
     engine.run(engine.all_of(flows))
-    # materialized progress intact: the ten had 400 left at t=100 and
-    # share 10 - 0.5 from then on -> 0.95 each
+    # progress intact: the ten had 400 left at t=100 and share
+    # 10 - 0.5 from then on -> 0.95 each
     assert engine.now == pytest.approx(100.0 + 400.0 / 0.95)
     engine.run(joiner)
     # the cap binds the whole time: 330 bytes at 0.5 from t=100
     assert engine.now == pytest.approx(100.0 + 330.0 / 0.5)
+
+
+def test_equal_instant_completions_fire_in_transfer_start_order():
+    """Flows in different groups that drain at the same instant complete
+    in the order their transfers started, not in group order.
+
+    A=[x] 1000 B starts x's group; D=[y] 100 B then E=[x] 50 B.  x splits
+    5/5 between A and E, y gives D all 10: D and E both drain at t=10,
+    and x's group (holding E) was formed before y's (holding D)."""
+    engine, fluid = make()
+    x = Capacity("x", 10.0)
+    y = Capacity("y", 10.0)
+    order: list[str] = []
+    for name, path, size in (("A", [x], 1000.0), ("D", [y], 100.0), ("E", [x], 50.0)):
+        done = fluid.transfer(path, size)
+        done.callbacks.append(lambda _e, n=name: order.append(n))
+    engine.run(until=10.0 + 1e-9)
+    assert order == ["D", "E"]
+    assert engine.now == pytest.approx(10.0)
+
+
+def test_capped_groups_on_one_path_match_max_min_schedule():
+    """14 flows on one 14 B/ns link in three cap groups.
+
+    t=0:  the fair share is 1.  A (4 flows, cap 0.5) binds first and
+          takes 2; the share of the other ten is 1.2, so B (5 flows,
+          cap 1) binds and takes 5; C (5 flows, cap 3) splits the other
+          7 at 1.4 each — its cap does not bind yet.
+    t=10: B (10 B each) and C's two 14 B flows drain.  The three long
+          C flows would now get (14 - 2) / 3 = 4 each, so their cap
+          binds at 3: 44 - 14 = 30 B left takes until t=20.
+    t=30: A, capped at 0.5 throughout, drains its 15 B.
+    """
+    engine, fluid = make()
+    link = Capacity("link", 14.0)
+    specs = (
+        [("A", 0.5, 15.0)] * 4
+        + [("B", 1.0, 10.0)] * 5
+        + [("C", 3.0, 14.0)] * 2
+        + [("C", 3.0, 44.0)] * 3
+    )
+    finished: list[tuple[str, float]] = []
+    flows = []
+    for name, cap, size in specs:
+        flow = fluid.transfer([link], size, rate_cap=cap)
+        flow.callbacks.append(lambda _e, n=name: finished.append((n, engine.now)))
+        flows.append(flow)
+    assert len(fluid._groups) == 3
+    assert link.used_rate == pytest.approx(14.0)
+    engine.run(until=15.0)
+    assert link.used_rate == pytest.approx(2.0 + 9.0)
+    engine.run(engine.all_of(flows))
+    assert [n for n, _ in finished] == ["B"] * 5 + ["C"] * 5 + ["A"] * 4
+    assert [t for _, t in finished] == pytest.approx([10.0] * 7 + [20.0] * 3 + [30.0] * 4, rel=1e-12)
+
+
+def test_settle_writes_back_per_flow_remaining():
+    """After settle(), every in-flight flow's `remaining` and `rate` are
+    current: 800 B uncapped and 600 B capped at 2 on a 10 B/ns link run
+    at 8 and 2, so at t=50 they have 400 and 500 B left."""
+    engine, fluid = make()
+    link = Capacity("link", 10.0)
+    fluid.transfer([link], 800.0)
+    fluid.transfer([link], 600.0, rate_cap=2.0)
+    engine.run(until=50.0)
+    fluid.settle()
+    greedy, capped = fluid._transfers
+    assert (greedy.remaining, greedy.rate) == (pytest.approx(400.0), pytest.approx(8.0))
+    assert (capped.remaining, capped.rate) == (pytest.approx(500.0), pytest.approx(2.0))
+    engine.run()
+    assert engine.now == pytest.approx(100.0 + 400.0 / 2.0)
 
 
 def test_hybrid_settle_exposes_midflight_progress():
@@ -381,6 +519,17 @@ def test_hybrid_tiny_transfer_completes():
     assert done.triggered
 
 
+def test_settle_completes_tiny_transfer_at_once():
+    """A transfer below COMPLETION_EPSILON is done the moment it starts:
+    settle() at the same instant retires it."""
+    engine, fluid = make()
+    link = Capacity("link", 10.0)
+    done = fluid.transfer([link], 1e-6)
+    fluid.settle()
+    assert done.triggered
+    assert fluid.active_transfers == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     sizes=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=12),
@@ -388,8 +537,7 @@ def test_hybrid_tiny_transfer_completes():
 )
 def test_hybrid_aggregate_throughput_equals_capacity(sizes, rate):
     """The solver conserves work: total bytes / makespan equals
-    the link rate, whether or not the flow count crosses the grouped
-    (virtual-service) threshold."""
+    the link rate, however many flows share the link's one group."""
     engine, fluid = make()
     link = Capacity("link", rate)
     flows = [fluid.transfer([link], size) for size in sizes]
