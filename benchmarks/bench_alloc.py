@@ -2,13 +2,13 @@
 
 The gauntlet's :class:`~repro.mem.arena.gauntlet.GauntletReport` is
 deliberately wall-clock-free (determinism); this bench is where real
-throughput lives.  Under pytest-benchmark it times one churn replay per
-registered allocator; standalone::
+throughput lives.  The CI smoke job::
 
     PYTHONPATH=src python benchmarks/bench_alloc.py --smoke
 
-is the CI smoke job: it verifies the ``Gauntlet._obs`` seam defaults to
-``None`` (zero-cost convention), measures ops/sec and fragmentation for
+verifies every detector/observability seam, ``Gauntlet._obs`` among
+them, defaults to ``None`` (zero-cost convention; checked by
+``_harness.assert_seams_cold``), measures ops/sec and fragmentation for
 every allocator on the churn trace, checks that installing
 :mod:`repro.obs` neither changes the scores nor costs more than a few
 percent, and writes everything to ``BENCH_alloc.json`` for the CI
@@ -17,11 +17,9 @@ artifact upload.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 
-import pytest
+from _harness import assert_seams_cold, write_json
 
 from repro.core.migration import ArenaCompactor
 from repro.experiments import alloc
@@ -36,37 +34,11 @@ def _replay(allocator: str, ops: int):
     return gauntlet.replay(allocator, "churn", ops=ops, seed=7)
 
 
-@pytest.mark.benchmark(group="alloc")
-@pytest.mark.parametrize("allocator", allocator_names())
-def test_a10_allocator_throughput(benchmark, allocator):
-    report = benchmark.pedantic(_replay, args=(allocator, 20000), rounds=1, iterations=1)
-    assert report.ops == 20000
-    assert report.frees + report.failures + report.allocs >= report.ops // 2
-
-
-@pytest.mark.benchmark(group="alloc")
-def test_a10_experiment(run_once, record_result):
-    result = run_once(alloc.run)
-    record_result("alloc", result.render())
-    # compaction must measurably reduce mean external fragmentation on churn
-    by_key = {(r.allocator, r.compaction): r for r in result.ablation}
-    for name in ("first-fit", "best-fit"):
-        assert by_key[(name, True)].ext_frag_mean < by_key[(name, False)].ext_frag_mean
-        assert by_key[(name, True)].passes > 0
-
-
-# --- standalone smoke mode (CI: artifact + zero-cost guard) ---------------------
-
-
-def _assert_seam_uninstalled() -> None:
-    from repro.mem.arena.gauntlet import Gauntlet as _G
-
-    if _G._obs is not None:
-        raise SystemExit("Gauntlet._obs unexpectedly installed (must default to None)")
+# --- smoke (CI: artifact + zero-cost guard) --------------------------------------
 
 
 def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
-    _assert_seam_uninstalled()
+    assert_seams_cold()
     results: dict[str, dict[str, float]] = {}
     for name in allocator_names():
         _replay(name, 512)  # warm-up: imports and bytecode out of the timing
@@ -116,7 +88,7 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
         started = time.perf_counter()
         obs_report = _replay("first-fit", ops)
         with_obs = time.perf_counter() - started
-    _assert_seam_uninstalled()
+    assert_seams_cold()
     if round(obs_report.ext_frag_mean, 4) != baseline["ext_frag_mean"]:
         raise SystemExit(
             "observability changed the gauntlet scores: "
@@ -125,11 +97,9 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
     overhead = with_obs / bare if bare else 1.0
     results["_meta"] = {"ops": ops, "obs_overhead": round(overhead, 3)}
     print(f"obs overhead on first-fit churn: {overhead:.2f}x uninstalled")
-    print("Gauntlet._obs seam: None (zero-cost path) — OK")
+    print("detector seams (Gauntlet._obs among them): all None (zero-cost path) — OK")
 
-    path = pathlib.Path(out)
-    path.write_text(json.dumps({"trace": "churn", "results": results}, indent=2) + "\n")
-    print(f"wrote {path}")
+    write_json(out, {"trace": "churn", "results": results})
 
 
 if __name__ == "__main__":
@@ -139,11 +109,11 @@ if __name__ == "__main__":
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run the fast no-pytest smoke: seam check + BENCH_alloc.json",
+        help="run the smoke: seam check + BENCH_alloc.json",
     )
     parser.add_argument("--ops", type=int, default=20000)
     parser.add_argument("--out", default="BENCH_alloc.json")
     cli_args = parser.parse_args()
     if not cli_args.smoke:
-        parser.error("pass --smoke (benchmark mode runs under pytest-benchmark)")
+        parser.error("pass --smoke")
     smoke(ops=cli_args.ops, out=cli_args.out)

@@ -16,9 +16,10 @@ upload.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
+
+from _harness import write_json
 
 #: CI budget for one full-repo lint pass plus the mutant self-test
 BUDGET_S = 10.0
@@ -68,9 +69,7 @@ def smoke(out: str = "BENCH_check.json") -> None:
     )
     print(f"lint mutants: {caught}/{len(mutant_reports)} caught in {mutants_s:.2f}s")
 
-    path = pathlib.Path(out)
-    path.write_text(json.dumps({"target": str(_SRC), "results": results}, indent=2) + "\n")
-    print(f"wrote {path}")
+    write_json(out, {"target": str(_SRC), "results": results})
 
     total_s = lint_s + mutants_s
     if total_s > BUDGET_S:
@@ -109,11 +108,11 @@ if __name__ == "__main__":
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run the fast no-pytest smoke: time the lint pass + mutants, "
+        help="run the smoke: time the lint pass + mutants, "
         "write BENCH_check.json",
     )
     parser.add_argument("--out", default="BENCH_check.json")
     cli_args = parser.parse_args()
     if not cli_args.smoke:
-        parser.error("pass --smoke (this bench has no pytest-benchmark mode yet)")
+        parser.error("pass --smoke")
     smoke(out=cli_args.out)

@@ -1,5 +1,6 @@
 """The engine and scale benches' regression gates must run, and fail
-loudly when their committed baselines are missing instead of skipping."""
+loudly when their committed baselines, or any floor in them, are
+missing instead of skipping."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ CONFIGS = {"event_churn", "timeout_storm", "cluster_slice", "cluster_dense", "fi
 
 
 def load_bench(stem: str, monkeypatch: pytest.MonkeyPatch):
-    # bench_scale imports bench_engine's calibration probe by module name
+    # both benches import benchmarks/_harness.py by module name
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     name = f"{stem}_under_test"
     spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{stem}.py")
@@ -35,7 +36,6 @@ def load_bench(stem: str, monkeypatch: pytest.MonkeyPatch):
 def test_engine_baseline_is_committed_for_every_configuration():
     baseline = json.loads(BASELINE.read_text())
     assert set(baseline["results"]) == CONFIGS
-    assert baseline["calibration_ops_per_sec"] > 0
     assert all(r["events_per_sec"] > 0 for r in baseline["results"].values())
 
 
@@ -56,4 +56,34 @@ def test_scale_smoke_fails_without_baseline(tmp_path, monkeypatch):
     out = tmp_path / "BENCH_scale.json"
     with pytest.raises(SystemExit, match="no committed baseline"):
         bench_scale.smoke(out=str(out))
+    assert not out.exists()  # failed before measuring anything
+
+
+@pytest.mark.parametrize(
+    ("stem", "dropped"), [("bench_engine", "figure_stream"), ("bench_scale", "elastic_slice")]
+)
+def test_smoke_fails_when_a_floor_is_missing(tmp_path, monkeypatch, stem, dropped):
+    bench = load_bench(stem, monkeypatch)
+    baseline = json.loads(bench._BASELINE_PATH.read_text())
+    del baseline["results"][dropped]
+    partial = tmp_path / "baseline.json"
+    partial.write_text(json.dumps(baseline))
+    monkeypatch.setattr(bench, "_BASELINE_PATH", partial)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match=f"{dropped}: measured but has no committed floor"):
+        bench.smoke(out=str(out))
+    assert not out.exists()  # failed before measuring anything
+
+
+@pytest.mark.parametrize("stem", ["bench_engine", "bench_scale"])
+def test_smoke_fails_when_a_floor_names_no_configuration(tmp_path, monkeypatch, stem):
+    bench = load_bench(stem, monkeypatch)
+    baseline = json.loads(bench._BASELINE_PATH.read_text())
+    baseline["results"]["retired_config"] = {"events_per_sec": 1.0}
+    extra = tmp_path / "baseline.json"
+    extra.write_text(json.dumps(baseline))
+    monkeypatch.setattr(bench, "_BASELINE_PATH", extra)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="retired_config: committed floor but no such configuration"):
+        bench.smoke(out=str(out))
     assert not out.exists()  # failed before measuring anything

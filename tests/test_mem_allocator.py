@@ -95,6 +95,21 @@ def test_freelist_invalid_config():
         FreeListAllocator(1024, align=48)
 
 
+def test_freelist_alloc_count_counts_requests_not_live_blocks():
+    """500 requests interleaved with frees: ``alloc_count`` counts every
+    grant (frees do not lower it), and a relocation is not a new one."""
+    alloc = FreeListAllocator(1 << 30, align=4096)
+    live = []
+    for i in range(500):
+        live.append(alloc.allocate(4096 * (1 + i % 17)))
+        if i % 3 == 0:
+            alloc.free(live.pop(0))
+    assert alloc.alloc_count == 500
+    alloc.relocate(live[-1])
+    assert alloc.alloc_count == 500
+    alloc.check_invariants()
+
+
 def test_freelist_rejects_nonpositive_alloc():
     with pytest.raises(AllocationError):
         FreeListAllocator(1024).allocate(0)

@@ -393,7 +393,7 @@ def test_gauntlet_scores_every_pair():
     for report in reports:
         assert report.ops == 1500
         # frees of failure-orphaned slots are dropped, so <= not ==
-        assert report.allocs + report.frees + report.failures <= report.ops
+        assert report.ops // 2 <= report.allocs + report.frees + report.failures <= report.ops
         assert report.allocs >= report.frees > 0
         assert 0.0 <= report.internal_fragmentation < 1.0
         assert 0.0 <= report.failure_rate <= 1.0

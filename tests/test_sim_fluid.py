@@ -155,6 +155,21 @@ def test_bytes_counter_accumulates():
     assert link.stats.counter("bytes").value == pytest.approx(1000.0)
 
 
+def test_sequential_transfers_each_cost_an_event():
+    """1000 back-to-back chunk transfers through one capacity: each
+    completion is an engine event, none is folded away."""
+    engine, fluid = make()
+    link = Capacity("link", 34.5)
+
+    def body():
+        for _ in range(1000):
+            yield fluid.transfer([link], 4 * 1024 * 1024)
+
+    engine.run(engine.process(body()))
+    assert engine.events_processed >= 1000
+    assert link.stats.counter("bytes").value == pytest.approx(1000 * 4 * 1024 * 1024)
+
+
 def test_mid_transfer_join_is_exact():
     """A flow joining halfway perturbs the first flow's finish time in
     the exact fluid way."""
