@@ -222,7 +222,7 @@ class PoolManager:
     def pool_free_bytes(self) -> int:
         """Capacity placement could still use: free shared plus private
         memory live servers can flex into the pool (§4.5)."""
-        return sum(self.pool.potential_free_by_server().values())
+        return self.pool.potential_free_bytes
 
     def rack_view(self) -> list[tuple[int, int, int, bool]]:
         """Per-server (id, shared_used, potential_free, alive) rows."""

@@ -27,12 +27,17 @@ import dataclasses
 import typing as _t
 
 from repro.core.pool import LogicalMemoryPool
-from repro.core.profiling import AccessProfiler
+from repro.core.profiling import AccessProfiler, dominant
 from repro.errors import CapacityError, ConfigError, MigrationError
 from repro.units import gib
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.process import Process
+
+
+def _no_heat(_extent_index: int) -> float:
+    """Every extent is equally cold when no profiler is attached."""
+    return 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,16 +103,16 @@ class LocalityBalancer:
 
         scored: list[tuple[float, int, int]] = []  # (gain, extent, dst)
         for extent_index, consumers in self.profiler.remote_bytes_by_extent().items():
-            dominant, share = self.profiler.dominant_consumer(extent_index)
-            if dominant is None or share < self.min_dominance:
+            consumer, share = dominant(consumers)
+            if consumer is None or share < self.min_dominance:
                 continue
-            gain = consumers[dominant]
+            gain = consumers[consumer]
             # moving pays off only if the hot consumer re-reads the extent
             # enough to amortize the copy
             if gain < self.gain_threshold * extent_bytes:
                 skipped_gain += 1
                 continue
-            scored.append((gain, extent_index, dominant))
+            scored.append((gain, extent_index, consumer))
         scored.sort(key=lambda t: (-t[0], t[1]))
 
         budget = self.epoch_budget_bytes
@@ -321,15 +326,6 @@ class CapacityBalancer:
         mean = sum(usage.values()) / len(usage)
         return max(usage.values()) / mean if mean else 1.0
 
-    def _extent_heat(self, extent_index: int) -> float:
-        if self.profiler is None:
-            return 0.0
-        return sum(
-            stats.total_bytes
-            for (_req, extent), stats in self.profiler._stats.items()
-            if extent == extent_index
-        )
-
     def plan(self) -> list[tuple[int, int, int]]:
         """(extent, src, dst) moves that bring usage within tolerance."""
         usage = self._usage()
@@ -338,7 +334,9 @@ class CapacityBalancer:
         extent_bytes = self.pool.geometry.extent_bytes
         global_map = self.pool.translator.global_map
         potential = self.pool.potential_free_by_server()
+        heat = _no_heat if self.profiler is None else self.profiler.extent_heat
         moves: list[tuple[int, int, int]] = []
+        moved: set[int] = set()
         # coldest extents of the hottest server, repeatedly
         for _step in range(self.max_moves):
             if self._imbalance(usage) <= self.tolerance:
@@ -350,13 +348,13 @@ class CapacityBalancer:
             candidates = [
                 e
                 for e in self.pool._extent_frames
-                if global_map.lookup_extent(e).server_id == src
-                and not any(move[0] == e for move in moves)
+                if e not in moved and global_map.lookup_extent(e).server_id == src
             ]
             if not candidates:
                 break
-            victim = min(candidates, key=lambda e: (self._extent_heat(e), e))
+            victim = min(candidates, key=lambda e: (heat(e), e))
             moves.append((victim, src, dst))
+            moved.add(victim)
             usage[src] -= extent_bytes
             usage[dst] += extent_bytes
             potential[dst] -= extent_bytes
@@ -419,15 +417,6 @@ class PressureEvictor:
         self.profiler = profiler
         self.reports: list[ReclaimReport] = []
 
-    def _extent_heat(self, extent_index: int) -> float:
-        if self.profiler is None:
-            return 0.0
-        total = 0.0
-        for (requester, extent), stats in self.profiler._stats.items():
-            if extent == extent_index:
-                total += stats.total_bytes
-        return total
-
     def _owned_extents(self, server_id: int) -> list[int]:
         global_map = self.pool.translator.global_map
         return [
@@ -449,13 +438,12 @@ class PressureEvictor:
         page = region.page_bytes
         target = min(-(-nbytes // page) * page, region.shared_bytes)
         slots_after = (region.shared_bytes - target) // extent_bytes
-        ranked = sorted(
-            self._owned_extents(server_id),
-            key=lambda e: (-self._extent_heat(e), e),  # hottest first
-        )
+        heat = _no_heat if self.profiler is None else self.profiler.extent_heat
+        heats = {e: heat(e) for e in self._owned_extents(server_id)}
+        ranked = sorted(heats, key=lambda e: (-heats[e], e))  # hottest first
         keep = ranked[: max(0, slots_after)]
         evict = ranked[max(0, slots_after):]
-        evict.sort(key=lambda e: (self._extent_heat(e), e))  # coldest leave first
+        evict.sort(key=lambda e: (heats[e], e))  # coldest leave first
         return keep, evict
 
     def reclaim(self, server_id: int, nbytes: int) -> "Process":

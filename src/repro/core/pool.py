@@ -32,11 +32,12 @@ caching               n/a (already local)         optional local page cache
 from __future__ import annotations
 
 import abc
+import functools
 import typing as _t
 
 from repro.core.addressing import AddressTranslator
 from repro.core.buffer import Buffer
-from repro.core.regions import RegionManager
+from repro.core.regions import FreeLedger, RegionManager
 from repro.errors import (
     AddressError,
     CapacityError,
@@ -180,6 +181,8 @@ class LogicalMemoryPool(MemoryPool):
         self.placement = placement or LocalFirstPlacement()
         self.translator = AddressTranslator(self.geometry)
         self.regions: dict[int, RegionManager] = {}
+        #: live servers' free + growable bytes, posted by the regions
+        self._ledger = FreeLedger()
         page = self.geometry.page_bytes
         for server in deployment.servers:
             self.translator.register_server(server.server_id)
@@ -187,9 +190,15 @@ class LogicalMemoryPool(MemoryPool):
             coherent = coherent_bytes // page * page
             shared = int(server.dram.capacity_bytes * shared_fraction) // page * page
             shared = min(shared, aligned - coherent)  # leave room for the coherent carve
-            self.regions[server.server_id] = RegionManager(
+            region = RegionManager(
                 server, self.geometry, shared_bytes=shared, coherent_bytes=coherent
             )
+            self.regions[server.server_id] = region
+            if server.alive:
+                region.attach_ledger(self._ledger)
+                # the hook holds the small ledger, not the region: a
+                # server must not keep a discarded pool's frames alive
+                server.on_crash(functools.partial(self._ledger.drop, server.server_id))
         #: extent index -> list of frame offsets backing its pages
         self._extent_frames: dict[int, list[int]] = {}
         self._buffer_extents: dict[int, list[int]] = {}
@@ -213,20 +222,19 @@ class LogicalMemoryPool(MemoryPool):
         """Free shared capacity per *live* server — a crashed host's
         memory is gone from the pool (§5 failure domains)."""
         return {
-            sid: r.shared_free_bytes
-            for sid, r in self.regions.items()
-            if self.deployment.server(sid).alive
+            sid: self.regions[sid].shared_free_bytes for sid in self._ledger.by_server
         }
 
     def potential_free_by_server(self) -> dict[int, int]:
         """Free shared capacity *plus* private memory each live server
         could still flex into the pool — what placement sees, since the
-        ratio is dynamic (§4.5)."""
-        return {
-            sid: r.shared_free_bytes + r.growable_bytes()
-            for sid, r in self.regions.items()
-            if self.deployment.server(sid).alive
-        }
+        ratio is dynamic (§4.5).  A copy of the incremental ledger."""
+        return dict(self._ledger.by_server)
+
+    @property
+    def potential_free_bytes(self) -> int:
+        """Sum of :meth:`potential_free_by_server`, read in O(1)."""
+        return self._ledger.total
 
     # -- allocate / free --------------------------------------------------------
 
@@ -246,15 +254,17 @@ class LogicalMemoryPool(MemoryPool):
             raise CapacityError(f"allocation size must be positive, got {size}")
         extent_bytes = self.geometry.extent_bytes
         extent_count = -(-size // extent_bytes)
-        potential = self.potential_free_by_server()
-        if extent_count * extent_bytes > sum(potential.values()):
+        offered = self._ledger.total
+        if extent_count * extent_bytes > offered:
             raise InfeasibleWorkloadError(
                 f"buffer of {size} bytes needs {extent_count} extents "
                 f"({extent_count * extent_bytes} bytes); pool can offer at "
-                f"most {sum(potential.values())}"
+                f"most {offered}"
             )
         policy = placement or self.placement
-        owners = policy.place(extent_count, extent_bytes, potential, requester_id)
+        owners = policy.place(
+            extent_count, extent_bytes, self.potential_free_by_server(), requester_id
+        )
         extents = self._take_contiguous_extents(extent_count)
         pages_per_extent = self.geometry.pages_per_extent
         for extent_index, owner in zip(extents, owners):

@@ -9,6 +9,11 @@ every planned access: bytes per (requester, extent), split local/remote.
 Counters are *sampled* (1-in-N accounting, like real PMU sampling) so
 the profiler itself stays cheap, and they age by epoch so the balancer
 reacts to recent behaviour rather than all of history.
+
+Counters are also indexed by extent, so the per-extent questions that
+eviction and rebalancing ask on every decision (how hot is this extent,
+who reads it most) cost O(requesters of that extent), not a scan of
+every counter.
 """
 
 from __future__ import annotations
@@ -34,6 +39,15 @@ class ExtentStats:
         self.remote_bytes *= decay
 
 
+def dominant(consumers: dict[int, float]) -> tuple[int | None, float]:
+    """The requester with the most bytes in *consumers* (ties go to the
+    lower id) and its share of the total."""
+    if not consumers:
+        return None, 0.0
+    winner = max(consumers, key=lambda r: (consumers[r], -r))
+    return winner, consumers[winner] / sum(consumers.values())
+
+
 class AccessProfiler:
     """Sampled, epoch-aged access counters."""
 
@@ -47,6 +61,10 @@ class AccessProfiler:
         self._counter = 0
         #: (requester_id, extent_index) -> stats
         self._stats: dict[tuple[int, int], ExtentStats] = {}
+        #: extent_index -> {requester_id -> stats}: the same objects as
+        #: ``_stats``, inserted and deleted in step with it, so each inner
+        #: dict iterates in the order a filtered scan of ``_stats`` would
+        self._by_extent: dict[int, dict[int, ExtentStats]] = {}
         self.epoch = 0
         self.samples_taken = 0
 
@@ -59,7 +77,11 @@ class AccessProfiler:
             return
         self.samples_taken += 1
         weight = float(nbytes * self.sample_period)  # unbias the sampling
-        stats = self._stats.setdefault((requester_id, extent_index), ExtentStats())
+        key = (requester_id, extent_index)
+        stats = self._stats.get(key)
+        if stats is None:
+            stats = self._stats[key] = ExtentStats()
+            self._by_extent.setdefault(extent_index, {})[requester_id] = stats
         if remote:
             stats.remote_bytes += weight
         else:
@@ -77,6 +99,11 @@ class AccessProfiler:
                 dead.append(key)
         for key in dead:
             del self._stats[key]
+            requester_id, extent_index = key
+            requesters = self._by_extent[extent_index]
+            del requesters[requester_id]
+            if not requesters:
+                del self._by_extent[extent_index]
 
     # -- queries the balancer asks ------------------------------------------------
 
@@ -92,12 +119,20 @@ class AccessProfiler:
     def dominant_consumer(self, extent_index: int) -> tuple[int | None, float]:
         """The requester with the most remote bytes on this extent and
         its share of all remote bytes there."""
-        consumers = self.remote_bytes_by_extent().get(extent_index, {})
-        if not consumers:
-            return None, 0.0
-        winner = max(consumers, key=lambda r: (consumers[r], -r))
-        total = sum(consumers.values())
-        return winner, consumers[winner] / total
+        consumers = {
+            requester_id: stats.remote_bytes
+            for requester_id, stats in self._by_extent.get(extent_index, {}).items()
+            if stats.remote_bytes > 0
+        }
+        return dominant(consumers)
+
+    def extent_heat(self, extent_index: int) -> float:
+        """Total profiled bytes (local + remote, every requester) on one
+        extent — the coldness key eviction and rebalancing sort by."""
+        total = 0.0
+        for stats in self._by_extent.get(extent_index, {}).values():
+            total += stats.total_bytes
+        return total
 
     def demand_by_server(self) -> dict[int, float]:
         """Total bytes (local + remote) each requester pushed this epoch —

@@ -33,6 +33,35 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.server import Server
 
 
+class FreeLedger:
+    """What placement sees, kept incrementally: per live server, free
+    shared bytes plus the private bytes it could still flex in
+    (``shared_free_bytes + growable_bytes()``), and their total.
+
+    Regions post every change from their own mutators, so reading a
+    server's entry or the pool-wide total is O(1) instead of a pass over
+    every server's properties.  A crashed server's entry is dropped, and
+    whatever its region posts afterwards is ignored.
+    """
+
+    __slots__ = ("by_server", "total")
+
+    def __init__(self) -> None:
+        self.by_server: dict[int, int] = {}
+        self.total = 0
+
+    def post(self, server_id: int, delta: int) -> None:
+        by_server = self.by_server
+        if server_id in by_server:
+            by_server[server_id] += delta
+            self.total += delta
+
+    def drop(self, server_id: int) -> None:
+        """Take a crashed server out (its memory is gone from the pool).
+        Idempotent."""
+        self.total -= self.by_server.pop(server_id, 0)
+
+
 class RegionManager:
     """Owns one server's DRAM split and its shared-region frame pool."""
 
@@ -73,15 +102,45 @@ class RegionManager:
         self._free_heap: list[int] = list(range(self._boundary, capacity, page))
         self._used_frames: set[int] = set()
         self.resize_events = 0
-        #: the re-flex seam (§4.5).  True (default) keeps the paper's
-        #: demand-driven behavior: allocation flexes private memory into
-        #: the shared region implicitly (``ensure_shared_free``), and
-        #: placement sees that headroom through ``growable_bytes``.
-        #: False freezes the split: only the *explicit* resize API
-        #: (``grow_shared`` / ``shrink_shared`` / ``set_shared_target``)
-        #: moves the boundary — a static split, or one governed by an
-        #: external control loop such as ``repro.scale``'s autoscaler.
-        self.flex_on_demand = True
+        #: the pool's free ledger (see attach_ledger)
+        self._ledger: FreeLedger | None = None
+        self._flex_on_demand = True
+
+    @property
+    def flex_on_demand(self) -> bool:
+        """The re-flex seam (§4.5).  True (default) keeps the paper's
+        demand-driven behavior: allocation flexes private memory into
+        the shared region implicitly (``ensure_shared_free``), and
+        placement sees that headroom through ``growable_bytes``.
+        False freezes the split: only the *explicit* resize API
+        (``grow_shared`` / ``shrink_shared`` / ``set_shared_target``)
+        moves the boundary — a static split, or one governed by an
+        external control loop such as ``repro.scale``'s autoscaler."""
+        return self._flex_on_demand
+
+    @flex_on_demand.setter
+    def flex_on_demand(self, on: bool) -> None:
+        on = bool(on)
+        if on == self._flex_on_demand:
+            return
+        self._flex_on_demand = on
+        # growable headroom appears (or vanishes) all at once
+        flexable = self.flexable_bytes()
+        self._post(flexable if on else -flexable)
+
+    # -- the pool's free ledger ----------------------------------------------------
+
+    def attach_ledger(self, ledger: FreeLedger) -> None:
+        """Enter this server into *ledger*; every later mutation posts
+        its change there."""
+        potential = self.shared_free_bytes + self.growable_bytes()
+        ledger.by_server[self.server.server_id] = potential
+        ledger.total += potential
+        self._ledger = ledger
+
+    def _post(self, delta: int) -> None:
+        if self._ledger is not None:
+            self._ledger.post(self.server.server_id, delta)
 
     # -- geometry ------------------------------------------------------------
 
@@ -158,6 +217,7 @@ class RegionManager:
             for frame in frames:
                 self._free_frames.discard(frame)
                 self._used_frames.add(frame)
+            self._post(-count * self.page_bytes)
             return frames
         free = self._free_frames
         used = self._used_frames
@@ -169,17 +229,23 @@ class RegionManager:
                 free.discard(frame)
                 used.add(frame)
                 frames.append(frame)
+        self._post(-count * self.page_bytes)
         return frames
 
     def free_frames(self, frames: _t.Iterable[int]) -> None:
-        for frame in frames:
-            if frame not in self._used_frames:
-                raise AllocationError(
-                    f"server {self.server.server_id}: frame {frame} not in use"
-                )
-            self._used_frames.discard(frame)
-            self._free_frames.add(frame)
-            heappush(self._free_heap, frame)
+        freed = 0
+        try:
+            for frame in frames:
+                if frame not in self._used_frames:
+                    raise AllocationError(
+                        f"server {self.server.server_id}: frame {frame} not in use"
+                    )
+                self._used_frames.discard(frame)
+                self._free_frames.add(frame)
+                heappush(self._free_heap, frame)
+                freed += 1
+        finally:  # frames freed before a bad one stay freed: post them
+            self._post(freed * self.page_bytes)
 
     # -- dynamic resizing (§4.5) ---------------------------------------------------
 
@@ -199,6 +265,8 @@ class RegionManager:
         self._boundary = new_boundary
         self._coherent_start -= nbytes
         self.resize_events += 1
+        if not self._flex_on_demand:  # flexing moves growable into free
+            self._post(nbytes)
 
     def shrink_shared(self, nbytes: int) -> None:
         """Move the boundary up, returning memory to private use.
@@ -227,6 +295,8 @@ class RegionManager:
         self._boundary = new_boundary
         self._coherent_start += nbytes
         self.resize_events += 1
+        if not self._flex_on_demand:
+            self._post(-nbytes)
 
     def frames_blocking_shrink(self, nbytes: int) -> list[int]:
         """Occupied frames that must be evacuated before a shrink."""
@@ -241,7 +311,7 @@ class RegionManager:
 
         Zero when ``flex_on_demand`` is off: a frozen split offers the
         allocator only what is actually free in the shared region."""
-        if not self.flex_on_demand:
+        if not self._flex_on_demand:
             return 0
         return self.private_bytes // self.page_bytes * self.page_bytes
 
@@ -257,7 +327,7 @@ class RegionManager:
         deficit = nbytes - self.shared_free_bytes
         if deficit <= 0:
             return
-        if not self.flex_on_demand:
+        if not self._flex_on_demand:
             raise CapacityError(
                 f"server {self.server.server_id}: shared region is frozen "
                 f"(flex_on_demand off) with only {self.shared_free_bytes} "

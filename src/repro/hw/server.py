@@ -45,16 +45,24 @@ class Server:
         self.socket = CpuSocket(engine, fluid, name=f"{self.name}.cpu", core_count=core_count)
         #: set by the failure detector when the host crashes
         self.alive = True
+        self._crash_hooks: list[_t.Callable[[], None]] = []
 
     @property
     def dram_bytes(self) -> int:
         return self.dram.capacity_bytes
+
+    def on_crash(self, hook: _t.Callable[[], None]) -> None:
+        """Run *hook* when this host crashes — how a pool's free ledger
+        drops the host without polling ``alive`` on every query."""
+        self._crash_hooks.append(hook)
 
     def crash(self) -> None:
         """Mark the host dead and drop its memory contents (its share of
         the logical pool dies with it — the paper's §5 failure domain)."""
         self.alive = False
         self.dram.store.discard(0, self.dram.capacity_bytes)
+        for hook in self._crash_hooks:
+            hook()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "CRASHED"
