@@ -78,8 +78,7 @@ def assert_seams_cold() -> None:
     stale = [name for name, value in slots.items() if value is not None]
     if stale:
         raise SystemExit(f"detector seams unexpectedly installed: {', '.join(stale)}")
-    probe = Engine()
-    if probe._event_sinks or Engine._global_event_sinks:
+    if Engine._global_event_sinks:
         raise SystemExit(
             "fresh engine is instrumented: event sinks are installed, so "
             "the bare dispatch fast path will not engage"

@@ -91,23 +91,3 @@ def format_ratio(numerator: float, denominator: float) -> str:
     if denominator <= 0:
         return "inf"
     return f"{numerator / denominator:.1f}x"
-
-
-def format_quantiles(
-    histogram: _t.Any,
-    quantiles: _t.Sequence[float] = (0.5, 0.9, 0.99, 0.999),
-    unit: str = "ns",
-) -> str:
-    """'p50=12.0ns p90=40.0ns p99=88.5ns p99.9=99.1ns' from one sort pass.
-
-    Takes any object with ``percentile_many`` (i.e.
-    :class:`~repro.sim.stats.Histogram`); empty histograms render as
-    ``(no samples)``.
-    """
-    if not len(histogram):
-        return "(no samples)"
-    values = histogram.percentile_many(quantiles)
-    parts = [
-        f"p{q * 100:g}={value:.1f}{unit}" for q, value in zip(quantiles, values)
-    ]
-    return " ".join(parts)

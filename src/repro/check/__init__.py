@@ -30,7 +30,6 @@ from repro.check.lint import (
     FileReport,
     apply_fixes,
     fix_file,
-    lint_file,
     lint_paths,
     lint_source,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "build_spec",
     "checked_replay",
     "fix_file",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "run_check",

@@ -123,10 +123,6 @@ class CFG:
         stmts.sort(key=lambda n: (n.line, n.id))
         return stmts
 
-    def exits(self) -> tuple[int, int]:
-        """(normal exit, exceptional exit) node ids."""
-        return self.exit, self.raise_exit
-
     def edges(self) -> list[Edge]:
         return [e for node in self.nodes.values() for e in node.succ]
 

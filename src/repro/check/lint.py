@@ -146,10 +146,6 @@ def lint_source(
     return _lint_tree(source, tree, path, graph, rules)
 
 
-def lint_file(path: pathlib.Path, rules: _t.Sequence[Rule] = ALL_RULES) -> FileReport:
-    return lint_source(path.read_text(encoding="utf-8"), path, rules)
-
-
 def lint_paths(
     paths: _t.Sequence[pathlib.Path], rules: _t.Sequence[Rule] = ALL_RULES
 ) -> list[FileReport]:

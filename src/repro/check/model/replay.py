@@ -55,13 +55,6 @@ class ReplayResult:
     def diverged(self) -> bool:
         return any(not step.ok for step in self.steps)
 
-    @property
-    def divergence(self) -> str:
-        for step in self.steps:
-            if not step.ok:
-                return f"{step.action}: {step.detail}"
-        return ""
-
     def render(self) -> str:
         if self.diverged:
             verdict = (

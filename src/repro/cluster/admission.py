@@ -29,14 +29,6 @@ class Decision(enum.Enum):
     REJECT_CAPACITY = "reject-capacity"
     REJECT_REVOKED = "reject-revoked"
 
-    @property
-    def is_rejection(self) -> bool:
-        return self in (
-            Decision.REJECT_QUOTA,
-            Decision.REJECT_CAPACITY,
-            Decision.REJECT_REVOKED,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:

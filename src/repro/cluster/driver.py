@@ -115,11 +115,6 @@ class DriverReport:
         merged = self.merged_latency()
         return merged.quantile(0.99) if len(merged) else 0.0
 
-    @property
-    def p999_ns(self) -> float:
-        merged = self.merged_latency()
-        return merged.quantile(0.999) if len(merged) else 0.0
-
     def latency_summary(self) -> dict[str, float]:
         """Rack-level latency quantiles from one merged sort pass."""
         merged = self.merged_latency()

@@ -224,16 +224,6 @@ class PoolManager:
         memory live servers can flex into the pool (§4.5)."""
         return self.pool.potential_free_bytes
 
-    def rack_view(self) -> list[tuple[int, int, int, bool]]:
-        """Per-server (id, shared_used, potential_free, alive) rows."""
-        rows = []
-        potential = self.pool.potential_free_by_server()
-        for sid in sorted(self.pool.regions):
-            region = self.pool.regions[sid]
-            alive = self.runtime.deployment.server(sid).alive
-            rows.append((sid, region.shared_used_bytes, potential.get(sid, 0), alive))
-        return rows
-
     # -- the allocation path -------------------------------------------------
 
     def acquire(self, tenant_id: str, size: int, name: str = "") -> "Process":
@@ -491,27 +481,10 @@ class PoolManager:
 
     # -- lease expiry --------------------------------------------------------
 
-    def lease_sweeper(self, duration: float, period: float) -> "Process":
-        """Reclaim expired leases every *period* for *duration* ns; the
-        process returns the number of leases it expired."""
-        if period <= 0 or duration <= 0:
-            raise ConfigError("sweeper needs positive period and duration")
-        return self.engine.process(
-            self._sweeper_body(duration, period), name="cluster.sweeper"
-        )
-
-    def _sweeper_body(self, duration: float, period: float) -> _t.Generator[_t.Any, _t.Any, int]:
-        expired_total = 0
-        ticks = max(1, int(duration // period))
-        for _tick in range(ticks):
-            yield self.engine.timeout(period)
-            expired_total += self.sweep_expired()
-        return expired_total
-
     def sweep_expired(self) -> int:
         """Reclaim every lease expired as of ``engine.now``; returns the
-        count.  One sweeper tick — exposed so tests and the model
-        checker's replay adapters can drive sweeps at exact instants."""
+        count.  One sweep — the model checker's replay adapters and the
+        tests drive it at exact instants."""
         expired = 0
         for lease in self.leases.expired(self.engine.now):
             tenant = self.tenant(lease.tenant_id)

@@ -27,7 +27,6 @@ from repro.core.pool import (
     LogicalMemoryPool,
     MemoryPool,
     PhysicalMemoryPool,
-    pool_for,
 )
 from repro.core.runtime import LmpRuntime
 
@@ -38,5 +37,4 @@ __all__ = [
     "LogicalMemoryPool",
     "MemoryPool",
     "PhysicalMemoryPool",
-    "pool_for",
 ]

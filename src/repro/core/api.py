@@ -11,9 +11,8 @@ runtime and get the paper's programming model:
   frame) via the two-step scheme,
 * ``scan`` — a timed full-bandwidth streaming pass with this server's
   cores (what the microbenchmark does),
-* ``sum_shipped`` — near-memory aggregation via compute shipping,
-* ``spinlock`` / ``ticket_lock`` / ``cohort_lock`` / ``barrier`` —
-  synchronization objects carved from the coherent region.
+* ``spinlock`` — a synchronization object carved from the coherent
+  region.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import dataclasses
 import typing as _t
 
 from repro.core.buffer import Buffer
-from repro.core.coherence.sync import Barrier, CohortLock, SpinLock, TicketLock
+from repro.core.coherence.sync import SpinLock
 from repro.core.runtime import LmpRuntime
 from repro.errors import AddressError, ConfigError
 from repro.units import mib
@@ -227,35 +226,8 @@ class LmpSession:
         duration = engine.now - started
         return buffer.size / duration if duration else 0.0
 
-    def sum_shipped(self, buffer: Buffer) -> "Process":
-        """Near-memory sum (compute shipping): every byte is read by the
-        server that owns it; the process returns the arithmetic sum of
-        the buffer's bytes."""
-        return self.runtime.compute.map_reduce(
-            buffer,
-            mapper=lambda chunk: sum(chunk),
-            reducer=sum,
-            requester_id=self.server_id,
-        )
-
     # -- synchronization objects ----------------------------------------------------
 
     def spinlock(self) -> SpinLock:
         line = self.runtime.allocate_coherent_lines(1)
         return SpinLock(self.runtime.coherence, line)
-
-    def ticket_lock(self) -> TicketLock:
-        line = self.runtime.allocate_coherent_lines(2)
-        return TicketLock(self.runtime.coherence, line, line + 1)
-
-    def cohort_lock(self, cohort_limit: int = 8) -> CohortLock:
-        server_ids = sorted(self.runtime.pool.regions)
-        lines_needed = 1 + 2 * len(server_ids)
-        line = self.runtime.allocate_coherent_lines(lines_needed)
-        return CohortLock(
-            self.runtime.coherence, line, server_ids, cohort_limit=cohort_limit
-        )
-
-    def barrier(self, parties: int) -> Barrier:
-        line = self.runtime.allocate_coherent_lines(2)
-        return Barrier(self.runtime.coherence, line, line + 1, parties)

@@ -37,19 +37,6 @@ class Buffer:
     def end(self) -> int:
         return self.base.value + self.size
 
-    def address_of(self, offset: int) -> GlobalAddress:
-        """Logical address of byte *offset* within the buffer."""
-        self._check_range(offset, 1)
-        return self.base + offset
-
-    def extent_indices(self) -> range:
-        """Every extent this buffer's bytes touch."""
-        return self.geometry.extents_covering(self.base, self.size)
-
-    def page_indices(self) -> range:
-        """Every page this buffer's bytes touch."""
-        return self.geometry.pages_covering(self.base, self.size)
-
     def _check_range(self, offset: int, length: int) -> None:
         if self.freed:
             raise AddressError(f"buffer {self.name or hex(self.base.value)} was freed")

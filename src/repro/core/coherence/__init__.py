@@ -11,17 +11,16 @@ for coordination and synchronization."
 * :mod:`repro.core.coherence.snoop_filter` — the inclusive snoop filter
   whose capacity pressure causes back-invalidations (the reason the
   coherent region must stay small).
-* :mod:`repro.core.coherence.sync` — spinlocks, ticket locks,
-  NUMA-aware cohort locks, and sense-reversing barriers built on the
-  protocol, mirroring the NUMA-aware coordination work the paper cites.
+* :mod:`repro.core.coherence.sync` — spinlocks, ticket locks and
+  NUMA-aware cohort locks built on the protocol, mirroring the
+  NUMA-aware coordination work the paper cites.
 """
 
 from repro.core.coherence.protocol import CoherenceDirectory, CoherenceStats
 from repro.core.coherence.snoop_filter import SnoopFilter
-from repro.core.coherence.sync import Barrier, CohortLock, SpinLock, TicketLock
+from repro.core.coherence.sync import CohortLock, SpinLock, TicketLock
 
 __all__ = [
-    "Barrier",
     "CoherenceDirectory",
     "CoherenceStats",
     "CohortLock",

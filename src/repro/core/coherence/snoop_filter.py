@@ -34,10 +34,6 @@ class SnoopFilter:
         self.back_invalidations = 0  # evicted entries (one per victim line)
         self.back_invalidation_messages = 0  # per-sharer messages sent
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
     def sharers(self, line: int) -> set[int]:
         """Hosts currently caching *line* (empty set if untracked)."""
         entry = self._entries.get(line)
@@ -74,11 +70,6 @@ class SnoopFilter:
         entry.discard(host)
         if not entry:
             del self._entries[line]
-
-    def drop_line(self, line: int) -> set[int]:
-        """Remove the whole entry (e.g. after a writeback-invalidate);
-        returns the sharers that held it."""
-        return self._entries.pop(line, set())
 
     def tracked_lines(self) -> tuple[int, ...]:
         """Every line with a filter entry, in LRU order (oldest first).

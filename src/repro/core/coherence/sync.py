@@ -14,7 +14,6 @@ down (§5).  We build the classic ladder:
   ticket lock plus a global grant line; the lock prefers handing off
   within the holder's server, amortizing one fabric-crossing global
   acquisition over up to ``cohort_limit`` local critical sections.
-* :class:`Barrier` — sense-reversing centralized barrier.
 
 All primitives are *functional* (they really exclude / really release)
 and *measured* (every wait and protocol action runs on the simulated
@@ -207,46 +206,3 @@ class CohortLock:
             yield self.directory.atomic_rmw(host, self.global_line, lambda _v: 0)
         yield self._local[host].release(host)
         return keep
-
-
-class Barrier:
-    """Sense-reversing centralized barrier over two coherent lines."""
-
-    def __init__(
-        self, directory: CoherenceDirectory, count_line: int, sense_line: int, parties: int
-    ) -> None:
-        if parties < 1:
-            raise ConfigError(f"barrier needs >= 1 parties, got {parties}")
-        if count_line == sense_line:
-            raise ConfigError("count and sense lines must differ")
-        self.directory = directory
-        self.count_line = count_line
-        self.sense_line = sense_line
-        self.parties = parties
-        self.generations = 0
-
-    def wait(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._wait_body(host), name=f"barrier{self.count_line}.wait"
-        )
-
-    def _wait_body(self, host: int):
-        sense = yield self.directory.load(host, self.sense_line)
-        old, _new = yield self.directory.atomic_rmw(
-            host, self.count_line, lambda v: v + 1
-        )
-        if old + 1 == self.parties:
-            # last arrival: reset the count, flip the sense
-            yield self.directory.atomic_rmw(host, self.count_line, lambda _v: 0)
-            yield self.directory.atomic_rmw(
-                host, self.sense_line, lambda v: 1 - (v & 1)
-            )
-            self.generations += 1
-            return self.generations
-        backoff = _BACKOFF_START
-        while True:
-            current = yield self.directory.load(host, self.sense_line)
-            if current != sense:
-                return self.generations
-            yield self.directory.engine.timeout(backoff)
-            backoff = min(backoff * 2.0, _BACKOFF_CAP)

@@ -54,11 +54,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _EXP, _LOG, _MUL = _build_tables()
 
 
-def gf_mul(a: int, b: int) -> int:
-    """Multiply two field elements."""
-    return int(_MUL[a & 0xFF, b & 0xFF])
-
-
 def gf_inv(a: int) -> int:
     """Multiplicative inverse; raises on zero."""
     if a == 0:
@@ -185,13 +180,6 @@ class ReedSolomon:
                 if factor:
                     acc ^= gf_mul_bytes(factor, survivors[row])
         return bytes(recovered.reshape(-1))[:data_len]
-
-    def reconstruct_shard(self, shards: dict[int, bytes], target: int, data_len: int) -> bytes:
-        """Rebuild exactly one missing shard (what recovery streams to
-        the replacement server)."""
-        full = self.decode(shards, self.k * len(shards[sorted(shards)[0]]))
-        rebuilt = self.encode(full[: data_len or len(full)])
-        return rebuilt[target]
 
     @functools.cached_property
     def storage_overhead(self) -> float:

@@ -47,10 +47,6 @@ class RecoveryReport:
     lost_buffers: list[str]
     per_object: dict[str, ObjectRepair] = dataclasses.field(default_factory=dict)
 
-    @property
-    def fully_recovered(self) -> bool:
-        return not self.lost_buffers
-
 
 class RecoveryManager:
     """Registry + repair driver."""

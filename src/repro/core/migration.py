@@ -266,10 +266,6 @@ class ArenaCompactor:
     def total_bytes_moved(self) -> int:
         return sum(r.bytes_moved for r in self.reports)
 
-    @property
-    def total_cost_ns(self) -> int:
-        return sum(r.cost_ns for r in self.reports)
-
 
 @dataclasses.dataclass(frozen=True)
 class RebalanceReport:

@@ -73,19 +73,8 @@ class MemoryPool(abc.ABC):
         self.profiler: "AccessProfiler | None" = None
         self._buffers: dict[int, Buffer] = {}  # base address -> live buffer
         self._next_extent = 0
-        self._free_extents: list[int] = []
 
     # -- logical address space -------------------------------------------------
-
-    def _take_extents(self, count: int) -> list[int]:
-        """Reserve *count* logical extent indices (reusing freed ones)."""
-        taken: list[int] = []
-        while self._free_extents and len(taken) < count:
-            taken.append(self._free_extents.pop())
-        while len(taken) < count:
-            taken.append(self._next_extent)
-            self._next_extent += 1
-        return sorted(taken)
 
     def _take_contiguous_extents(self, count: int) -> list[int]:
         """Reserve a contiguous run of extent indices so buffers get
@@ -98,12 +87,6 @@ class MemoryPool(abc.ABC):
     def attach_profiler(self, profiler: "AccessProfiler") -> None:
         """Register the profiler that access planning feeds."""
         self.profiler = profiler
-
-    def buffer_at(self, base: GlobalAddress | int) -> Buffer:
-        try:
-            return self._buffers[int(base)]
-        except KeyError:
-            raise AddressError(f"no live buffer at {int(base):#x}") from None
 
     @property
     def live_buffers(self) -> list[Buffer]:
@@ -218,13 +201,6 @@ class LogicalMemoryPool(MemoryPool):
     def pooled_free_bytes(self) -> int:
         return sum(r.shared_free_bytes for r in self.regions.values())
 
-    def shared_free_by_server(self) -> dict[int, int]:
-        """Free shared capacity per *live* server — a crashed host's
-        memory is gone from the pool (§5 failure domains)."""
-        return {
-            sid: self.regions[sid].shared_free_bytes for sid in self._ledger.by_server
-        }
-
     def potential_free_by_server(self) -> dict[int, int]:
         """Free shared capacity *plus* private memory each live server
         could still flex into the pool — what placement sees, since the
@@ -315,7 +291,6 @@ class LogicalMemoryPool(MemoryPool):
         self.regions[owner].free_frames(freed)
         self._extent_frames.pop(extent_index, None)
         self.translator.global_map.release(extent_index)
-        self._free_extents.append(extent_index)
 
     def _unpin_extent(self, extent_index: int) -> None:
         """Drop a mover's pin; run the teardown a racing free deferred."""
@@ -670,10 +645,6 @@ class PhysicalMemoryPool(MemoryPool):
                     name=f"{server.name}.cache",
                 )
 
-    @property
-    def uses_cache(self) -> bool:
-        return bool(self.caches)
-
     # -- capacity -----------------------------------------------------------------
 
     @property
@@ -864,10 +835,3 @@ class PhysicalMemoryPool(MemoryPool):
             requester.name, self.pool_device.name, self._pool_offset(buffer, offset), data
         )
         return written
-
-
-def pool_for(deployment: Deployment, **kwargs: _t.Any) -> MemoryPool:
-    """Build the pool flavor matching the deployment's kind."""
-    if deployment.kind is DeploymentKind.LOGICAL:
-        return LogicalMemoryPool(deployment, **kwargs)
-    return PhysicalMemoryPool(deployment, **kwargs)

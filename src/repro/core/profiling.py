@@ -116,16 +116,6 @@ class AccessProfiler:
                 out.setdefault(extent_index, {})[requester_id] = stats.remote_bytes
         return out
 
-    def dominant_consumer(self, extent_index: int) -> tuple[int | None, float]:
-        """The requester with the most remote bytes on this extent and
-        its share of all remote bytes there."""
-        consumers = {
-            requester_id: stats.remote_bytes
-            for requester_id, stats in self._by_extent.get(extent_index, {}).items()
-            if stats.remote_bytes > 0
-        }
-        return dominant(consumers)
-
     def extent_heat(self, extent_index: int) -> float:
         """Total profiled bytes (local + remote, every requester) on one
         extent — the coldness key eviction and rebalancing sort by."""
@@ -133,14 +123,6 @@ class AccessProfiler:
         for stats in self._by_extent.get(extent_index, {}).values():
             total += stats.total_bytes
         return total
-
-    def demand_by_server(self) -> dict[int, float]:
-        """Total bytes (local + remote) each requester pushed this epoch —
-        the demand signal the sizing policies consume."""
-        out: dict[int, float] = {}
-        for (requester_id, _extent), stats in self._stats.items():
-            out[requester_id] = out.get(requester_id, 0.0) + stats.total_bytes
-        return out
 
     def locality_ratio(self, requester_id: int | None = None) -> float:
         """Fraction of profiled bytes that resolved locally."""

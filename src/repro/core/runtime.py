@@ -8,8 +8,9 @@ regions to minimize remote accesses, and another to find opportunities
 for buffer migration."
 
 :class:`LmpRuntime` owns the pool, the profiler, the locality balancer,
-the coherent region, the compute-shipping runtime, and the background
-loop running both §3.2 tasks on a period.  Applications talk to it
+the coherent region, the compute-shipping runtime, and
+:meth:`~LmpRuntime.background_epoch`, one period of both §3.2 tasks.
+Applications talk to it
 through :class:`~repro.core.api.LmpSession`.
 """
 
@@ -27,7 +28,7 @@ from repro.errors import ConfigError
 from repro.mem.interleave import PlacementPolicy
 from repro.mem.layout import PageGeometry
 from repro.topology.builder import Deployment
-from repro.units import mib, ms
+from repro.units import mib
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.process import Process
@@ -146,20 +147,3 @@ class LmpRuntime:
         )
         self.epoch_reports.append(report)
         return report
-
-    def run_background(self, epochs: int, period: float = ms(100)) -> "Process":
-        """Run the background loop for *epochs* periods; the process
-        returns every :class:`EpochReport`."""
-        if epochs < 1 or period <= 0:
-            raise ConfigError("need epochs >= 1 and a positive period")
-        return self.engine.process(
-            self._background_body(epochs, period), name="runtime.background"
-        )
-
-    def _background_body(self, epochs: int, period: float):
-        reports: list[EpochReport] = []
-        for _epoch in range(epochs):
-            yield self.engine.timeout(period)
-            report = yield self.background_epoch()
-            reports.append(report)
-        return reports

@@ -44,9 +44,6 @@ class ApplicationsResult:
     link: str
     scores: tuple[AppScore, ...]
 
-    def score(self, config: str) -> AppScore:
-        return next(s for s in self.scores if s.config == config)
-
     def render(self) -> str:
         return format_table(
             ["pool", "KV mean (ns)", "KV p99 (ns)", "KV ops/s", "BFS (us)"],

@@ -126,13 +126,3 @@ def run_figure(
             label="Physical no-cache",
         )
     return FigureResult(figure=figure, vector_gib=vector_gib, results=results)
-
-
-def run_all(
-    repetitions: int = 10, chunk_bytes: int = mib(32)
-) -> dict[str, FigureResult]:
-    """All four figures (the full §4 evaluation)."""
-    return {
-        figure: run_figure(figure, repetitions=repetitions, chunk_bytes=chunk_bytes)
-        for figure in FIGURE_SIZES
-    }

@@ -27,6 +27,7 @@ from repro.core.sizing import (
     SizingPolicy,
     StaticSizing,
 )
+from repro.errors import ConfigError
 from repro.units import gib
 
 
@@ -78,19 +79,6 @@ def skewed_scenario() -> tuple[list[AppDemand], list[ServerCapacity]]:
     return demands, capacities
 
 
-def uniform_scenario() -> tuple[list[AppDemand], list[ServerCapacity]]:
-    """Identical tenants — every policy should do fine here."""
-    demands = [
-        AppDemand(f"app{i}", home_server=i, pooled_bytes=gib(12), access_rate=1.0, value=1.0)
-        for i in range(4)
-    ]
-    capacities = [
-        ServerCapacity(sid, dram_bytes=gib(24), private_floor_bytes=gib(2))
-        for sid in range(4)
-    ]
-    return demands, capacities
-
-
 def _score(policy: SizingPolicy, demands: list[AppDemand], capacities: list[ServerCapacity]) -> PolicyScore:
     plan = policy.plan(demands, capacities)
     fractions = [plan.local_fraction(d) for d in demands]
@@ -109,9 +97,9 @@ def _score(policy: SizingPolicy, demands: list[AppDemand], capacities: list[Serv
 
 def run(scenario: str = "skewed") -> SizingResult:
     """Score all three policies on one scenario."""
-    demands, capacities = (
-        skewed_scenario() if scenario == "skewed" else uniform_scenario()
-    )
+    if scenario != "skewed":
+        raise ConfigError(f"unknown sizing scenario {scenario!r} (known: skewed)")
+    demands, capacities = skewed_scenario()
     policies: list[SizingPolicy] = [
         StaticSizing(shared_fraction=0.5),
         DemandDrivenSizing(),

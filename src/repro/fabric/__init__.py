@@ -1,11 +1,8 @@
-"""CXL-like fabric: switch, routing, transactions, transport.
+"""CXL-like fabric: switch, routing, transport.
 
 The paper assumes a CXL 3 fabric with Port Based Routing (PBR) and
 Global Shared Fabric-Attached Memory (§2.2).  This package models:
 
-* :mod:`repro.fabric.messages` — CXL.mem-style transactions (the subset
-  the evaluation exercises, plus the back-invalidation messages the
-  coherence engine needs),
 * :mod:`repro.fabric.switch` — a single rack switch with ports, building
   bandwidth paths and loaded-latency callbacks for any
   (requester, memory owner) pair,
@@ -17,29 +14,13 @@ Global Shared Fabric-Attached Memory (§2.2).  This package models:
   about.
 """
 
-from repro.fabric.messages import (
-    BackInvalidate,
-    BackInvalidateResponse,
-    MemRead,
-    MemReadResponse,
-    MemWrite,
-    MemWriteResponse,
-    Transaction,
-)
 from repro.fabric.routing import FabricGraph
 from repro.fabric.switch import AccessRoute, FabricSwitch
 from repro.fabric.transport import MemoryTransport
 
 __all__ = [
     "AccessRoute",
-    "BackInvalidate",
-    "BackInvalidateResponse",
     "FabricGraph",
     "FabricSwitch",
-    "MemRead",
-    "MemReadResponse",
-    "MemWrite",
-    "MemWriteResponse",
     "MemoryTransport",
-    "Transaction",
 ]

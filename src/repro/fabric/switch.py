@@ -94,21 +94,9 @@ class FabricSwitch:
             )
         self._ports[name] = _Port(name, link, device)
 
-    def detach(self, name: str) -> None:
-        self._port(name)  # raise on unknown
-        del self._ports[name]
-
-    @property
-    def endpoints(self) -> list[str]:
-        return sorted(self._ports)
-
     @property
     def ports_used(self) -> int:
         return len(self._ports)
-
-    @property
-    def ports_free(self) -> int:
-        return self.port_count - len(self._ports)
 
     def _port(self, name: str) -> _Port:
         try:

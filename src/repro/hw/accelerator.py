@@ -78,7 +78,3 @@ class Accelerator:
         self.bytes_processed += nbytes
         self.busy_ns += self.engine.now - started
         return nbytes
-
-    def effective_rate(self, channel_rate: float) -> float:
-        """The streaming ceiling against a given memory channel."""
-        return min(self.dma_rate, channel_rate)

@@ -29,10 +29,6 @@ class RangeOutcome:
     miss_pages: int
     writeback_pages: int
 
-    @property
-    def touched_pages(self) -> int:
-        return self.hit_pages + self.miss_pages
-
 
 class PageCache:
     """Page-granular LRU cache of pooled memory held in local DRAM."""
@@ -66,10 +62,6 @@ class PageCache:
 
     def contains(self, page_id: int) -> bool:
         return page_id in self._frames
-
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     # -- accesses ---------------------------------------------------------------
 

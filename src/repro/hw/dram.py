@@ -147,9 +147,6 @@ class MemoryDevice:
         """Current latency in ns given the channel's instantaneous load."""
         return self.latency_model(self.channel.utilization)
 
-    def unloaded_latency(self) -> float:
-        return self.latency_model.lat_min
-
     def transfer(self, size: float, rate_cap: float = float("inf"), tag: str = ""):
         """Move *size* bytes through this device alone (local access)."""
         return self.fluid.transfer([self.channel], size, rate_cap=rate_cap, tag=tag)

@@ -54,33 +54,8 @@ class LatencyModel:
     def __call__(self, utilization: float) -> float:
         return self.latency(utilization)
 
-    def inverse(self, latency: float) -> float:
-        """Utilization at which the curve reaches *latency* (for analysis)."""
-        if latency <= self.lat_min:
-            return 0.0
-        if latency >= self.lat_max:
-            return 1.0
-        g = (latency - self.lat_min) / (self.lat_max - self.lat_min)
-        # g = (1/(1-rho*u) - 1)/norm  =>  u = (1 - 1/(g*norm + 1)) / rho
-        return (1.0 - 1.0 / (g * self._norm + 1.0)) / self.rho
-
-    def sweep(self, points: int = 11) -> list[tuple[float, float]]:
-        """(utilization, latency) samples across the full load range."""
-        if points < 2:
-            raise ConfigError("sweep needs at least 2 points")
-        return [
-            (u, self.latency(u))
-            for u in (i / (points - 1) for i in range(points))
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LatencyModel {self.lat_min:.0f}..{self.lat_max:.0f}ns rho={self.rho}>"
-
-
-def flat(latency: float) -> LatencyModel:
-    """A degenerate curve for components with load-independent latency."""
-    model = LatencyModel(latency, latency + 1e-9)
-    return model
 
 
 def mlp_rate_cap(latency_ns: float, outstanding_lines: int, line_bytes: int = 64) -> float:

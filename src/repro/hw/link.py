@@ -81,8 +81,5 @@ class RemoteLink:
         u = max(self.up.utilization, self.down.utilization)
         return self.latency_model(u)
 
-    def unloaded_latency(self) -> float:
-        return self.latency_model.lat_min
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RemoteLink {self.name} {self.spec.bandwidth:.1f}GB/s>"

@@ -114,12 +114,3 @@ CXL_FPGA = DeviceSpec(
 DEVICE_PRESETS: dict[str, DeviceSpec] = {
     spec.name: spec for spec in (LOCAL_DDR4, LINK0, LINK1, CXL_POND, CXL_FPGA)
 }
-
-
-def device_spec(name: str) -> DeviceSpec:
-    """Look up a preset by name, with a helpful error for typos."""
-    try:
-        return DEVICE_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(DEVICE_PRESETS))
-        raise ConfigError(f"unknown device spec {name!r}; known: {known}") from None

@@ -30,13 +30,10 @@ from repro.mem.interleave import (
     LocalFirstPlacement,
     PlacementPolicy,
     RoundRobinPlacement,
-    StripedPlacement,
 )
 from repro.mem.layout import (
-    Extent,
     GlobalAddress,
     PageGeometry,
-    PhysicalLocation,
     Region,
     RegionKind,
 )
@@ -46,7 +43,6 @@ __all__ = [
     "AllocatorProtocol",
     "BuddyAllocator",
     "CapacityWeightedPlacement",
-    "Extent",
     "FreeListAllocator",
     "GlobalAddress",
     "GlobalMap",
@@ -55,7 +51,6 @@ __all__ = [
     "MapEntry",
     "PageGeometry",
     "PageTable",
-    "PhysicalLocation",
     "PlacementPolicy",
     "Protection",
     "allocator_names",
@@ -63,5 +58,4 @@ __all__ = [
     "Region",
     "RegionKind",
     "RoundRobinPlacement",
-    "StripedPlacement",
 ]

@@ -71,11 +71,6 @@ class GauntletReport:
             return 0.0
         return 1.0 - self.requested_bytes / self.granted_bytes
 
-    @property
-    def failure_rate(self) -> float:
-        attempts = self.allocs + self.failures
-        return self.failures / attempts if attempts else 0.0
-
 
 class Gauntlet:
     """Replays adversarial traces against pluggable allocators."""

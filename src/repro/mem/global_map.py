@@ -94,10 +94,6 @@ class GlobalMap:
             idx for idx, e in self._entries.items() if e.server_id == server_id
         )
 
-    @property
-    def extent_count(self) -> int:
-        return len(self._entries)
-
 
 class MapCache:
     """A server's cached copy of the global map (step-one TLB).
@@ -136,7 +132,3 @@ class MapCache:
         """Drop a cached entry after the owner rejected our access."""
         if self._cache.pop(extent_index, None) is not None:
             self.invalidations += 1
-
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

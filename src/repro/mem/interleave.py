@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError
 
 
 class PlacementPolicy(abc.ABC):
@@ -126,51 +126,6 @@ class RoundRobinPlacement(PlacementPolicy):
         return placement
 
 
-class StripedPlacement(PlacementPolicy):
-    """Stripe runs of ``stripe_extents`` consecutive extents per server.
-
-    Wide stripes keep per-server runs contiguous (sequential streams
-    saturate each hop in turn); a stripe of 1 degenerates to
-    round-robin.
-    """
-
-    name = "striped"
-
-    def __init__(self, stripe_extents: int = 4) -> None:
-        if stripe_extents < 1:
-            raise ConfigError(f"stripe_extents must be >= 1, got {stripe_extents}")
-        self.stripe_extents = stripe_extents
-
-    def place(
-        self,
-        extent_count: int,
-        extent_bytes: int,
-        free_bytes: dict[int, int],
-        requester_id: int | None,
-    ) -> list[int]:
-        slots = self._capacity_in_extents(free_bytes, extent_bytes)
-        self._check_feasible(extent_count, slots)
-        ring = sorted(sid for sid in slots if slots[sid] > 0)
-        placement: list[int] = []
-        i = 0
-        run = 0
-        while len(placement) < extent_count:
-            if not ring:
-                raise CapacityError("striped placement ran out of capacity")
-            sid = ring[i % len(ring)]
-            if slots[sid] > 0:
-                slots[sid] -= 1
-                placement.append(sid)
-                run += 1
-                if run >= self.stripe_extents:
-                    run = 0
-                    i += 1
-            else:
-                ring.remove(sid)
-                run = 0
-        return placement
-
-
 class CapacityWeightedPlacement(PlacementPolicy):
     """Place proportionally to free capacity, keeping utilization even
     when servers contribute different shared-region sizes (the
@@ -234,6 +189,5 @@ POLICIES: dict[str, type[PlacementPolicy]] = {
     LocalFirstPlacement.name: LocalFirstPlacement,
     PinnedPlacement.name: PinnedPlacement,
     RoundRobinPlacement.name: RoundRobinPlacement,
-    StripedPlacement.name: StripedPlacement,
     CapacityWeightedPlacement.name: CapacityWeightedPlacement,
 }

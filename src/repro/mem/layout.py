@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import typing as _t
 
 from repro.errors import AddressError, ConfigError
 from repro.units import mib
@@ -52,16 +51,6 @@ class Region:
     def end(self) -> int:
         return self.start + self.size
 
-    def contains(self, offset: int) -> bool:
-        return self.start <= offset < self.end
-
-    def overlaps(self, other: "Region") -> bool:
-        return (
-            self.server_id == other.server_id
-            and self.start < other.end
-            and other.start < self.end
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class GlobalAddress:
@@ -84,37 +73,6 @@ class GlobalAddress:
 
     def __repr__(self) -> str:
         return f"GA(0x{self.value:x})"
-
-
-@dataclasses.dataclass(frozen=True)
-class PhysicalLocation:
-    """Where a logical range currently lives: a server and a DRAM offset."""
-
-    server_id: int
-    offset: int
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise AddressError(f"negative physical offset {self.offset}")
-
-
-@dataclasses.dataclass(frozen=True)
-class Extent:
-    """One coarse-granule slab of logical address space."""
-
-    index: int
-    extent_bytes: int
-
-    @property
-    def base(self) -> GlobalAddress:
-        return GlobalAddress(self.index * self.extent_bytes)
-
-    @property
-    def end(self) -> int:
-        return (self.index + 1) * self.extent_bytes
-
-    def contains(self, addr: GlobalAddress) -> bool:
-        return self.base.value <= addr.value < self.end
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,17 +110,6 @@ class PageGeometry:
     def extent_index(self, addr: GlobalAddress | int) -> int:
         return int(addr) // self.extent_bytes
 
-    def page_base(self, page_index: int) -> GlobalAddress:
-        return GlobalAddress(page_index * self.page_bytes)
-
-    def pages_covering(self, addr: GlobalAddress | int, size: int) -> range:
-        """Indices of every page overlapping [addr, addr+size)."""
-        if size <= 0:
-            return range(0)
-        first = self.page_index(addr)
-        last = (int(addr) + size - 1) // self.page_bytes
-        return range(first, last + 1)
-
     def extents_covering(self, addr: GlobalAddress | int, size: int) -> range:
         """Indices of every extent overlapping [addr, addr+size)."""
         if size <= 0:
@@ -170,16 +117,3 @@ class PageGeometry:
         first = self.extent_index(addr)
         last = (int(addr) + size - 1) // self.extent_bytes
         return range(first, last + 1)
-
-    def split_by_page(
-        self, addr: GlobalAddress | int, size: int
-    ) -> _t.Iterator[tuple[int, int, int]]:
-        """Yield (page_index, offset_in_page, chunk_size) covering the range."""
-        pos = int(addr)
-        end = pos + size
-        while pos < end:
-            page = pos // self.page_bytes
-            offset = pos % self.page_bytes
-            take = min(self.page_bytes - offset, end - pos)
-            yield page, offset, take
-            pos += take

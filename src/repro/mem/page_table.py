@@ -99,11 +99,6 @@ class PageTable:
             raise AddressError(f"page {page_index} not mapped on server {self.server_id}")
         return leaf[lo]
 
-    def is_mapped(self, page_index: int) -> bool:
-        hi, lo = self._slot(page_index)
-        leaf = self._directory.get(hi)
-        return leaf is not None and lo in leaf
-
     # -- translation ----------------------------------------------------------
 
     def translate(
@@ -115,8 +110,8 @@ class PageTable:
     ) -> int:
         """Resolve to a DRAM offset, updating access/dirty bits.
 
-        ``remote=True`` marks the access as fabric-originated, feeding
-        the per-page remote-access counters the balancer samples.
+        ``remote=True`` marks the access as fabric-originated and counts
+        it in the entry's ``remote_accesses``.
         """
         entry = self.entry(page_index)
         needed = Protection.WRITE if write else Protection.READ
@@ -130,42 +125,3 @@ class PageTable:
         if remote:
             entry.remote_accesses += 1
         return entry.frame_offset + offset_in_page
-
-    # -- balancer support ---------------------------------------------------------
-
-    def protect(self, page_index: int, protection: Protection) -> None:
-        self.entry(page_index).protection = protection
-
-    def clear_access_bits(self) -> int:
-        """Reset accessed bits (one profiling epoch); returns pages that
-        had been touched."""
-        touched = 0
-        for leaf in self._directory.values():
-            for entry in leaf.values():
-                if entry.accessed:
-                    touched += 1
-                entry.accessed = False
-        return touched
-
-    def hottest_remote_pages(self, limit: int) -> list[tuple[int, int]]:
-        """(page_index, remote_accesses) of the most remotely-hit pages."""
-        scored: list[tuple[int, int]] = []
-        for hi, leaf in self._directory.items():
-            for lo, entry in leaf.items():
-                if entry.remote_accesses > 0:
-                    scored.append(((hi << _DIRECTORY_BITS) | lo, entry.remote_accesses))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:limit]
-
-    def reset_remote_counters(self) -> None:
-        for leaf in self._directory.values():
-            for entry in leaf.values():
-                entry.remote_accesses = 0
-
-    def mapped_page_indices(self) -> list[int]:
-        out: list[int] = []
-        for hi, leaf in self._directory.items():
-            for lo in leaf:
-                out.append((hi << _DIRECTORY_BITS) | lo)
-        out.sort()
-        return out

@@ -57,9 +57,10 @@ class Engine:
         assert proc.value == "done"
     """
 
-    #: sinks observing event dispatch on *every* engine, called as
-    #: fn(engine, when, seq, event).  The determinism harness registers
-    #: here so it can capture scenarios that build their own engines.
+    #: sinks observing event dispatch on every engine, called as
+    #: fn(engine, when, seq, event).  The determinism harness and
+    #: repro.obs register here, so they also capture scenarios that
+    #: build their own engines.
     _global_event_sinks: _t.ClassVar[list[_t.Callable[..., None]]] = []
 
     #: installed by repro.check.races.RaceSanitizer.  ``on_drain(engine)``
@@ -69,10 +70,10 @@ class Engine:
     #: top-level code).  None = one class-attribute test per run() call.
     _monitor: _t.ClassVar[_t.Any] = None
 
-    #: bumped whenever an event sink (on any engine) is installed or
-    #: removed.  The bare dispatch loop snapshots
-    #: it and bails out to reselect when it moves, so a sink registered
-    #: from inside a callback still observes the very next event.
+    #: bumped whenever a global event sink is installed or removed.
+    #: The bare dispatch loop snapshots it and bails out to reselect
+    #: when it moves, so a sink registered from inside a callback still
+    #: observes the very next event.
     _instr_epoch: _t.ClassVar[int] = 0
 
     def __init__(self, seed: int = 0) -> None:
@@ -84,8 +85,6 @@ class Engine:
         #: number of events processed, for instrumentation.  Counted at
         #: pop, before callbacks run, so a raising callback still counts.
         self.events_processed = 0
-        #: sinks called as fn(engine, when, seq, event) on this engine only
-        self._event_sinks: list[_t.Callable[..., None]] = []
         #: recycled Timeout objects (drain path only; see _drain loops)
         self._timeout_pool: list[Timeout] = []
 
@@ -145,19 +144,13 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
 
-    def add_event_sink(self, sink: _t.Callable[..., None]) -> None:
-        """Register *sink* to observe every event this engine dispatches.
-
-        Called as ``sink(engine, when, seq, event)`` just before the
-        event's callbacks run.  :meth:`repro.sim.trace.Tracer.attach_engine`
-        and the ``repro.check`` determinism harness build on this.
-        """
-        self._event_sinks.append(sink)
-        Engine._instr_epoch += 1
-
     @classmethod
     def add_global_event_sink(cls, sink: _t.Callable[..., None]) -> None:
-        """Register *sink* on every engine, present and future."""
+        """Register *sink* on every engine, present and future.
+
+        Called as ``sink(engine, when, seq, event)`` just before the
+        event's callbacks run.
+        """
         cls._global_event_sinks.append(sink)
         cls._instr_epoch += 1
 
@@ -184,11 +177,8 @@ class Engine:
         when, seq, event = heapq.heappop(self._heap)
         self._now = when
         self.events_processed += 1
-        if self._event_sinks or Engine._global_event_sinks:
-            for sink in self._event_sinks:
-                sink(self, when, seq, event)
-            for sink in Engine._global_event_sinks:
-                sink(self, when, seq, event)
+        for sink in Engine._global_event_sinks:
+            sink(self, when, seq, event)
         callbacks = event.callbacks
         event.callbacks = None  # marks the event processed
         assert callbacks is not None
@@ -208,7 +198,7 @@ class Engine:
 
     def _dispatch(self, stop: list | None, deadline: float | None) -> bool:
         while True:
-            if self._event_sinks or Engine._global_event_sinks:
+            if Engine._global_event_sinks:
                 result = self._drain_instrumented(stop, deadline)
             else:
                 result = self._drain_bare(stop, deadline)
@@ -248,13 +238,12 @@ class Engine:
         return True
 
     def _drain_instrumented(self, stop: list | None, deadline: float | None) -> _t.Any:
-        """Sinks hoisted: the list *objects* are captured (not copies), so
+        """Sinks hoisted: the list *object* is captured (not a copy), so
         mid-run appends/removals stay visible; the epoch check drops back
         to reselection when instrumentation empties."""
         heap = self._heap
         pop = heapq.heappop
-        sinks = self._event_sinks
-        global_sinks = Engine._global_event_sinks
+        sinks = Engine._global_event_sinks
         epoch = Engine._instr_epoch
         while heap:
             if deadline is not None and heap[0][0] > deadline:
@@ -265,8 +254,6 @@ class Engine:
             self._now = when
             self.events_processed += 1
             for sink in sinks:
-                sink(self, when, seq, event)
-            for sink in global_sinks:
                 sink(self, when, seq, event)
             callbacks = event.callbacks
             event.callbacks = None

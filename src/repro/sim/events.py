@@ -119,7 +119,7 @@ class Event:
 def lazy_event(engine: "Engine", prefix: str, suffix: _t.Any) -> Event:
     """A pending :class:`Event` whose ``"{prefix}:{suffix}"`` name is
     rendered lazily — the kernel's internal control events (process
-    init/relay/interrupt, fluid completions) go through here so the
+    init/relay, fluid completions) go through here so the
     per-event f-string only costs when a trace sink reads it."""
     ev = Event.__new__(Event)
     ev.engine = engine

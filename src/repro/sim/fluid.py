@@ -17,10 +17,9 @@ events is O(#flows), independent of transfer sizes.
 
 The solver is *transition-driven*: flow progress is drained and
 completed only at rate transitions — a flow start (:meth:`FluidModel
-.transfer`), the solver's own completion tick, and explicit
-:meth:`FluidModel.settle` calls.  Between transitions every rate is
-constant, so one linear drain per transition is exact and event dispatch
-costs the fluid model nothing.  Flows are water-filled per distinct
+.transfer`) and the solver's own completion tick.  Between transitions
+every rate is constant, so one linear drain per transition is exact and
+event dispatch costs the fluid model nothing.  Flows are water-filled per distinct
 ``(path, rate cap)`` pair rather than per flow (:class:`_PathGroup`).
 
 This is the standard technique for simulating bandwidth-bound systems at
@@ -70,11 +69,6 @@ class Capacity:
         self._bytes_counter: _t.Any = None
 
     @property
-    def used_rate(self) -> float:
-        """Aggregate instantaneous rate of flows crossing this element."""
-        return self._used_rate
-
-    @property
     def utilization(self) -> float:
         """Instantaneous utilization in [0, 1]."""
         return min(1.0, self._used_rate / self.rate)
@@ -86,15 +80,13 @@ class Capacity:
 class Transfer:
     """One in-flight flow: *size* bytes over *path*, optionally rate-capped.
 
-    ``remaining`` and ``rate`` are current only after
-    :meth:`FluidModel.settle`: in flight, progress lives in the flow's
-    :class:`_PathGroup`."""
+    ``remaining`` holds the full size until the flow completes: in
+    flight, progress lives in the flow's :class:`_PathGroup`."""
 
     __slots__ = (
         "path",
         "remaining",
         "rate_cap",
-        "rate",
         "done",
         "started_at",
         "size",
@@ -115,7 +107,6 @@ class Transfer:
         self.size = size
         self.remaining = float(size)
         self.rate_cap = rate_cap
-        self.rate = 0.0
         self.done = done
         self.started_at = started_at
         self.tag = tag
@@ -236,29 +227,6 @@ class FluidModel:
         else:
             self._recompute()
         return done
-
-    @property
-    def active_transfers(self) -> int:
-        return len(self._transfers)
-
-    def settle(self) -> None:
-        """Bring flow progress up to the current time and complete any
-        drained flows.  Progress otherwise moves only at rate
-        transitions, so call this before reading per-flow ``remaining``
-        or the capacities' byte counters mid-flight."""
-        finished = self._advance()
-        if finished is None:
-            # a zero-length drain pops nothing, but a transfer no larger
-            # than COMPLETION_EPSILON is complete the moment it starts
-            finished = self._drain(0.0)
-        if finished is not None:
-            self._finish(finished)
-        for group in self._groups.values():
-            service = group.service
-            for flow in group.members:
-                rem = flow._vtarget - service
-                flow.remaining = rem if rem > 0.0 else 0.0
-                flow.rate = group.rate
 
     # -- internals ---------------------------------------------------------
 

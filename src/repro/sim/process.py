@@ -19,14 +19,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
 
-class Interrupted(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: _t.Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running generator on the simulation timeline."""
 
@@ -70,26 +62,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
-
-    def interrupt(self, cause: _t.Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at its current yield."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self!r}")
-        # Detach from whatever the process was waiting on; deliver the
-        # interrupt as an immediate failed resume.
-        waiting = self._waiting_on
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        punch = lazy_event(self.engine, "interrupt", self._name)
-        punch._value = Interrupted(cause)
-        punch._ok = False
-        punch._defused = True
-        punch.callbacks.append(self._resume)
-        self.engine._schedule(punch, delay=0.0)
 
     # -- internals ----------------------------------------------------------
 

@@ -32,10 +32,6 @@ class Semaphore:
     def held(self) -> int:
         return self._held
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
         ev = Event(self.engine, name="sem.acquire")
@@ -62,10 +58,6 @@ class Mutex(Semaphore):
 
     def __init__(self, engine: "Engine") -> None:
         super().__init__(engine, capacity=1)
-
-    @property
-    def locked(self) -> bool:
-        return self._held > 0
 
 
 class Store:
@@ -102,8 +94,7 @@ class FifoQueue:
 
     Used to model serialization points that are not bandwidth-shaped,
     e.g. a coherence directory that processes one protocol message at a
-    time.  ``submit`` returns an event that fires when the job finishes;
-    the queue records waiting time statistics.
+    time.  ``submit`` returns an event that fires when the job finishes.
     """
 
     def __init__(self, engine: "Engine", service_time: float, name: str = "fifo") -> None:
@@ -114,7 +105,6 @@ class FifoQueue:
         self.name = name
         self._busy_until = 0.0
         self.jobs_served = 0
-        self.total_wait = 0.0
 
     def submit(self, service_time: float | None = None) -> Event:
         """Enqueue a job; the returned event fires at its completion time."""
@@ -123,9 +113,4 @@ class FifoQueue:
         start = max(now, self._busy_until)
         self._busy_until = start + cost
         self.jobs_served += 1
-        self.total_wait += start - now
         return self.engine.timeout(self._busy_until - now)
-
-    @property
-    def mean_wait(self) -> float:
-        return self.total_wait / self.jobs_served if self.jobs_served else 0.0

@@ -32,9 +32,3 @@ class RngStreams:
 
     def __getitem__(self, name: str) -> random.Random:
         return self.stream(name)
-
-    def fork(self, salt: str) -> "RngStreams":
-        """Derive an independent family (e.g. per-repetition)."""
-        material = f"{self.seed}:fork:{salt}".encode()
-        digest = hashlib.sha256(material).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))

@@ -14,7 +14,6 @@ them into plain dictionaries for reports.
 
 from __future__ import annotations
 
-import bisect
 import math
 import typing as _t
 
@@ -171,11 +170,6 @@ class Histogram:
                 self._sorted = False
             self._samples.extend(other._samples)
         return self
-
-    def count_at_most(self, threshold: float) -> int:
-        """Number of samples <= threshold."""
-        self._ensure_sorted()
-        return bisect.bisect_right(self._samples, threshold)
 
 
 class StatSet:

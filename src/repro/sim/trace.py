@@ -48,51 +48,11 @@ class Tracer:
         """Record one trace line if *kind* is enabled.
 
         The keyword-argument payload dict is built by the *caller* even
-        when the kind is disabled — hot paths should either guard with
-        :meth:`wants` or use :meth:`emit_lazy`.
+        when the kind is disabled — hot paths should guard with
+        :meth:`wants`.
         """
         if self.wants(kind):
             self.records.append(TraceRecord(time, component, kind, payload))
-
-    def emit_lazy(
-        self,
-        time: float,
-        component: str,
-        kind: str,
-        payload_fn: _t.Callable[[], dict[str, _t.Any]],
-    ) -> None:
-        """Like :meth:`emit`, but the payload is only built when *kind*
-        is enabled — zero dict/format cost on disabled categories."""
-        if self.wants(kind):
-            self.records.append(TraceRecord(time, component, kind, payload_fn()))
-
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        """All records of one kind, in emission order."""
-        return [r for r in self.records if r.kind == kind]
-
-    def attach_engine(self, engine: _t.Any, kind: str = "engine.step") -> None:
-        """Record one ``engine.step`` line per dispatched event.
-
-        The payload (heap sequence number, event type, event name) plus
-        the timestamp pins down the full dispatch order, so two runs of
-        a deterministic model render byte-identical streams — the
-        property :class:`repro.check.DeterminismHarness` diffs.
-        """
-
-        def sink(_engine: _t.Any, when: float, seq: int, event: _t.Any) -> None:
-            # guard first: the payload dict is per-event, so building it
-            # for a disabled kind would tax every dispatch
-            if self.wants(kind):
-                self.emit(
-                    when,
-                    "engine",
-                    kind,
-                    seq=seq,
-                    event=type(event).__name__,
-                    name=getattr(event, "name", ""),
-                )
-
-        engine.add_event_sink(sink)
 
     def clear(self) -> None:
         self.records.clear()

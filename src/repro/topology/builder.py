@@ -51,17 +51,11 @@ class Deployment:
                 f"no server {server_id}; deployment has {len(self.servers)}"
             ) from None
 
-    def endpoint_of(self, server_id: int) -> str:
-        return self.server(server_id).name
-
     @property
     def pool_endpoint(self) -> str:
         if self.pool is None:
             raise ConfigError("logical deployments have no pool endpoint")
         return self.pool.name
-
-    def live_servers(self) -> list[Server]:
-        return [s for s in self.servers if s.alive]
 
     def run(self, until: _t.Any = None) -> _t.Any:
         """Convenience passthrough to the engine."""

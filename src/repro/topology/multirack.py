@@ -63,10 +63,6 @@ class MultiRackSpec:
     def server_name(self, rack: int, index: int) -> str:
         return f"r{rack}s{index}"
 
-    def rack_of_server(self, server_id: int) -> int:
-        """Rack of the flat server id used by functional deployments."""
-        return server_id // self.servers_per_rack
-
     def leaf_name(self, rack: int) -> str:
         return f"leaf{rack}"
 
@@ -162,9 +158,6 @@ class RackedSwitch(FabricSwitch):
         if not 0 <= rack < self.spec.racks:
             raise ConfigError(f"rack {rack} out of range for {self.spec.racks} racks")
         self._rack_of[endpoint] = rack
-
-    def rack_of(self, endpoint: str) -> int | None:
-        return self._rack_of.get(endpoint)
 
     # -- routing: add the trunk legs to cross-rack paths ----------------------
 

@@ -81,32 +81,12 @@ class DeploymentSpec:
         return self.server_count * self.server_dram_bytes + self.pool_dram_bytes
 
     @property
-    def disaggregated_bytes(self) -> int:
-        """Memory eligible to serve as pool capacity.
-
-        For a physical pool that is the pool box; for a logical pool
-        every server byte can be flexed into the shared region (§4.5).
-        """
-        if self.kind.is_physical:
-            return self.pool_dram_bytes
-        return self.server_count * self.server_dram_bytes
-
-    @property
     def ports_needed(self) -> int:
         """Fabric switch ports the deployment consumes (a §4.2 cost)."""
         pool_ports = 0
         if self.kind.is_physical:
             pool_ports = max(1, int(self.pool_link_width))
         return self.server_count + pool_ports
-
-    def describe(self) -> str:
-        parts = [
-            f"{self.kind.value}: {self.server_count} servers x "
-            f"{self.server_dram_bytes / 1e9:.0f}GB on {self.link}"
-        ]
-        if self.kind.is_physical:
-            parts.append(f"+ {self.pool_dram_bytes / 1e9:.0f}GB pool")
-        return " ".join(parts)
 
 
 # --- the paper's §4.1 configurations -----------------------------------------
@@ -144,12 +124,3 @@ def paper_physical_nocache(link: str = "link0", pool_link_width: float = 1.0) ->
         link=link,
         pool_link_width=pool_link_width,
     )
-
-
-def paper_specs(link: str = "link0") -> dict[str, DeploymentSpec]:
-    """All three §4.1 configurations, keyed by the paper's labels."""
-    return {
-        "Logical": paper_logical(link),
-        "Physical cache": paper_physical_cache(link),
-        "Physical no-cache": paper_physical_nocache(link),
-    }

@@ -5,33 +5,19 @@
   memory, repeated 10 times, reporting average bandwidth.
 * :mod:`repro.workloads.kvstore` — a key-value store over pooled
   memory, the canonical app the related-work section motivates.
-* :mod:`repro.workloads.dht` — a sharded hash table with the classic
-  one-sided-vs-shipped GET tradeoff from the RDMA KV literature the
-  paper cites.
 * :mod:`repro.workloads.graph` — BFS-style graph analytics over a
   pooled adjacency structure (a pointer-chasing, latency-sensitive
   counterpoint to the streaming microbenchmark).
-* :mod:`repro.workloads.generators` — synthetic access-pattern
-  generators (sequential, uniform, zipfian, hotspot) feeding the
-  profiling/migration ablations.
+* :mod:`repro.workloads.generators` — the cluster driver's uniform
+  access trace and the open-loop arrival processes behind
+  :mod:`repro.scale`.
 """
 
-from repro.workloads.dht import ShardedHashTable, compare_get_strategies
-from repro.workloads.generators import (
-    hotspot_trace,
-    sequential_trace,
-    uniform_trace,
-    zipf_trace,
-)
+from repro.workloads.generators import uniform_trace
 from repro.workloads.vector_sum import VectorSumResult, run_vector_sum
 
 __all__ = [
-    "ShardedHashTable",
     "VectorSumResult",
-    "compare_get_strategies",
-    "hotspot_trace",
     "run_vector_sum",
-    "sequential_trace",
     "uniform_trace",
-    "zipf_trace",
 ]

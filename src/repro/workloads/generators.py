@@ -1,11 +1,10 @@
 """Synthetic access-pattern and arrival-process generators.
 
-The sizing and locality-balancing ablations need realistic demand: a
-trace of (byte offset, size) accesses with controllable skew.  Four
-classics are provided; each takes an explicit :class:`random.Random`
-stream for reproducibility (see :mod:`repro.sim.rng`).
+:func:`uniform_trace` draws (byte offset, size) accesses for the
+cluster driver from an explicit :class:`random.Random` stream (see
+:mod:`repro.sim.rng`).
 
-The second half of the module is *time*: open-loop arrival processes
+The rest of the module is *time*: open-loop arrival processes
 for the 10k-tenant serving scenario (:mod:`repro.scale`) — Zipf tenant
 popularity, diurnal sinusoids, two-state MMPP burst modulation, and
 non-homogeneous Poisson arrivals via Lewis thinning.  All of it is
@@ -23,21 +22,6 @@ import typing as _t
 from repro.errors import ConfigError
 
 
-def sequential_trace(
-    total_bytes: int,
-    access_bytes: int,
-    count: int,
-) -> _t.Iterator[tuple[int, int]]:
-    """Wrap-around sequential scan: the microbenchmark's pattern."""
-    _check(total_bytes, access_bytes, count)
-    pos = 0
-    for _ in range(count):
-        if pos + access_bytes > total_bytes:
-            pos = 0
-        yield pos, access_bytes
-        pos += access_bytes
-
-
 def uniform_trace(
     total_bytes: int,
     access_bytes: int,
@@ -51,75 +35,11 @@ def uniform_trace(
         yield rng.randrange(0, span + 1), access_bytes
 
 
-def zipf_trace(
-    total_bytes: int,
-    access_bytes: int,
-    count: int,
-    rng: random.Random,
-    theta: float = 0.99,
-    block_bytes: int | None = None,
-) -> _t.Iterator[tuple[int, int]]:
-    """Zipfian block popularity (YCSB-style skew).
-
-    The range is divided into blocks of *block_bytes* (default: the
-    access size); block *k*'s probability is proportional to
-    ``1/(k+1)**theta``.  ``theta=0.99`` is YCSB's default hot-spot skew.
-    """
-    _check(total_bytes, access_bytes, count)
-    if not 0 < theta:
-        raise ConfigError(f"theta must be positive, got {theta}")
-    block = block_bytes or access_bytes
-    blocks = max(1, total_bytes // block)
-    weights = [1.0 / (k + 1) ** theta for k in range(blocks)]
-    cumulative: list[float] = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cumulative.append(acc)
-    total_weight = cumulative[-1]
-    for _ in range(count):
-        r = rng.random() * total_weight
-        k = bisect.bisect_left(cumulative, r)
-        offset = min(k * block, total_bytes - access_bytes)
-        yield offset, access_bytes
-
-
-def hotspot_trace(
-    total_bytes: int,
-    access_bytes: int,
-    count: int,
-    rng: random.Random,
-    hot_fraction: float = 0.1,
-    hot_probability: float = 0.9,
-) -> _t.Iterator[tuple[int, int]]:
-    """90/10-style hotspot: *hot_probability* of accesses land in the
-    first *hot_fraction* of the range."""
-    _check(total_bytes, access_bytes, count)
-    if not 0 < hot_fraction <= 1 or not 0 <= hot_probability <= 1:
-        raise ConfigError("hot_fraction in (0,1], hot_probability in [0,1]")
-    hot_bytes = max(access_bytes, int(total_bytes * hot_fraction))
-    for _ in range(count):
-        if rng.random() < hot_probability:
-            span = hot_bytes - access_bytes
-        else:
-            span = total_bytes - access_bytes
-        yield rng.randrange(0, span + 1), access_bytes
-
-
-def shuffled_block_order(total_blocks: int, rng: random.Random) -> list[int]:
-    """A random permutation of block indices (for failure-injection and
-    migration tests that want full coverage in random order)."""
-    order = list(range(total_blocks))
-    rng.shuffle(order)
-    return order
-
-
 def zipf_cumulative(n: int, theta: float) -> list[float]:
     """Cumulative Zipf weights over ranks ``0..n-1``.
 
-    Rank *k*'s weight is ``1/(k+1)**theta`` — the same law
-    :func:`zipf_trace` uses for block popularity, exposed standalone so
-    a tenant *population* can be sampled with one uniform draw plus a
+    Rank *k*'s weight is ``1/(k+1)**theta`` (YCSB's skew law), so a
+    tenant *population* can be sampled with one uniform draw plus a
     :func:`zipf_pick` bisect (O(log n) per arrival, O(n) once)."""
     if n < 1:
         raise ConfigError(f"need at least one rank, got {n}")

@@ -37,10 +37,6 @@ class BfsResult:
     duration_ns: float
     reads: int
 
-    @property
-    def ns_per_edge_read(self) -> float:
-        return self.duration_ns / self.reads if self.reads else 0.0
-
 
 class PooledGraph:
     """A CSR graph stored in a pool buffer."""

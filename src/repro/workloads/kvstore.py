@@ -100,11 +100,6 @@ class PooledKVStore:
         data = yield self.pool.read(server_id, self.log, offset, length)
         return data
 
-    def delete(self, key: bytes) -> bool:
-        """Tombstone: drops the index entry (space reclaimed by
-        :meth:`compact`)."""
-        return self._index.pop(key, None) is not None
-
     @property
     def bytes_used(self) -> int:
         return self._tail

@@ -41,7 +41,6 @@ def test_accelerator_dma_cap_binds_when_lower(logical_deployment):
     logical_deployment.run(accel.scan(route.path, mib(100)))
     bandwidth = mib(100) / (logical_deployment.engine.now - started)
     assert bandwidth == pytest.approx(10.0, rel=0.05)
-    assert accel.effective_rate(97.0) == 10.0
 
 
 def test_launch_overhead_dominates_tiny_kernels(logical_deployment):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.coherence.protocol import CoherenceDirectory
 from repro.core.coherence.snoop_filter import SnoopFilter
-from repro.core.coherence.sync import Barrier, CohortLock, SpinLock, TicketLock
+from repro.core.coherence.sync import CohortLock, SpinLock, TicketLock
 from repro.errors import CoherenceError, ConfigError
 from repro.units import mib
 
@@ -45,7 +45,7 @@ def test_filter_untrack_clears_empty_entries():
     sf = SnoopFilter(capacity_lines=4)
     sf.track(1, 0)
     sf.untrack(1, 0)
-    assert sf.occupancy == 0
+    assert not sf._entries
     sf.untrack(9, 0)  # unknown: no-op
 
 
@@ -256,46 +256,3 @@ def test_cohort_limit_bounds_streaks(directory, logical_deployment):
 def test_cohort_config(directory):
     with pytest.raises(ConfigError):
         CohortLock(directory, 0, [0, 1], cohort_limit=0)
-
-
-# --- barrier ----------------------------------------------------------------
-
-
-def test_barrier_releases_all_at_once(directory, logical_deployment):
-    engine = logical_deployment.engine
-    barrier = Barrier(directory, 0, 1, parties=4)
-    releases: list[float] = []
-
-    def party(host, arrive_delay):
-        yield engine.timeout(arrive_delay)
-        yield barrier.wait(host)
-        releases.append(engine.now)
-
-    procs = [
-        engine.process(party(h, delay))
-        for h, delay in zip(range(4), (0.0, 1000.0, 2000.0, 50_000.0))
-    ]
-    engine.run(engine.all_of(procs))
-    # nobody got through before the last arrival
-    assert min(releases) >= 50_000.0
-    assert barrier.generations == 1
-
-
-def test_barrier_reusable_across_generations(directory, logical_deployment):
-    engine = logical_deployment.engine
-    barrier = Barrier(directory, 0, 1, parties=2)
-
-    def party(host):
-        for _ in range(3):
-            yield barrier.wait(host)
-
-    procs = [engine.process(party(h)) for h in (0, 1)]
-    engine.run(engine.all_of(procs))
-    assert barrier.generations == 3
-
-
-def test_barrier_config(directory):
-    with pytest.raises(ConfigError):
-        Barrier(directory, 0, 0, parties=2)
-    with pytest.raises(ConfigError):
-        Barrier(directory, 0, 1, parties=0)

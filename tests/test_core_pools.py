@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pool import LogicalMemoryPool, PhysicalMemoryPool, pool_for
+from repro.core.pool import LogicalMemoryPool, PhysicalMemoryPool
 from repro.errors import (
     AddressError,
     CapacityError,
@@ -21,7 +21,7 @@ from repro.units import gib, mib
 
 def test_allocation_is_extent_granular(logical_pool):
     buffer = logical_pool.allocate(mib(300), requester_id=0)
-    assert list(buffer.extent_indices()) == [0, 1]
+    assert list(buffer.geometry.extents_covering(buffer.base, buffer.size)) == [0, 1]
     assert logical_pool.pooled_free_bytes == logical_pool.pooled_bytes - mib(512)
 
 
@@ -60,7 +60,6 @@ def test_free_returns_capacity(logical_pool):
 
 def test_buffers_are_registered(logical_pool):
     buffer = logical_pool.allocate(gib(1), requester_id=0, name="x")
-    assert logical_pool.buffer_at(buffer.base) is buffer
     assert logical_pool.live_buffers == [buffer]
 
 
@@ -87,11 +86,6 @@ def test_wrong_deployment_kind_rejected(physical_cache_deployment, logical_deplo
         LogicalMemoryPool(physical_cache_deployment)
     with pytest.raises(ConfigError):
         PhysicalMemoryPool(logical_deployment)
-
-
-def test_pool_for_dispatches(logical_deployment, physical_cache_deployment):
-    assert isinstance(pool_for(logical_deployment), LogicalMemoryPool)
-    assert isinstance(pool_for(physical_cache_deployment), PhysicalMemoryPool)
 
 
 # --- logical: data paths ----------------------------------------------------------
@@ -137,7 +131,7 @@ def test_crashed_owner_raises_on_access(logical_pool, logical_deployment):
 def test_migration_preserves_contents_and_addresses(logical_pool, logical_deployment):
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     logical_deployment.run(logical_pool.write(0, buffer, 1234, b"stable"))
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     moved = logical_deployment.run(logical_pool.migrate_extent(extent, 2))
     assert moved == mib(256)
     assert logical_pool.locality_fraction(2, buffer) == 1.0
@@ -148,7 +142,7 @@ def test_migration_preserves_contents_and_addresses(logical_pool, logical_deploy
 
 def test_migration_to_self_is_noop(logical_pool, logical_deployment):
     buffer = logical_pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     assert logical_deployment.run(logical_pool.migrate_extent(extent, 0)) == 0
 
 
@@ -156,7 +150,7 @@ def test_migration_frees_source_frames(logical_pool, logical_deployment):
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     src_free = logical_pool.regions[0].shared_free_bytes
     dst_free = logical_pool.regions[3].shared_free_bytes
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     logical_deployment.run(logical_pool.migrate_extent(extent, 3))
     assert logical_pool.regions[0].shared_free_bytes == src_free + mib(256)
     assert logical_pool.regions[3].shared_free_bytes == dst_free - mib(256)
@@ -167,7 +161,7 @@ def test_migration_catches_racing_writes(logical_pool, logical_deployment):
     engine = logical_deployment.engine
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     logical_deployment.run(logical_pool.write(0, buffer, 0, b"old-value"))
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     migration = logical_pool.migrate_extent(extent, 1)
 
     def racer():
@@ -183,7 +177,7 @@ def test_migration_catches_racing_writes(logical_pool, logical_deployment):
 def test_migration_to_dead_server_rejected(logical_pool, logical_deployment):
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     logical_deployment.servers[3].crash()
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     with pytest.raises(MemoryFailureError):
         logical_deployment.run(logical_pool.migrate_extent(extent, 3))
 
@@ -297,7 +291,7 @@ def test_migration_aborts_when_destination_dies_mid_copy(logical_pool, logical_d
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     engine.run(logical_pool.write(0, buffer, 0, b"authoritative"))
     dst_free_before = logical_pool.regions[2].shared_free_bytes
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     migration = logical_pool.migrate_extent(extent, 2)
 
     def assassin():
@@ -322,7 +316,7 @@ def test_migration_reports_loss_when_source_dies_mid_copy(logical_pool, logical_
     engine = logical_deployment.engine
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     engine.run(logical_pool.write(0, buffer, 0, b"doomed"))
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     migration = logical_pool.migrate_extent(extent, 3)
 
     def assassin():

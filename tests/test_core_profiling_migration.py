@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.migration import LocalityBalancer
 from repro.core.pool import LogicalMemoryPool
-from repro.core.profiling import AccessProfiler
+from repro.core.profiling import AccessProfiler, dominant
 from repro.errors import ConfigError
 from repro.units import gib, mib
 
@@ -37,10 +37,10 @@ def test_dominant_consumer():
     profiler = AccessProfiler()
     profiler.record(1, extent_index=2, nbytes=900, remote=True)
     profiler.record(3, extent_index=2, nbytes=100, remote=True)
-    winner, share = profiler.dominant_consumer(2)
+    winner, share = dominant(profiler.remote_bytes_by_extent()[2])
     assert winner == 1
     assert share == pytest.approx(0.9)
-    assert profiler.dominant_consumer(99) == (None, 0.0)
+    assert dominant({}) == (None, 0.0)
 
 
 def test_epoch_aging_decays_and_expires():
@@ -51,14 +51,6 @@ def test_epoch_aging_decays_and_expires():
     for _ in range(4):
         profiler.advance_epoch()  # decays below 1 byte -> dropped
     assert profiler.remote_bytes_by_extent() == {}
-
-
-def test_demand_by_server():
-    profiler = AccessProfiler()
-    profiler.record(0, 1, 100, remote=False)
-    profiler.record(0, 2, 50, remote=True)
-    profiler.record(1, 1, 25, remote=True)
-    assert profiler.demand_by_server() == {0: 150.0, 1: 25.0}
 
 
 def test_profiler_config_validation():
@@ -80,7 +72,7 @@ def make_balancer(logical_deployment, **kwargs):
 def test_plan_targets_dominant_consumer(logical_deployment):
     pool, profiler, balancer = make_balancer(logical_deployment)
     buffer = pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     profiler.record(2, extent, 3 * mib(256), remote=True)
     decisions = balancer.plan()
     assert len(decisions) == 1
@@ -92,7 +84,7 @@ def test_plan_targets_dominant_consumer(logical_deployment):
 def test_plan_skips_low_gain(logical_deployment):
     pool, profiler, balancer = make_balancer(logical_deployment, gain_threshold=2.0)
     buffer = pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     profiler.record(2, extent, mib(256), remote=True)  # read once: not worth it
     assert balancer.plan() == []
 
@@ -101,7 +93,7 @@ def test_plan_skips_contended_extents(logical_deployment):
     """No dominant consumer -> leave it where it is."""
     pool, profiler, balancer = make_balancer(logical_deployment, min_dominance=0.6)
     buffer = pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     profiler.record(1, extent, gib(1), remote=True)
     profiler.record(2, extent, gib(1), remote=True)
     assert balancer.plan() == []
@@ -112,7 +104,7 @@ def test_plan_respects_budget(logical_deployment):
         logical_deployment, epoch_budget_bytes=mib(512)
     )
     buffer = pool.allocate(gib(1), requester_id=0)  # 4 extents
-    for extent in buffer.extent_indices():
+    for extent in buffer.geometry.extents_covering(buffer.base, buffer.size):
         profiler.record(1, extent, gib(1), remote=True)
     decisions = balancer.plan()
     assert len(decisions) == 2  # 512 MiB budget / 256 MiB extents
@@ -123,7 +115,7 @@ def test_plan_respects_destination_space(logical_deployment):
     # fill server 1 completely
     filler = pool.allocate(gib(24), requester_id=1)
     buffer = pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     profiler.record(1, extent, gib(2), remote=True)
     decisions = balancer.plan()
     assert decisions == []

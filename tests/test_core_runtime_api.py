@@ -7,7 +7,7 @@ import pytest
 from repro.core.api import LmpSession
 from repro.core.runtime import LmpRuntime
 from repro.errors import AddressError, ConfigError
-from repro.units import gib, mib, ms
+from repro.units import gib, mib
 
 
 @pytest.fixture
@@ -82,7 +82,9 @@ def test_scan_reaches_local_bandwidth(session, logical_deployment):
 def test_sum_shipped_matches_ground_truth(session, logical_deployment):
     buffer = session.alloc(mib(4))
     logical_deployment.run(session.write(buffer, 0, bytes([5]) * 777))
-    total = logical_deployment.run(session.sum_shipped(buffer))
+    total = logical_deployment.run(
+        session.runtime.compute.map_reduce(buffer, mapper=sum, reducer=sum, requester_id=0)
+    )
     assert total == 5 * 777
 
 
@@ -92,10 +94,8 @@ def test_sum_shipped_matches_ground_truth(session, logical_deployment):
 def test_sync_objects_carve_coherent_lines(runtime, session):
     before = runtime._next_coherent_line
     session.spinlock()
-    session.ticket_lock()
-    session.barrier(parties=4)
-    cohort = session.cohort_lock()
-    assert runtime._next_coherent_line == before + 1 + 2 + 2 + cohort.lines_used
+    session.spinlock()
+    assert runtime._next_coherent_line == before + 2
 
 
 def test_coherent_region_exhaustion(logical_deployment):
@@ -140,20 +140,10 @@ def test_background_epoch_trims_idle_shared(runtime, logical_deployment):
     assert all(v == 0 for v in report.shared_bytes.values())
 
 
-def test_background_loop_runs_n_epochs(runtime, logical_deployment):
-    start = logical_deployment.engine.now
-    reports = logical_deployment.run(runtime.run_background(epochs=3, period=ms(10)))
-    assert len(reports) == 3
-    assert logical_deployment.engine.now >= start + 3 * ms(10)
-    assert len(runtime.epoch_reports) == 3
-
-
 def test_runtime_config_validation(logical_deployment):
     with pytest.raises(ConfigError):
         LmpRuntime(logical_deployment, sizing_headroom=-1.0)
     runtime = LmpRuntime(logical_deployment)
-    with pytest.raises(ConfigError):
-        runtime.run_background(epochs=0)
     with pytest.raises(ConfigError):
         runtime.allocate_coherent_lines(0)
 

@@ -1,5 +1,5 @@
-"""Tests for the fabric: switch routing, transactions, PBR graphs,
-transport, and incast."""
+"""Tests for the fabric: switch routing, PBR graphs, transport, and
+incast."""
 
 from __future__ import annotations
 
@@ -7,16 +7,6 @@ import pytest
 
 from repro.errors import AddressError, ConfigError
 from repro.fabric.incast import measure_incast
-from repro.fabric.messages import (
-    BackInvalidate,
-    BackInvalidateResponse,
-    MemRead,
-    MemReadResponse,
-    MemWrite,
-    is_request,
-    is_response,
-    response_type,
-)
 from repro.fabric.routing import FabricGraph
 from repro.fabric.switch import FabricSwitch
 from repro.hw.link import LINK_PRESETS
@@ -36,28 +26,6 @@ def make_rack(servers=2, port_count=32, backplane=None):
     for server in racked:
         switch.attach(server.name, server.link, server.dram)
     return engine, fluid, switch, racked
-
-
-# --- messages ---------------------------------------------------------------
-
-
-def test_transaction_ids_are_unique():
-    a = MemRead(requester="s0", target="s1")
-    b = MemRead(requester="s0", target="s1")
-    assert a.tid != b.tid
-
-
-def test_request_response_classification():
-    read = MemRead(requester="a", target="b")
-    assert is_request(read) and not is_response(read)
-    assert response_type(read) is MemReadResponse
-    assert response_type(BackInvalidate(requester="a", target="b")) is BackInvalidateResponse
-    with pytest.raises(TypeError):
-        response_type(MemReadResponse(requester="a", target="b"))
-
-
-def test_message_kind_property():
-    assert MemWrite(requester="a", target="b").kind == "MemWrite"
 
 
 # --- switch ------------------------------------------------------------------
@@ -118,13 +86,6 @@ def test_unknown_endpoint_rejected():
     _engine, _fluid, switch, _servers = make_rack()
     with pytest.raises(ConfigError, match="unknown endpoint"):
         switch.read_route("server0", "nowhere")
-
-
-def test_detach_frees_port():
-    _engine, _fluid, switch, _servers = make_rack(servers=2, port_count=2)
-    assert switch.ports_free == 0
-    switch.detach("server1")
-    assert switch.ports_free == 1
 
 
 # --- fabric graph (PBR) ----------------------------------------------------------

@@ -68,18 +68,19 @@ def test_scan_fitting_in_cache_hits_after_warmup():
     second = cache.access_range(0, mib(8))
     assert first.miss_pages == 4 and first.hit_pages == 0
     assert second.hit_pages == 4 and second.miss_pages == 0
-    assert cache.hit_ratio() == 0.5
+    assert cache.hits == cache.misses == 4
 
 
 def test_access_range_partial_pages():
     cache = PageCache(mib(8), page_bytes=mib(2))
     outcome = cache.access_range(mib(1), mib(2))  # straddles pages 0 and 1
-    assert outcome.touched_pages == 2
+    assert outcome.hit_pages + outcome.miss_pages == 2
 
 
 def test_access_range_empty():
     cache = PageCache(mib(8), page_bytes=mib(2))
-    assert cache.access_range(0, 0).touched_pages == 0
+    outcome = cache.access_range(0, 0)
+    assert outcome.hit_pages == outcome.miss_pages == 0
 
 
 def test_invalidate_removes_silently():

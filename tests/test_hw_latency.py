@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
-from repro.hw.latency import LatencyModel, flat, mlp_rate_cap
+from repro.hw.latency import LatencyModel, mlp_rate_cap
 from repro.hw.specs import LINK0, LINK1, LOCAL_DDR4
 
 
@@ -31,31 +30,6 @@ def test_latency_clamps_out_of_range_utilization():
     assert model.latency(1.5) == model.latency(1.0)
 
 
-@given(st.floats(0.0, 1.0))
-def test_inverse_round_trips(u):
-    model = LatencyModel(100.0, 500.0, rho=0.9)
-    assert model.inverse(model.latency(u)) == pytest.approx(u, abs=1e-9)
-
-
-def test_inverse_clamps_outside_envelope():
-    model = LatencyModel(100.0, 500.0)
-    assert model.inverse(50.0) == 0.0
-    assert model.inverse(600.0) == 1.0
-
-
-def test_sweep_covers_full_range():
-    model = LOCAL_DDR4.latency_model()
-    sweep = model.sweep(points=5)
-    assert len(sweep) == 5
-    assert sweep[0] == (0.0, pytest.approx(82.0))
-    assert sweep[-1][0] == 1.0
-
-
-def test_sweep_needs_two_points():
-    with pytest.raises(ConfigError):
-        LatencyModel(1, 2).sweep(points=1)
-
-
 def test_invalid_bounds_rejected():
     with pytest.raises(ConfigError):
         LatencyModel(-1.0, 10.0)
@@ -63,12 +37,6 @@ def test_invalid_bounds_rejected():
         LatencyModel(10.0, 5.0)
     with pytest.raises(ConfigError):
         LatencyModel(1.0, 2.0, rho=1.0)
-
-
-def test_flat_curve_is_load_independent():
-    model = flat(100.0)
-    assert model.latency(0.0) == pytest.approx(100.0, abs=1e-6)
-    assert model.latency(1.0) == pytest.approx(100.0, abs=1e-6)
 
 
 def test_mlp_rate_cap_is_littles_law():

@@ -29,7 +29,7 @@ def test_snapshot_reflects_allocations(logical_pool):
 def test_snapshot_tracks_migration_generation(logical_pool, logical_deployment):
     buffer = logical_pool.allocate(gib(1), requester_id=0)
     before = describe_pool(logical_pool)
-    extent = next(iter(buffer.extent_indices()))
+    extent = buffer.geometry.extent_index(buffer.base)
     logical_deployment.run(logical_pool.migrate_extent(extent, 2))
     after = describe_pool(logical_pool)
     assert after.map_generation > before.map_generation

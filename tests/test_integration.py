@@ -80,7 +80,7 @@ def test_day_in_the_life():
     assert engine.run(store.get(0, b"user:1")) == b"alice"
 
     # the dead server contributes nothing to the pool anymore
-    free = pool.shared_free_by_server()
+    free = pool.potential_free_by_server()
     assert 1 not in free
 
 

@@ -340,7 +340,6 @@ def test_compact_packs_live_blocks_into_one_hole():
     assert report.bytes_moved == report.blocks_moved * 1024
     assert report.cost_ns == int(report.bytes_moved / 8.0)
     assert compactor.total_bytes_moved == report.bytes_moved
-    assert compactor.total_cost_ns == report.cost_ns
     # every live block survived, at its mapped offset
     survivors = {a.offset for a in allocator.live_allocations()}
     for block in blocks[1::2]:
@@ -396,7 +395,6 @@ def test_gauntlet_scores_every_pair():
         assert report.ops // 2 <= report.allocs + report.frees + report.failures <= report.ops
         assert report.allocs >= report.frees > 0
         assert 0.0 <= report.internal_fragmentation < 1.0
-        assert 0.0 <= report.failure_rate <= 1.0
         assert 0.0 <= report.ext_frag_mean <= report.ext_frag_max <= 1.0
         assert 0.0 < report.largest_hole_min_ratio <= 1.0
 

@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError
 from repro.mem.interleave import (
     CapacityWeightedPlacement,
     LocalFirstPlacement,
     PinnedPlacement,
     POLICIES,
     RoundRobinPlacement,
-    StripedPlacement,
 )
 
 FREE = {0: 8, 1: 8, 2: 8, 3: 8}  # extents of capacity 1
@@ -48,15 +47,6 @@ def test_round_robin_skips_full_servers():
     assert placement == [1, 2, 1, 2]
 
 
-def test_striped_runs():
-    placement = place(StripedPlacement(stripe_extents=2), 8)
-    assert placement == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_striped_of_one_is_round_robin():
-    assert place(StripedPlacement(1), 8) == place(RoundRobinPlacement(), 8)
-
-
 def test_capacity_weighted_follows_free_space():
     placement = place(CapacityWeightedPlacement(), 6, free={0: 9, 1: 3, 2: 3, 3: 3})
     assert placement.count(0) > placement.count(1)
@@ -74,21 +64,15 @@ def test_pinned_respects_capacity():
 
 
 def test_infeasible_total_raises():
-    for policy in (LocalFirstPlacement(), RoundRobinPlacement(), StripedPlacement()):
+    for policy in (LocalFirstPlacement(), RoundRobinPlacement()):
         with pytest.raises(CapacityError):
             place(policy, 33)
-
-
-def test_striped_requires_positive_stripe():
-    with pytest.raises(ConfigError):
-        StripedPlacement(0)
 
 
 def test_policy_registry_complete():
     assert set(POLICIES) == {
         "local-first",
         "round-robin",
-        "striped",
         "capacity-weighted",
         "pinned",
     }
@@ -98,15 +82,12 @@ def test_policy_registry_complete():
 @given(
     count=st.integers(1, 30),
     free=st.dictionaries(st.integers(0, 5), st.integers(0, 10), min_size=1, max_size=6),
-    policy_name=st.sampled_from(["local-first", "round-robin", "striped", "capacity-weighted"]),
+    policy_name=st.sampled_from(["local-first", "round-robin", "capacity-weighted"]),
 )
 def test_placements_never_overcommit(count, free, policy_name):
     """Whatever the policy, per-server placements fit the free space and
     infeasible demands raise instead of silently truncating."""
-    if policy_name == "striped":
-        policy = StripedPlacement(2)
-    else:
-        policy = POLICIES[policy_name]()
+    policy = POLICIES[policy_name]()
     requester = min(free)
     try:
         placement = policy.place(count, 1, dict(free), requester)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AddressError, MigrationError, ProtectionError
 from repro.mem.global_map import GlobalMap, MapCache
-from repro.mem.layout import Extent, GlobalAddress, PageGeometry
+from repro.mem.layout import GlobalAddress, PageGeometry
 from repro.mem.page_table import PageTable, Protection
 from repro.units import mib
 
@@ -28,23 +28,6 @@ def test_geometry_requires_divisibility():
         PageGeometry(page_bytes=3000, extent_bytes=10_000)
 
 
-def test_pages_covering_range():
-    pages = GEO.pages_covering(mib(2) - 1, 2)
-    assert list(pages) == [0, 1]
-    assert list(GEO.pages_covering(0, 0)) == []
-
-
-def test_split_by_page():
-    parts = list(GEO.split_by_page(mib(2) - 10, 20))
-    assert parts == [(0, mib(2) - 10, 10), (1, 0, 10)]
-
-
-def test_extent_containment():
-    extent = Extent(index=2, extent_bytes=mib(256))
-    assert extent.contains(GlobalAddress(mib(256) * 2))
-    assert not extent.contains(GlobalAddress(mib(256) * 3))
-
-
 def test_global_address_arithmetic():
     addr = GlobalAddress(100)
     assert int(addr + 28) == 128
@@ -61,7 +44,8 @@ def test_map_translate_unmap():
     assert table.translate(5, 100) == mib(2) * 7 + 100
     entry = table.unmap_page(5)
     assert entry.frame_offset == mib(2) * 7
-    assert not table.is_mapped(5)
+    with pytest.raises(AddressError):
+        table.entry(5)
 
 
 def test_double_map_rejected():
@@ -99,8 +83,6 @@ def test_access_and_dirty_bits():
     assert entry.accessed and not entry.dirty
     table.translate(1, 0, write=True)
     assert entry.dirty
-    assert table.clear_access_bits() == 1
-    assert not entry.accessed
 
 
 def test_remote_counters_feed_balancer():
@@ -111,10 +93,8 @@ def test_remote_counters_feed_balancer():
     table.translate(2, 0, remote=True)
     table.translate(3, 0, remote=True)
     table.translate(1, 0, remote=False)
-    hottest = table.hottest_remote_pages(limit=2)
-    assert hottest == [(2, 2), (3, 1)]
-    table.reset_remote_counters()
-    assert table.hottest_remote_pages(limit=5) == []
+    counts = [table.entry(page).remote_accesses for page in (1, 2, 3)]
+    assert counts == [0, 2, 1]
 
 
 def test_sparse_pages_use_two_level_structure():
@@ -122,7 +102,8 @@ def test_sparse_pages_use_two_level_structure():
     table.map_page(0, 0)
     table.map_page(1 << 20, mib(2))  # far-apart indices share no leaf
     assert table.mapped_pages == 2
-    assert table.mapped_page_indices() == [0, 1 << 20]
+    assert table.entry(1 << 20).frame_offset == mib(2)
+    assert len(table._directory) == 2  # one leaf per far-apart index
 
 
 # --- global map --------------------------------------------------------------
@@ -165,7 +146,7 @@ def test_extents_of_server():
     gmap.claim(2, 1)
     gmap.claim(3, 0)
     assert gmap.extents_of(0) == [1, 3]
-    assert gmap.extent_count == 3
+    assert gmap.extents_of(1) == [2]
 
 
 def test_lookup_unbacked_address():
@@ -184,7 +165,6 @@ def test_cache_hits_after_first_lookup():
     cache.lookup(GlobalAddress(0))
     cache.lookup(GlobalAddress(100))
     assert cache.hits == 1 and cache.misses == 1
-    assert cache.hit_ratio() == 0.5
 
 
 def test_cache_detects_staleness_after_migration():

@@ -385,23 +385,3 @@ def test_percentile_many_rejects_out_of_range():
     with pytest.raises(ValueError):
         hist.percentile_many((0.5, 1.5))
 
-
-# --- lazy trace emission (S2) ----------------------------------------------------
-
-
-def test_emit_lazy_skips_payload_when_disabled():
-    from repro.sim.trace import Tracer
-
-    tracer = Tracer()
-    calls = []
-
-    def payload():
-        calls.append(1)
-        return {"x": 1}
-
-    tracer.emit_lazy(0.0, "c", "kind", payload)
-    assert not calls and not tracer.records
-    tracer.enable("kind")
-    tracer.emit_lazy(1.0, "c", "kind", payload)
-    assert calls == [1]
-    assert tracer.records[0].payload == {"x": 1}

@@ -162,9 +162,6 @@ class LedgerMachine(RuleBasedStateMachine):
         assert ledger == expected
         assert list(ledger) == list(expected)
         assert self.pool.potential_free_bytes == sum(expected.values())
-        assert self.pool.shared_free_by_server() == {
-            sid: self.pool.regions[sid].shared_free_bytes for sid in expected
-        }
 
     def teardown(self) -> None:
         if not hasattr(self, "pool"):

@@ -1,7 +1,7 @@
 """The profiler's per-extent index answers exactly what a full scan does.
 
-``AccessProfiler.extent_heat`` and ``dominant_consumer`` read a
-per-extent index instead of scanning every (requester, extent) counter.
+``AccessProfiler.extent_heat`` reads a per-extent index instead of
+scanning every (requester, extent) counter.
 Eviction and rebalancing sort by these floats, so the index must sum in
 the same order as the scan it replaced: the results are compared with
 ``==``, not approximately, including after aging drops a counter and a
@@ -35,14 +35,6 @@ def scanned_heat(profiler: AccessProfiler, extent_index: int) -> float:
     return total
 
 
-def scanned_dominant(profiler: AccessProfiler, extent_index: int):
-    consumers = profiler.remote_bytes_by_extent().get(extent_index, {})
-    if not consumers:
-        return None, 0.0
-    winner = max(consumers, key=lambda r: (consumers[r], -r))
-    return winner, consumers[winner] / sum(consumers.values())
-
-
 @settings(max_examples=200, deadline=None)
 @given(steps=steps, decay=st.sampled_from([0.0, 0.25, 0.5, 0.9]))
 def test_index_matches_full_scan(steps, decay):
@@ -55,9 +47,6 @@ def test_index_matches_full_scan(steps, decay):
             profiler.record(requester, extent, nbytes, remote)
         for extent in range(EXTENTS):
             assert profiler.extent_heat(extent) == scanned_heat(profiler, extent)
-            assert profiler.dominant_consumer(extent) == scanned_dominant(
-                profiler, extent
-            )
 
 
 def test_rerecorded_counter_sums_in_scan_order():
@@ -73,10 +62,8 @@ def test_rerecorded_counter_sums_in_scan_order():
     assert list(profiler._stats) == [(3, 0), (2, 0), (1, 0)]
     assert profiler.extent_heat(0) == scanned_heat(profiler, 0) == 1e16
     assert (1.0 + 1.0) + 1e16 != 1e16
-    assert profiler.dominant_consumer(0) == scanned_dominant(profiler, 0)
 
 
 def test_unknown_extent_is_cold():
     profiler = AccessProfiler()
     assert profiler.extent_heat(42) == 0.0
-    assert profiler.dominant_consumer(42) == (None, 0.0)

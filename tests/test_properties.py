@@ -66,7 +66,7 @@ class PoolMachine(RuleBasedStateMachine):
     @rule(index=st.integers(0, 10), dst=st.integers(0, 3))
     def migrate(self, index: int, dst: int) -> None:
         buffer = self.buffers[index % len(self.buffers)]
-        extent = next(iter(buffer.extent_indices()))
+        extent = buffer.geometry.extent_index(buffer.base)
         try:
             self.engine.run(self.pool.migrate_extent(extent, dst))
         except CapacityError:
@@ -98,7 +98,7 @@ class PoolMachine(RuleBasedStateMachine):
     def used_frames_match_live_buffers(self) -> None:
         extent_bytes = self.pool.geometry.extent_bytes
         expected_used = sum(
-            len(list(b.extent_indices())) * extent_bytes for b in self.buffers
+            len(b.geometry.extents_covering(b.base, b.size)) * extent_bytes for b in self.buffers
         )
         actual_used = sum(r.shared_used_bytes for r in self.pool.regions.values())
         assert actual_used == expected_used
@@ -106,7 +106,7 @@ class PoolMachine(RuleBasedStateMachine):
     @invariant()
     def every_live_extent_is_owned(self) -> None:
         for buffer in self.buffers:
-            for extent in buffer.extent_indices():
+            for extent in buffer.geometry.extents_covering(buffer.base, buffer.size):
                 owner = self.pool.translator.global_map.lookup_extent(extent).server_id
                 assert owner in self.pool.regions
 
@@ -214,46 +214,6 @@ def test_crash_leaves_other_servers_intact(victim, data):
         deployment.run(pool.read(survivor_sid, doomed, 0, len(data)))
 
 
-# --- MPMC queue under randomized participation --------------------------------------
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    producers=st.integers(1, 3),
-    consumers=st.integers(1, 3),
-    per_producer=st.integers(1, 8),
-    capacity=st.integers(1, 6),
-)
-def test_message_queue_never_loses_or_duplicates(producers, consumers, per_producer, capacity):
-    from repro.core.coherence.protocol import CoherenceDirectory
-    from repro.core.coherence.structures import MessageQueue
-
-    deployment = build_logical("link0")
-    engine = deployment.engine
-    directory = CoherenceDirectory(deployment, region_bytes=mib(1))
-    queue = MessageQueue(directory, 0, capacity=capacity)
-    total = producers * per_producer
-    received: list[int] = []
-
-    def producer(host, base):
-        for i in range(per_producer):
-            yield queue.put(host, base + i)
-
-    def consumer(host, budget):
-        for _ in range(budget):
-            value = yield queue.get(host)
-            received.append(value)
-
-    budgets = [total // consumers] * consumers
-    budgets[0] += total - sum(budgets)
-    procs = [engine.process(producer(p % 4, (p + 1) * 1000)) for p in range(producers)]
-    procs += [engine.process(consumer((c + 1) % 4, budgets[c])) for c in range(consumers)]
-    engine.run(engine.all_of(procs))
-    expected = sorted((p + 1) * 1000 + i for p in range(producers) for i in range(per_producer))
-    assert sorted(received) == expected
-    assert queue.depth() == 0
-
-
 # --- local relocation preserves data -------------------------------------------------
 
 
@@ -264,7 +224,7 @@ def test_relocation_preserves_data(payload, offset):
     pool = LogicalMemoryPool(deployment)
     buffer = pool.allocate(mib(256), requester_id=0)
     deployment.run(pool.write(0, buffer, offset, payload))
-    extent = next(iter(buffer.extent_indices()))
+    extent = buffer.geometry.extent_index(buffer.base)
     old_frames = list(pool._extent_frames[extent])
     deployment.run(pool.relocate_extent_locally(extent))
     assert pool._extent_frames[extent] != old_frames

@@ -317,7 +317,7 @@ def test_free_during_migration_aborts_without_leaking(logical_pool, logical_depl
     src_free = logical_pool.regions[0].shared_free_bytes
     dst_free = logical_pool.regions[2].shared_free_bytes
     buffer = logical_pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     migration = logical_pool.migrate_extent(extent, 2)
 
     def assassin():
@@ -338,7 +338,7 @@ def test_free_during_relocation_aborts_without_leaking(
     engine = logical_deployment.engine
     free_before = logical_pool.regions[0].shared_free_bytes
     buffer = logical_pool.allocate(mib(256), requester_id=0)
-    extent = list(buffer.extent_indices())[0]
+    extent = buffer.geometry.extent_index(buffer.base)
     relocation = logical_pool.relocate_extent_locally(extent)
 
     def assassin():

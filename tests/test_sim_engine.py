@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.process import Interrupted
 
 
 def test_clock_starts_at_zero(engine):
@@ -161,38 +160,6 @@ def test_waiting_on_already_processed_event(engine):
     # waiting on a processed event resumes immediately (next tick)
     assert engine.run(engine.process(late())) is None
     assert engine.now == 5.0
-
-
-def test_interrupt_raises_inside_process(engine):
-    log: list[str] = []
-
-    def sleeper():
-        try:
-            yield engine.timeout(1000.0)
-        except Interrupted as intr:
-            log.append(f"interrupted:{intr.cause}")
-        return "done"
-
-    proc = engine.process(sleeper())
-
-    def interrupter():
-        yield engine.timeout(10.0)
-        proc.interrupt("wakeup")
-
-    engine.process(interrupter())
-    assert engine.run(proc) == "done"
-    assert log == ["interrupted:wakeup"]
-    assert engine.now == pytest.approx(10.0)
-
-
-def test_interrupt_finished_process_rejected(engine):
-    def quick():
-        yield engine.timeout(1.0)
-
-    proc = engine.process(quick())
-    engine.run(proc)
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_any_of_fires_on_first(engine):
@@ -363,8 +330,14 @@ def _step_until_dry(engine: Engine) -> None:
 
 
 def _run_with_sink(engine: Engine) -> None:
-    engine.add_event_sink(lambda *_args: None)
-    engine.run()
+    def sink(*_args) -> None:
+        pass
+
+    Engine.add_global_event_sink(sink)
+    try:
+        engine.run()
+    finally:
+        Engine.remove_global_event_sink(sink)
 
 
 @settings(max_examples=60, deadline=None)

