@@ -16,6 +16,11 @@ configurations; everything else lives here, once:
 * :func:`check_floors` and :func:`gate` — every configuration must have
   a committed floor, and stay within :data:`REGRESSION_TOLERANCE` of it.
 
+Each configuration names the rate it is gated on (``events_per_sec``,
+``bytes_per_sec``, ...): the floor is stored under that name, so a
+workload whose natural unit is not events keeps a meaningful gate when
+its event count changes.
+
 ``--capture`` measures and writes the JSON without the gate; the
 committed floors are 70% of the best rate over two captures.
 """
@@ -37,9 +42,9 @@ REGRESSION_TOLERANCE = 0.20
 
 #: a clock: reference seconds while a smoke run measures
 Now = _t.Callable[[], float]
-#: (name, run): *run* times its own measured section on the clock it is
-#: given and returns a result whose ``events_per_sec`` is the gated rate
-Config = tuple[str, _t.Callable[[Now], dict[str, float]]]
+#: (name, rate, run): *run* times its own measured section on the clock
+#: it is given and returns a result whose *rate* entry is the gated rate
+Config = tuple[str, str, _t.Callable[[Now], dict[str, float]]]
 
 
 def assert_seams_cold() -> None:
@@ -97,7 +102,9 @@ def load_baseline(path: pathlib.Path, capture: bool) -> dict[str, _t.Any]:
     )
 
 
-def best_of(run: _t.Callable[[Now], dict[str, float]], rounds: int, now: Now) -> dict[str, float]:
+def best_of(
+    run: _t.Callable[[Now], dict[str, float]], rate: str, rounds: int, now: Now
+) -> dict[str, float]:
     """The round with the highest rate.  Load on a shared host only ever
     slows a run down, so the best round is the stable estimate."""
     best: dict[str, float] | None = None
@@ -106,7 +113,7 @@ def best_of(run: _t.Callable[[Now], dict[str, float]], rounds: int, now: Now) ->
         # round's garbage so its pauses do not land in this one
         gc.collect()
         result = run(now)
-        if best is None or result["events_per_sec"] > best["events_per_sec"]:
+        if best is None or result[rate] > best[rate]:
             best = result
     assert best is not None
     return best
@@ -118,27 +125,39 @@ def write_json(path: str | pathlib.Path, payload: dict[str, _t.Any]) -> None:
     print(f"wrote {path}")
 
 
-def check_floors(bench: str, names: list[str], baseline: dict[str, _t.Any]) -> None:
-    """Every configuration has a committed floor and every floor a
-    configuration: a floor deleted from the baseline must fail the gate,
-    not drop that configuration out of it."""
+def check_floors(bench: str, configs: list[Config], baseline: dict[str, _t.Any]) -> None:
+    """Every configuration has a committed floor in its own rate's unit,
+    and every floor a configuration: a floor deleted from the baseline,
+    or recorded in another unit, must fail the gate, not drop that
+    configuration out of it."""
     floors = baseline.get("results", {})
+    names = [name for name, _rate, _run in configs]
     problems = [f"{name}: measured but has no committed floor"
                 for name in names if name not in floors]
+    problems += [f"{name}: committed floor has no {rate}"
+                 for name, rate, _run in configs
+                 if name in floors and rate not in floors[name]]
     problems += [f"{name}: committed floor but no such configuration"
                  for name in floors if name not in names]
     if problems:
         raise SystemExit(f"{bench} bench baseline:\n  " + "\n  ".join(problems))
 
 
-def gate(bench: str, results: dict[str, dict[str, float]], baseline: dict[str, _t.Any]) -> None:
-    """Fail when any rate is more than the tolerance below its floor."""
+def gate(
+    bench: str,
+    configs: list[Config],
+    results: dict[str, dict[str, float]],
+    baseline: dict[str, _t.Any],
+) -> None:
+    """Fail when any configuration's rate is more than the tolerance
+    below its floor."""
     failures = []
-    for name, result in results.items():
-        floor = baseline["results"][name]["events_per_sec"]
-        if result["events_per_sec"] < floor * (1.0 - REGRESSION_TOLERANCE):
+    for name, rate, _run in configs:
+        floor = baseline["results"][name][rate]
+        measured = results[name][rate]
+        if measured < floor * (1.0 - REGRESSION_TOLERANCE):
             failures.append(
-                f"{name}: {result['events_per_sec']:,.0f}/s is >"
+                f"{name}: {measured:,.0f} {rate} is >"
                 f"{REGRESSION_TOLERANCE:.0%} below committed floor {floor:,.0f}"
             )
     if failures:
@@ -163,15 +182,15 @@ def smoke(
     *configs*."""
     baseline = load_baseline(baseline_path, capture)
     if not capture:
-        check_floors(bench, [name for name, _run in configs], baseline)
+        check_floors(bench, configs, baseline)
     assert_seams_cold()
     warm_up()  # imports, bytecode and allocator pools out of the timing
 
     results: dict[str, dict[str, float]] = {}
     with refclock.ReferenceClock() as clock:
-        for name, run in configs:
-            result = results[name] = best_of(run, rounds, clock.now)
-            line = f"{name:20s}: {result['events_per_sec']:>12,.0f} /s"
+        for name, rate, run in configs:
+            result = results[name] = best_of(run, rate, rounds, clock.now)
+            line = f"{name:20s}: {result[rate]:>16,.0f} {rate}"
             if "ops_per_sec" in result:
                 line += f"  ({result['ops_per_sec']:,.0f} ops/s)"
             print(line)
@@ -180,7 +199,7 @@ def smoke(
     if capture:
         print("regression gate: skipped (--capture)")
     else:
-        gate(bench, results, baseline)
+        gate(bench, configs, results, baseline)
 
 
 def main(doc: str | None, smoke_fn: _t.Callable[..., object], out: str) -> None:

@@ -143,9 +143,11 @@ def open_loop_slice(
 
 def _configs() -> list[_harness.Config]:
     return [
-        ("construct_10k", construct_10k),
-        ("open_loop_slice", lambda now: open_loop_slice(10_000, autoscale=False, now=now)),
-        ("elastic_slice", lambda now: open_loop_slice(10_000, autoscale=True, now=now)),
+        ("construct_10k", "events_per_sec", construct_10k),
+        ("open_loop_slice", "events_per_sec",
+         lambda now: open_loop_slice(10_000, autoscale=False, now=now)),
+        ("elastic_slice", "events_per_sec",
+         lambda now: open_loop_slice(10_000, autoscale=True, now=now)),
     ]
 
 

@@ -199,22 +199,20 @@ class LmpSession:
 
     # -- streaming / compute ------------------------------------------------------
 
-    def scan(self, buffer: Buffer, chunk_bytes: int = mib(32)) -> "Process":
+    def scan(self, buffer: Buffer) -> "Process":
         """Stream the whole buffer with this server's cores; the process
         returns the achieved bandwidth in GB/s."""
         self._observe_access(buffer, 0, buffer.size, write=False)
         return self._traced(
             "scan", buffer.size,
             lambda: self.runtime.engine.process(
-                self._scan_body(buffer, chunk_bytes), name="session.scan"
+                self._scan_body(buffer), name="session.scan"
             ),
         )
 
-    def _scan_body(self, buffer: Buffer, chunk_bytes: int):
+    def _scan_body(self, buffer: Buffer):
         engine = self.runtime.engine
         server = self.runtime.deployment.server(self.server_id)
-        for core in server.socket.cores:
-            core.chunk_bytes = chunk_bytes
         shards = buffer.shards(server.socket.core_count)
         plans = [
             self.runtime.pool.access_segments(self.server_id, buffer, off, length)

@@ -92,7 +92,6 @@ class ComputeRuntime:
         self,
         buffer: Buffer,
         requester_id: int = 0,
-        chunk_bytes: int = mib(32),
         use_accelerators: bool = False,
     ) -> "Process":
         """Scan the whole buffer with computation shipped to every owner;
@@ -102,13 +101,11 @@ class ComputeRuntime:
         registered Type-2 accelerator instead of its CPU cores — same
         DRAM-bound bandwidth, zero CPU core-time consumed."""
         return self.engine.process(
-            self._shipped_scan_body(buffer, requester_id, chunk_bytes, use_accelerators),
+            self._shipped_scan_body(buffer, requester_id, use_accelerators),
             name="compute.shipped_scan",
         )
 
-    def _shipped_scan_body(
-        self, buffer: Buffer, requester_id: int, chunk_bytes: int, use_accelerators: bool
-    ):
+    def _shipped_scan_body(self, buffer: Buffer, requester_id: int, use_accelerators: bool):
         started = self.engine.now
         by_owner = self.shards_by_owner(buffer)
         all_procs = []
@@ -130,8 +127,6 @@ class ComputeRuntime:
                 all_procs.append(accelerator.scan(route.path, nbytes))
                 continue
             cores = server.socket.cores
-            for core in cores:
-                core.chunk_bytes = chunk_bytes
             per_core = max(1, nbytes // len(cores))
             work: list[list[AccessSegment]] = []
             assigned = 0
@@ -140,7 +135,7 @@ class ComputeRuntime:
                 if take <= 0:
                     break
                 work.append(
-                    [AccessSegment(path=route.path, nbytes=take, latency_fn=route.latency_fn, label="shipped")]
+                    [AccessSegment(path=route.path, nbytes=take, curve=route.curve, label="shipped")]
                 )
                 assigned += take
             cpu_cores_used[owner] = len(work)

@@ -327,7 +327,7 @@ class LogicalMemoryPool(MemoryPool):
                 AccessSegment(
                     path=route.path,
                     nbytes=length,
-                    latency_fn=route.latency_fn,
+                    curve=route.curve,
                     label="local" if owner == requester_id else f"remote{owner}",
                 )
             )
@@ -735,7 +735,7 @@ class PhysicalMemoryPool(MemoryPool):
             segment = AccessSegment(
                 path=route.path,
                 nbytes=size,
-                latency_fn=route.latency_fn,
+                curve=route.curve,
                 label="pool",
             )
             if self.profiler is not None:
@@ -758,7 +758,7 @@ class PhysicalMemoryPool(MemoryPool):
                 AccessSegment(
                     path=writeback_route.path,
                     nbytes=outcome.writeback_pages * cache.page_bytes,
-                    latency_fn=writeback_route.latency_fn,
+                    curve=writeback_route.curve,
                     label="writeback",
                 )
             )
@@ -766,11 +766,11 @@ class PhysicalMemoryPool(MemoryPool):
             AccessSegment(
                 path=local_route.path,
                 nbytes=size,
-                latency_fn=local_route.latency_fn,
+                curve=local_route.curve,
                 label="cached",
                 fill_path=fill_route.path if outcome.miss_pages else None,
                 fill_bytes=outcome.miss_pages * cache.page_bytes,
-                fill_latency_fn=fill_route.latency_fn,
+                fill_curve=fill_route.curve,
             )
         )
         if self.profiler is not None:

@@ -25,7 +25,7 @@ from repro.core.pool import LogicalMemoryPool
 from repro.hw.accelerator import Accelerator
 from repro.mem.interleave import RoundRobinPlacement
 from repro.topology.builder import build_logical
-from repro.units import gib, mib
+from repro.units import gib
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _run_one(link: str, vector_gib: float, use_accelerators: bool) -> EnginePoin
             compute.attach_accelerator(server.server_id, accelerator)
             accelerators.append(accelerator)
     result = deployment.run(
-        compute.shipped_scan(buffer, requester_id=0, chunk_bytes=mib(64), use_accelerators=use_accelerators)
+        compute.shipped_scan(buffer, requester_id=0, use_accelerators=use_accelerators)
     )
     if use_accelerators:
         launches = sum(a.kernels_launched for a in accelerators)

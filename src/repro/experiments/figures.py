@@ -22,7 +22,7 @@ import typing as _t
 from repro.analysis.report import format_barchart, format_table
 from repro.core.pool import LogicalMemoryPool, PhysicalMemoryPool
 from repro.topology.builder import build, build_logical, build_physical
-from repro.units import gib, mib
+from repro.units import gib
 from repro.workloads.vector_sum import VectorSumResult, run_vector_sum
 
 #: the paper's four vector sizes, GiB
@@ -95,7 +95,6 @@ def run_figure(
     figure: str,
     links: _t.Sequence[str] = ("link0", "link1"),
     repetitions: int = 10,
-    chunk_bytes: int = mib(32),
 ) -> FigureResult:
     """Run one of figures 2–5 across configurations and links."""
     vector_gib = FIGURE_SIZES[figure]
@@ -106,7 +105,6 @@ def run_figure(
             LogicalMemoryPool(deployment),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=chunk_bytes,
             label="Logical",
         )
         deployment = build_physical(link, cache=True)
@@ -114,7 +112,6 @@ def run_figure(
             PhysicalMemoryPool(deployment),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=chunk_bytes,
             label="Physical cache",
         )
         deployment = build_physical(link, cache=False)
@@ -122,7 +119,6 @@ def run_figure(
             PhysicalMemoryPool(deployment),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=chunk_bytes,
             label="Physical no-cache",
         )
     return FigureResult(figure=figure, vector_gib=vector_gib, results=results)

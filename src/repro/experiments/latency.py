@@ -70,7 +70,7 @@ def _max_loaded_latency(link: str, remote: bool) -> float:
     route = deployment.switch.read_route("server0", owner)
     server = deployment.server(0)
     segments = [
-        [AccessSegment(path=route.path, nbytes=mib(512), latency_fn=route.latency_fn)]
+        [AccessSegment(path=route.path, nbytes=mib(512), curve=route.curve)]
         for _ in range(server.socket.core_count)
     ]
     result: dict[str, float] = {}

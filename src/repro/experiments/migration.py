@@ -74,8 +74,6 @@ def _run_epochs(link: str, working_set: int, epochs: int, balance: bool) -> list
     consumer = deployment.server(1)
     points: list[EpochPoint] = []
     engine = deployment.engine
-    for core in consumer.socket.cores:
-        core.chunk_bytes = mib(32)
     scans_per_epoch = 2  # re-reads are what make migration pay for itself
     for epoch in range(epochs):
         shards = buffer.shards(consumer.socket.core_count)

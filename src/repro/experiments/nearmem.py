@@ -24,7 +24,7 @@ from repro.core.compute import ComputeRuntime
 from repro.core.pool import LogicalMemoryPool
 from repro.mem.interleave import RoundRobinPlacement
 from repro.topology.builder import build_logical
-from repro.units import gib, mib
+from repro.units import gib
 from repro.workloads.vector_sum import run_vector_sum
 
 
@@ -55,21 +55,19 @@ class NearMemoryResult:
         )
 
 
-def run(link: str = "link1", vector_gib: int = 64, chunk_bytes: int = mib(32)) -> NearMemoryResult:
+def run(link: str = "link1", vector_gib: int = 64) -> NearMemoryResult:
     """Pull vs ship on the same round-robin-placed vector."""
     # pull: one server reads a round-robin vector
     deployment = build_logical(link)
     pool = LogicalMemoryPool(deployment, placement=RoundRobinPlacement())
-    pull = run_vector_sum(
-        pool, gib(vector_gib), repetitions=3, chunk_bytes=chunk_bytes, label="pull"
-    )
+    pull = run_vector_sum(pool, gib(vector_gib), repetitions=3, label="pull")
 
     # ship: every server scans its own shard
     deployment = build_logical(link)
     pool = LogicalMemoryPool(deployment, placement=RoundRobinPlacement())
     buffer = pool.allocate(gib(vector_gib), requester_id=0, name="vector")
     compute = ComputeRuntime(pool)
-    shipped = deployment.run(compute.shipped_scan(buffer, requester_id=0, chunk_bytes=chunk_bytes))
+    shipped = deployment.run(compute.shipped_scan(buffer, requester_id=0))
 
     return NearMemoryResult(
         link=link,

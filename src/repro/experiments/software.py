@@ -105,7 +105,7 @@ def run(link: str = "link0") -> SoftwareVsHardwareResult:
     route = deployment.switch.read_route("server0", "server1")
     server = deployment.server(0)
     segments = [
-        [AccessSegment(path=route.path, nbytes=mib(64), latency_fn=route.latency_fn)]
+        [AccessSegment(path=route.path, nbytes=mib(64), curve=route.curve)]
         for _ in range(server.socket.core_count)
     ]
     engine = deployment.engine

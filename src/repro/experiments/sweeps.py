@@ -25,7 +25,7 @@ from repro.core.pool import LogicalMemoryPool, PhysicalMemoryPool
 from repro.hw.link import register_scaled_link
 from repro.hw.specs import LOCAL_DDR4
 from repro.topology.builder import build_logical, build_physical
-from repro.units import gib, mib
+from repro.units import gib
 from repro.workloads.vector_sum import run_vector_sum
 
 
@@ -95,13 +95,11 @@ def sweep_slowdown(
             LogicalMemoryPool(build_logical(link)),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=mib(64),
         )
         nocache = run_vector_sum(
             PhysicalMemoryPool(build_physical(link, cache=False)),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=mib(64),
         )
         points.append(
             SlowdownPoint(
@@ -125,19 +123,16 @@ def sweep_vector_size(
             LogicalMemoryPool(build_logical(link)),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=mib(64),
         )
         cache = run_vector_sum(
             PhysicalMemoryPool(build_physical(link, cache=True)),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=mib(64),
         )
         nocache = run_vector_sum(
             PhysicalMemoryPool(build_physical(link, cache=False)),
             gib(vector_gib),
             repetitions=repetitions,
-            chunk_bytes=mib(64),
         )
         points.append(
             SizePoint(

@@ -68,7 +68,7 @@ def _measure(spec: DeviceSpec, core_count: int = 14) -> tuple[float, float]:
             AccessSegment(
                 path=(device.channel,),
                 nbytes=per_core,
-                latency_fn=device.loaded_latency,
+                curve=device.latency_model,
             )
         ]
         for _ in range(core_count)

@@ -112,7 +112,7 @@ def _measure_point(link: str, background_cores: int) -> LoadPoint:
     procs = []
     if background_cores:
         segments = [
-            [AccessSegment(path=route.path, nbytes=stream_bytes, latency_fn=route.latency_fn)]
+            [AccessSegment(path=route.path, nbytes=stream_bytes, curve=route.curve)]
             for _ in range(background_cores)
         ]
         procs = server.socket.parallel_stream(segments)

@@ -61,7 +61,7 @@ def measure_incast(
         route = switch.read_route(server.name, target)
         per_core = bytes_per_reader // server.socket.core_count
         segments = [
-            [AccessSegment(path=route.path, nbytes=per_core, latency_fn=route.latency_fn)]
+            [AccessSegment(path=route.path, nbytes=per_core, curve=route.curve)]
             for _ in range(server.socket.core_count)
         ]
         started = engine.now

@@ -3,14 +3,19 @@
 The switch's job in the model is to answer one question: *what does an
 access from requester R to memory owned by O cross, and at what
 latency?*  The answer is an :class:`AccessRoute` — an ordered chain of
-bandwidth constraints plus a loaded-latency callback — which cores and
-the transport hand to the fluid solver.
+bandwidth constraints plus the loaded-latency curve that applies at the
+hottest of them — which cores and the transport hand to the fluid
+solver.
 
 Latency semantics follow the paper's tables: a local access is governed
 by the DRAM device's curve (Table 1: 82 ns local), a remote access by
 the fabric link's curve (Table 2: 163–418 ns Link0, 261–527 ns Link1 —
 those measurements already include the remote memory access, so the
-link curve is the end-to-end remote curve).
+link curve is the end-to-end remote curve).  Either way the latency is
+``curve(u)`` with ``u`` the utilization of the hottest capacity on the
+route, the queue actually forming.  Routes carry the device's or
+link's own curve object, so every core streaming one route shares one
+load-capped flow group in the solver.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import typing as _t
 from repro.errors import ConfigError
 from repro.hw.dram import MemoryDevice
 from repro.hw.link import RemoteLink
-from repro.sim.fluid import Capacity, FluidModel
+from repro.sim.fluid import Capacity, FluidModel, path_utilization
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -32,12 +37,14 @@ class AccessRoute:
     """Everything needed to move bytes between a requester and memory."""
 
     path: tuple[Capacity, ...]
-    latency_fn: _t.Callable[[], float]
+    #: utilization of the hottest capacity on *path* -> latency in ns
+    curve: _t.Callable[[float], float]
     remote: bool
     description: str = ""
 
     def loaded_latency(self) -> float:
-        return self.latency_fn()
+        """The latency at the path's current load."""
+        return self.curve(path_utilization(self.path))
 
 
 @dataclasses.dataclass
@@ -130,7 +137,7 @@ class FabricSwitch:
         if requester == owner:
             return AccessRoute(
                 path=(device.channel,),
-                latency_fn=device.loaded_latency,
+                curve=device.latency_model,
                 remote=False,
                 description=f"{requester} local",
             )
@@ -144,7 +151,7 @@ class FabricSwitch:
             path = (device.channel, owner_port.link.up, self.backplane, requester_port.link.down)
         return AccessRoute(
             path=path,
-            latency_fn=_remote_latency_fn(requester_port.link, path),
+            curve=requester_port.link.latency_model,
             remote=True,
             description=f"{requester} reads {owner}",
         )
@@ -159,7 +166,7 @@ class FabricSwitch:
         if requester == owner:
             return AccessRoute(
                 path=(device.channel,),
-                latency_fn=device.loaded_latency,
+                curve=device.latency_model,
                 remote=False,
                 description=f"{requester} local write",
             )
@@ -178,7 +185,7 @@ class FabricSwitch:
             )
         return AccessRoute(
             path=path,
-            latency_fn=_remote_latency_fn(requester_port.link, path),
+            curve=requester_port.link.latency_model,
             remote=True,
             description=f"{requester} writes {owner}",
         )
@@ -193,7 +200,7 @@ class FabricSwitch:
         if src_owner == dst_owner:
             return AccessRoute(
                 path=(src.device.channel,),
-                latency_fn=src.device.loaded_latency,
+                curve=src.device.latency_model,
                 remote=False,
                 description=f"{src_owner} local copy",
             )
@@ -213,18 +220,8 @@ class FabricSwitch:
             )
         return AccessRoute(
             path=path,
-            latency_fn=_remote_latency_fn(dst.link, path),
+            curve=dst.link.latency_model,
             remote=True,
             description=f"copy {src_owner} -> {dst_owner}",
         )
 
-
-def _remote_latency_fn(link: RemoteLink, path: tuple[Capacity, ...]):
-    """Loaded remote latency: the link's Table 2 curve evaluated at the
-    hottest element of the path (the queue actually forming)."""
-
-    def latency() -> float:
-        u = max(cap.utilization for cap in path)
-        return link.latency_model(u)
-
-    return latency

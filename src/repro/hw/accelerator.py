@@ -23,7 +23,7 @@ import typing as _t
 
 from repro.errors import ConfigError
 from repro.sim.fluid import Capacity, FluidModel
-from repro.units import mib, us
+from repro.units import us
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.server import Server
@@ -42,7 +42,6 @@ class Accelerator:
         name: str = "",
         dma_rate: float = 120.0,  # bytes/ns the device's DMA engines sustain
         launch_overhead_ns: float = us(5),
-        chunk_bytes: int = mib(64),
     ) -> None:
         if dma_rate <= 0:
             raise ConfigError(f"dma_rate must be positive, got {dma_rate}")
@@ -54,12 +53,11 @@ class Accelerator:
         self.name = name or f"{server.name}.accel"
         self.dma_rate = dma_rate
         self.launch_overhead_ns = launch_overhead_ns
-        self.chunk_bytes = chunk_bytes
         self.kernels_launched = 0
         self.bytes_processed = 0
         self.busy_ns = 0.0
 
-    def scan(self, path: tuple[Capacity, ...], nbytes: int, latency_fn=None) -> "Process":
+    def scan(self, path: tuple[Capacity, ...], nbytes: int) -> "Process":
         """Stream *nbytes* through *path* as one kernel; the process
         returns the bytes processed."""
         return self.engine.process(
@@ -70,11 +68,7 @@ class Accelerator:
         started = self.engine.now
         self.kernels_launched += 1
         yield self.engine.timeout(self.launch_overhead_ns)
-        remaining = nbytes
-        while remaining > 0:
-            chunk = min(self.chunk_bytes, remaining)
-            yield self.fluid.transfer(path, chunk, rate_cap=self.dma_rate, tag=self.name)
-            remaining -= chunk
+        yield self.fluid.transfer(path, nbytes, rate_cap=self.dma_rate, tag=self.name)
         self.bytes_processed += nbytes
         self.busy_ns += self.engine.now - started
         return nbytes

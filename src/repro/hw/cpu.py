@@ -6,13 +6,19 @@ memory-level parallelism (a bounded number of outstanding cache-line
 requests against the access round-trip — Little's law).  We model a core
 as a streaming request generator:
 
-* it walks its assigned byte ranges chunk by chunk (default 4 MiB),
-* each chunk is a fluid transfer whose rate cap is
-  ``mlp_lines * 64 B / loaded_latency`` of the target at issue time,
-* consecutive chunks are pipelined by the hardware prefetcher, so the
-  only per-chunk serialization is the issue latency of the first line —
-  a sub-percent effect at 4 MiB chunks, mirroring how load/store access
-  "can leverage processor mechanisms to hide memory latency" (§1).
+* each contiguous segment it must read is one fluid transfer, after one
+  issue latency for its first line; the hardware prefetcher keeps the
+  rest of the segment streaming behind it, mirroring how load/store
+  access "can leverage processor mechanisms to hide memory latency"
+  (§1);
+* the transfer's rate cap is a :class:`~repro.sim.fluid.LoadCap`:
+  ``mlp_lines * 64 B / latency(u)``, where ``latency`` is the target's
+  loaded-latency curve and ``u`` the utilization of the hottest
+  capacity on the path.  The fluid solver finds the ``u`` that the
+  capped rates themselves produce, so each core's own load counts in
+  the latency it sees;
+* a Physical-cache miss is one fill flow from the pool, under the same
+  kind of cap on the fill path, before the local read.
 
 ``mlp_lines`` defaults to 24, counting both L1 miss buffers and the L2
 prefetchers that run ahead of them; with 14 cores this saturates both
@@ -26,9 +32,7 @@ import dataclasses
 import typing as _t
 
 from repro.errors import ConfigError
-from repro.hw.latency import mlp_rate_cap
-from repro.sim.fluid import Capacity, FluidModel
-from repro.units import mib
+from repro.sim.fluid import Capacity, FluidModel, LoadCap, path_utilization
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -40,25 +44,26 @@ class AccessSegment:
     """A contiguous run of bytes a core must stream.
 
     ``path`` is the chain of bandwidth constraints the data crosses;
-    ``latency_fn`` returns the current loaded round-trip latency in ns
-    (used for the MLP rate cap); ``before`` optionally names a transfer
-    that must complete first for each chunk — used by the page cache to
-    model fill-then-read.
+    ``curve`` maps the utilization of the hottest capacity on it to the
+    loaded round-trip latency in ns (the MLP rate cap's denominator);
+    ``fill_path`` optionally names a copy that must complete first —
+    used by the page cache to model fill-then-read — with its own
+    ``fill_curve`` (defaulting to ``curve``).
     """
 
     path: tuple[Capacity, ...]
     nbytes: int
-    latency_fn: _t.Callable[[], float]
+    curve: _t.Callable[[float], float]
     label: str = ""
     fill_path: tuple[Capacity, ...] | None = None
     fill_bytes: int = 0
-    fill_latency_fn: _t.Callable[[], float] | None = None
+    fill_curve: _t.Callable[[float], float] | None = None
 
 
 class Core:
     """One hardware thread streaming data through the fluid model."""
 
-    #: installed by repro.obs.Observability: charges per-chunk stream
+    #: installed by repro.obs.Observability: charges per-segment stream
     #: time to the latency-breakdown categories on the core's process
     #: span.  None = one class-attribute load per stream body.
     _obs: _t.ClassVar[_t.Any] = None
@@ -75,23 +80,15 @@ class Core:
         name: str,
         mlp_lines: int = 24,
         line_bytes: int = 64,
-        chunk_bytes: int = mib(4),
     ) -> None:
         if mlp_lines < 1:
             raise ConfigError(f"mlp_lines must be >= 1, got {mlp_lines}")
-        if chunk_bytes < line_bytes:
-            raise ConfigError("chunk_bytes must be at least one cache line")
         self.engine = engine
         self.fluid = fluid
         self.name = name
-        self.mlp_lines = mlp_lines
-        self.line_bytes = line_bytes
-        self.chunk_bytes = chunk_bytes
+        #: bytes this core keeps in flight: the MLP cap's numerator
+        self.mlp_bytes = mlp_lines * line_bytes
         self.bytes_streamed = 0
-
-    def rate_cap(self, latency_ns: float) -> float:
-        """This core's MLP streaming ceiling at the given latency."""
-        return mlp_rate_cap(latency_ns, self.mlp_lines, self.line_bytes)
 
     def stream(self, segments: _t.Sequence[AccessSegment]) -> "Process":
         """Spawn a process that streams every segment in order; the
@@ -101,48 +98,42 @@ class Core:
     def _stream_body(self, segments: list[AccessSegment]):
         moved = 0
         obs = Core._obs
+        engine = self.engine
         for seg in segments:
-            remaining = seg.nbytes
-            fill_remaining = seg.fill_bytes
+            nbytes = seg.nbytes
+            if nbytes <= 0:
+                continue
             remote = bool(seg.label) and seg.label not in Core._LOCAL_LABELS
             if obs is not None:
                 obs.annotate(core=self.name, label=seg.label or "scan", remote=remote)
-            while remaining > 0:
-                chunk = min(self.chunk_bytes, remaining)
-                # Cache-miss chunks fetch from the fill path first (the
-                # upfront memcpy of the Physical-cache configuration).
-                if seg.fill_path is not None and fill_remaining > 0:
-                    fill_chunk = min(self.chunk_bytes, fill_remaining)
-                    fill_lat = (seg.fill_latency_fn or seg.latency_fn)()
-                    fill_started = self.engine.now
-                    done = self.fluid.transfer(
-                        seg.fill_path,
-                        fill_chunk,
-                        rate_cap=self.rate_cap(fill_lat),
-                        tag=f"{self.name}.fill",
-                    )
-                    yield done
-                    if obs is not None:
-                        # cache fills always cross the fabric
-                        obs.route_time(True, 0.0, self.engine.now - fill_started)
-                    fill_remaining -= fill_chunk
-                latency = seg.latency_fn()
-                # The first line of each chunk pays the access latency;
-                # the rest stream behind it.
-                yield self.engine.timeout(latency)
-                chunk_started = self.engine.now
-                done = self.fluid.transfer(
-                    seg.path,
-                    chunk,
-                    rate_cap=self.rate_cap(latency),
-                    tag=f"{self.name}.{seg.label or 'scan'}",
+            # A cache-miss segment fetches from the fill path first (the
+            # upfront memcpy of the Physical-cache configuration).
+            if seg.fill_path is not None and seg.fill_bytes > 0:
+                fill_started = engine.now
+                yield self.fluid.transfer(
+                    seg.fill_path,
+                    seg.fill_bytes,
+                    rate_cap=LoadCap(seg.fill_curve or seg.curve, self.mlp_bytes),
+                    tag=f"{self.name}.fill",
                 )
-                yield done
                 if obs is not None:
-                    obs.route_time(remote, latency, self.engine.now - chunk_started)
-                remaining -= chunk
-                moved += chunk
-                self.bytes_streamed += chunk
+                    # cache fills always cross the fabric
+                    obs.route_time(True, 0.0, engine.now - fill_started)
+            # The first line pays the access latency; the rest stream
+            # behind it.
+            latency = seg.curve(path_utilization(seg.path))
+            yield engine.timeout(latency)
+            started = engine.now
+            yield self.fluid.transfer(
+                seg.path,
+                nbytes,
+                rate_cap=LoadCap(seg.curve, self.mlp_bytes),
+                tag=f"{self.name}.{seg.label or 'scan'}",
+            )
+            if obs is not None:
+                obs.route_time(remote, latency, engine.now - started)
+            moved += nbytes
+            self.bytes_streamed += nbytes
         return moved
 
 
@@ -156,14 +147,13 @@ class CpuSocket:
         name: str,
         core_count: int = 14,
         mlp_lines: int = 24,
-        chunk_bytes: int = mib(4),
     ) -> None:
         if core_count < 1:
             raise ConfigError(f"core_count must be >= 1, got {core_count}")
         self.engine = engine
         self.name = name
         self.cores = [
-            Core(engine, fluid, f"{name}.core{i}", mlp_lines=mlp_lines, chunk_bytes=chunk_bytes)
+            Core(engine, fluid, f"{name}.core{i}", mlp_lines=mlp_lines)
             for i in range(core_count)
         ]
 

@@ -21,7 +21,6 @@ exactly through the published (min, max) points regardless of ``rho``.
 
 from __future__ import annotations
 
-import math
 
 from repro.errors import ConfigError
 
@@ -58,14 +57,18 @@ class LatencyModel:
         return f"<LatencyModel {self.lat_min:.0f}..{self.lat_max:.0f}ns rho={self.rho}>"
 
 
-def mlp_rate_cap(latency_ns: float, outstanding_lines: int, line_bytes: int = 64) -> float:
-    """Peak streaming rate (bytes/ns) of one core limited by memory-level
-    parallelism: *outstanding_lines* cache-line requests in flight against
-    a *latency_ns* round trip (Little's law).
+class ShiftedCurve:
+    """A latency curve plus a constant: *base* seen behind fixed extra
+    hops (a cross-rack route's leaf -> spine -> leaf traversal)."""
 
-    This is why the paper needs 14 cores to saturate a memory channel:
-    one core's MLP ceiling sits well below device bandwidth.
-    """
-    if latency_ns <= 0:
-        return math.inf
-    return outstanding_lines * line_bytes / latency_ns
+    __slots__ = ("base", "extra_ns")
+
+    def __init__(self, base: LatencyModel, extra_ns: float) -> None:
+        self.base = base
+        self.extra_ns = extra_ns
+
+    def __call__(self, utilization: float) -> float:
+        return self.base(utilization) + self.extra_ns
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<ShiftedCurve {self.base!r} +{self.extra_ns:.0f}ns>"

@@ -1,17 +1,23 @@
 """Max-min fair fluid bandwidth model.
 
-Every data transfer in the reproduction (a core streaming a chunk from
+Every data transfer in the reproduction (a core streaming a segment from
 DRAM, a page migration crossing the fabric, a cache fill from the
 physical pool) is a *flow* over a *path* of :class:`Capacity` nodes
 (memory channels, fabric ports, switch links).  At any instant each flow
 has a rate; rates are the max-min fair allocation subject to
 
 * every capacity node's aggregate rate limit, and
-* each flow's own rate cap (e.g. a single core's streaming ceiling).
+* each flow's own rate cap: a fixed rate (an accelerator's DMA
+  ceiling), or a :class:`LoadCap` that falls as its path's load rises
+  (a core's memory-level-parallelism ceiling against the *loaded*
+  latency).
 
 The allocation is recomputed with the Bertsekas–Gallager water-filling
-algorithm whenever a flow starts or finishes.  Between recomputations
-flow progress is linear, so the model is exact — not a discretized
+algorithm whenever a flow starts or finishes.  Load-dependent caps are
+solved inside that recompute, as the fixed point at which every such
+cap equals its value at the utilization the resulting rates produce
+(:meth:`FluidModel._solve_load_caps`).  Between recomputations flow
+progress is linear, so the model is exact — not a discretized
 approximation — while remaining event-driven and fast: the number of
 events is O(#flows), independent of transfer sizes.
 
@@ -29,6 +35,7 @@ scale (flow-level network simulation), and it is the reason we can "run"
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import typing as _t
 from heapq import heappop, heappush
@@ -77,6 +84,39 @@ class Capacity:
         return f"<Capacity {self.name} {self.rate:.1f}B/ns>"
 
 
+def path_utilization(path: _t.Iterable[Capacity]) -> float:
+    """Utilization of the hottest capacity on *path*: where the queue that
+    sets a loaded latency actually forms."""
+    return max(cap.utilization for cap in path)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class LoadCap:
+    """A rate cap that depends on load: ``mlp_bytes / curve(u)``, where
+    ``u`` is the utilization of the hottest capacity on the flow's path.
+
+    This is Little's law for a core streaming with *mlp_bytes* of
+    requests in flight against a round trip that lengthens as the path
+    fills.  Caps compare by value, with the curve compared by identity,
+    so every core streaming one route under one curve joins one
+    :class:`_PathGroup`.
+    """
+
+    curve: _t.Callable[[float], float]
+    mlp_bytes: float
+
+    def __post_init__(self) -> None:
+        if self.mlp_bytes <= 0:
+            raise SimulationError(f"load cap needs positive bytes in flight, got {self.mlp_bytes}")
+
+    def at(self, utilization: float) -> float:
+        """The cap in bytes/ns at *utilization* (unbounded at zero latency)."""
+        latency = self.curve(utilization)
+        if latency <= 0:
+            return math.inf
+        return self.mlp_bytes / latency
+
+
 class Transfer:
     """One in-flight flow: *size* bytes over *path*, optionally rate-capped.
 
@@ -98,7 +138,7 @@ class Transfer:
         self,
         path: tuple[Capacity, ...],
         size: float,
-        rate_cap: float,
+        rate_cap: "float | LoadCap",
         done: Event,
         started_at: float,
         tag: str = "",
@@ -131,12 +171,18 @@ class _PathGroup:
     a heap of targets instead of scanning every flow.
     """
 
-    __slots__ = ("path", "cap", "members", "rate", "service", "heap")
+    __slots__ = ("path", "cap", "limit", "u", "members", "rate", "service", "heap")
 
-    def __init__(self, path: tuple[Capacity, ...], cap: float) -> None:
+    def __init__(self, path: tuple[Capacity, ...], cap: "float | LoadCap") -> None:
         self.path = path
         #: the members' common rate cap (inf when uncapped)
         self.cap = cap
+        #: the cap the waterfill applies: *cap* itself, or a load cap's
+        #: value at ``u``
+        self.limit = cap if type(cap) is not LoadCap else math.inf
+        #: a load cap's utilization estimate: the fixed point's last
+        #: solution, so the next recompute starts from it
+        self.u = 0.0
         #: insertion-ordered (dict-as-set) for deterministic iteration
         self.members: dict[Transfer, None] = {}
         #: current per-member max-min share (set by the waterfill)
@@ -171,7 +217,10 @@ class FluidModel:
         #: instead of O(#flows x path length): flows keyed by identical
         #: (path, rate cap) — the solver's input — and per-capacity flow
         #: crossing refcounts (the drain's byte-accounting input)
-        self._groups: dict[tuple[tuple[Capacity, ...], float], _PathGroup] = {}
+        self._groups: dict[tuple[tuple[Capacity, ...], float | LoadCap], _PathGroup] = {}
+        #: the groups whose cap is a LoadCap, in creation order: only a
+        #: recompute with one of these present solves a fixed point
+        self._load_capped: dict[_PathGroup, None] = {}
         self._caps: dict[Capacity, int] = {}
         #: monotonic flow-start counter: the tie-break for equal
         #: completion targets and the retirement order of completions
@@ -183,11 +232,14 @@ class FluidModel:
         self,
         path: _t.Sequence[Capacity],
         size: float,
-        rate_cap: float = math.inf,
+        rate_cap: "float | LoadCap" = math.inf,
         tag: str = "",
         on_complete: _t.Callable[[Event], None] | None = None,
     ) -> Event:
         """Start moving *size* bytes along *path*; returns the completion event.
+
+        *rate_cap* bounds the flow's rate: a number of bytes/ns, or a
+        :class:`LoadCap` solved against the load the flows produce.
 
         *on_complete*, when given, is attached as the completion event's
         first callback — the callback-driven consumption style:
@@ -197,7 +249,7 @@ class FluidModel:
         """
         if size < 0:
             raise SimulationError(f"negative transfer size {size}")
-        if rate_cap <= 0:
+        if type(rate_cap) is not LoadCap and rate_cap <= 0:
             raise SimulationError(f"transfer rate cap must be positive, got {rate_cap}")
         done = lazy_event(self.engine, "transfer", tag)
         if on_complete is not None:
@@ -215,6 +267,9 @@ class FluidModel:
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = _PathGroup(flow.path, rate_cap)
+            if type(rate_cap) is LoadCap:
+                group.u = path_utilization(flow.path)
+                self._load_capped[group] = None
         group.members[flow] = None
         self._flow_seq += 1
         flow._vtarget = group.service + flow.remaining
@@ -304,6 +359,8 @@ class FluidModel:
             del group.members[flow]
             if not group.members:
                 del groups[key]
+                if type(group.cap) is LoadCap:
+                    del self._load_capped[group]
             for cap in flow.path:
                 n = caps[cap] - 1
                 if n:
@@ -325,8 +382,21 @@ class FluidModel:
                     gauge.update(0.0, now)
 
     def _recompute(self) -> None:
+        """Re-solve every group's rate and publish capacity usage."""
+        used = self._solve_load_caps() if self._load_capped else self._waterfill()
+        now = self.engine.now
+        for cap, rate in used.items():
+            cap._used_rate = rate
+            gauge = cap._util_gauge
+            if gauge is None:
+                gauge = cap._util_gauge = cap.stats.gauge("utilization", 0.0, 0.0)
+            gauge.update(rate / cap.rate, now)
+        self._schedule_next_tick()
+
+    def _waterfill(self) -> dict[Capacity, float]:
         """Water-filling max-min allocation (Bertsekas–Gallager), one
-        unknown per ``(path, rate cap)`` group.
+        unknown per ``(path, rate cap)`` group, each capped at its
+        ``limit``; returns each crossed capacity's used rate.
 
         Max-min fairness never distinguishes flows that cross the
         identical capacity path under the identical cap: water-filling
@@ -346,7 +416,7 @@ class FluidModel:
         capped: list[_PathGroup] = []
         for group in groups.values():
             n = len(group.members)
-            if group.cap != inf:
+            if group.limit != inf:
                 capped.append(group)
             for cap in group.path:  # a duplicated node counts once per crossing
                 remaining[cap] = cap.rate
@@ -368,9 +438,9 @@ class FluidModel:
                     best_cap = cap
             # A rate cap is a per-group pseudo-capacity: every group whose
             # cap binds at or below the bottleneck share freezes at it
-            # first.  An uncapped group never satisfies `cap <= best_share`
+            # first.  An uncapped group never satisfies `limit <= best_share`
             # (best_share is finite while any group is unfrozen).
-            freeze = [(g, g.cap) for g in capped if g.cap <= best_share]
+            freeze = [(g, g.limit) for g in capped if g.limit <= best_share]
             if not freeze:
                 if best_cap is None:
                     # No capacity constrains the rest and no cap binds:
@@ -391,15 +461,208 @@ class FluidModel:
                     used[cap] += total
             if capped:
                 capped = [g for g in capped if g in unfrozen]
+        return used
 
-        now = self.engine.now
-        for cap, rate in used.items():
-            cap._used_rate = rate
-            gauge = cap._util_gauge
-            if gauge is None:
-                gauge = cap._util_gauge = cap.stats.gauge("utilization", 0.0, 0.0)
-            gauge.update(rate / cap.rate, now)
-        self._schedule_next_tick()
+    #: relative tolerance to which load-dependent caps must be stable
+    CAP_TOLERANCE = 1e-12
+    #: rounds one recompute may spend on the load caps, and Newton
+    #: iterations within one joint solve, before the solver gives up
+    MAX_CAP_ROUNDS = 64
+
+    def _solve_load_caps(self) -> dict[Capacity, float]:
+        """The waterfill at which every load-capped group's rate is
+        ``min(max-min share, cap(u))`` at the utilization ``u`` of the
+        hottest capacity on its path that those same rates produce.
+
+        Only the groups frozen at their caps are solved.  A group frozen
+        below its cap by a bottleneck is consistent with any cap at or
+        above its rate.  The groups left over are grouped by the hottest
+        capacity on their path, one unknown utilization per capacity,
+        and the first round moves each such capacity to its load
+        balance (:meth:`_settle`).  If a later round still finds a group
+        out of balance, the groups are settled together
+        (:meth:`_settle_jointly`).  Rounds repeat until every cap is
+        stable to :data:`CAP_TOLERANCE`.  Each load cap's
+        estimate ``u`` carries over to the next recompute, so a
+        transition that leaves a group's load alone costs it nothing.
+        Raises :class:`SimulationError` past :data:`MAX_CAP_ROUNDS`.
+        """
+        loaded = list(self._load_capped)
+        for group in loaded:
+            group.limit = group.cap.at(group.u)
+        used = self._waterfill()
+        for round_ in range(self.MAX_CAP_ROUNDS):
+            hot, unsettled = self._unsettled(loaded, used)
+            if not unsettled:
+                return used
+            if round_ == 0:
+                for cap in unsettled:
+                    used = self._settle(cap, hot[cap], used)
+            else:
+                # the first trial did not hold: flows below their caps
+                # took up what the capped ones freed, or capacities are
+                # coupled through flows that cross several of them
+                used = self._settle_jointly(
+                    [group for binding in hot.values() for group in binding], used
+                )
+        raise SimulationError(
+            f"load-dependent rate caps did not settle in {self.MAX_CAP_ROUNDS} rounds "
+            f"({len(loaded)} load-capped groups)"
+        )
+
+    def _unsettled(
+        self, loaded: list[_PathGroup], used: dict[Capacity, float]
+    ) -> tuple[dict[Capacity, list[_PathGroup]], list[Capacity]]:
+        """Check every load-capped group against the utilization *used*
+        puts on the hottest capacity of its path.  Returns each hottest
+        capacity with the groups frozen at, or over, their caps there,
+        and the capacities among them with a group out of balance; the
+        fixed point holds when that list is empty."""
+        tol = self.CAP_TOLERANCE
+        hot: dict[Capacity, list[_PathGroup]] = {}
+        unsettled: list[Capacity] = []
+        for group in loaded:
+            hottest = group.path[0]
+            u = -1.0
+            for cap in group.path:
+                x = _loaded(used[cap], cap.rate)
+                if x > u:
+                    u = x
+                    hottest = cap
+            target = group.cap.at(u)
+            limit = group.limit
+            if group.rate < limit:
+                # below its cap: any cap >= its rate allocates the same
+                if group.rate <= target * (1.0 + tol):
+                    group.u = u
+                    continue
+                settled = False
+            else:
+                settled = abs(target - limit) <= tol * limit
+            hot.setdefault(hottest, []).append(group)
+            if not settled and hottest not in unsettled:
+                unsettled.append(hottest)
+        return hot, unsettled
+
+    def _settle(
+        self, cap: Capacity, binding: list[_PathGroup], used: dict[Capacity, float]
+    ) -> dict[Capacity, float]:
+        """Move every group in *binding* to the utilization at which
+        *cap* balances with each of them at its load cap and every other
+        flow held at its current rate; returns that waterfill's usage.
+
+        That is exact unless the other flows' rates shift too (flows
+        below their own caps grow into the bandwidth *binding* frees).
+        The next round's check catches that case, and
+        :meth:`_settle_jointly` finishes it.
+        """
+        other = used[cap]
+        terms: list[tuple[int, LoadCap]] = []
+        for group in binding:
+            n = len(group.members) * group.path.count(cap)
+            other -= group.rate * n
+            terms.append((n, group.cap))
+        u = _utilization_root(cap.rate, max(other, 0.0), terms)
+        for group in binding:
+            group.u = u
+            group.limit = group.cap.at(u)
+        return self._waterfill()
+
+    def _settle_jointly(
+        self, groups: list[_PathGroup], used: dict[Capacity, float]
+    ) -> dict[Capacity, float]:
+        """Settle *groups* together, driving each one's estimate ``u``
+        to the utilization of the hottest capacity on its path; returns
+        the last waterfill's usage, and the caller re-checks every group.
+
+        Each iteration first tries a Newton step, with a
+        forward-difference Jacobian (one waterfill per group) and the
+        step halved a few times until the residual shrinks.  Max-min
+        rates are piecewise linear in the caps, so within one pattern of
+        saturated capacities Newton converges fast, and it reaches a
+        corner where several capacities saturate together in one step.
+        Where a kink defeats it, a Gauss–Seidel sweep settles one group
+        at a time instead (:meth:`_settle_one`), which always makes
+        progress.  The unknowns are per group, not per capacity, because
+        which capacity is hottest may change on the way.
+        """
+        tol = self.CAP_TOLERANCE
+        us = [group.u for group in groups]
+        used, residual = self._residuals(groups, us)
+        for _iteration in range(self.MAX_CAP_ROUNDS):
+            if all(
+                abs(group.cap.at(u + r) - group.limit) <= tol * group.limit
+                for group, u, r in zip(groups, us, residual)
+            ):
+                return used
+            # a difference step well below the residual, so that it
+            # rarely straddles a kink (a change of hottest capacity or of
+            # bottleneck) between here and the root
+            size = min(1e-7, max(1e-11, 0.01 * max(abs(r) for r in residual)))
+            columns = []
+            for j, u in enumerate(us):
+                h = -size if u > 0.5 else size
+                probe = list(us)
+                probe[j] = u + h
+                moved = self._residuals(groups, probe)[1]
+                columns.append([(m - r) / h for m, r in zip(moved, residual)])
+            step = _solve_linear(columns, [-r for r in residual])
+            norm = sum(r * r for r in residual)
+            t = 1.0
+            while step is not None and t >= 1.0 / 16:
+                trial = [min(1.0, max(0.0, u + t * d)) for u, d in zip(us, step)]
+                trial_used, trial_residual = self._residuals(groups, trial)
+                if sum(r * r for r in trial_residual) <= (1.0 - 0.25 * t) * norm:
+                    us, used, residual = trial, trial_used, trial_residual
+                    break
+                t *= 0.5
+            else:
+                for j in range(len(groups)):
+                    used, residual = self._settle_one(groups, us, j, residual)
+        return used
+
+    def _residuals(
+        self, groups: list[_PathGroup], us: list[float]
+    ) -> tuple[dict[Capacity, float], list[float]]:
+        """Waterfill with each of *groups* capped at its load cap at the
+        matching entry of *us*; returns the usage and, per group, the
+        utilization of its hottest capacity minus its estimate."""
+        for group, u in zip(groups, us):
+            group.u = u
+            group.limit = group.cap.at(u)
+        used = self._waterfill()
+        return used, [
+            max(_loaded(used[cap], cap.rate) for cap in group.path) - u
+            for group, u in zip(groups, us)
+        ]
+
+    def _settle_one(
+        self, groups: list[_PathGroup], us: list[float], j: int, residual: list[float]
+    ) -> tuple[dict[Capacity, float], list[float]]:
+        """Settle ``groups[j]`` alone, the others held at *us*: a root of
+        its residual in its own estimate, updating ``us[j]`` in place.
+        The utilization its path shows falls as its estimate rises, so
+        :func:`_falling_root` keeps the root bracketed in [0, 1], where
+        iterating on the cap directly would oscillate on the steep knee
+        of the latency curve."""
+        tol = self.CAP_TOLERANCE
+        group = groups[j]
+        used: dict[Capacity, float] | None = None
+
+        def residual_at(u: float) -> float:
+            nonlocal used, residual
+            us[j] = u
+            used, residual = self._residuals(groups, us)
+            return residual[j]
+
+        def settled(u: float, f: float) -> bool:
+            limit = group.cap.at(u)
+            return abs(group.cap.at(u + f) - limit) <= tol * limit
+
+        _falling_root(residual_at, us[j], residual[j], settled)
+        if used is None:
+            used, residual = self._residuals(groups, us)
+        return used, residual
 
     def _horizon(self) -> float:
         """Time until the earliest pending completion: each group's heap
@@ -443,3 +706,96 @@ class FluidModel:
 
         tick.callbacks.append(_fire)
         self.engine._schedule(tick, delay=horizon)
+
+
+#: utilization this close to 1 is a saturated capacity: the waterfill's
+#: sums leave it a few ulps short, and the knee of a latency curve
+#: magnifies that noise past the load caps' tolerance
+_SATURATED = 1.0 - 1e-12
+
+
+def _loaded(used: float, rate: float) -> float:
+    """Utilization of a capacity of *rate* carrying *used* bytes/ns, as
+    the load caps read it: 1.0 when saturated."""
+    u = used / rate
+    return 1.0 if u >= _SATURATED else u
+
+
+def _utilization_root(rate: float, other: float, terms: list[tuple[int, LoadCap]]) -> float:
+    """The utilization ``u`` in [0, 1] of a capacity of *rate* that
+    carries *other* bytes/ns plus ``n`` flows at ``cap.at(u)`` for each
+    ``(n, cap)`` in *terms*; 1.0 when even the caps at full load
+    saturate it."""
+
+    def excess(u: float) -> float:
+        total = other
+        for n, cap in terms:
+            total += n * cap.at(u)
+        return total - u * rate
+
+    return _falling_root(excess, 1.0, excess(1.0), lambda _u, f: f == 0.0)
+
+
+def _falling_root(
+    f: _t.Callable[[float], float],
+    u: float,
+    f_u: float,
+    settled: _t.Callable[[float, float], bool],
+) -> float:
+    """A root in [0, 1] of *f*, which falls as its argument rises, so
+    ``f(0) >= 0 >= f(1)`` brackets it; the search starts from ``f(u) ==
+    f_u`` and returns the last point it evaluated.  It stops once
+    ``settled(u, f(u))``, or once the bracket closes (at 0 or 1 when the
+    root lies at an end).
+
+    Illinois-safeguarded regula falsi: the root stays bracketed, and
+    halving the stale end's value keeps both ends moving."""
+    lo, hi = 0.0, 1.0
+    f_lo: float | None = None
+    f_hi: float | None = None
+    side = 0
+    for _trial in range(200):
+        if settled(u, f_u):
+            break
+        if f_u > 0.0:
+            lo, f_lo = u, f_u
+            if side > 0 and f_hi is not None:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi = u, f_u
+            if side < 0 and f_lo is not None:
+                f_lo *= 0.5
+            side = -1
+        if hi - lo <= 4.0 * math.ulp(hi):
+            break
+        if f_lo is None:
+            u = lo
+        elif f_hi is None:
+            u = hi
+        else:
+            u = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < u < hi:
+                u = 0.5 * (lo + hi)
+        f_u = f(u)
+    return u
+
+
+def _solve_linear(columns: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Solve ``A x = rhs`` for the square matrix given by its *columns*,
+    by Gaussian elimination with partial pivoting; None if singular."""
+    n = len(rhs)
+    rows = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        if rows[pivot][col] == 0.0:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(col + 1, n):
+            factor = rows[i][col] / rows[col][col]
+            for j in range(col, n + 1):
+                rows[i][j] -= factor * rows[col][j]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return x

@@ -19,9 +19,10 @@ import dataclasses
 
 from repro.errors import ConfigError
 from repro.fabric.routing import FabricGraph
-from repro.fabric.switch import AccessRoute, FabricSwitch, _remote_latency_fn
+from repro.fabric.switch import AccessRoute, FabricSwitch
 from repro.fabric.transport import MemoryTransport
-from repro.hw.link import LINK_PRESETS
+from repro.hw.latency import ShiftedCurve
+from repro.hw.link import LINK_PRESETS, RemoteLink
 from repro.hw.server import Server
 from repro.sim.engine import Engine
 from repro.sim.fluid import Capacity, FluidModel
@@ -144,6 +145,9 @@ class RackedSwitch(FabricSwitch):
         self.spec = spec
         self._rack_of: dict[str, int] = {}
         self._cross_latency_ns = 2.0 * spec.hop_latency_ns
+        #: one shifted curve per endpoint link, so every cross-rack
+        #: route through that link shares one curve object
+        self._cross_curves: dict[RemoteLink, ShiftedCurve] = {}
         trunk_rate = LINK_PRESETS[spec.link].bandwidth * spec.trunk_width
         self._trunk_up = [
             Capacity(f"{name}.{spec.leaf_name(r)}.up", trunk_rate)
@@ -184,15 +188,15 @@ class RackedSwitch(FabricSwitch):
         if src_rack is None or dst_rack is None or src_rack == dst_rack:
             return route
         path = route.path + (self._trunk_up[src_rack], self._trunk_down[dst_rack])
-        base_latency = _remote_latency_fn(self.link_of(link_endpoint), path)
-        extra = self._cross_latency_ns
-
-        def latency() -> float:
-            return base_latency() + extra
-
+        link = self.link_of(link_endpoint)
+        curve = self._cross_curves.get(link)
+        if curve is None:
+            curve = self._cross_curves[link] = ShiftedCurve(
+                link.latency_model, self._cross_latency_ns
+            )
         return AccessRoute(
             path=path,
-            latency_fn=latency,
+            curve=curve,
             remote=True,
             description=f"{route.description} (x-rack r{src_rack}->r{dst_rack})",
         )

@@ -23,7 +23,6 @@ import typing as _t
 
 from repro.core.pool import MemoryPool
 from repro.errors import CapacityError
-from repro.units import mib
 
 #: installed by repro.obs.Observability: one request span per benchmark
 #: repetition.  A module-level seam (not a ClassVar) because this driver
@@ -64,13 +63,15 @@ def run_vector_sum(
     vector_bytes: int,
     requester_id: int = 0,
     repetitions: int = 10,
-    chunk_bytes: int = mib(32),
     label: str = "",
 ) -> VectorSumResult:
     """Run the §4.1 microbenchmark against *pool* and return its result.
 
-    ``chunk_bytes`` sets the streaming granularity of the simulated
-    cores (it changes event counts, not steady-state bandwidth).
+    Each core streams each segment of its shard as one flow, capped by
+    its memory-level parallelism against the latency the streams' own
+    load produces (see :mod:`repro.hw.cpu`).  Every repetition re-plans
+    the shards through the pool, so a Physical cache's misses and
+    write-backs are charged per repetition.
     """
     deployment = pool.deployment
     engine = deployment.engine
@@ -90,10 +91,7 @@ def run_vector_sum(
         )
 
     server = deployment.server(requester_id)
-    cores = server.socket.cores
-    for core in cores:
-        core.chunk_bytes = chunk_bytes
-    shards = buffer.shards(len(cores))
+    shards = buffer.shards(server.socket.core_count)
 
     per_rep: list[float] = []
     for _rep in range(repetitions):

@@ -69,9 +69,9 @@ def test_accelerator_shipping_matches_cpu_bandwidth():
         compute.attach_accelerator(
             server.server_id, Accelerator(deployment.engine, deployment.fluid, server)
         )
-    cpu = deployment.run(compute.shipped_scan(buffer, chunk_bytes=mib(64)))
+    cpu = deployment.run(compute.shipped_scan(buffer))
     offloaded = deployment.run(
-        compute.shipped_scan(buffer, chunk_bytes=mib(64), use_accelerators=True)
+        compute.shipped_scan(buffer, use_accelerators=True)
     )
     assert offloaded.aggregate_gbps == pytest.approx(cpu.aggregate_gbps, rel=0.05)
     assert cpu.cpu_core_ns > 0

@@ -11,7 +11,7 @@ from repro.analysis.report import format_barchart, format_ratio, format_table
 from repro.core.pool import LogicalMemoryPool, PhysicalMemoryPool
 from repro.errors import ConfigError
 from repro.topology.builder import build_logical, build_physical
-from repro.units import gib, mib
+from repro.units import gib
 from repro.workloads.vector_sum import run_vector_sum
 
 
@@ -74,7 +74,7 @@ def test_unknown_config_rejected():
 @pytest.mark.parametrize("link,remote_gbps", [("link0", 34.5), ("link1", 21.0)])
 def test_des_matches_analytic_nocache(link, remote_gbps):
     pool = PhysicalMemoryPool(build_physical(link, cache=False))
-    measured = run_vector_sum(pool, gib(8), repetitions=2, chunk_bytes=mib(64))
+    measured = run_vector_sum(pool, gib(8), repetitions=2)
     inputs = AnalyticInputs(gib(8), 97.0, remote_gbps)
     predicted = analytic_vector_sum("physical-nocache", inputs)
     assert measured.bandwidth_gbps == pytest.approx(predicted, rel=0.03)
@@ -82,7 +82,7 @@ def test_des_matches_analytic_nocache(link, remote_gbps):
 
 def test_des_matches_analytic_logical_mixed():
     pool = LogicalMemoryPool(build_logical("link1"))
-    measured = run_vector_sum(pool, gib(64), repetitions=2, chunk_bytes=mib(64))
+    measured = run_vector_sum(pool, gib(64), repetitions=2)
     inputs = AnalyticInputs(
         gib(64), 97.0, 21.0, local_fraction=measured.locality
     )
@@ -92,7 +92,7 @@ def test_des_matches_analytic_logical_mixed():
 
 def test_des_matches_analytic_cache_thrash():
     pool = PhysicalMemoryPool(build_physical("link1", cache=True))
-    measured = run_vector_sum(pool, gib(24), repetitions=2, chunk_bytes=mib(64))
+    measured = run_vector_sum(pool, gib(24), repetitions=2)
     inputs = AnalyticInputs(gib(24), 97.0, 21.0, cache_bytes=gib(8), repetitions=2)
     predicted = analytic_vector_sum("physical-cache", inputs)
     assert measured.bandwidth_gbps == pytest.approx(predicted, rel=0.05)

@@ -33,10 +33,26 @@ def load_bench(stem: str, monkeypatch: pytest.MonkeyPatch):
     return module
 
 
-def test_engine_baseline_is_committed_for_every_configuration():
+def test_engine_baseline_is_committed_for_every_configuration(monkeypatch):
+    bench_engine = load_bench("bench_engine", monkeypatch)
     baseline = json.loads(BASELINE.read_text())
-    assert set(baseline["results"]) == CONFIGS
-    assert all(r["events_per_sec"] > 0 for r in baseline["results"].values())
+    rates = {name: rate for name, rate, _run in bench_engine._configs()}
+    assert set(baseline["results"]) == set(rates) == CONFIGS
+    assert rates["figure_stream"] == "bytes_per_sec"
+    assert all(baseline["results"][name][rate] > 0 for name, rate in rates.items())
+
+
+def test_smoke_fails_when_a_floor_is_in_another_unit(tmp_path, monkeypatch):
+    bench_engine = load_bench("bench_engine", monkeypatch)
+    baseline = json.loads(BASELINE.read_text())
+    baseline["results"]["figure_stream"] = {"events_per_sec": 90473.2}
+    stale = tmp_path / "baseline.json"
+    stale.write_text(json.dumps(baseline))
+    monkeypatch.setattr(bench_engine, "_BASELINE_PATH", stale)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="figure_stream: committed floor has no bytes_per_sec"):
+        bench_engine.smoke(out=str(out))
+    assert not out.exists()  # failed before measuring anything
 
 
 def test_engine_smoke_fails_without_baseline(tmp_path, monkeypatch):

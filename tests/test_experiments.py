@@ -30,7 +30,6 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.units import mib
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
@@ -132,22 +131,22 @@ def test_latency_ratios_match_section_4_3():
 
 @pytest.fixture(scope="module")
 def fig2():
-    return figures.run_figure("figure2", repetitions=3, chunk_bytes=mib(64))
+    return figures.run_figure("figure2", repetitions=3)
 
 
 @pytest.fixture(scope="module")
 def fig3():
-    return figures.run_figure("figure3", repetitions=3, chunk_bytes=mib(64))
+    return figures.run_figure("figure3", repetitions=3)
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figures.run_figure("figure4", repetitions=2, chunk_bytes=mib(64))
+    return figures.run_figure("figure4", repetitions=2)
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return figures.run_figure("figure5", repetitions=2, chunk_bytes=mib(64))
+    return figures.run_figure("figure5", repetitions=2)
 
 
 def test_figure2_logical_up_to_4_7x_over_nocache(fig2):

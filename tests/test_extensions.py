@@ -21,6 +21,7 @@ from repro.topology.builder import build_logical
 from repro.topology.multirack import (
     MultiRackSpec,
     build_multirack,
+    build_multirack_deployment,
     racks_for_capacity,
 )
 from repro.units import gib, kib, mib
@@ -118,6 +119,20 @@ def test_multirack_cross_rack_transfer_uses_trunk():
     fabric.engine.run(done)
     # bottleneck is the server link (34.5), not the 69 GB/s trunk
     assert fabric.engine.now == pytest.approx(1e6, rel=0.01)
+
+
+def test_racked_switch_cross_rack_routes_share_one_shifted_curve():
+    """Cross-rack routes through one endpoint link carry one cached
+    curve, so the cores streaming them share one flow group, and pay the
+    two extra fabric hops on top of the link's curve."""
+    spec = MultiRackSpec(racks=2, servers_per_rack=2)
+    switch = build_multirack_deployment(spec).switch
+    cross = switch.read_route("r0s0", "r1s0")
+    assert switch.read_route("r0s0", "r1s1").curve is cross.curve
+    same_rack = switch.read_route("r0s0", "r0s1")
+    assert cross.loaded_latency() == pytest.approx(
+        same_rack.loaded_latency() + 2 * spec.hop_latency_ns
+    )
 
 
 def test_multirack_capacity_arithmetic():

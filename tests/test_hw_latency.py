@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.hw.latency import LatencyModel, mlp_rate_cap
+from repro.hw.latency import LatencyModel
 from repro.hw.specs import LINK0, LINK1, LOCAL_DDR4
+from repro.sim.fluid import LoadCap
 
 
 def test_curve_hits_published_endpoints():
@@ -40,16 +41,17 @@ def test_invalid_bounds_rejected():
 
 
 def test_mlp_rate_cap_is_littles_law():
-    # 24 lines x 64 B / 82 ns
-    assert mlp_rate_cap(82.0, 24) == pytest.approx(24 * 64 / 82.0)
+    # 24 lines x 64 B / 82 ns, at any load on a flat curve
+    cap = LoadCap(LatencyModel(82.0, 82.0), 24 * 64)
+    assert cap.at(0.0) == cap.at(1.0) == pytest.approx(24 * 64 / 82.0)
 
 
 def test_mlp_rate_cap_zero_latency_unbounded():
-    assert mlp_rate_cap(0.0, 10) == float("inf")
+    assert LoadCap(LatencyModel(0.0, 0.0), 10 * 64).at(0.5) == float("inf")
 
 
 def test_one_core_cannot_saturate_local_memory():
     """The reason the paper needs 14 cores."""
-    single = mlp_rate_cap(LOCAL_DDR4.lat_max, 24)
+    single = LoadCap(LOCAL_DDR4.latency_model(), 24 * 64).at(1.0)
     assert single < LOCAL_DDR4.bandwidth
     assert 14 * single > LOCAL_DDR4.bandwidth

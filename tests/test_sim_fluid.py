@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.fluid import Capacity, FluidModel
+from repro.hw.latency import LatencyModel
+from repro.sim.fluid import Capacity, FluidModel, LoadCap
 
 
 def make() -> tuple[Engine, FluidModel]:
@@ -517,3 +518,265 @@ def test_hybrid_aggregate_throughput_equals_capacity(sizes, rate):
     flows = [fluid.transfer([link], size) for size in sizes]
     engine.run(engine.all_of(flows))
     assert engine.now == pytest.approx(sum(sizes) / rate, rel=1e-6)
+
+
+# -- load-dependent caps: the MLP fixed point ------------------------------------
+
+#: one DDR4 channel (Table 1) and a core's 24 x 64 B in flight
+_DDR4 = LatencyModel(82.0, 148.0)
+_MLP = 24 * 64
+
+
+def _bisect(f, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Root of a decreasing *f* on [lo, hi] by plain bisection."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _group_rates(fluid: FluidModel) -> dict[tuple, float]:
+    return {key: group.rate for key, group in fluid._groups.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 14])
+def test_load_capped_flows_match_closed_form(n):
+    """n flows capped at m / L(u) on one channel run at min(B, n m / L(u*))
+    with u* = n m / (B L(u*)): each flow's own load counts in its cap."""
+    engine, fluid = make()
+    bandwidth = 97.0
+    chan = Capacity("chan", bandwidth)
+    cap = LoadCap(_DDR4, _MLP)
+    for _ in range(n):
+        fluid.transfer([chan], 1e12, rate_cap=cap)
+    assert len(fluid._groups) == 1  # equal caps share one group
+    u_star = _bisect(lambda u: n * _MLP / (bandwidth * _DDR4(u)) - u)
+    expected = min(bandwidth, n * _MLP / _DDR4(u_star))
+    assert chan._used_rate == pytest.approx(expected, rel=1e-9)
+    (group,) = fluid._groups.values()
+    assert group.rate == pytest.approx(expected / n, rel=1e-9)
+
+
+def _two_owner_brute_force(n_a, curve_a, n_b, curve_b, down_rate) -> tuple[float, float]:
+    """Rates of two groups whose hottest capacity is one shared
+    downlink: max-min on that link at caps m / L(u), with u bisected
+    until it is the utilization the rates produce."""
+
+    def rates(u: float) -> tuple[float, float]:
+        cap_a, cap_b = _MLP / curve_a(u), _MLP / curve_b(u)
+        share = down_rate / (n_a + n_b)
+        if cap_a <= share and cap_b <= share:
+            return cap_a, cap_b
+        if cap_a <= share:
+            return cap_a, min(cap_b, (down_rate - n_a * cap_a) / n_b)
+        if cap_b <= share:
+            return min(cap_a, (down_rate - n_b * cap_b) / n_a), cap_b
+        return share, share
+
+    def excess(u: float) -> float:
+        r_a, r_b = rates(u)
+        return (n_a * r_a + n_b * r_b) / down_rate - u
+
+    u = 1.0 if excess(1.0) >= 0.0 else _bisect(excess)
+    return rates(u)
+
+
+@pytest.mark.parametrize(("n_a", "n_b"), [(1, 1), (3, 4), (8, 2), (6, 8)])
+def test_two_owners_sharing_a_downlink_match_brute_force(n_a, n_b):
+    """A requester streams from two owners over different link curves;
+    both groups' hottest capacity is the requester's downlink."""
+    engine, fluid = make()
+    link0, link1 = LatencyModel(163.0, 418.0), LatencyModel(261.0, 527.0)
+    down = Capacity("req.down", 34.5)
+    path_a = (Capacity("a.chan", 97.0), Capacity("a.up", 34.5), down)
+    path_b = (Capacity("b.chan", 97.0), Capacity("b.up", 34.5), down)
+    for _ in range(n_a):
+        fluid.transfer(path_a, 1e12, rate_cap=LoadCap(link0, _MLP))
+    for _ in range(n_b):
+        fluid.transfer(path_b, 1e12, rate_cap=LoadCap(link1, _MLP))
+    expected_a, expected_b = _two_owner_brute_force(n_a, link0, n_b, link1, 34.5)
+    rates = _group_rates(fluid)
+    assert rates[(path_a, LoadCap(link0, _MLP))] == pytest.approx(expected_a, rel=1e-9)
+    assert rates[(path_b, LoadCap(link1, _MLP))] == pytest.approx(expected_b, rel=1e-9)
+
+
+def _assert_fixed_point(fluid: FluidModel, rates: tuple[float, ...], nodes) -> None:
+    """Every group's rate is the max-min share under caps re-evaluated
+    at the utilizations those rates produce, and no capacity is
+    over-subscribed."""
+    groups = list(fluid._groups.values())
+    index = {cap: k for k, cap in enumerate(nodes)}
+    paths, caps, owners = [], [], []
+    for group in groups:
+        cap = group.cap
+        if type(cap) is LoadCap:
+            cap = cap.at(min(1.0, max(c._used_rate / c.rate for c in group.path)))
+        for _ in group.members:
+            paths.append(tuple(index[c] for c in group.path))
+            caps.append(cap)
+            owners.append(group)
+    expected = _reference_rates(paths, caps, rates)
+    for group, share in zip(owners, expected):
+        assert group.rate == pytest.approx(share, rel=1e-9)
+    for node in nodes:
+        assert node._used_rate <= node.rate * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e8),
+            st.sampled_from(_REF_PATHS),
+            st.sampled_from(("slow", "fast", 3.0, math.inf)),
+            st.floats(1e7, 1e9),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+)
+def test_load_caps_are_a_fixed_point_after_every_recompute(flows):
+    """Mixed load-capped, float-capped and uncapped flows over shared
+    capacities: after each recompute the load caps are consistent with
+    the load they produce."""
+    curves = {"slow": LoadCap(LatencyModel(100.0, 400.0), 300.0),
+              "fast": LoadCap(LatencyModel(50.0, 200.0), 400.0)}
+    engine, fluid = make()
+    nodes = [Capacity(f"c{k}", rate) for k, rate in enumerate(_REF_RATES)]
+    recompute = fluid._recompute
+    checked = [0]
+
+    def checked_recompute() -> None:
+        recompute()
+        _assert_fixed_point(fluid, _REF_RATES, nodes)
+        checked[0] += 1
+
+    fluid._recompute = checked_recompute
+
+    def launcher():
+        for gap, path, cap, size in flows:
+            if gap:
+                yield engine.timeout(gap)
+            fluid.transfer([nodes[k] for k in path], size, rate_cap=curves.get(cap, cap))
+
+    engine.process(launcher())
+    engine.run()
+    assert checked[0] >= len(flows)
+    assert not fluid._groups and not fluid._load_capped
+
+
+def _parent_waterfill(groups: list) -> dict:
+    """The grouped waterfill as it stood before load caps: a fixed copy
+    of its arithmetic, run over (path, cap, n) groups in the solver's
+    group order."""
+    inf = math.inf
+    remaining: dict = {}
+    unfrozen_at: dict = {}
+    capped = []
+    for group in groups:
+        path, cap, n = group
+        if cap != inf:
+            capped.append(group)
+        for node in path:
+            remaining[node] = node.rate
+            unfrozen_at[node] = unfrozen_at.get(node, 0) + n
+    used = dict.fromkeys(remaining, 0.0)
+    rate_of = {}
+    unfrozen = {group: group[0] for group in groups}
+    while unfrozen:
+        best_share = inf
+        best_cap = None
+        for node, rem in remaining.items():
+            n = unfrozen_at[node]
+            if n <= 0:
+                continue
+            share = rem / n
+            if share < best_share:
+                best_share = share
+                best_cap = node
+        freeze = [(g, g[1]) for g in capped if g[1] <= best_share]
+        if not freeze:
+            share = remaining[best_cap] / unfrozen_at[best_cap]
+            freeze = [(g, share) for g, path in unfrozen.items() if best_cap in path]
+        for group, rate in freeze:
+            rate_of[group] = rate
+            del unfrozen[group]
+            total = rate * group[2]
+            for node in group[0]:
+                remaining[node] -= total
+                unfrozen_at[node] -= group[2]
+                used[node] += total
+        if capped:
+            capped = [g for g in capped if g in unfrozen]
+    return {(g[0], g[1]): r for g, r in rate_of.items()}, used
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e8),
+            st.sampled_from(_REF_PATHS),
+            st.sampled_from((1.5, 3.0, 0.7, math.inf)),
+            st.floats(1e7, 1e9),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+)
+def test_float_caps_keep_the_parent_waterfill_bit_for_bit(flows):
+    """With no load cap present, the solver is the plain waterfill:
+    every group rate and capacity usage is bit-identical to it."""
+    engine, fluid = make()
+    nodes = [Capacity(f"c{k}", rate) for k, rate in enumerate(_REF_RATES)]
+    recompute = fluid._recompute
+
+    def checked_recompute() -> None:
+        recompute()
+        assert not fluid._load_capped
+        groups = [(g.path, g.cap, len(g.members)) for g in fluid._groups.values()]
+        rates, used = _parent_waterfill(groups)
+        assert _group_rates(fluid) == rates
+        assert {node: node._used_rate for node in used} == used
+
+    fluid._recompute = checked_recompute
+
+    def launcher():
+        for gap, path, cap, size in flows:
+            if gap:
+                yield engine.timeout(gap)
+            fluid.transfer([nodes[k] for k in path], size, rate_cap=cap)
+
+    engine.process(launcher())
+    engine.run()
+
+
+def test_load_caps_that_cannot_settle_raise():
+    engine, fluid = make()
+    chan = Capacity("chan", 97.0)
+    fluid.MAX_CAP_ROUNDS = 1  # the knee needs a second waterfill
+    with pytest.raises(SimulationError, match="did not settle"):
+        for _ in range(4):
+            fluid.transfer([chan], 1e9, rate_cap=LoadCap(_DDR4, _MLP))
+
+
+def test_load_cap_needs_bytes_in_flight():
+    with pytest.raises(SimulationError):
+        LoadCap(_DDR4, 0)
+
+
+def test_uncapped_flow_beside_load_capped_ones_saturates_the_path():
+    """A flow below its cap takes what the load-capped group leaves, so
+    the path runs full and the capped flows see the fully loaded curve."""
+    engine, fluid = make()
+    link = Capacity("link", 34.5)
+    curve = LatencyModel(163.0, 418.0)
+    for _ in range(2):
+        fluid.transfer([link], 1e12, rate_cap=LoadCap(curve, _MLP))
+    fluid.transfer([link], 1e12)
+    rates = _group_rates(fluid)
+    assert rates[((link,), LoadCap(curve, _MLP))] == pytest.approx(_MLP / curve(1.0), rel=1e-12)
+    assert link._used_rate == pytest.approx(34.5, rel=1e-12)

@@ -23,7 +23,7 @@ from repro.workloads.vector_sum import run_vector_sum
 
 
 def test_logical_fit_runs_at_local_speed(logical_pool):
-    result = run_vector_sum(logical_pool, gib(8), repetitions=2, chunk_bytes=mib(64))
+    result = run_vector_sum(logical_pool, gib(8), repetitions=2)
     assert result.feasible
     assert result.locality == 1.0
     assert result.bandwidth_gbps == pytest.approx(97.0, rel=0.02)
@@ -32,7 +32,7 @@ def test_logical_fit_runs_at_local_speed(logical_pool):
 
 def test_physical_nocache_runs_at_link_speed(physical_nocache_pool):
     result = run_vector_sum(
-        physical_nocache_pool, gib(8), repetitions=2, chunk_bytes=mib(64)
+        physical_nocache_pool, gib(8), repetitions=2
     )
     assert result.bandwidth_gbps == pytest.approx(34.5, rel=0.02)
     assert result.locality == 0.0
@@ -46,14 +46,14 @@ def test_infeasible_returns_datapoint(physical_nocache_pool):
 
 
 def test_speedup_over_infeasible_is_infinite(logical_pool, physical_nocache_pool):
-    logical = run_vector_sum(logical_pool, gib(8), repetitions=1, chunk_bytes=mib(64))
+    logical = run_vector_sum(logical_pool, gib(8), repetitions=1)
     blocked = run_vector_sum(physical_nocache_pool, gib(96), repetitions=1)
     assert logical.speedup_over(blocked) == float("inf")
 
 
 def test_vector_sum_frees_buffer(logical_pool):
     before = logical_pool.pooled_free_bytes
-    run_vector_sum(logical_pool, gib(8), repetitions=1, chunk_bytes=mib(64))
+    run_vector_sum(logical_pool, gib(8), repetitions=1)
     assert logical_pool.pooled_free_bytes == before
 
 
@@ -65,7 +65,7 @@ def test_shipped_scan_aggregates_all_sockets():
     pool = LogicalMemoryPool(deployment, placement=RoundRobinPlacement())
     buffer = pool.allocate(gib(8), requester_id=0)
     compute = ComputeRuntime(pool)
-    result = deployment.run(compute.shipped_scan(buffer, chunk_bytes=mib(64)))
+    result = deployment.run(compute.shipped_scan(buffer))
     assert result.aggregate_gbps == pytest.approx(4 * 97.0, rel=0.05)
     assert result.result_messages == 3
     assert sum(result.bytes_by_server.values()) == gib(8)
