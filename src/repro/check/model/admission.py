@@ -387,7 +387,7 @@ class AdmissionSpec(ModelSpec):
         )
         # replay-side ledgers: held leases per (tenant, size) and parked waiters
         held: dict[tuple[int, int], list[_t.Any]] = {}
-        parked: list[tuple[int, int, _t.Any]] = []  # (tenant, size, process)
+        parked: list[tuple[int, int, _t.Any]] = []  # (tenant, size, request)
         state = _t.cast(AdmissionModelState, self.initial_states()[0])
         for action in trace:
             if action not in self.enabled(state):
@@ -403,19 +403,19 @@ class AdmissionSpec(ModelSpec):
                     tenant,
                     size,
                 )
-                process = manager.acquire(f"t{tenant}", size * extent)
-                process.defuse()  # we inspect failures ourselves
+                request = manager.acquire(f"t{tenant}", size * extent)
+                request.defuse()  # we inspect failures ourselves
                 if decision is Decision.QUEUE:
                     engine.run(None)
                     recorder.expect(
-                        not process.triggered,
+                        not request.triggered,
                         f"t{tenant} request parked in the model but "
                         "concluded in the implementation",
                     )
-                    parked.append((tenant, size, process))
+                    parked.append((tenant, size, request))
                 elif decision is Decision.GRANT:
                     try:
-                        lease = engine.run(process)
+                        lease = engine.run(request)
                     except (AdmissionError, TenantRevokedError) as exc:
                         recorder.mismatch(
                             f"model grants t{tenant} {size}u but the "
@@ -424,7 +424,7 @@ class AdmissionSpec(ModelSpec):
                     else:
                         held.setdefault((tenant, size), []).append(lease)
                 else:
-                    self._expect_rejection(engine, process, decision, recorder)
+                    self._expect_rejection(engine, request, decision, recorder)
             elif action.kind == "release":
                 tenant, size = int(action.payload[0]), int(action.payload[1])
                 lease = held[(tenant, size)].pop()
@@ -445,7 +445,7 @@ class AdmissionSpec(ModelSpec):
     def _expect_rejection(
         self,
         engine: _t.Any,
-        process: _t.Any,
+        request: _t.Any,
         decision: Decision,
         recorder: ReplayRecorder,
     ) -> None:
@@ -455,7 +455,7 @@ class AdmissionSpec(ModelSpec):
             Decision.REJECT_CAPACITY: AdmissionError,
         }[decision]
         try:
-            engine.run(process)
+            engine.run(request)
         except AdmissionError as exc:
             if decision is Decision.REJECT_CAPACITY and isinstance(
                 exc, QuotaExceededError
@@ -484,14 +484,14 @@ class AdmissionSpec(ModelSpec):
         held: dict[tuple[int, int], list[_t.Any]],
         recorder: ReplayRecorder,
     ) -> list[tuple[int, int, _t.Any]]:
-        """Reconcile parked acquire processes against the model's queue."""
+        """Reconcile parked acquire events against the model's queue."""
         queued = [(w[2], w[3]) for w in succ.queue]
         still_parked: list[tuple[int, int, _t.Any]] = []
-        for tenant, size, process in parked:
-            if not process.triggered:
+        for tenant, size, request in parked:
+            if not request.triggered:
                 if (tenant, size) in queued:
                     queued.remove((tenant, size))
-                    still_parked.append((tenant, size, process))
+                    still_parked.append((tenant, size, request))
                 else:
                     recorder.mismatch(
                         f"t{tenant} waiter ({size}u) still parked; the model "
@@ -504,11 +504,11 @@ class AdmissionSpec(ModelSpec):
                     "queues it"
                 )
                 continue
-            if process.ok:
-                held.setdefault((tenant, size), []).append(process.value)
+            if request.ok:
+                held.setdefault((tenant, size), []).append(request.value)
         recorder.expect(
             not queued,
-            f"model queues {queued} with no matching parked process",
+            f"model queues {queued} with no matching parked request",
         )
         return still_parked
 

@@ -9,7 +9,7 @@ three detectors:
 
 * **Happens-before (vector clocks).**  Every simulation process carries
   a vector clock.  Fork (``engine.process``) and join (yielding a
-  process, ``AllOf``/``AnyOf``) edges come from the
+  process, or an ``AllOf`` of processes) edges come from the
   :class:`~repro.sim.process.Process` monitor seam; release→acquire
   edges come from :class:`~repro.sim.resources.Semaphore` /
   :class:`~repro.sim.resources.Store` handoffs, from the
@@ -53,7 +53,7 @@ from repro.core.coherence.protocol import CoherenceDirectory
 from repro.core.coherence.sync import CohortLock, SpinLock, TicketLock
 from repro.errors import DataRaceError, DeadlockError, LocksetError, SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.events import AllOf, Event
 from repro.sim.process import Process
 from repro.sim.resources import Semaphore, Store
 
@@ -483,7 +483,7 @@ class RaceSanitizer(SessionObserver):
             child = self._procs.get(id(event))
             if child is not None and event._ok:
                 _join(info.clock, child.clock)
-        elif isinstance(event, (AllOf, AnyOf)):
+        elif isinstance(event, AllOf):
             for member in event.events:
                 if (
                     isinstance(member, Process)
@@ -569,7 +569,7 @@ class RaceSanitizer(SessionObserver):
     def _wait_targets(self, event: Event | None) -> list[Event]:
         if event is None:
             return []
-        if isinstance(event, (AllOf, AnyOf)):
+        if isinstance(event, AllOf):
             return [member for member in event.events if not member.processed]
         return [event]
 

@@ -42,6 +42,7 @@ from repro.errors import (
     TenantRevokedError,
 )
 from repro.mem.interleave import PlacementPolicy
+from repro.sim.events import Event, lazy_event
 from repro.sim.stats import StatSet
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,8 +90,10 @@ class _Waiter:
     size: int
     footprint: int
     name: str
-    event: _t.Any  # sim Event succeeded with the Lease (or failed)
+    event: Event  # succeeded with the Lease (or failed)
     enqueued_at: float
+    #: the obs span running at the call, charged the queueing time
+    span: _t.Any = None
 
 
 class _TenantObserver(SessionObserver):
@@ -150,7 +153,8 @@ class PoolManager:
     """Admission + placement + leases over one :class:`LmpRuntime`."""
 
     #: installed by repro.obs.Observability: charges admission queueing
-    #: time to the running acquire span's latency categories.
+    #: time to the latency categories of the span that was running when
+    #: the request queued.
     _obs: _t.ClassVar[_t.Any] = None
 
     def __init__(
@@ -226,30 +230,25 @@ class PoolManager:
 
     # -- the allocation path -------------------------------------------------
 
-    def acquire(self, tenant_id: str, size: int, name: str = "") -> "Process":
-        """Request *size* bytes under a lease; the process returns the
-        :class:`Lease` or raises an :class:`AdmissionError` subclass."""
-        return self.engine.process(
-            self._acquire_body(tenant_id, size, name),
-            name=f"acquire.{tenant_id}",
-        )
+    def acquire(self, tenant_id: str, size: int, name: str = "") -> Event:
+        """Request *size* bytes under a lease, decided at the call.
 
-    def _acquire_body(
-        self, tenant_id: str, size: int, name: str
-    ) -> _t.Generator[_t.Any, Lease, Lease]:
+        Returns an event that a process yields (or ``engine.run`` runs):
+        already succeeded with the :class:`Lease` on a grant, already
+        failed with an :class:`AdmissionError` subclass on a rejection
+        (a capacity race inside the grant included), or the waiter's
+        pending event on a queue, which :meth:`_service_queue` later
+        succeeds or fails."""
         tenant = self.tenant(tenant_id)
         footprint = self.footprint(size)
         verdict = self.admission.decide(
             tenant, footprint, self.pool_free_bytes(), len(self._queue)
         )
-        if verdict.decision is Decision.GRANT:
-            lease = self._grant(tenant, size, name)
-            self.stats.histogram("wait_ns").record(0.0)
-            return lease
         if verdict.decision is Decision.QUEUE:
             tenant.queued += 1
             self.stats.counter("queued").add()
             self._arrivals += 1
+            obs = PoolManager._obs
             waiter = _Waiter(
                 order=(-int(tenant.spec.priority), self._arrivals),
                 tenant_id=tenant_id,
@@ -258,27 +257,29 @@ class PoolManager:
                 name=name,
                 event=self.engine.event(f"admission.wait.{tenant_id}"),
                 enqueued_at=self.engine.now,
+                span=obs.running_span() if obs is not None else None,
             )
             self._queue.append(waiter)
             self._queue.sort(key=lambda w: w.order)
-            lease = yield waiter.event
-            waited = self.engine.now - waiter.enqueued_at
-            self.stats.histogram("wait_ns").record(waited)
-            obs = PoolManager._obs
-            if obs is not None:
-                obs.add("cat_queue_ns", waited)
-            return lease
-        # a rejection: count it under the right reason and raise
+            return waiter.event
+        event = lazy_event(self.engine, "acquire", tenant_id)
+        if verdict.decision is Decision.GRANT:
+            try:
+                lease = self._grant(tenant, size, name)
+            except ClusterError as exc:
+                return event.fail(exc)
+            self.stats.histogram("wait_ns").record(0.0)
+            return event.succeed(lease)
+        # a rejection: count it under the right reason and fail the event
         if verdict.decision is Decision.REJECT_QUOTA:
             tenant.rejected_quota += 1
             self.stats.counter("rejected.quota").add()
-            raise QuotaExceededError(verdict.reason)
+            return event.fail(QuotaExceededError(verdict.reason))
         if verdict.decision is Decision.REJECT_REVOKED:
-            raise TenantRevokedError(verdict.reason)
+            return event.fail(TenantRevokedError(verdict.reason))
         tenant.rejected_capacity += 1
         self.stats.counter("rejected.capacity").add()
-        raise AdmissionError(f"tenant {tenant_id}: {verdict.reason}")
-        yield  # pragma: no cover - makes this function a generator
+        return event.fail(AdmissionError(f"tenant {tenant_id}: {verdict.reason}"))
 
     def _grant(self, tenant: TenantState, size: int, name: str) -> Lease:
         """Allocate through the tenant's control session; the observer
@@ -410,9 +411,14 @@ class PoolManager:
             self._queue.pop(0)
             try:
                 lease = self._grant(tenant, waiter.size, waiter.name)
-            except (AdmissionError, ClusterError) as exc:
+            except ClusterError as exc:
                 waiter.event.fail(exc)
                 continue
+            waited = self.engine.now - waiter.enqueued_at
+            self.stats.histogram("wait_ns").record(waited)
+            obs = PoolManager._obs
+            if obs is not None and waiter.span is not None:
+                obs.add("cat_queue_ns", waited, waiter.span)
             waiter.event.succeed(lease)
 
     def fail_all_queued(self, reason: str = "admission queue drained") -> int:

@@ -365,8 +365,14 @@ class Observability:
     def annotate(self, **attrs: _t.Any) -> None:
         self.recorder.annotate(**attrs)
 
-    def add(self, key: str, delta: float) -> None:
-        self.recorder.add(key, delta)
+    def add(self, key: str, delta: float, span: Span | None = None) -> None:
+        self.recorder.add(key, delta, span)
+
+    def running_span(self) -> Span | None:
+        """The currently-running span, kept by a seam that charges it
+        later from another process's context (a queued admission)."""
+        active = self.recorder._active
+        return active[-1] if active else None
 
     def route_time(self, remote: bool, latency_ns: float, transfer_ns: float) -> None:
         self.recorder.route_time(remote, latency_ns, transfer_ns)

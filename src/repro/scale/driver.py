@@ -7,11 +7,14 @@ structure: tenants are *slots* (plain ints indexing flat arrays), one
 pump process replays the :class:`~repro.scale.traffic.OpenLoopTraffic`
 arrival stream, and each request is a short-lived process that enters
 through :meth:`~repro.cluster.manager.PoolManager.acquire` (admission
-control, placement, leases — the real front door) and parks its lease
-on an expiry heap.  One reaper process batch-releases due leases
-through :meth:`~repro.cluster.manager.PoolManager.release_many`, so a
-thousand simultaneous expiries cost one admission-queue pass, not a
-thousand.
+control, placement, leases — the real front door, decided at the call)
+and parks its lease on an expiry heap.  Expiry costs no process: one
+engine timeout is armed for the heap head, and its callback
+batch-releases every due lease through
+:meth:`~repro.cluster.manager.PoolManager.release_many`, so a thousand
+simultaneous expiries cost one admission-queue pass, not a thousand.
+A grant re-arms the timer only when its lease falls due before the
+armed instant; a superseded timer is ignored when it fires.
 
 Per-event work is O(log heap) + O(log tenants): no per-tenant process,
 no per-tenant eager RNG (access streams spawn lazily on a slot's first
@@ -21,6 +24,7 @@ data op), no O(tenants) scans anywhere on the hot path.
 from __future__ import annotations
 
 import heapq
+import math
 import typing as _t
 
 from repro.cluster.tenants import PriorityClass, TenantSpec
@@ -40,6 +44,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.leases import Lease
     from repro.cluster.manager import PoolManager
     from repro.scale.traffic import Arrival, OpenLoopTraffic
+    from repro.sim.events import Event, Timeout
     from repro.sim.process import Process
 
 
@@ -90,7 +95,11 @@ class ScaleDriver:
         self._seq = 0
         self._inflight = 0
         self._pump_done = False
-        self._kick: _t.Any = None
+        #: the one armed expiry timer and the instant it fires at
+        self._timer: "Timeout | None" = None
+        self._timer_due = math.inf
+        #: succeeds with ``released`` once nothing is left to expire
+        self._settled = self.engine.event("scale.settled")
         for slot in range(n):
             manager.register_tenant(
                 TenantSpec(
@@ -103,12 +112,13 @@ class ScaleDriver:
 
     # -- running --------------------------------------------------------------
 
-    def processes(self) -> list["Process"]:
-        """Spawn the pump, the lease reaper, and the end-of-run drain."""
+    def processes(self) -> list["Event"]:
+        """Spawn the pump and the end-of-run drain; between them, the
+        event that succeeds with ``released`` once the heap is empty,
+        the pump is done, and no request is in flight."""
         pump = self.engine.process(self._pump_body(), name="scale.pump")
-        reaper = self.engine.process(self._reaper_body(), name="scale.reaper")
         drain = self.engine.process(self._drain_body(pump), name="scale.drain")
-        return [pump, reaper, drain]
+        return [pump, self._settled, drain]
 
     def run(self) -> None:
         """Replay the whole trace to completion (holds drained)."""
@@ -130,7 +140,7 @@ class ScaleDriver:
             self._inflight += 1
             engine.process(self._request_body(arrival), name="scale.request")
         self._pump_done = True
-        self._kick_reaper()
+        self._settle()
         return self.arrivals_seen
 
     # -- one request ----------------------------------------------------------
@@ -156,13 +166,15 @@ class ScaleDriver:
                     yield from self._touch(slot, lease, arrival)
                 except (ClusterError, MemoryFailureError, AddressError):
                     pass  # a dead server killed the data op; the lease still expires
+            due = engine.now + arrival.hold_ns
             self._seq += 1
-            heapq.heappush(self._heap, (engine.now + arrival.hold_ns, self._seq, lease))
-            self._kick_reaper()
+            heapq.heappush(self._heap, (due, self._seq, lease))
+            if due < self._timer_due:
+                self._arm(due)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
-                self._kick_reaper()
+                self._settle()
 
     def _touch(
         self, slot: int, lease: "Lease", arrival: "Arrival"
@@ -186,39 +198,39 @@ class ScaleDriver:
         finally:
             session.unmap(mapping)
 
-    # -- the reaper -----------------------------------------------------------
+    # -- lease expiry -------------------------------------------------------
 
-    def _kick_reaper(self) -> None:
-        kick = self._kick
-        if kick is not None and not kick.triggered:
-            self._kick = None
-            kick.succeed(None)
-
-    def _reaper_body(self) -> _t.Generator[_t.Any, _t.Any, int]:
+    def _arm(self, due: float) -> None:
         engine = self.engine
+        timer = engine.timeout(due - engine.now)
+        timer.callbacks.append(self._expire)
+        self._timer = timer
+        self._timer_due = due
+
+    def _expire(self, timer: "Event") -> None:
+        if timer is not self._timer:
+            return  # superseded by an earlier-due grant's timer
         heap = self._heap
-        while True:
-            if not heap:
-                if self._pump_done and self._inflight == 0:
-                    return self.released
-                self._kick = engine.event("scale.reaper.kick")
-                yield self._kick
-                continue
-            due = heap[0][0]
-            if due > engine.now:
-                # sleep until the next expiry, but let an earlier grant
-                # (or the run winding down) wake us first
-                kick = engine.event("scale.reaper.kick")
-                self._kick = kick
-                yield engine.any_of([engine.timeout(due - engine.now), kick])
-                if self._kick is kick:
-                    self._kick = None
-                continue
+        now = self.engine.now
+        # now + (due - now) can round to one ulp short of due; then the
+        # head is not due yet and the timer is simply re-armed for it
+        if heap[0][0] <= now:
             batch: list["Lease"] = []
-            while heap and heap[0][0] <= engine.now:
+            while heap and heap[0][0] <= now:
                 batch.append(heapq.heappop(heap)[2])
             # one admission pass for the whole batch (release_many)
             self.released += self.manager.release_many(batch)
+        if heap:
+            self._arm(heap[0][0])
+        else:
+            self._timer = None
+            self._timer_due = math.inf
+            self._settle()
+
+    def _settle(self) -> None:
+        # true at most once: past it, nothing can arrive, grant or fall due
+        if not self._heap and self._pump_done and self._inflight == 0:
+            self._settled.succeed(self.released)
 
     # -- the drain ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ Everything in the reproduction that "takes time" runs on this kernel.
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.fluid import Capacity, FluidModel, Transfer
 from repro.sim.process import Process
 from repro.sim.resources import FifoQueue, Mutex, Semaphore, Store
@@ -26,7 +26,6 @@ from repro.sim.stats import Counter, Histogram, StatSet, TimeWeighted
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Capacity",
     "Counter",
     "Engine",

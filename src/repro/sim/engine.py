@@ -29,7 +29,7 @@ import typing as _t
 from sys import getrefcount
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 
@@ -127,10 +127,6 @@ class Engine:
         """Spawn a process from a generator; returns the process (an event
         that succeeds with the generator's return value)."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: _t.Sequence[Event]) -> AnyOf:
-        """Event that fires when the first of *events* fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: _t.Sequence[Event]) -> AllOf:
         """Event that fires when every one of *events* has fired."""

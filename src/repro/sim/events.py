@@ -3,8 +3,7 @@
 An :class:`Event` has three states: *pending* (created, not triggered),
 *triggered* (scheduled on the engine's heap with a value or an error) and
 *processed* (its callbacks have run).  Processes wait on events by
-yielding them; composite events (:class:`AnyOf`, :class:`AllOf`) wait on
-groups.
+yielding them; the composite :class:`AllOf` waits on a group.
 """
 
 from __future__ import annotations
@@ -154,8 +153,9 @@ class Timeout(Event):
         return f"timeout({self.delay})"
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
+class AllOf(Event):
+    """Succeeds when all of its events have succeeded (or fails with the
+    first failure)."""
 
     __slots__ = ("events", "_count")
 
@@ -172,34 +172,6 @@ class _Condition(Event):
                 assert ev.callbacks is not None
                 ev.callbacks.append(self._check)
 
-    def _collect_values(self) -> dict[Event, _t.Any]:
-        return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first of its events succeeds (or fails with the
-    first failure)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect_values())
-
-
-class AllOf(_Condition):
-    """Succeeds when all of its events have succeeded."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -209,4 +181,4 @@ class AllOf(_Condition):
             return
         self._count += 1
         if self._count == len(self.events):
-            self.succeed(self._collect_values())
+            self.succeed({ev: ev.value for ev in self.events if ev.processed and ev.ok})

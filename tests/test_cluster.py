@@ -27,6 +27,7 @@ from repro.errors import (
     TenantRevokedError,
 )
 from repro.mem.layout import PageGeometry
+from repro.obs import Observability
 from repro.topology.builder import build_logical
 from repro.units import kib, mib, us
 
@@ -295,6 +296,99 @@ def test_guaranteed_class_served_before_standard():
     assert gold.lease_id < std.lease_id  # guaranteed was granted first
     manager.release(gold)
     manager.release(std)
+
+
+# --- admission decided at the call -------------------------------------------
+
+
+def test_acquire_grants_and_rejections_conclude_at_the_call():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("t0", quota=2 * EXTENT))
+    manager.register_tenant(
+        spec("spot", quota=mib(64), priority=PriorityClass.BEST_EFFORT)
+    )
+    manager.register_tenant(spec("gone", quota=mib(1)))
+    manager.revoke_tenant("gone")
+    dispatched = engine.events_processed
+
+    grant = manager.acquire("t0", EXTENT)
+    over_quota = manager.acquire("t0", 2 * EXTENT)
+    revoked = manager.acquire("gone", EXTENT)
+    spot = manager.acquire("spot", manager.pool_free_bytes() // EXTENT * EXTENT)
+    full = manager.acquire("spot", EXTENT)
+    # every verdict is in before the engine has run a single event
+    assert engine.events_processed == dispatched and engine.now == 0.0
+    assert grant.triggered and grant.ok and grant.value.tenant_id == "t0"
+    assert spot.triggered and spot.ok
+    rejections = (
+        (over_quota, QuotaExceededError),
+        (revoked, TenantRevokedError),
+        (full, AdmissionError),
+    )
+    for event, kind in rejections:
+        assert event.triggered and not event.ok
+        assert type(event.value) is kind
+    assert manager.tenant("t0").rejected_quota == 1
+    assert manager.tenant("spot").rejected_capacity == 1
+    assert manager.stats.counter("rejected.quota").value == 1
+    assert manager.stats.counter("rejected.capacity").value == 1
+    assert manager.stats.counter("granted").value == 2
+    assert len(manager.stats.histogram("wait_ns")) == 2
+    # a process yielding them sees the same lease and the same exceptions
+    assert engine.run(grant) is grant.value
+    for event, kind in rejections:
+        with pytest.raises(kind):
+            engine.run(event)
+
+
+def test_queued_acquire_concludes_when_served_and_records_its_wait():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("big", quota=mib(64)))
+    manager.register_tenant(spec("waiter", quota=mib(64)))
+    big = engine.run(manager.acquire("big", manager.pool_free_bytes() // EXTENT * EXTENT))
+    obs = Observability()
+    with obs.activated():
+
+        def requester():
+            request = obs.recorder.open("request", "request", engine)
+            waiting = manager.acquire("waiter", EXTENT)
+            assert not waiting.triggered and manager.queue_depth == 1
+            lease = yield waiting
+            obs.recorder.finish(request, engine.now)
+            return request, lease
+
+        def releaser():
+            yield engine.timeout(us(3))
+            assert manager.queue_depth == 1  # still parked, not rejected
+            manager.release(big)  # the free's queue pass grants the waiter
+
+        served = engine.process(requester())
+        engine.run(engine.all_of([served, engine.process(releaser())]))
+    request, lease = served.value
+    assert lease.tenant_id == "waiter" and manager.queue_depth == 0
+    waits = manager.stats.histogram("wait_ns")
+    assert waits.minimum() == 0.0 and waits.maximum() == us(3)
+    # the queueing time lands on the requester's span, not the releaser's
+    assert request.attrs["cat_queue_ns"] == us(3)
+    assert sum(s.attrs.get("cat_queue_ns", 0.0) for s in obs.recorder.spans) == us(3)
+
+
+def test_grant_capacity_race_fails_the_returned_event():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("t0", quota=mib(64)))
+    engine.run(manager.acquire("t0", manager.pool_free_bytes() // EXTENT * EXTENT))
+    # admission sees room that placement then cannot find
+    manager.pool_free_bytes = lambda: mib(64)
+    raced = manager.acquire("t0", EXTENT)  # does not raise out of the call
+    assert raced.triggered and not raced.ok
+    assert type(raced.value) is AdmissionError
+    assert manager.tenant("t0").rejected_capacity == 1
+    assert manager.stats.counter("rejected.capacity").value == 1
+    with pytest.raises(AdmissionError):
+        engine.run(raced)
 
 
 # --- revocation and crash reclamation ----------------------------------------

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.check.determinism import SCENARIOS
+from repro.cluster.leases import Lease
 from repro.cluster.manager import PoolManager
 from repro.cluster.tenants import TenantSpec
 from repro.core.runtime import LmpRuntime
@@ -20,6 +21,7 @@ from repro.errors import ConfigError
 from repro.mem.layout import PageGeometry
 from repro.obs.export import prometheus_text
 from repro.scale import (
+    Arrival,
     AutoscalerConfig,
     BurstModel,
     DiurnalCycle,
@@ -304,6 +306,97 @@ def test_autoscaler_grows_under_pressure_and_shrinks_after():
     report = build_report("scaled", driver, scaler)
     assert report.reflex_actions == len(scaler.actions)
     assert report.bytes_migrated == scaler.bytes_migrated
+
+
+# --- lease expiry: one armed timer, no reaper process -------------------------
+
+
+class _ScriptedTraffic:
+    """A hand-written arrival list in :class:`OpenLoopTraffic`'s shape."""
+
+    def __init__(self, spec: TrafficSpec, arrivals: list[Arrival]) -> None:
+        self.spec = spec
+        self._arrivals = arrivals
+
+    def arrivals(self):
+        return iter(self._arrivals)
+
+
+def _record_releases(manager: PoolManager) -> list[tuple[float, Lease]]:
+    """Log ``(engine.now, lease)`` for every lease the manager frees."""
+    released: list[tuple[float, Lease]] = []
+    release = manager.release
+
+    def logged(lease):
+        released.append((manager.engine.now, lease))
+        release(lease)
+
+    manager.release = logged
+    return released
+
+
+def test_every_lease_released_at_its_due_instant():
+    """A short hold granted after a longer one re-arms the timer earlier;
+    the superseded timer still fires at the long hold's due instant and
+    must be ignored there, leaving the re-armed one to free the lease."""
+    manager = scale_manager()
+    holds = {0: us(10), 1: us(2), 2: us(5), 3: us(1)}
+    starts = {0: 0.0, 1: us(1), 2: us(2), 3: us(2)}
+    arrivals = [
+        Arrival(when_ns=starts[slot], slot=slot, size=EXTENT, hold_ns=holds[slot],
+                access=False, write=False)
+        for slot in sorted(holds)
+    ]
+    traffic = _ScriptedTraffic(small_spec(tenants=4), arrivals)
+    driver = ScaleDriver(manager, traffic, mib(1))
+    released = _record_releases(manager)
+    batches = []
+    release_many = manager.release_many
+
+    def logged_many(leases):
+        batches.append(manager.engine.now)
+        return release_many(leases)
+
+    manager.release_many = logged_many
+    driver.run()
+    # slot 3 falls due at 3 us, the instant slot 1's timer was armed
+    # for: one batch frees both
+    assert batches == [us(3), us(7), us(10)]
+    assert len(released) == driver.released == 4
+    for when, lease in released:
+        slot = int(lease.tenant_id[1:])
+        assert lease.granted_at == starts[slot]
+        assert when == starts[slot] + holds[slot]
+    assert driver._timer is None  # nothing left armed
+
+
+def test_run_releases_every_grant_once_and_settles():
+    manager = scale_manager()
+    engine = manager.engine
+    driver = ScaleDriver(manager, OpenLoopTraffic(small_spec(), engine.rng), mib(1))
+    released = _record_releases(manager)
+    procs = driver.processes()
+    engine.run(engine.all_of(procs))
+    assert manager.stats.counter("queued").value > 0  # the queue was exercised
+    granted = sum(driver.granted_by_slot)
+    ids = [lease.lease_id for _, lease in released]
+    assert len(ids) == len(set(ids)) == granted == driver.released > 0
+    assert len(manager.leases) == 0  # no lease left live
+    assert all(not tenant.leases for tenant in manager.tenants.values())
+    assert manager.queue_depth == 0  # no admission waiter left queued
+    assert procs[1].value == driver.released
+
+
+def test_open_loop_events_per_arrival_bounded():
+    """Expiry and admission cost no engine events of their own: a
+    reduced trace dispatched 8.14 events per arrival with a reaper
+    process and a process per acquire, 5.56 without them."""
+    manager = scale_manager()
+    engine = manager.engine
+    driver = ScaleDriver(manager, OpenLoopTraffic(small_spec(), engine.rng), mib(1))
+    driver.run()
+    assert driver.arrivals_seen > 2_000
+    assert engine.events_processed / driver.arrivals_seen < 6.5
 
 
 # --- the open-loop race the movers must survive -------------------------------

@@ -162,14 +162,6 @@ def test_waiting_on_already_processed_event(engine):
     assert engine.now == 5.0
 
 
-def test_any_of_fires_on_first(engine):
-    slow = engine.timeout(100.0, value="slow")
-    fast = engine.timeout(10.0, value="fast")
-    result = engine.run(engine.any_of([slow, fast]))
-    assert result == {fast: "fast"}
-    assert engine.now == 10.0
-
-
 def test_all_of_waits_for_every_event(engine):
     a = engine.timeout(10.0, value=1)
     b = engine.timeout(30.0, value=2)
