@@ -28,7 +28,7 @@ def main() -> None:
     deployment = build_logical("link0")
     engine = deployment.engine
     pool = LogicalMemoryPool(deployment)
-    payload = bytes(random.Random(0).randrange(256) for _ in range(OBJECT_BYTES))
+    payload = random.Random(0).randbytes(OBJECT_BYTES)
 
     print("storing an 8 MiB session cache three ways...")
     plain = pool.allocate(OBJECT_BYTES, requester_id=VICTIM, name="plain")

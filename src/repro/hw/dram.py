@@ -5,13 +5,14 @@ Performance experiments only need the channel and the curve; functional
 tests (migration preserves data, erasure decoding reconstructs a crashed
 server's bytes) also need contents, so the device carries a sparse
 :class:`BackingStore` that materializes pages lazily.  Simulations of
-multi-terabyte pools therefore cost memory proportional to the bytes the
-test actually writes, not the configured capacity.
+multi-terabyte pools therefore cost memory proportional to the non-zero
+bytes the test actually writes, not the configured capacity.
 """
 
 from __future__ import annotations
 
 import typing as _t
+from itertools import repeat
 
 from repro.errors import AddressError, ConfigError
 from repro.hw.specs import DeviceSpec
@@ -21,27 +22,42 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
 _PAGE = 4096
+_ZERO_PAGE = bytes(_PAGE)
+_ZEROS = bytes(1 << 20)
+
+
+def _all_zero(data: memoryview) -> bool:
+    """``startswith`` against a zero buffer is a memcmp: the check runs
+    at C speed, one megabyte at a time."""
+    step = len(_ZEROS)
+    if len(data) <= step:
+        return _ZEROS.startswith(data)
+    return all(_ZEROS.startswith(data[pos : pos + step]) for pos in range(0, len(data), step))
 
 
 class BackingStore:
     """Sparse byte store with zero-fill semantics.
 
-    Pages (4 KiB) materialize on first write; reads of untouched ranges
-    return zeros, matching freshly-mapped memory.
+    Pages (4 KiB) materialize on the first non-zero write; all-zero
+    writes, :meth:`zero_range` and :meth:`discard` drop pages instead.
+    Reads of untouched or zeroed ranges return zeros, matching
+    freshly-mapped memory.  Dropping and copying walk the resident pages
+    when there are fewer of them than pages in the range.
     """
 
-    __slots__ = ("_pages", "bytes_written")
+    __slots__ = ("_pages",)
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
-        self.bytes_written = 0
 
     def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
         """Store *data* at byte offset *addr*."""
         if addr < 0:
             raise AddressError(f"negative address {addr}")
         data = memoryview(data)
-        self.bytes_written += len(data)
+        if _all_zero(data):
+            self.zero_range(addr, len(data))
+            return
         pos = 0
         while pos < len(data):
             page_no, offset = divmod(addr + pos, _PAGE)
@@ -57,41 +73,44 @@ class BackingStore:
         """Fetch *size* bytes at *addr* (zeros where never written)."""
         if addr < 0 or size < 0:
             raise AddressError(f"invalid read range ({addr}, {size})")
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            page_no, offset = divmod(addr + pos, _PAGE)
-            take = min(_PAGE - offset, size - pos)
-            page = self._pages.get(page_no)
-            if page is not None:
-                out[pos : pos + take] = page[offset : offset + take]
-            pos += take
-        return bytes(out)
+        if not self._pages or size == 0:
+            return bytes(size)
+        first, head = divmod(addr, _PAGE)
+        last = (addr + size - 1) // _PAGE
+        joined = b"".join(map(self._pages.get, range(first, last + 1), repeat(_ZERO_PAGE)))
+        return joined[head : head + size]
+
+    def _resident(self, first: int, last: int) -> list[int]:
+        """Resident page numbers in [first, last], ascending, found by
+        walking whichever is shorter: the range or the resident set."""
+        if last - first < len(self._pages):
+            return [p for p in range(first, last + 1) if p in self._pages]
+        return sorted(p for p in self._pages if first <= p <= last)
+
+    def _drop(self, first: int, last: int) -> None:
+        for page_no in self._resident(first, last):
+            del self._pages[page_no]
 
     def discard(self, addr: int, size: int) -> None:
         """Drop whole pages in [addr, addr+size) — models losing the
-        contents when a server crashes or a range is freed."""
-        first = (addr + _PAGE - 1) // _PAGE
-        last = (addr + size) // _PAGE
-        for page_no in range(first, last):
-            self._pages.pop(page_no, None)
+        contents when a server crashes or a range is freed.  A crash
+        therefore costs O(resident pages), not O(capacity)."""
+        self._drop(-(-addr // _PAGE), (addr + size) // _PAGE - 1)
 
     def zero_range(self, addr: int, size: int) -> None:
         """Make [addr, addr+size) read as zeros without materializing
         pages: whole pages are dropped, partial edges are overwritten."""
-        if size <= 0:
+        if size <= 0 or not self._pages:
             return
         end = addr + size
-        first_full = -(-addr // _PAGE)
-        last_full = end // _PAGE
-        for page_no in range(first_full, last_full):
-            self._pages.pop(page_no, None)
-        left_edge = min(first_full * _PAGE, end)
-        if left_edge > addr and (addr // _PAGE) in self._pages:
-            self.write(addr, bytes(left_edge - addr))
-        right_edge = max(last_full * _PAGE, addr)
-        if end > right_edge and (right_edge // _PAGE) in self._pages:
-            self.write(right_edge, bytes(end - right_edge))
+        self._drop(-(-addr // _PAGE), end // _PAGE - 1)
+        # a full edge page is already gone, so only partial ones remain
+        for page_no in {addr // _PAGE, (end - 1) // _PAGE}:
+            page = self._pages.get(page_no)
+            if page is not None:
+                lo = max(addr - page_no * _PAGE, 0)
+                hi = min(end - page_no * _PAGE, _PAGE)
+                page[lo:hi] = _ZERO_PAGE[lo:hi]
 
     def copy_to(self, dst: "BackingStore", src_addr: int, dst_addr: int, size: int) -> None:
         """Copy [src_addr, +size) into *dst* at *dst_addr*, touching only
@@ -101,12 +120,8 @@ class BackingStore:
             return
         dst.zero_range(dst_addr, size)
         src_end = src_addr + size
-        first = src_addr // _PAGE
-        last = (src_end - 1) // _PAGE
-        for page_no in range(first, last + 1):
-            page = self._pages.get(page_no)
-            if page is None:
-                continue
+        for page_no in self._resident(src_addr // _PAGE, (src_end - 1) // _PAGE):
+            page = self._pages[page_no]
             page_start = page_no * _PAGE
             lo = max(page_start, src_addr)
             hi = min(page_start + _PAGE, src_end)
@@ -114,7 +129,8 @@ class BackingStore:
 
     @property
     def resident_bytes(self) -> int:
-        """Physical bytes currently materialized."""
+        """Physical bytes held: pages that a non-zero write touched and
+        no zeroing or discard has dropped since."""
         return len(self._pages) * _PAGE
 
 

@@ -177,7 +177,7 @@ def test_replication_config(logical_pool):
 
 
 def test_coded_buffer_round_trip(logical_pool, logical_deployment):
-    payload = bytes(random.Random(3).randrange(256) for _ in range(5000))
+    payload = random.Random(3).randbytes(5000)
     coded = ErasureCodedBuffer(logical_pool, 5000, data_shards=2, parity_shards=1)
     logical_deployment.run(coded.put(0, payload))
     assert logical_deployment.run(coded.get(0)) == payload
@@ -185,7 +185,7 @@ def test_coded_buffer_round_trip(logical_pool, logical_deployment):
 
 
 def test_coded_buffer_degraded_read(logical_pool, logical_deployment):
-    payload = b"Z" * 4096
+    payload = random.Random(4).randbytes(4096)
     coded = ErasureCodedBuffer(logical_pool, 4096, data_shards=2, parity_shards=1)
     logical_deployment.run(coded.put(0, payload))
     logical_deployment.servers[coded.shard_servers[0]].crash()

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressError, ConfigError
 from repro.hw.dram import BackingStore, MemoryDevice
+from repro.hw.link import LINK_PRESETS
+from repro.hw.pool_device import PoolDevice
+from repro.hw.server import Server
 from repro.hw.specs import LOCAL_DDR4
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidModel
@@ -92,22 +97,123 @@ def test_negative_addresses_rejected():
         store.read(-1, 4)
 
 
+_SPAN = 120_000
+_addrs = st.integers(0, 100_000)
+_sizes = st.integers(1, 9000)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _addrs, st.binary(min_size=1, max_size=9000)),
+        st.tuples(st.just("zeros"), _addrs, _sizes),
+        st.tuples(st.just("zero_range"), _addrs, _sizes),
+        st.tuples(st.just("discard"), _addrs, _sizes),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _apply(store, reference, op):
+    """Apply one op to *store* and the bytearray *reference* alike."""
+    kind, addr, arg = op
+    if kind == "write":
+        store.write(addr, arg)
+        reference[addr : addr + len(arg)] = arg
+    elif kind == "zeros":
+        store.write(addr, bytes(arg))
+        reference[addr : addr + arg] = bytes(arg)
+    elif kind == "zero_range":
+        store.zero_range(addr, arg)
+        reference[addr : addr + arg] = bytes(arg)
+    else:  # discard loses whole pages only
+        first = -(-addr // 4096) * 4096
+        last = (addr + arg) // 4096 * 4096
+        store.discard(addr, arg)
+        if last > first:
+            reference[first:last] = bytes(last - first)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=_ops)
+def test_store_matches_reference_model(ops):
+    """The sparse store behaves exactly like one big bytearray, and
+    all-zero writes into untouched memory materialize nothing."""
+    store = BackingStore()
+    reference = bytearray(_SPAN)
+    zeros_only = BackingStore()
+    for op in ops:
+        _apply(store, reference, op)
+        if op[0] == "zeros":
+            zeros_only.write(op[1], bytes(op[2]))
+    assert store.read(0, _SPAN) == bytes(reference)
+    assert zeros_only.resident_bytes == 0
+    assert zeros_only.read(0, _SPAN) == bytes(_SPAN)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    writes=st.lists(
-        st.tuples(st.integers(0, 100_000), st.binary(min_size=1, max_size=9000)),
-        min_size=1,
-        max_size=10,
-    )
+    src_ops=_ops,
+    dst_ops=_ops,
+    src_addr=_addrs,
+    dst_addr=_addrs,
+    size=st.integers(0, 20_000),
 )
-def test_store_matches_reference_model(writes):
-    """The sparse store behaves exactly like one big bytearray."""
+def test_copy_to_matches_reference_model(src_ops, dst_ops, src_addr, dst_addr, size):
+    src, dst = BackingStore(), BackingStore()
+    src_ref, dst_ref = bytearray(_SPAN), bytearray(_SPAN)
+    for op in src_ops:
+        _apply(src, src_ref, op)
+    for op in dst_ops:
+        _apply(dst, dst_ref, op)
+    src.copy_to(dst, src_addr, dst_addr, size)
+    dst_ref[dst_addr : dst_addr + size] = src_ref[src_addr : src_addr + size]
+    assert src.read(0, _SPAN) == bytes(src_ref)
+    assert dst.read(0, _SPAN) == bytes(dst_ref)
+
+
+def test_all_zero_writes_materialize_nothing():
     store = BackingStore()
-    reference = bytearray(120_000)
-    for addr, data in writes:
-        store.write(addr, data)
-        reference[addr : addr + len(data)] = data
-    assert store.read(0, 120_000) == bytes(reference)
+    store.write(10, bytes(100))
+    store.write(gib(3) + 5, bytes(mib(3)))  # spans the 1 MiB check window
+    assert store.resident_bytes == 0
+    store.write(0, b"x" * 8192)
+    store.write(0, bytes(8192))  # an all-zero overwrite drops the pages
+    assert store.resident_bytes == 0
+    assert store.read(0, 8192) == bytes(8192)
+
+
+def test_late_nonzero_byte_past_the_check_window_is_kept():
+    store = BackingStore()
+    data = bytes(mib(2)) + b"\x01"  # the non-zero byte lies past the first window
+    store.write(0, data)
+    assert store.read(0, len(data)) == data
+
+
+@pytest.mark.parametrize("make", ["server", "pool_device"])
+def test_terabyte_crash_costs_resident_pages(make):
+    """A crash walks the resident pages, not the capacity: a loop over
+    the 2**28 page numbers of a 1 TiB device would run for minutes
+    under tracemalloc."""
+    engine = Engine()
+    fluid = FluidModel(engine)
+    link = LINK_PRESETS["link0"]
+    if make == "server":
+        host = Server(engine, fluid, 0, 1 << 40, link)
+    else:
+        host = PoolDevice(engine, fluid, 1 << 40, link)
+    offsets = [0, gib(7) + 100, gib(300), (1 << 40) - 4096]
+    for i, offset in enumerate(offsets):
+        host.dram.write_bytes(offset, bytes([i + 1]) * 4096)
+    assert host.dram.store.resident_bytes > 0
+    tracemalloc.start()
+    try:
+        host.crash()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert host.dram.store.resident_bytes == 0
+    for offset in offsets:
+        assert host.dram.read_bytes(offset, 4096) == bytes(4096)
 
 
 # --- device ------------------------------------------------------------------

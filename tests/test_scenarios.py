@@ -109,7 +109,7 @@ def test_rolling_failures_with_replication():
     engine = deployment.engine
     runtime = LmpRuntime(deployment)
     pool = runtime.pool
-    payload = bytes(random.Random(9).randrange(256) for _ in range(mib(2)))
+    payload = random.Random(9).randbytes(mib(2))
 
     mirrored = ReplicatedBuffer(pool, mib(2), copies=2, home_server=0, name="gold")
     engine.run(mirrored.write(0, 0, payload))
