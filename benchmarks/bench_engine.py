@@ -1,6 +1,6 @@
 """E2 — DES core throughput: the engine's events/sec trajectory.
 
-Five workloads:
+Six workloads:
 
 * ``event_churn`` — callback chains rescheduling bare timeouts: the
   dispatch loop and timeout pool with nothing else in the way.
@@ -22,6 +22,11 @@ Five workloads:
   second, not events per second: the workload's event count is a
   property of the model (one flow per stream segment), and a faster
   model with fewer events must not read as a slower one.
+* ``alloc_free`` — allocate and free a 64 GiB buffer on the paper's
+  Logical pool at default geometry (2 MiB pages, 256 MiB extents): the
+  page tables, frame pools and placement that every grant and lease
+  expiry runs, with no engine event in between.  Its rate is pages
+  allocated and freed per second.
 
 The CI engine-bench job::
 
@@ -218,6 +223,28 @@ def figure_stream(
     return deployment.engine.events_processed, elapsed, vector_bytes * repetitions
 
 
+# -- workload 6: the pool's allocation path -------------------------------------
+
+
+def alloc_free(rounds: int = 10, now: _harness.Now = time.perf_counter) -> tuple[int, float, int]:
+    """Allocate and free a 64 GiB Logical-pool buffer *rounds* times.
+
+    Returns (events, wall_seconds, pages)."""
+    from repro.core.pool import LogicalMemoryPool
+    from repro.topology.builder import build_logical
+    from repro.units import gib
+
+    deployment = build_logical("link0")
+    pool = LogicalMemoryPool(deployment)
+    size = gib(64)
+    started = now()
+    for _ in range(rounds):
+        pool.free(pool.allocate(size, requester_id=0))
+    elapsed = now() - started
+    pages = rounds * size // pool.geometry.page_bytes
+    return deployment.engine.events_processed, elapsed, pages
+
+
 # -- the gate ------------------------------------------------------------------
 
 
@@ -244,6 +271,7 @@ def _configs() -> list[_harness.Config]:
         ("cluster_dense", "events_per_sec", timed(lambda now: cluster_dense(1024, 12, now))),
         ("figure_stream", "bytes_per_sec",
          timed(lambda now: figure_stream(10, now), extra="bytes")),
+        ("alloc_free", "pages_per_sec", timed(lambda now: alloc_free(10, now), extra="pages")),
     ]
 
 
@@ -253,6 +281,7 @@ def _warm_up() -> None:
     cluster_slice(4, 20)
     cluster_dense(64, 4)
     figure_stream(1)
+    alloc_free(1)
 
 
 def smoke(out: str = "BENCH_engine.json", rounds: int = 2, capture: bool = False) -> None:

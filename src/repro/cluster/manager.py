@@ -236,7 +236,7 @@ class PoolManager:
         Returns an event that a process yields (or ``engine.run`` runs):
         already succeeded with the :class:`Lease` on a grant, already
         failed with an :class:`AdmissionError` subclass on a rejection
-        (a capacity race inside the grant included), or the waiter's
+        (placement refusing what admission granted included), or the waiter's
         pending event on a queue, which :meth:`_service_queue` later
         succeeds or fails."""
         tenant = self.tenant(tenant_id)
@@ -290,7 +290,9 @@ class PoolManager:
         except QuotaExceededError:
             raise
         except CapacityError as exc:
-            # admission raced a concurrent grant; surface as a rejection
+            # admission granted on pool-wide free bytes, but placement
+            # needs whole free extents per server: free space scattered
+            # in sub-extent pieces passes the one and fails the other
             tenant.rejected_capacity += 1
             self.stats.counter("rejected.capacity").add()
             raise AdmissionError(f"tenant {tenant.tenant_id}: {exc}") from exc

@@ -38,7 +38,7 @@ class FirstFitPlacement(PlacementPolicy):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         slots = self._capacity_in_extents(free_bytes, extent_bytes)
@@ -67,7 +67,7 @@ class FragmentationAwarePlacement(PlacementPolicy):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         slots = self._capacity_in_extents(free_bytes, extent_bytes)

@@ -328,7 +328,7 @@ class CapacityBalancer:
         if self._imbalance(usage) <= self.tolerance:
             return []
         extent_bytes = self.pool.geometry.extent_bytes
-        global_map = self.pool.translator.global_map
+        translator = self.pool.translator
         potential = self.pool.potential_free_by_server()
         heat = _no_heat if self.profiler is None else self.profiler.extent_heat
         moves: list[tuple[int, int, int]] = []
@@ -341,11 +341,7 @@ class CapacityBalancer:
             dst = min(usage, key=lambda sid: (usage[sid], -sid))
             if src == dst or potential.get(dst, 0) < extent_bytes:
                 break
-            candidates = [
-                e
-                for e in self.pool._extent_frames
-                if e not in moved and global_map.lookup_extent(e).server_id == src
-            ]
+            candidates = [e for e in translator.page_table(src).extents() if e not in moved]
             if not candidates:
                 break
             victim = min(candidates, key=lambda e: (heat(e), e))
@@ -414,12 +410,7 @@ class PressureEvictor:
         self.reports: list[ReclaimReport] = []
 
     def _owned_extents(self, server_id: int) -> list[int]:
-        global_map = self.pool.translator.global_map
-        return [
-            extent_index
-            for extent_index in self.pool._extent_frames
-            if global_map.lookup_extent(extent_index).server_id == server_id
-        ]
+        return list(self.pool.translator.page_table(server_id).extents())
 
     def plan(self, server_id: int, nbytes: int) -> tuple[list[int], list[int]]:
         """(keep_locally, evict_remotely) extent lists for a reclaim.
@@ -482,9 +473,11 @@ class PressureEvictor:
         relocated = 0
         blockers = set(region.frames_blocking_shrink(target))
         if blockers:
+            table = self.pool.translator.page_table(server_id)
             for extent_index in keep:
-                frames = self.pool._extent_frames.get(extent_index, [])
-                if not blockers.intersection(frames):
+                if extent_index not in table.extents():
+                    continue  # freed or moved away since the plan
+                if blockers.isdisjoint(table.frames(extent_index)):
                     continue
                 if region.shared_free_bytes < extent_bytes:
                     break  # nowhere to compact to; reclaim stays partial

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import types
 import typing as _t
 
 from repro.core.addressing import AddressTranslator
@@ -166,6 +167,8 @@ class LogicalMemoryPool(MemoryPool):
         self.regions: dict[int, RegionManager] = {}
         #: live servers' free + growable bytes, posted by the regions
         self._ledger = FreeLedger()
+        #: what placement reads: the ledger itself, live and read-only
+        self._free_view = types.MappingProxyType(self._ledger.by_server)
         page = self.geometry.page_bytes
         for server in deployment.servers:
             self.translator.register_server(server.server_id)
@@ -182,8 +185,6 @@ class LogicalMemoryPool(MemoryPool):
                 # the hook holds the small ledger, not the region: a
                 # server must not keep a discarded pool's frames alive
                 server.on_crash(functools.partial(self._ledger.drop, server.server_id))
-        #: extent index -> list of frame offsets backing its pages
-        self._extent_frames: dict[int, list[int]] = {}
         self._buffer_extents: dict[int, list[int]] = {}
         #: extents mid-migration/relocation: a free() racing the move
         #: defers the teardown to the mover instead of yanking pages out
@@ -238,9 +239,7 @@ class LogicalMemoryPool(MemoryPool):
                 f"most {offered}"
             )
         policy = placement or self.placement
-        owners = policy.place(
-            extent_count, extent_bytes, self.potential_free_by_server(), requester_id
-        )
+        owners = policy.place(extent_count, extent_bytes, self._free_view, requester_id)
         extents = self._take_contiguous_extents(extent_count)
         pages_per_extent = self.geometry.pages_per_extent
         for extent_index, owner in zip(extents, owners):
@@ -249,11 +248,7 @@ class LogicalMemoryPool(MemoryPool):
             self.regions[owner].ensure_shared_free(extent_bytes)
             frames = self.regions[owner].allocate_frames(pages_per_extent)
             self.translator.global_map.claim(extent_index, owner)
-            table = self.translator.page_table(owner)
-            first_page = extent_index * pages_per_extent
-            for page_index, frame in zip(range(first_page, first_page + pages_per_extent), frames):
-                table.map_page(page_index, frame, Protection.RW)
-            self._extent_frames[extent_index] = frames
+            self.translator.page_table(owner).map_extent(extent_index, frames, Protection.RW)
         base = GlobalAddress(extents[0] * extent_bytes)
         buffer = Buffer(base=base, size=size, geometry=self.geometry, name=name)
         self._buffers[base.value] = buffer
@@ -275,21 +270,10 @@ class LogicalMemoryPool(MemoryPool):
         buffer.freed = True
 
     def _teardown_extent(self, extent_index: int) -> None:
-        """Unmap one extent's pages and return its frames and index.
-
-        Frame offsets come from the page-table entries, not the cached
-        ``_extent_frames`` list: a half-finished relocation may have
-        committed some pages to new frames already, and the entries are
-        the authority on which frames actually back the data now."""
-        pages_per_extent = self.geometry.pages_per_extent
+        """Unmap one extent, then give back its frames and its index."""
         owner = self.translator.global_map.lookup_extent(extent_index).server_id
-        table = self.translator.page_table(owner)
-        first_page = extent_index * pages_per_extent
-        freed: list[int] = []
-        for page_index in range(first_page, first_page + pages_per_extent):
-            freed.append(table.unmap_page(page_index).frame_offset)
-        self.regions[owner].free_frames(freed)
-        self._extent_frames.pop(extent_index, None)
+        frames = self.translator.page_table(owner).unmap_extent(extent_index)
+        self.regions[owner].free_frames(frames)
         self.translator.global_map.release(extent_index)
 
     def _unpin_extent(self, extent_index: int) -> None:
@@ -452,7 +436,7 @@ class LogicalMemoryPool(MemoryPool):
 
     def _migrate_body(self, extent_index: int, dst_server_id: int):
         if (
-            extent_index not in self._extent_frames
+            extent_index not in self.translator.global_map
             or extent_index in self._pinned_extents
         ):
             return 0  # freed before we started, or another mover owns it
@@ -476,11 +460,9 @@ class LogicalMemoryPool(MemoryPool):
         try:
             # Phase 1: bulk copy every page, clearing dirty bits as we go so
             # writes racing the copy are detected.
-            page_to_dst: dict[int, int] = {}
             for page_index, dst_frame in zip(
                 range(first_page, first_page + pages_per_extent), dst_frames
             ):
-                page_to_dst[page_index] = dst_frame
                 src_entry = src_table.entry(page_index)
                 src_entry.dirty = False
                 yield self.transport.copy(
@@ -507,7 +489,7 @@ class LogicalMemoryPool(MemoryPool):
                         src.name,
                         src_entry.frame_offset,
                         dst.name,
-                        page_to_dst[page_index],
+                        dst_frames[page_index - first_page],
                         page_bytes,
                     )
                     if extent_index in self._doomed_extents:
@@ -533,17 +515,13 @@ class LogicalMemoryPool(MemoryPool):
                 )
 
             # Commit: remap atomically (single simulation instant).
-            dst_table = self.translator.page_table(dst_server_id)
-            src_frames: list[int] = []
-            for page_index in range(first_page, first_page + pages_per_extent):
-                src_entry = src_table.unmap_page(page_index)
-                src_frames.append(src_entry.frame_offset)
-                dst_table.map_page(page_index, page_to_dst[page_index], src_entry.protection)
+            protection = src_table.protection(extent_index)
+            src_frames = src_table.unmap_extent(extent_index)
+            self.translator.page_table(dst_server_id).map_extent(
+                extent_index, dst_frames, protection
+            )
             self.regions[src_id].free_frames(src_frames)
             self.translator.global_map.reassign(extent_index, dst_server_id)
-            self._extent_frames[extent_index] = [
-                page_to_dst[p] for p in range(first_page, first_page + pages_per_extent)
-            ]
             return pages_per_extent * page_bytes
         finally:
             self._unpin_extent(extent_index)
@@ -559,7 +537,7 @@ class LogicalMemoryPool(MemoryPool):
 
     def _relocate_body(self, extent_index: int):
         if (
-            extent_index not in self._extent_frames
+            extent_index not in self.translator.global_map
             or extent_index in self._pinned_extents
         ):
             return 0  # freed before we started, or another mover owns it
@@ -571,32 +549,22 @@ class LogicalMemoryPool(MemoryPool):
         table = self.translator.page_table(owner)
         new_frames = self.regions[owner].allocate_frames(pages_per_extent, highest=True)
         self._pinned_extents.add(extent_index)
-        moved = 0
         old_frames: list[int] = []
         try:
-            for page_index, new_frame in zip(
-                range(first_page, first_page + pages_per_extent), new_frames
-            ):
-                entry = table.entry(page_index)
-                old_frames.append(entry.frame_offset)
+            for slot, new_frame in enumerate(new_frames):
+                old_frame = table.frames(extent_index)[slot]
                 yield self.transport.copy(
-                    server.name, entry.frame_offset, server.name, new_frame, page_bytes
+                    server.name, old_frame, server.name, new_frame, page_bytes
                 )
                 if extent_index in self._doomed_extents:
                     # freed mid-compaction: stop committing; pages already
-                    # moved keep their new frames (entries are authoritative)
-                    old_frames.pop()
+                    # moved keep their new frames (the table is the record)
                     break
-                entry.frame_offset = new_frame
-                moved += 1
+                old_frames.append(table.relocate_page(first_page + slot, new_frame))
             # superseded old frames, and new frames we never committed to
-            self.regions[owner].free_frames(old_frames[:moved])
+            moved = len(old_frames)
+            self.regions[owner].free_frames(old_frames)
             self.regions[owner].free_frames(new_frames[moved:])
-            if extent_index in self._extent_frames:
-                self._extent_frames[extent_index] = [
-                    table.entry(p).frame_offset
-                    for p in range(first_page, first_page + pages_per_extent)
-                ]
             return moved * page_bytes
         finally:
             self._unpin_extent(extent_index)
@@ -700,11 +668,10 @@ class PhysicalMemoryPool(MemoryPool):
         buffer.freed = True
         # pooled pages cached on servers are now meaningless
         for cache in self.caches.values():
-            for page_id in range(
+            cache.invalidate_range(
                 allocation.offset // cache.page_bytes,
-                -(-allocation.end // cache.page_bytes),
-            ):
-                cache.invalidate(page_id)
+                -(-allocation.end // cache.page_bytes) - 1,
+            )
 
     def _pool_offset(self, buffer: Buffer, offset: int) -> int:
         allocation = self._buffer_backing[buffer.base.value]

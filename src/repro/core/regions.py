@@ -24,7 +24,6 @@ describes.
 from __future__ import annotations
 
 import typing as _t
-from heapq import heappop, heappush
 
 from repro.errors import AllocationError, CapacityError, ConfigError
 from repro.mem.layout import PageGeometry, Region, RegionKind
@@ -90,16 +89,13 @@ class RegionManager:
         #: DRAM offset where the shared region starts (frames >= boundary)
         self._boundary = capacity - shared_bytes
         self._coherent_start = self._boundary - coherent_bytes
-        #: free frames in the shared region, as DRAM offsets
-        self._free_frames: set[int] = set(
-            range(self._boundary, capacity, page)
-        )
-        #: lazy-deletion min-heap over the free set: every free frame has
-        #: at least one copy here, and stale copies (frames since taken)
-        #: are skipped at pop time.  Lets the hot lowest-first allocation
-        #: run in O(count log n) instead of sorting the whole free set.
-        #: An ascending range is already heap-ordered, so no heapify.
-        self._free_heap: list[int] = list(range(self._boundary, capacity, page))
+        #: free frames in the shared region, as DRAM offsets, each once.
+        #: Ascending, except that freed frames are appended and sorted in
+        #: only when an allocation or a shrink next needs the order: then
+        #: taking the lowest (or highest) frames is one slice, and sorting
+        #: a sorted run plus a few appended runs is a linear merge.
+        self._free: list[int] = list(range(self._boundary, capacity, page))
+        self._free_sorted = True
         self._used_frames: set[int] = set()
         self.resize_events = 0
         #: the pool's free ledger (see attach_ledger)
@@ -158,7 +154,7 @@ class RegionManager:
 
     @property
     def shared_free_bytes(self) -> int:
-        return len(self._free_frames) * self.page_bytes
+        return len(self._free) * self.page_bytes
 
     @property
     def shared_used_bytes(self) -> int:
@@ -205,47 +201,51 @@ class RegionManager:
         shrink is about to reclaim."""
         if count < 0:
             raise AllocationError(f"negative frame count {count}")
-        if count > len(self._free_frames):
+        free = self._sorted_free()
+        if count > len(free):
             raise AllocationError(
                 f"server {self.server.server_id}: need {count} frames, "
-                f"{len(self._free_frames)} free"
+                f"{len(free)} free"
             )
         if highest:
-            # rare (compaction only): the heap is min-ordered, fall back
-            # to a sort; stale heap copies are skipped at later pops
-            frames = sorted(self._free_frames, reverse=True)[:count]
-            for frame in frames:
-                self._free_frames.discard(frame)
-                self._used_frames.add(frame)
-            self._post(-count * self.page_bytes)
-            return frames
-        free = self._free_frames
-        used = self._used_frames
-        heap = self._free_heap
-        frames = []
-        while len(frames) < count:
-            frame = heappop(heap)
-            if frame in free:  # stale copies pop through and vanish here
-                free.discard(frame)
-                used.add(frame)
-                frames.append(frame)
+            split = len(free) - count
+            frames = free[split:][::-1]
+            del free[split:]
+        else:
+            frames = free[:count]
+            del free[:count]
+        self._used_frames.update(frames)
         self._post(-count * self.page_bytes)
         return frames
 
     def free_frames(self, frames: _t.Iterable[int]) -> None:
-        freed = 0
-        try:
-            for frame in frames:
-                if frame not in self._used_frames:
+        """Return frames to the pool.  A frame not in use (or named twice)
+        raises, and the frames before it stay freed."""
+        frames = list(frames)
+        used = self._used_frames
+        if not used.issuperset(frames) or len(set(frames)) != len(frames):
+            seen: set[int] = set()
+            for i, frame in enumerate(frames):
+                if frame not in used or frame in seen:
+                    self._release(frames[:i])
                     raise AllocationError(
                         f"server {self.server.server_id}: frame {frame} not in use"
                     )
-                self._used_frames.discard(frame)
-                self._free_frames.add(frame)
-                heappush(self._free_heap, frame)
-                freed += 1
-        finally:  # frames freed before a bad one stay freed: post them
-            self._post(freed * self.page_bytes)
+                seen.add(frame)
+        self._release(frames)
+
+    def _release(self, frames: list[int]) -> None:
+        """Move distinct in-use *frames* back to the free list."""
+        self._used_frames.difference_update(frames)
+        self._free += frames
+        self._free_sorted = False
+        self._post(len(frames) * self.page_bytes)
+
+    def _sorted_free(self) -> list[int]:
+        if not self._free_sorted:
+            self._free.sort()
+            self._free_sorted = True
+        return self._free
 
     # -- dynamic resizing (§4.5) ---------------------------------------------------
 
@@ -259,9 +259,9 @@ class RegionManager:
                 f"cannot grow shared by {nbytes}: only {self.private_bytes} private"
             )
         new_boundary = self._boundary - nbytes
-        for frame in range(new_boundary, self._boundary, page):
-            self._free_frames.add(frame)
-            heappush(self._free_heap, frame)
+        # every new frame lies below every shared one: prepending keeps
+        # the free list's order
+        self._free[:0] = range(new_boundary, self._boundary, page)
         self._boundary = new_boundary
         self._coherent_start -= nbytes
         self.resize_events += 1
@@ -290,8 +290,8 @@ class RegionManager:
                 f"shrink blocked by {len(blockers)} occupied frames; migrate "
                 "them away first"
             )
-        for frame in range(self._boundary, new_boundary, page):
-            self._free_frames.discard(frame)
+        # all free, and below every other shared frame: the lowest ones
+        del self._sorted_free()[: nbytes // page]
         self._boundary = new_boundary
         self._coherent_start += nbytes
         self.resize_events += 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import typing as _t
 
 from repro.errors import ConfigError
 from repro.units import mib
@@ -101,9 +102,18 @@ class PageCache:
                 misses += 1
         return RangeOutcome(hits, misses, self.writebacks - writebacks_before)
 
-    def invalidate(self, page_id: int) -> None:
-        """Drop a page without writeback (e.g. the backing buffer was freed)."""
-        self._frames.pop(page_id, None)
+    def invalidate_range(self, first: int, last: int) -> None:
+        """Drop pages *first* through *last* without writeback (the
+        backing buffer was freed).  Walks whichever is shorter, the range
+        or the resident pages; the pages that stay keep their LRU order
+        and dirty flags."""
+        frames = self._frames
+        if last - first < len(frames):
+            doomed: _t.Iterable[int] = range(first, last + 1)
+        else:
+            doomed = [p for p in frames if first <= p <= last]
+        for page_id in doomed:
+            frames.pop(page_id, None)
 
     def clear(self) -> int:
         """Drop everything; returns how many dirty pages needed writeback."""

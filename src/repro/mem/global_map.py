@@ -79,6 +79,10 @@ class GlobalMap:
             raise AddressError(f"address {int(addr):#x} is not backed by any extent")
         return entry
 
+    def __contains__(self, extent_index: int) -> bool:
+        """Whether *extent_index* is claimed (no lookup is counted)."""
+        return extent_index in self._entries
+
     def lookup_extent(self, extent_index: int) -> MapEntry:
         self.lookups += 1
         entry = self._entries.get(extent_index)

@@ -14,6 +14,7 @@ does the actual carving — so they unit-test without a simulator.
 from __future__ import annotations
 
 import abc
+import typing as _t
 
 from repro.errors import CapacityError
 
@@ -28,18 +29,22 @@ class PlacementPolicy(abc.ABC):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         """Return the owning server id for each of *extent_count* extents.
 
-        *free_bytes* maps server id -> free shared capacity; the policy
-        must not overcommit any server.  *requester_id* is the server
-        performing the allocation (None for an external client).
+        *free_bytes* maps server id -> free shared capacity.  It is the
+        pool's live ledger, read-only, so a policy copies what it counts
+        down.  The policy must not overcommit any server.
+        *requester_id* is the server performing the allocation (None for
+        an external client).
         """
 
     @staticmethod
-    def _capacity_in_extents(free_bytes: dict[int, int], extent_bytes: int) -> dict[int, int]:
+    def _capacity_in_extents(
+        free_bytes: _t.Mapping[int, int], extent_bytes: int
+    ) -> dict[int, int]:
         return {sid: free // extent_bytes for sid, free in free_bytes.items()}
 
     @staticmethod
@@ -67,7 +72,7 @@ class LocalFirstPlacement(PlacementPolicy):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         slots = self._capacity_in_extents(free_bytes, extent_bytes)
@@ -105,7 +110,7 @@ class RoundRobinPlacement(PlacementPolicy):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         slots = self._capacity_in_extents(free_bytes, extent_bytes)
@@ -137,7 +142,7 @@ class CapacityWeightedPlacement(PlacementPolicy):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         slots = self._capacity_in_extents(free_bytes, extent_bytes)
@@ -171,7 +176,7 @@ class PinnedPlacement(PlacementPolicy):
         self,
         extent_count: int,
         extent_bytes: int,
-        free_bytes: dict[int, int],
+        free_bytes: _t.Mapping[int, int],
         requester_id: int | None,
     ) -> list[int]:
         if self.server_id not in free_bytes:

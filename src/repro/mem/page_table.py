@@ -8,15 +8,20 @@ page -> frame offset in the owner's DRAM, with protection bits and the
 *access/dirty bits* the locality balancer samples ("one could use access
 bits to identify hot remote data", §5).
 
-The table is two-level (directory of leaf tables) so sparse address
-spaces don't pay for dense arrays — the structure, not just the math,
-mirrors a real radix page table.
+The table is two-level, and its directory is keyed by extent index, the
+granule the first step already works in: an extent is mapped and
+unmapped as one unit.  Each leaf is one extent's pages: the frame list
+backing them (the only record of which frames hold the extent), the
+extent's protection, and a :class:`PageTableEntry` for each page that a
+translation or a mover has touched.  Entries are made on first touch,
+so mapping a 64 GiB buffer writes one record per extent, not one entry
+per page, and sparse address spaces pay only for the extents they map.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import typing as _t
 
 from repro.errors import AddressError, ProtectionError
 from repro.mem.layout import PageGeometry
@@ -31,73 +36,128 @@ class Protection(enum.Flag):
     RW = READ | WRITE
 
 
-@dataclasses.dataclass
+class ExtentMapping:
+    """One leaf: an extent's frames, protection and touched pages."""
+
+    __slots__ = ("frames", "protection", "entries")
+
+    def __init__(self, frames: list[int], protection: Protection) -> None:
+        #: frame offset of each page of the extent, in page order
+        self.frames = frames
+        self.protection = protection
+        #: page slot within the extent -> its entry, for touched pages
+        self.entries: dict[int, PageTableEntry] = {}
+
+
 class PageTableEntry:
-    """One mapping: logical page -> local frame."""
+    """One touched page's access bits; its frame is the leaf's."""
 
-    frame_offset: int
-    protection: Protection = Protection.RW
-    accessed: bool = False
-    dirty: bool = False
-    remote_accesses: int = 0  # sampled counter feeding the balancer
+    __slots__ = ("_mapping", "_slot", "accessed", "dirty", "remote_accesses")
 
+    def __init__(self, mapping: ExtentMapping, slot: int) -> None:
+        self._mapping = mapping
+        self._slot = slot
+        self.accessed = False
+        self.dirty = False
+        self.remote_accesses = 0  # sampled counter feeding the balancer
 
-_DIRECTORY_BITS = 9  # 512-entry leaves, like an x86 radix level
+    @property
+    def frame_offset(self) -> int:
+        return self._mapping.frames[self._slot]
 
 
 class PageTable:
-    """Two-level radix table for one server."""
+    """Two-level table for one server: extent -> that extent's pages."""
 
     def __init__(self, server_id: int, geometry: PageGeometry) -> None:
         self.server_id = server_id
         self.geometry = geometry
-        self._directory: dict[int, dict[int, PageTableEntry]] = {}
+        self._pages_per_extent = geometry.pages_per_extent
+        self._directory: dict[int, ExtentMapping] = {}
         self.mapped_pages = 0
 
-    def _slot(self, page_index: int) -> tuple[int, int]:
-        return page_index >> _DIRECTORY_BITS, page_index & ((1 << _DIRECTORY_BITS) - 1)
+    def _mapping(self, extent_index: int) -> ExtentMapping:
+        mapping = self._directory.get(extent_index)
+        if mapping is None:
+            raise AddressError(f"extent {extent_index} not mapped on server {self.server_id}")
+        return mapping
+
+    def _check_frames(self, frames: list[int]) -> None:
+        page = self.geometry.page_bytes
+        if frames and min(frames) < 0:
+            raise AddressError(f"negative frame offset {min(frames)}")
+        if any(map(page.__rmod__, frames)):  # f % page for each f, at C level
+            bad = next(f for f in frames if f % page)
+            raise AddressError(f"frame offset {bad} not aligned to {page}-byte pages")
 
     # -- mapping ----------------------------------------------------------------
 
-    def map_page(
+    def map_extent(
         self,
-        page_index: int,
-        frame_offset: int,
+        extent_index: int,
+        frames: _t.Iterable[int],
         protection: Protection = Protection.RW,
     ) -> None:
-        """Install logical page *page_index* at *frame_offset*."""
-        if frame_offset < 0:
-            raise AddressError(f"negative frame offset {frame_offset}")
-        if frame_offset % self.geometry.page_bytes != 0:
+        """Install every page of *extent_index*: page ``i`` of the extent
+        at ``frames[i]``."""
+        frames = list(frames)
+        if len(frames) != self._pages_per_extent:
             raise AddressError(
-                f"frame offset {frame_offset} not aligned to "
-                f"{self.geometry.page_bytes}-byte pages"
+                f"extent {extent_index} needs {self._pages_per_extent} frames, "
+                f"got {len(frames)}"
             )
-        hi, lo = self._slot(page_index)
-        leaf = self._directory.setdefault(hi, {})
-        if lo in leaf:
-            raise AddressError(f"page {page_index} already mapped on server {self.server_id}")
-        leaf[lo] = PageTableEntry(frame_offset, protection)
-        self.mapped_pages += 1
+        if extent_index in self._directory:
+            raise AddressError(
+                f"extent {extent_index} already mapped on server {self.server_id}"
+            )
+        self._check_frames(frames)
+        self._directory[extent_index] = ExtentMapping(frames, protection)
+        self.mapped_pages += self._pages_per_extent
 
-    def unmap_page(self, page_index: int) -> PageTableEntry:
-        """Remove a mapping, returning its entry (for migration)."""
-        hi, lo = self._slot(page_index)
-        leaf = self._directory.get(hi)
-        if leaf is None or lo not in leaf:
-            raise AddressError(f"page {page_index} not mapped on server {self.server_id}")
-        entry = leaf.pop(lo)
-        if not leaf:
-            del self._directory[hi]
-        self.mapped_pages -= 1
-        return entry
+    def unmap_extent(self, extent_index: int) -> list[int]:
+        """Remove an extent's mapping, returning the frames that backed
+        its pages (in page order) for the caller to free or reuse."""
+        mapping = self._mapping(extent_index)
+        del self._directory[extent_index]
+        self.mapped_pages -= self._pages_per_extent
+        return mapping.frames
+
+    def relocate_page(self, page_index: int, frame_offset: int) -> int:
+        """Point one mapped page at *frame_offset* (a local compaction
+        copied it there); returns the frame it leaves."""
+        self._check_frames([frame_offset])
+        extent_index, slot = divmod(page_index, self._pages_per_extent)
+        frames = self._mapping(extent_index).frames
+        old = frames[slot]
+        frames[slot] = frame_offset
+        return old
+
+    # -- per-extent reads -------------------------------------------------------
+
+    def extents(self) -> _t.KeysView[int]:
+        """The extents mapped here, in mapping order."""
+        return self._directory.keys()
+
+    def frames(self, extent_index: int) -> list[int]:
+        """The frames backing *extent_index*'s pages, in page order (the
+        live record: read it, do not change it)."""
+        return self._mapping(extent_index).frames
+
+    def protection(self, extent_index: int) -> Protection:
+        return self._mapping(extent_index).protection
+
+    # -- per-page entries -------------------------------------------------------
 
     def entry(self, page_index: int) -> PageTableEntry:
-        hi, lo = self._slot(page_index)
-        leaf = self._directory.get(hi)
-        if leaf is None or lo not in leaf:
+        """The entry of a mapped page, made on its first touch."""
+        extent_index, slot = divmod(page_index, self._pages_per_extent)
+        mapping = self._directory.get(extent_index)
+        if mapping is None:
             raise AddressError(f"page {page_index} not mapped on server {self.server_id}")
-        return leaf[lo]
+        entry = mapping.entries.get(slot)
+        if entry is None:
+            entry = mapping.entries[slot] = PageTableEntry(mapping, slot)
+        return entry
 
     # -- translation ----------------------------------------------------------
 
@@ -114,8 +174,9 @@ class PageTable:
         it in the entry's ``remote_accesses``.
         """
         entry = self.entry(page_index)
+        mapping = entry._mapping
         needed = Protection.WRITE if write else Protection.READ
-        if not entry.protection & needed:
+        if not mapping.protection & needed:
             raise ProtectionError(
                 f"page {page_index} on server {self.server_id} lacks {needed}"
             )
@@ -124,4 +185,4 @@ class PageTable:
             entry.dirty = True
         if remote:
             entry.remote_accesses += 1
-        return entry.frame_offset + offset_in_page
+        return mapping.frames[entry._slot] + offset_in_page

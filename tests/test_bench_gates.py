@@ -15,7 +15,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 BASELINE = BENCHMARKS / "baselines" / "BENCH_engine_baseline.json"
 
-CONFIGS = {"event_churn", "timeout_storm", "cluster_slice", "cluster_dense", "figure_stream"}
+CONFIGS = {
+    "event_churn",
+    "timeout_storm",
+    "cluster_slice",
+    "cluster_dense",
+    "figure_stream",
+    "alloc_free",
+}
 
 
 def load_bench(stem: str, monkeypatch: pytest.MonkeyPatch):
@@ -39,6 +46,7 @@ def test_engine_baseline_is_committed_for_every_configuration(monkeypatch):
     rates = {name: rate for name, rate, _run in bench_engine._configs()}
     assert set(baseline["results"]) == set(rates) == CONFIGS
     assert rates["figure_stream"] == "bytes_per_sec"
+    assert rates["alloc_free"] == "pages_per_sec"
     assert all(baseline["results"][name][rate] > 0 for name, rate in rates.items())
 
 

@@ -391,6 +391,32 @@ def test_grant_capacity_race_fails_the_returned_event():
         engine.run(raced)
 
 
+def test_scattered_free_bytes_pass_admission_then_fail_placement():
+    """Admission decides on pool-wide free bytes; placement needs a whole
+    free extent on one server.  Free space scattered in sub-extent
+    pieces passes the first and fails the second, which the manager
+    counts as a capacity rejection.  On a frozen split this is how
+    every ``rejected.capacity`` of S1's flash crowd comes about."""
+    manager = small_manager(policy="capacity-balanced")
+    manager.register_tenant(spec("t0", quota=mib(64)))
+    for region in manager.pool.regions.values():
+        region.flex_on_demand = False
+        region.shrink_shared(region.shared_bytes - EXTENT // 2)
+    assert manager.pool_free_bytes() == 3 * EXTENT // 2  # room, in pieces
+    verdict = manager.admission.decide(
+        manager.tenant("t0"), EXTENT, manager.pool_free_bytes(), manager.queue_depth
+    )
+    assert verdict.decision is Decision.GRANT
+    rejected = manager.acquire("t0", EXTENT)
+    assert rejected.triggered and not rejected.ok
+    assert type(rejected.value) is AdmissionError
+    assert "room for only 0" in str(rejected.value)
+    assert manager.tenant("t0").rejected_capacity == 1
+    assert manager.stats.counter("rejected.capacity").value == 1
+    assert manager.stats.counter("granted").value == 0
+    assert manager.pool_free_bytes() == 3 * EXTENT // 2  # nothing was carved
+
+
 # --- revocation and crash reclamation ----------------------------------------
 
 

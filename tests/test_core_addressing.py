@@ -23,10 +23,8 @@ def make_translator(servers=(0, 1)) -> AddressTranslator:
 
 def claim_extent(translator: AddressTranslator, extent: int, owner: int) -> None:
     translator.global_map.claim(extent, owner)
-    table = translator.page_table(owner)
-    first_page = extent * GEO.pages_per_extent
-    for i, page in enumerate(range(first_page, first_page + GEO.pages_per_extent)):
-        table.map_page(page, i * GEO.page_bytes, Protection.RW)
+    frames = [i * GEO.page_bytes for i in range(GEO.pages_per_extent)]
+    translator.page_table(owner).map_extent(extent, frames, Protection.RW)
 
 
 # --- translation --------------------------------------------------------------
@@ -56,10 +54,8 @@ def test_stale_cache_retries_once_after_migration():
     translator.translate(1, GlobalAddress(0))  # warms server 1's cache
     # migrate extent 0 to server 1 (map-level move)
     table0 = translator.page_table(0)
-    table1 = translator.page_table(1)
-    for page in range(GEO.pages_per_extent):
-        entry = table0.unmap_page(page)
-        table1.map_page(page, entry.frame_offset, entry.protection)
+    protection = table0.protection(0)
+    translator.page_table(1).map_extent(0, table0.unmap_extent(0), protection)
     translator.global_map.reassign(0, 1)
 
     result = translator.translate(1, GlobalAddress(0))

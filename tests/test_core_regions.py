@@ -65,6 +65,33 @@ def test_free_unknown_frame_rejected():
         manager.free_frames([0])
 
 
+def test_frames_come_back_in_order_after_mixed_takes():
+    """Compaction takes the top frames and frees append out of order;
+    the next lowest-first take still hands out each free frame once, in
+    ascending order, and the highest-first take in descending order."""
+    manager = make_manager(shared=mib(16))  # 8 frames
+    top = manager.allocate_frames(2, highest=True)
+    assert top == sorted(top, reverse=True)
+    low = manager.allocate_frames(3)
+    manager.free_frames(top[::-1] + low[1:])
+    frames = manager.allocate_frames(7)
+    assert len(set(frames)) == 7
+    assert frames == sorted(frames)  # lowest first
+    assert low[0] not in frames
+    assert manager.shared_free_bytes == 0
+
+
+def test_free_stops_at_a_frame_named_twice():
+    manager = make_manager(shared=mib(16))
+    frames = manager.allocate_frames(4)
+    with pytest.raises(AllocationError):
+        manager.free_frames([frames[0], frames[1], frames[0], frames[2]])
+    # the frames before the bad one stay freed; the rest stay in use
+    assert manager.shared_used_bytes == mib(4)
+    manager.free_frames(frames[2:])
+    assert manager.shared_used_bytes == 0
+
+
 def test_grow_converts_private_to_shared():
     manager = make_manager()
     manager.grow_shared(mib(256))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,7 +88,7 @@ def test_access_range_empty():
 def test_invalidate_removes_silently():
     cache = PageCache(mib(4), page_bytes=mib(2))
     cache.access(1, write=True)
-    cache.invalidate(1)
+    cache.invalidate_range(1, 1)
     assert not cache.contains(1)
     assert cache.writebacks == 0
 
@@ -123,3 +125,28 @@ def test_working_set_within_capacity_never_evicts(accesses):
     for page in accesses:
         cache.access(page)
     assert cache.evictions == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    accesses=st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=120),
+    frames=st.integers(1, 24),
+    first=st.integers(-5, 45),
+    span=st.integers(-1, 60),
+)
+def test_invalidate_range_matches_the_per_page_loop(accesses, frames, first, span):
+    """Whichever side it walks (range or resident pages), a ranged
+    invalidate leaves the same resident set, LRU order and dirty flags
+    as dropping each page of the range one at a time."""
+    cache = PageCache(frames * mib(2), page_bytes=mib(2))
+    for page_id, write in accesses:
+        cache.access(page_id, write=write)
+    last = first + span
+    reference = collections.OrderedDict(cache._frames)
+    for page_id in range(first, last + 1):
+        reference.pop(page_id, None)
+    expected = list(reference.items())
+    counters = (cache.hits, cache.misses, cache.evictions, cache.writebacks)
+    cache.invalidate_range(first, last)
+    assert list(cache._frames.items()) == expected
+    assert (cache.hits, cache.misses, cache.evictions, cache.writebacks) == counters

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,3 +99,37 @@ def test_placements_never_overcommit(count, free, policy_name):
     assert len(placement) == count
     for sid in set(placement):
         assert placement.count(sid) <= free[sid]
+
+
+def _every_policy():
+    from repro.cluster.placement import CLUSTER_POLICIES
+
+    named = {name: factory for name, factory in POLICIES.items() if name != "pinned"}
+    named.update(CLUSTER_POLICIES)
+    return sorted(named.items()) + [("pinned", lambda: PinnedPlacement(1))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 30),
+    free=st.dictionaries(st.integers(0, 5), st.integers(0, 10), min_size=1, max_size=6),
+    extent_bytes=st.sampled_from([1, 3]),
+)
+def test_every_policy_leaves_free_bytes_unchanged(count, free, extent_bytes):
+    """The pool hands placement its live ledger behind a read-only view:
+    no policy, granting or refusing, may change the numbers it reads."""
+    for name, factory in _every_policy():
+        ledger = dict(free)
+        view = MappingProxyType(ledger)
+        try:
+            factory().place(count, extent_bytes, view, min(free))
+        except CapacityError:
+            pass
+        assert ledger == free, name
+        # and a plain dict handed over directly comes back untouched too
+        plain = dict(free)
+        try:
+            factory().place(count, extent_bytes, plain, min(free))
+        except CapacityError:
+            pass
+        assert plain == free, name

@@ -37,28 +37,35 @@ def test_global_address_arithmetic():
 
 # --- page table --------------------------------------------------------------
 
+PPE = GEO.pages_per_extent
+
+
+def frames_from(first_frame: int, count: int = PPE) -> list[int]:
+    """Frames for one extent's pages: consecutive, from *first_frame*."""
+    return [first_frame + i * GEO.page_bytes for i in range(count)]
+
 
 def test_map_translate_unmap():
     table = PageTable(0, GEO)
-    table.map_page(5, mib(2) * 7)
+    table.map_extent(0, frames_from(mib(2) * 2))
     assert table.translate(5, 100) == mib(2) * 7 + 100
-    entry = table.unmap_page(5)
-    assert entry.frame_offset == mib(2) * 7
+    frames = table.unmap_extent(0)
+    assert frames[5] == mib(2) * 7
     with pytest.raises(AddressError):
         table.entry(5)
 
 
 def test_double_map_rejected():
     table = PageTable(0, GEO)
-    table.map_page(1, 0)
+    table.map_extent(0, frames_from(0))
     with pytest.raises(AddressError):
-        table.map_page(1, mib(2))
+        table.map_extent(0, frames_from(mib(2) * PPE))
 
 
 def test_unaligned_frame_rejected():
     table = PageTable(0, GEO)
     with pytest.raises(AddressError):
-        table.map_page(1, 1234)
+        table.map_extent(0, [1234] + frames_from(mib(2), PPE - 1))
 
 
 def test_translate_unmapped_raises():
@@ -69,7 +76,7 @@ def test_translate_unmapped_raises():
 
 def test_protection_enforced():
     table = PageTable(0, GEO)
-    table.map_page(1, 0, Protection.READ)
+    table.map_extent(0, frames_from(0), Protection.READ)
     table.translate(1, 0, write=False)
     with pytest.raises(ProtectionError):
         table.translate(1, 0, write=True)
@@ -77,7 +84,7 @@ def test_protection_enforced():
 
 def test_access_and_dirty_bits():
     table = PageTable(0, GEO)
-    table.map_page(1, 0)
+    table.map_extent(0, frames_from(0))
     table.translate(1, 0)
     entry = table.entry(1)
     assert entry.accessed and not entry.dirty
@@ -87,8 +94,7 @@ def test_access_and_dirty_bits():
 
 def test_remote_counters_feed_balancer():
     table = PageTable(0, GEO)
-    for page in (1, 2, 3):
-        table.map_page(page, mib(2) * page)
+    table.map_extent(0, frames_from(0))
     table.translate(2, 0, remote=True)
     table.translate(2, 0, remote=True)
     table.translate(3, 0, remote=True)
@@ -99,11 +105,33 @@ def test_remote_counters_feed_balancer():
 
 def test_sparse_pages_use_two_level_structure():
     table = PageTable(0, GEO)
-    table.map_page(0, 0)
-    table.map_page(1 << 20, mib(2))  # far-apart indices share no leaf
-    assert table.mapped_pages == 2
-    assert table.entry(1 << 20).frame_offset == mib(2)
-    assert len(table._directory) == 2  # one leaf per far-apart index
+    table.map_extent(0, frames_from(0))
+    table.map_extent(1 << 20, frames_from(mib(2)))  # far-apart extents share no leaf
+    assert table.mapped_pages == 2 * PPE
+    assert table.entry((1 << 20) * PPE).frame_offset == mib(2)
+    assert len(table._directory) == 2  # one leaf per far-apart extent
+
+
+def test_map_extent_needs_one_frame_per_page():
+    table = PageTable(0, GEO)
+    with pytest.raises(AddressError):
+        table.map_extent(0, frames_from(0, PPE - 1))
+    with pytest.raises(AddressError):
+        table.map_extent(0, [-mib(2)] + frames_from(0, PPE - 1))
+    assert table.mapped_pages == 0
+
+
+def test_relocate_page_rewrites_the_frame_in_place():
+    table = PageTable(0, GEO)
+    table.map_extent(3, frames_from(0))
+    page = 3 * PPE + 4
+    entry = table.entry(page)
+    assert table.relocate_page(page, mib(2) * 1000) == mib(2) * 4
+    assert entry.frame_offset == mib(2) * 1000  # entries read the leaf's frame
+    assert table.translate(page, 9) == mib(2) * 1000 + 9
+    assert table.unmap_extent(3)[4] == mib(2) * 1000
+    with pytest.raises(AddressError):
+        table.relocate_page(page, 0)
 
 
 # --- global map --------------------------------------------------------------

@@ -67,7 +67,8 @@ class LedgerMachine(RuleBasedStateMachine):
             pass
 
     def _extents(self) -> list[int]:
-        return sorted(self.pool._extent_frames)
+        tables = self.pool.translator.page_tables.values()
+        return sorted(e for table in tables for e in table.extents())
 
     def _alive(self, server: int) -> bool:
         return self.deployment.server(server).alive
@@ -104,13 +105,13 @@ class LedgerMachine(RuleBasedStateMachine):
 
     # -- the movers ---------------------------------------------------------------
 
-    @precondition(lambda self: self.pool._extent_frames)
+    @precondition(lambda self: self._extents())
     @rule(index=st.integers(0, 50), dst=server_ids)
     def migrate(self, index: int, dst: int) -> None:
         extents = self._extents()
         self._run(self.pool.migrate_extent(extents[index % len(extents)], dst))
 
-    @precondition(lambda self: self.pool._extent_frames)
+    @precondition(lambda self: self._extents())
     @rule(index=st.integers(0, 50))
     def relocate(self, index: int) -> None:
         extents = self._extents()

@@ -225,9 +225,10 @@ def test_relocation_preserves_data(payload, offset):
     buffer = pool.allocate(mib(256), requester_id=0)
     deployment.run(pool.write(0, buffer, offset, payload))
     extent = buffer.geometry.extent_index(buffer.base)
-    old_frames = list(pool._extent_frames[extent])
+    table = pool.translator.page_table(0)
+    old_frames = list(table.frames(extent))
     deployment.run(pool.relocate_extent_locally(extent))
-    assert pool._extent_frames[extent] != old_frames
+    assert table.frames(extent) != old_frames
     assert pool.locality_fraction(0, buffer) == 1.0  # still local
     data = deployment.run(pool.read(1, buffer, offset, len(payload)))
     assert data == payload

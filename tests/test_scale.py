@@ -420,7 +420,8 @@ def test_free_during_migration_aborts_without_leaking(logical_pool, logical_depl
     racer = engine.process(assassin())
     engine.run(engine.all_of([migration, racer]))
     assert migration.value == 0  # nothing committed
-    assert extent not in logical_pool._extent_frames
+    tables = logical_pool.translator.page_tables.values()
+    assert all(extent not in table.extents() for table in tables)
     assert logical_pool.regions[0].shared_free_bytes == src_free
     assert logical_pool.regions[2].shared_free_bytes == dst_free
 
@@ -440,7 +441,8 @@ def test_free_during_relocation_aborts_without_leaking(
 
     racer = engine.process(assassin())
     engine.run(engine.all_of([relocation, racer]))
-    assert extent not in logical_pool._extent_frames
+    tables = logical_pool.translator.page_tables.values()
+    assert all(extent not in table.extents() for table in tables)
     assert logical_pool.regions[0].shared_free_bytes == free_before
 
 
