@@ -50,36 +50,21 @@ Config = tuple[str, str, _t.Callable[[Now], dict[str, float]]]
 def assert_seams_cold() -> None:
     """Every monitor and observability seam defaults to ``None``, and a
     fresh engine takes the bare dispatch fast path."""
-    from repro.cluster.driver import ClusterDriver
-    from repro.cluster.manager import PoolManager
     from repro.core.api import LmpSession
     from repro.core.coherence.protocol import CoherenceDirectory
-    from repro.core.migration import LocalityBalancer
-    from repro.fabric.transport import MemoryTransport
-    from repro.hw.cpu import Core
-    from repro.mem.arena.gauntlet import Gauntlet
-    from repro.scale import ScaleDriver
+    from repro.obs.tracing import seam_targets
     from repro.sim.engine import Engine
     from repro.sim.process import Process
-    from repro.workloads import vector_sum
 
     slots = {
         "Process._monitor": Process._monitor,
         "Engine._monitor": Engine._monitor,
         "LmpSession._access_monitor": LmpSession._access_monitor,
         "CoherenceDirectory._race_hook": CoherenceDirectory._race_hook,
-        "Process._obs": Process._obs,
-        "LmpSession._obs": LmpSession._obs,
-        "CoherenceDirectory._obs": CoherenceDirectory._obs,
-        "MemoryTransport._obs": MemoryTransport._obs,
-        "Core._obs": Core._obs,
-        "LocalityBalancer._obs": LocalityBalancer._obs,
-        "PoolManager._obs": PoolManager._obs,
-        "ClusterDriver._obs": ClusterDriver._obs,
-        "ScaleDriver._obs": ScaleDriver._obs,
-        "Gauntlet._obs": Gauntlet._obs,
-        "workloads.vector_sum._obs": vector_sum._obs,
     }
+    # the observability seams: the list Observability.install() fills
+    for target, attr in seam_targets():
+        slots[f"{target.__name__}.{attr}"] = getattr(target, attr)
     stale = [name for name, value in slots.items() if value is not None]
     if stale:
         raise SystemExit(f"detector seams unexpectedly installed: {', '.join(stale)}")

@@ -16,8 +16,7 @@ The CI scale-bench job::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke
 
 runs them through ``_harness.smoke``: it asserts every
-detector/observability seam (including ``ScaleDriver._obs``) defaults
-to ``None`` and that a fresh engine takes the bare dispatch fast path,
+detector/observability seam defaults to ``None`` and that a fresh engine takes the bare dispatch fast path,
 then writes ``BENCH_scale.json`` and exits non-zero if the committed
 baseline ``benchmarks/baselines/BENCH_scale_baseline.json`` is missing,
 lacks a floor for any configuration, or any rate (read on the reference
@@ -106,7 +105,7 @@ def construct_10k(now: _harness.Now = time.perf_counter) -> dict[str, float]:
     started = now()
     driver = ScaleDriver(manager, traffic, quota_bytes=mib(1))
     secs = now() - started
-    assert len(driver.granted_by_slot) == 10_000
+    assert len(driver.manager.tenants) == 10_000
     return {"events_per_sec": round(10_000 / secs, 1), "seconds": round(secs, 4)}
 
 

@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies",
         default=None,
         help="comma-separated placement schedulers for the 'cluster' "
-        "experiment (e.g. first-fit,fragmentation-aware)",
+        "experiment (e.g. first-fit,locality-first)",
     )
     run_cmd.add_argument(
         "--export",

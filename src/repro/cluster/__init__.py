@@ -11,12 +11,7 @@ from repro.cluster.driver import ClusterDriver, DriverReport, TenantReport, Work
 from repro.cluster.fairness import jain_index
 from repro.cluster.leases import Lease, LeaseTable
 from repro.cluster.manager import PoolManager, ReclaimReport
-from repro.cluster.placement import (
-    CLUSTER_POLICIES,
-    FirstFitPlacement,
-    FragmentationAwarePlacement,
-    make_policy,
-)
+from repro.cluster.placement import CLUSTER_POLICIES, FirstFitPlacement, make_policy
 from repro.cluster.tenants import PriorityClass, TenantSpec, TenantState
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "ReclaimReport",
     "CLUSTER_POLICIES",
     "FirstFitPlacement",
-    "FragmentationAwarePlacement",
     "make_policy",
     "PriorityClass",
     "TenantSpec",

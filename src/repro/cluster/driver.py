@@ -20,7 +20,7 @@ import typing as _t
 from repro.cluster.fairness import jain_index
 from repro.cluster.leases import Lease
 from repro.cluster.manager import PoolManager
-from repro.cluster.tenants import PriorityClass, TenantSpec
+from repro.cluster.tenants import PriorityClass, TenantSpec, TenantState
 from repro.errors import (
     AddressError,
     AdmissionError,
@@ -39,17 +39,34 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.process import Process
 
 
+#: share of data ops that write; the rest read
+_WRITE_FRACTION = 0.30
+#: sessions each tenant opens, its leases spread across them
+_SESSIONS_PER_TENANT = 2
+#: how long a tenant waits after a rejected op before its next one
+_BACKOFF_NS = us(5)
+
+#: what a data op raises when the rack failed under it: its tenant was
+#: revoked, its server died, or revocation already freed its buffer
+DATA_OP_FAULTS = (ClusterError, MemoryFailureError, AddressError)
+
+
+def tolerated_fault(exc: BaseException, tenant: TenantState) -> bool:
+    """The fault rule both tenant drivers apply to a data op's
+    :data:`DATA_OP_FAULTS`: a revocation or a dead server ends the op,
+    but an :class:`AddressError` from a live tenant is a genuine
+    addressing bug, which the caller re-raises."""
+    return tenant.revoked or not isinstance(exc, AddressError)
+
+
 @dataclasses.dataclass(frozen=True)
 class WorkloadMix:
     """Per-op probabilities of one tenant's request mix."""
 
     alloc_fraction: float = 0.15
     free_fraction: float = 0.10
-    write_fraction: float = 0.30  # remainder of data ops are reads
     alloc_bytes: int = 256 * 1024
     access_bytes: int = 16 * 1024
-    sessions_per_tenant: int = 2
-    backoff: float = us(5)
     #: fraction of data ops wrapped in a coherent spinlock critical
     #: section (0.0 = no lock traffic and no extra RNG draws, so the
     #: default behaves bit-identically to the pre-lock driver)
@@ -58,8 +75,6 @@ class WorkloadMix:
     def __post_init__(self) -> None:
         if self.alloc_fraction + self.free_fraction >= 1.0:
             raise ConfigError("alloc + free fractions must leave room for data ops")
-        if self.sessions_per_tenant < 1:
-            raise ConfigError("each tenant needs at least one session")
         if not 0.0 <= self.lock_fraction <= 1.0:
             raise ConfigError(f"lock_fraction must be in [0, 1], got {self.lock_fraction}")
 
@@ -117,18 +132,7 @@ class DriverReport:
 
     def latency_summary(self) -> dict[str, float]:
         """Rack-level latency quantiles from one merged sort pass."""
-        merged = self.merged_latency()
-        if not len(merged):
-            return {}
-        p50, p90, p99, p999 = merged.percentile_many((0.5, 0.9, 0.99, 0.999))
-        return {
-            "p50": p50,
-            "p90": p90,
-            "p99": p99,
-            "p99.9": p999,
-            "mean": merged.mean(),
-            "max": merged.maximum(),
-        }
+        return self.merged_latency().summary()
 
 
 class ClusterDriver:
@@ -170,14 +174,13 @@ class ClusterDriver:
     ) -> _t.Generator[_t.Any, _t.Any, str]:
         """One read or write, optionally inside the shared spinlock's
         critical section; returns the op kind for the request span."""
-        mix = self.mix
         # short-circuits when no lock is configured, so the RNG stream
         # matches a lock_fraction=0 run exactly
-        locked = lock is not None and rng.random() < mix.lock_fraction
+        locked = lock is not None and rng.random() < self.mix.lock_fraction
         if locked:
             yield lock.acquire(session.server_id)
         try:
-            if rng.random() < mix.write_fraction:
+            if rng.random() < _WRITE_FRACTION:
                 yield session.write_v(mapping.vaddr + offset, bytes(size))
                 return "locked_write" if locked else "write"
             yield session.read_v(mapping.vaddr + offset, size)
@@ -207,7 +210,7 @@ class ClusterDriver:
         rng = self.engine.rng.stream(f"cluster.tenant.{spec.tenant_id}")
         sessions: list["LmpSession"] = [
             manager.open_session(spec.tenant_id)
-            for _ in range(mix.sessions_per_tenant)
+            for _ in range(_SESSIONS_PER_TENANT)
         ]
         lock = self._shared_lock(sessions[0]) if mix.lock_fraction > 0 else None
         # lease -> (session that allocated it, its virtual mapping)
@@ -247,20 +250,19 @@ class ClusterDriver:
                     # rejected: back off and move on (counted by the manager)
                     if span is not None:
                         obs.request_end(span, self.engine.now, op_kind, "rejected")
-                    yield self.engine.timeout(mix.backoff)
+                    yield self.engine.timeout(_BACKOFF_NS)
                     continue
                 tenant.ops_completed += 1
                 self._latency[spec.tenant_id].record(self.engine.now - started)
                 if span is not None:
                     obs.request_end(span, self.engine.now, op_kind, "ok")
-        except (ClusterError, MemoryFailureError, AddressError) as exc:
-            # revoked mid-run (home server crash), a data op hit a dead
-            # server, or a data op touched a buffer revocation already
-            # freed: this tenant is done.  Hand back whatever it still
-            # holds — a revoked tenant's leases were already reclaimed by
-            # the manager, so those releases raise and are ignored.
-            if isinstance(exc, AddressError) and not tenant.revoked:
-                raise  # a genuine addressing bug, not a revocation race
+        except DATA_OP_FAULTS as exc:
+            # the rack failed under this tenant: it is done.  Hand back
+            # whatever it still holds — a revoked tenant's leases were
+            # already reclaimed by the manager, so those releases raise
+            # and are ignored.
+            if not tolerated_fault(exc, tenant):
+                raise
             self._killed[spec.tenant_id] = True
             for lease, _session, _mapping in held:
                 try:
@@ -304,7 +306,7 @@ class ClusterDriver:
                     priority=spec.priority,
                     ops=state.ops_completed,
                     granted=state.granted,
-                    rejected=state.rejected_quota + state.rejected_capacity,
+                    rejected=state.rejected,
                     killed=self._killed.get(spec.tenant_id, False),
                     throughput_ops_per_s=state.ops_completed / elapsed_s,
                     latency=self._latency[spec.tenant_id],

@@ -276,6 +276,7 @@ class PoolManager:
             self.stats.counter("rejected.quota").add()
             return event.fail(QuotaExceededError(verdict.reason))
         if verdict.decision is Decision.REJECT_REVOKED:
+            tenant.rejected_revoked += 1
             return event.fail(TenantRevokedError(verdict.reason))
         tenant.rejected_capacity += 1
         self.stats.counter("rejected.capacity").add()
@@ -402,6 +403,7 @@ class PoolManager:
             tenant = self.tenant(waiter.tenant_id)
             if tenant.revoked:
                 self._queue.pop(0)
+                tenant.rejected_revoked += 1
                 waiter.event.fail(
                     TenantRevokedError(
                         f"tenant {waiter.tenant_id} revoked while queued"
@@ -459,6 +461,7 @@ class PoolManager:
         failed = 0
         for waiter in [w for w in self._queue if w.tenant_id == tenant_id]:
             self._queue.remove(waiter)
+            tenant.rejected_revoked += 1
             waiter.event.fail(TenantRevokedError(f"tenant {tenant_id}: {reason}"))
             failed += 1
         report = ReclaimReport(

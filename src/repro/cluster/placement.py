@@ -3,9 +3,9 @@
 The cluster control plane chooses which servers' shared regions back
 each grant.  Schedulers are ordinary
 :class:`~repro.mem.interleave.PlacementPolicy` objects — the pool's
-extent-carving machinery is reused unchanged — so two of the four
-ship straight from :mod:`repro.mem.interleave` and two are new,
-cluster-motivated strategies.
+extent-carving machinery is reused unchanged — so two of the three
+ship straight from :mod:`repro.mem.interleave` and one, first-fit, is
+new.
 
 Adding a scheduler is three steps: subclass ``PlacementPolicy``, give
 it a unique ``name``, and register a zero-argument factory in
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.mem.interleave import (
     CapacityWeightedPlacement,
     LocalFirstPlacement,
@@ -51,49 +51,12 @@ class FirstFitPlacement(PlacementPolicy):
         return placement
 
 
-class FragmentationAwarePlacement(PlacementPolicy):
-    """Best-fit: keep whole grants on as few servers as possible.
-
-    Prefers the server whose free capacity is the *smallest that still
-    holds the entire grant* — leaving the big free regions intact for
-    big future grants.  When no single server fits the grant, it spills
-    across the fullest servers first (tightest-fit descending), which
-    minimizes the number of servers a grant spans.
-    """
-
-    name = "fragmentation-aware"
-
-    def place(
-        self,
-        extent_count: int,
-        extent_bytes: int,
-        free_bytes: _t.Mapping[int, int],
-        requester_id: int | None,
-    ) -> list[int]:
-        slots = self._capacity_in_extents(free_bytes, extent_bytes)
-        self._check_feasible(extent_count, slots)
-        fits = [sid for sid in slots if slots[sid] >= extent_count]
-        if fits:
-            best = min(fits, key=lambda sid: (slots[sid], sid))
-            return [best] * extent_count
-        placement: list[int] = []
-        # tightest first: exhaust the fullest servers, preserving the
-        # emptier ones as contiguously as possible
-        for sid in sorted(slots, key=lambda s: (slots[s], s)):
-            take = min(slots[sid], extent_count - len(placement))
-            placement.extend([sid] * take)
-            if len(placement) == extent_count:
-                return placement
-        raise CapacityError("fragmentation-aware placement ran out of capacity")
-
-
 #: scheduler name -> zero-argument factory; ``locality-first`` and
 #: ``capacity-balanced`` reuse the pool's own policies unchanged
 CLUSTER_POLICIES: dict[str, _t.Callable[[], PlacementPolicy]] = {
     FirstFitPlacement.name: FirstFitPlacement,
     "locality-first": LocalFirstPlacement,
     "capacity-balanced": CapacityWeightedPlacement,
-    FragmentationAwarePlacement.name: FragmentationAwarePlacement,
 }
 
 

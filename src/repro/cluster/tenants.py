@@ -70,12 +70,18 @@ class TenantState:
         self.granted = 0
         self.rejected_quota = 0
         self.rejected_capacity = 0
+        self.rejected_revoked = 0
         self.queued = 0
         self.ops_completed = 0
 
     @property
     def tenant_id(self) -> str:
         return self.spec.tenant_id
+
+    @property
+    def rejected(self) -> int:
+        """Every refusal handed to this tenant, whatever its reason."""
+        return self.rejected_quota + self.rejected_capacity + self.rejected_revoked
 
     @property
     def quota_remaining(self) -> int:

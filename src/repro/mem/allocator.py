@@ -2,9 +2,10 @@
 
 Two classic designs with identical interfaces:
 
-* :class:`FreeListAllocator` — sorted free list with first-fit or
-  best-fit placement and eager coalescing.  Used for shared-region
-  carving, where allocations are large and long-lived.
+* :class:`FreeListAllocator` — sorted free list with first-fit
+  placement and eager coalescing.  Used for shared-region carving,
+  where allocations are large and long-lived.  Best fit lives in
+  :class:`repro.mem.arena.bestfit.BestFitAllocator`.
 * :class:`BuddyAllocator` — power-of-two buddy system.  Used for the
   coherent region's small synchronization objects, where fast free/alloc
   and bounded fragmentation matter more than tight packing.
@@ -94,34 +95,27 @@ def classify_bad_free(
 
 
 class FreeListAllocator:
-    """Sorted-free-list allocator with coalescing.
+    """Sorted-free-list first-fit allocator with coalescing.
 
-    ``policy`` is ``"first-fit"`` (default; fast, good for streams of
-    similar sizes) or ``"best-fit"`` (tighter packing under mixed
-    sizes).
+    First fit always takes the lowest adequate hole, which is also the
+    left slide :meth:`relocate` needs for compaction.
     """
 
     #: compaction can relocate live blocks (see :meth:`relocate`)
     supports_compaction: bool = True
 
-    def __init__(self, capacity: int, policy: str = "first-fit", align: int = 64) -> None:
+    def __init__(self, capacity: int, align: int = 64) -> None:
         if capacity <= 0:
             raise ConfigError(f"allocator capacity must be positive, got {capacity}")
-        if policy not in ("first-fit", "best-fit"):
-            raise ConfigError(f"unknown policy {policy!r}")
         if align <= 0 or (align & (align - 1)) != 0:
             raise ConfigError(f"alignment must be a power of two, got {align}")
         self.capacity = capacity
-        self.policy = policy
         self.align = align
         #: sorted list of (offset, size) free holes
         self._free: list[tuple[int, int]] = [(0, capacity)]
         self._live: dict[int, int] = {}  # offset -> size
         #: old offset -> new offset for blocks compaction moved away
         self._stale: dict[int, int] = {}
-        #: when True, placement ignores ``policy`` and slides left
-        #: (lowest adequate hole) — compaction's placement rule
-        self._lowest_fit = False
         self.bytes_allocated = 0
         self.alloc_count = 0
         self.fail_count = 0
@@ -176,17 +170,10 @@ class FreeListAllocator:
         return Allocation(offset, need)
 
     def _find_hole(self, need: int) -> int | None:
-        if self.policy == "first-fit" or self._lowest_fit:
-            for i, (_off, size) in enumerate(self._free):
-                if size >= need:
-                    return i
-            return None
-        best_i: int | None = None
-        best_size: int | None = None
         for i, (_off, size) in enumerate(self._free):
-            if size >= need and (best_size is None or size < best_size):
-                best_i, best_size = i, size
-        return best_i
+            if size >= need:
+                return i
+        return None
 
     def free(self, allocation: Allocation | int) -> None:
         """Return a range; adjacent holes coalesce immediately."""
@@ -225,11 +212,7 @@ class FreeListAllocator:
         if size is None:
             raise classify_bad_free(offset, self.capacity, self._free, self._stale)
         self.free(offset)
-        self._lowest_fit = True
-        try:
-            moved = self.allocate(size)
-        finally:
-            self._lowest_fit = False
+        moved = self.allocate(size)
         self.alloc_count -= 1  # a relocation is not a new request
         if moved.offset != offset:
             self._stale[offset] = moved.offset

@@ -1,8 +1,9 @@
 """Best fit, tuned: a size-indexed free list with eager coalescing.
 
-:class:`~repro.mem.allocator.FreeListAllocator` in best-fit mode scans
-its whole hole list on every allocation — O(holes).  This variant keeps
-the holes in *two* indexes so both hot paths are logarithmic:
+Best fit over one address-sorted hole list, as
+:class:`~repro.mem.allocator.FreeListAllocator` keeps, would scan the
+whole list on every allocation — O(holes).  This variant keeps the
+holes in *two* indexes so both hot paths are logarithmic:
 
 * ``_by_size`` — holes as ``(size, offset)`` pairs, sorted, so the
   tightest adequate hole is one :func:`bisect.bisect_left` away (ties

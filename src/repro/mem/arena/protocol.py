@@ -91,10 +91,6 @@ class RelocatableAllocator(AllocatorProtocol, _t.Protocol):
 AllocatorFactory = _t.Callable[..., AllocatorProtocol]
 
 
-def _make_first_fit(capacity: int, **kwargs: _t.Any) -> FreeListAllocator:
-    return FreeListAllocator(capacity, policy="first-fit", **kwargs)
-
-
 def _make_buddy(
     capacity: int, align: int | None = None, **kwargs: _t.Any
 ) -> BuddyAllocator:
@@ -132,7 +128,7 @@ def _registry() -> dict[str, AllocatorFactory]:
     from repro.mem.arena.bestfit import BestFitAllocator
 
     return {
-        "first-fit": _make_first_fit,
+        "first-fit": FreeListAllocator,
         "best-fit": BestFitAllocator,
         "buddy": _make_buddy,
         "slab": _make_slab,

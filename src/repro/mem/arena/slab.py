@@ -100,7 +100,7 @@ class SlabAllocator:
         if not self.classes:
             raise ConfigError("no size classes fit under largest_class")
         #: the backing range slabs and large allocations carve from
-        self._range = FreeListAllocator(capacity, policy="first-fit", align=quantum)
+        self._range = FreeListAllocator(capacity, align=quantum)
         #: per class: sorted offsets of slabs with at least one free block
         self._partial: list[list[int]] = [[] for _ in self.classes]
         self._slabs: dict[int, _Slab] = {}  # slab offset -> slab

@@ -246,6 +246,20 @@ _SEAMS: tuple[tuple[str, str, str], ...] = (
 _MODULE_SEAMS: tuple[tuple[str, str], ...] = (("repro.workloads.vector_sum", "_obs"),)
 
 
+def seam_targets() -> list[tuple[_t.Any, str]]:
+    """(owner, attribute) for every seam ``install()`` fills: the one
+    list the benchmarks and tests check for cold (``None``) seams."""
+    import importlib
+
+    targets: list[tuple[_t.Any, str]] = []
+    for module_name, class_name, attr in _SEAMS:
+        module = importlib.import_module(module_name)
+        targets.append((getattr(module, class_name), attr))
+    for module_name, attr in _MODULE_SEAMS:
+        targets.append((importlib.import_module(module_name), attr))
+    return targets
+
+
 class Observability:
     """The one-stop facade: spans + metrics + all seam semantics.
 
@@ -271,24 +285,13 @@ class Observability:
 
     # -- install / uninstall -------------------------------------------------
 
-    def _seam_classes(self) -> list[tuple[_t.Any, str]]:
-        import importlib
-
-        targets: list[tuple[_t.Any, str]] = []
-        for module_name, class_name, attr in _SEAMS:
-            module = importlib.import_module(module_name)
-            targets.append((getattr(module, class_name), attr))
-        for module_name, attr in _MODULE_SEAMS:
-            targets.append((importlib.import_module(module_name), attr))
-        return targets
-
     def install(self) -> None:
         """Fill every seam; raises if any observability is already live."""
         from repro.sim.engine import Engine
 
         if self._installed:
             raise ObservabilityError("this Observability is already installed")
-        targets = self._seam_classes()
+        targets = seam_targets()
         busy = [
             f"{target.__name__}.{attr}"
             for target, attr in targets
@@ -309,7 +312,7 @@ class Observability:
 
         if not self._installed:
             return
-        for target, attr in self._seam_classes():
+        for target, attr in seam_targets():
             if getattr(target, attr) is self:
                 setattr(target, attr, None)
         with contextlib.suppress(ValueError):

@@ -3,7 +3,8 @@
 :class:`~repro.cluster.driver.ClusterDriver` runs one generator frame,
 one RNG stream, and a handful of sessions *per tenant* — fine at dozens
 of tenants, hopeless at ten thousand.  :class:`ScaleDriver` inverts the
-structure: tenants are *slots* (plain ints indexing flat arrays), one
+structure: tenants are *slots* (plain ints naming manager-registered
+tenants, whose grants and refusals the manager's ledger counts), one
 pump process replays the :class:`~repro.scale.traffic.OpenLoopTraffic`
 arrival stream, and each request is a short-lived process that enters
 through :meth:`~repro.cluster.manager.PoolManager.acquire` (admission
@@ -27,16 +28,9 @@ import heapq
 import math
 import typing as _t
 
-from repro.cluster.tenants import PriorityClass, TenantSpec
-from repro.errors import (
-    AddressError,
-    AdmissionError,
-    ClusterError,
-    ConfigError,
-    MemoryFailureError,
-    TenantRevokedError,
-)
-from repro.sim.stats import Histogram
+from repro.cluster.driver import DATA_OP_FAULTS, tolerated_fault
+from repro.cluster.tenants import TenantSpec
+from repro.errors import AdmissionError, ConfigError, TenantRevokedError
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
@@ -51,18 +45,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ScaleDriver:
     """Open-loop population driver over one :class:`PoolManager`."""
 
-    #: observability seam, mirroring the cluster driver's: installed by
-    #: repro.obs when requested, None (no per-request span work) by
-    #: default — the bench asserts this stays uninstalled.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         manager: "PoolManager",
         traffic: "OpenLoopTraffic",
         quota_bytes: int,
-        priority: PriorityClass = PriorityClass.STANDARD,
-        drain_grace_ns: float | None = None,
     ) -> None:
         if quota_bytes <= 0:
             raise ConfigError(f"quota must be positive, got {quota_bytes}")
@@ -74,11 +61,6 @@ class ScaleDriver:
         if not servers:
             raise ConfigError("the pool has no servers to home tenants on")
         n = spec.tenants
-        #: slotted per-tenant state: flat arrays, no per-tenant objects
-        #: beyond the manager's own registration
-        self.granted_by_slot = [0] * n
-        self.rejected_by_slot = [0] * n
-        self.grant_latency = Histogram()
         self.arrivals_seen = 0
         self.released = 0
         self.drained = 0
@@ -86,9 +68,7 @@ class ScaleDriver:
         self.crowd_rejects = [0] * len(spec.flash_crowds)
         #: after the pump finishes, wait this long for holds to expire,
         #: then fail whatever is still queued (the end-of-run drain)
-        self.drain_grace_ns = (
-            drain_grace_ns if drain_grace_ns is not None else 10.0 * spec.hold_mean_ns
-        )
+        self.drain_grace_ns = 10.0 * spec.hold_mean_ns
         self._ids = [f"t{slot}" for slot in range(n)]
         self._slot_rng: dict[int, "random.Random"] = {}
         self._heap: list[tuple[float, int, "Lease"]] = []
@@ -106,7 +86,6 @@ class ScaleDriver:
                     tenant_id=self._ids[slot],
                     home_server=servers[slot * len(servers) // n],
                     quota_bytes=quota_bytes,
-                    priority=priority,
                 )
             )
 
@@ -149,23 +128,22 @@ class ScaleDriver:
         engine = self.engine
         manager = self.manager
         slot = arrival.slot
-        started = engine.now
         try:
             try:
                 lease = yield manager.acquire(self._ids[slot], arrival.size)
             except (AdmissionError, TenantRevokedError):
-                self.rejected_by_slot[slot] += 1
+                # the manager's tenant ledger has counted the refusal
                 for index, crowd in enumerate(self.traffic.spec.flash_crowds):
                     if crowd.active(arrival.when_ns):
                         self.crowd_rejects[index] += 1
                 return
-            self.granted_by_slot[slot] += 1
-            self.grant_latency.record(engine.now - started)
             if arrival.access:
                 try:
                     yield from self._touch(slot, lease, arrival)
-                except (ClusterError, MemoryFailureError, AddressError):
-                    pass  # a dead server killed the data op; the lease still expires
+                except DATA_OP_FAULTS as exc:
+                    if not tolerated_fault(exc, manager.tenant(self._ids[slot])):
+                        raise
+                    # the rack failed under the data op; the lease still expires
             due = engine.now + arrival.hold_ns
             self._seq += 1
             heapq.heappush(self._heap, (due, self._seq, lease))

@@ -2,10 +2,11 @@
 
 One :class:`ScaleReport` per policy run (static split, elastic), with
 the headline numbers the experiment compares: reject rate overall and
-inside each flash-crowd window, Jain fairness over per-slot grants,
-grant-latency tails (p50/p99/p99.9), and the honesty ledger — bytes the
-autoscaler's re-flexing migrated, cross-checked against the transport's
-independent copy counters.
+inside each flash-crowd window, Jain fairness over per-tenant grants,
+grant-latency tails (p50/p99/p99.9) — all read from the manager's
+tenant ledger and its ``wait_ns`` histogram — and the honesty ledger:
+bytes the autoscaler's re-flexing migrated, cross-checked against the
+transport's independent copy counters.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ScaleReport:
     rejected: int
     drained: int
     fairness: float
-    latency: dict[str, float]  # p50/p99/p99.9/mean/max grant latency, ns
+    latency: dict[str, float]  # Histogram.summary() of grant latency, ns
     crowd_windows: tuple[CrowdWindow, ...]
     bytes_migrated: int
     reflex_actions: int
@@ -73,25 +74,12 @@ def build_report(
     """Roll one finished driver (and its optional autoscaler) up."""
     manager = driver.manager
     spec = driver.traffic.spec
-    granted = sum(driver.granted_by_slot)
-    rejected = sum(driver.rejected_by_slot)
-    # fairness over slots that asked for anything: a slot that never
+    # the driver registered its tenants in slot order, so this sums in
+    # slot order too
+    tenants = list(manager.tenants.values())
+    # fairness over tenants that asked for anything: a tenant that never
     # arrived was not treated unfairly, it was idle
-    active = [
-        float(g)
-        for g, r in zip(driver.granted_by_slot, driver.rejected_by_slot)
-        if g or r
-    ]
-    latency: dict[str, float] = {}
-    if len(driver.grant_latency):
-        p50, p99, p999 = driver.grant_latency.percentile_many((0.5, 0.99, 0.999))
-        latency = {
-            "p50": p50,
-            "p99": p99,
-            "p99.9": p999,
-            "mean": driver.grant_latency.mean(),
-            "max": driver.grant_latency.maximum(),
-        }
+    active = [float(t.granted) for t in tenants if t.granted or t.rejected]
     windows = tuple(
         CrowdWindow(
             start_ns=crowd.start_ns,
@@ -106,11 +94,12 @@ def build_report(
         tenants=spec.tenants,
         duration_ns=driver.engine.now,
         arrivals=driver.arrivals_seen,
-        granted=granted,
-        rejected=rejected,
+        granted=sum(t.granted for t in tenants),
+        rejected=sum(t.rejected for t in tenants),
         drained=driver.drained,
         fairness=jain_index(active),
-        latency=latency,
+        # every grant records its admission wait, zero when immediate
+        latency=manager.stats.histogram("wait_ns").summary(),
         crowd_windows=windows,
         bytes_migrated=autoscaler.bytes_migrated if autoscaler is not None else 0,
         reflex_actions=len(autoscaler.actions) if autoscaler is not None else 0,

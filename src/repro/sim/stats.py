@@ -150,6 +150,21 @@ class Histogram:
         self._ensure_sorted()
         return [self._interpolate(q) for q in qs]
 
+    def summary(self) -> dict[str, float]:
+        """The report quantiles (p50/p90/p99/p99.9) plus mean and max,
+        from one sort pass; empty when nothing was recorded."""
+        if not self._samples:
+            return {}
+        p50, p90, p99, p999 = self.percentile_many((0.5, 0.9, 0.99, 0.999))
+        return {
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
+            "p99.9": p999,
+            "mean": self.mean(),
+            "max": self.maximum(),
+        }
+
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold *other*'s samples into this histogram and return self.
 

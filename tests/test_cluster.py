@@ -5,20 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.admission import AdmissionController, Decision
-from repro.cluster.driver import ClusterDriver, WorkloadMix
+from repro.cluster.driver import ClusterDriver, WorkloadMix, tolerated_fault
 from repro.cluster.fairness import jain_index
 from repro.cluster.leases import LeaseTable
 from repro.cluster.manager import PoolManager
-from repro.cluster.placement import (
-    CLUSTER_POLICIES,
-    FirstFitPlacement,
-    FragmentationAwarePlacement,
-    make_policy,
-)
+from repro.cluster.placement import CLUSTER_POLICIES, FirstFitPlacement, make_policy
 from repro.cluster.tenants import PriorityClass, TenantSpec, TenantState
 from repro.core.failures.detector import FailureDetector
 from repro.core.runtime import LmpRuntime
 from repro.errors import (
+    AddressError,
     AdmissionError,
     ClusterError,
     ConfigError,
@@ -148,22 +144,8 @@ def test_first_fit_fills_lowest_server_first():
     assert placement == [0, 0, 1]
 
 
-def test_fragmentation_aware_prefers_tightest_single_server():
-    placement = FragmentationAwarePlacement().place(
-        2, EXTENT, {0: 8 * EXTENT, 1: 2 * EXTENT, 2: 5 * EXTENT}, requester_id=0
-    )
-    assert placement == [1, 1]  # smallest server that still fits the grant whole
-
-
-def test_fragmentation_aware_spills_tightest_first():
-    placement = FragmentationAwarePlacement().place(
-        4, EXTENT, {0: 3 * EXTENT, 1: 2 * EXTENT}, requester_id=0
-    )
-    assert placement == [1, 1, 0, 0]  # exhaust the fuller server first
-
-
 def test_make_policy_resolves_all_registered_names():
-    assert len(CLUSTER_POLICIES) >= 4
+    assert set(CLUSTER_POLICIES) == {"first-fit", "locality-first", "capacity-balanced"}
     for name in sorted(CLUSTER_POLICIES):
         assert make_policy(name).name  # constructs and carries a name
     with pytest.raises(ConfigError):
@@ -459,6 +441,34 @@ def test_revocation_fails_queued_requests():
     manager.release(big)
 
 
+def test_every_refusal_of_a_revoked_tenant_is_on_its_ledger():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("big", quota=mib(64)))
+    doomed = manager.register_tenant(spec("doomed", quota=mib(64)))
+    big = engine.run(manager.acquire("big", manager.pool_free_bytes() // EXTENT * EXTENT))
+    waiting = manager.acquire("doomed", EXTENT)
+    assert manager.queue_depth == 1 and doomed.rejected == 0
+    manager.revoke_tenant("doomed")  # fails the queued waiter
+    assert doomed.rejected_revoked == doomed.rejected == 1
+    with pytest.raises(TenantRevokedError):
+        engine.run(waiting)
+    with pytest.raises(TenantRevokedError):
+        engine.run(manager.acquire("doomed", EXTENT))  # refused at the call
+    assert doomed.rejected_revoked == doomed.rejected == 2
+    # the rack-wide counters keep their two reasons
+    assert manager.rejection_rate() == 0.0
+    manager.release(big)
+
+
+def test_fault_rule_reraises_only_a_live_tenants_addressing_error():
+    tenant = TenantState(spec())
+    assert not tolerated_fault(AddressError("stray"), tenant)
+    assert tolerated_fault(ClusterError("dead server"), tenant)
+    tenant.revoked = True  # revocation freed the buffer under the op
+    assert tolerated_fault(AddressError("freed"), tenant)
+
+
 def test_detector_crash_revokes_homed_tenants(alloc_sanitizer):
     manager = small_manager(policy="locality-first")
     engine = manager.engine
@@ -522,8 +532,6 @@ def test_driver_run_is_fair_and_leak_free(alloc_sanitizer):
 def test_driver_mix_validation():
     with pytest.raises(ConfigError):
         WorkloadMix(alloc_fraction=0.6, free_fraction=0.5)
-    with pytest.raises(ConfigError):
-        WorkloadMix(sessions_per_tenant=0)
 
 
 # --- the experiment ----------------------------------------------------------
@@ -533,7 +541,7 @@ def test_cluster_experiment_reduced():
     from repro.experiments import cluster
 
     result = cluster.run(
-        policies=("first-fit", "locality-first", "fragmentation-aware"),
+        policies=("first-fit", "locality-first", "capacity-balanced"),
         tenant_count=4,
         ops_per_tenant=10,
         sweep_tenant_counts=(16,),
@@ -551,7 +559,7 @@ def test_cluster_experiment_reduced():
     assert result.reclaim.frames_reclaimed > 0
     rendered = result.render()
     assert "placement schedulers" in rendered
-    assert "fragmentation-aware" in rendered
+    assert "capacity-balanced" in rendered
     assert "oversubscription" in rendered
 
 

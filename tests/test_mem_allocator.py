@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import AllocationError, ConfigError
 from repro.mem.allocator import BuddyAllocator, FreeListAllocator
+from repro.mem.arena.bestfit import BestFitAllocator
 
 
 # --- free list ---------------------------------------------------------------
@@ -33,17 +34,18 @@ def test_freelist_first_fit_order():
     assert b.offset == 256
 
 
-def test_freelist_best_fit_prefers_tight_hole():
-    alloc = FreeListAllocator(1024, policy="best-fit", align=64)
-    a = alloc.allocate(256)
+def test_best_fit_prefers_tight_hole():
+    # the big hole comes first, so first fit would take it
+    alloc = BestFitAllocator(1024, align=64)
+    a = alloc.allocate(640)
     b = alloc.allocate(128)
-    c = alloc.allocate(640)
-    alloc.free(a)  # 256-byte hole at 0
-    alloc.free(c)  # 640-byte hole at the end
+    c = alloc.allocate(256)
+    alloc.free(a)  # 640-byte hole at 0
+    alloc.free(c)  # 256-byte hole at the end
     d = alloc.allocate(256)
-    assert d.offset == a.offset  # tight fit chosen over the big hole
+    assert d.offset == c.offset  # tight fit chosen over the big hole
     alloc.check_invariants()
-    assert b.offset == 256
+    assert b.offset == 640
 
 
 def test_freelist_coalesces_neighbors():
@@ -89,8 +91,6 @@ def test_freelist_double_free_rejected():
 def test_freelist_invalid_config():
     with pytest.raises(ConfigError):
         FreeListAllocator(0)
-    with pytest.raises(ConfigError):
-        FreeListAllocator(1024, policy="worst-fit")
     with pytest.raises(ConfigError):
         FreeListAllocator(1024, align=48)
 

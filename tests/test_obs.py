@@ -82,29 +82,13 @@ def _subtree_depth(span, kids) -> int:
 # --- seams -----------------------------------------------------------------------
 
 
-SEAM_CLASSES = [
-    ("repro.sim.process", "Process"),
-    ("repro.core.api", "LmpSession"),
-    ("repro.core.coherence.protocol", "CoherenceDirectory"),
-    ("repro.fabric.transport", "MemoryTransport"),
-    ("repro.hw.cpu", "Core"),
-    ("repro.core.migration", "LocalityBalancer"),
-    ("repro.cluster.manager", "PoolManager"),
-    ("repro.cluster.driver", "ClusterDriver"),
-]
-
-
 def _seam_values():
-    import importlib
+    from repro.obs.tracing import seam_targets
 
-    values = {}
-    for module_name, class_name in SEAM_CLASSES:
-        target = getattr(importlib.import_module(module_name), class_name)
-        values[f"{class_name}._obs"] = target._obs
-    from repro.workloads import vector_sum
-
-    values["vector_sum._obs"] = vector_sum._obs
-    return values
+    return {
+        f"{target.__name__}.{attr}": getattr(target, attr)
+        for target, attr in seam_targets()
+    }
 
 
 def test_seams_default_none_and_uninstall_restores():

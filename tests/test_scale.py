@@ -16,8 +16,9 @@ from repro.check.determinism import SCENARIOS
 from repro.cluster.leases import Lease
 from repro.cluster.manager import PoolManager
 from repro.cluster.tenants import TenantSpec
+from repro.core.api import LmpSession
 from repro.core.runtime import LmpRuntime
-from repro.errors import ConfigError
+from repro.errors import AddressError, ConfigError
 from repro.mem.layout import PageGeometry
 from repro.obs.export import prometheus_text
 from repro.scale import (
@@ -155,7 +156,7 @@ def test_ten_thousand_tenant_construction_under_a_second():
     driver = ScaleDriver(manager, traffic, quota_bytes=mib(1))
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"10k-tenant construction took {elapsed:.2f}s"
-    assert len(driver.granted_by_slot) == 10_000
+    assert len(manager.tenants) == 10_000
     # tenants spread across every server, lazily — no RNG spawned yet
     assert len({t.spec.home_server for t in manager.tenants.values()}) == 4
     assert driver._slot_rng == {}
@@ -273,6 +274,40 @@ def test_scale_report_quantiles_include_p999():
     assert report.granted + report.rejected == report.arrivals
 
 
+def test_scale_report_reads_the_managers_ledger():
+    """Granted, rejected and grant latency come from the manager: its
+    tenant ledger accounts for every arrival, and the latency tails are
+    its ``wait_ns`` histogram's."""
+    manager = scale_manager()
+    driver = ScaleDriver(manager, OpenLoopTraffic(small_spec(), manager.engine.rng), mib(1))
+    driver.run()
+    report = build_report("ledger", driver)
+    assert report.rejected > 0 and manager.stats.counter("queued").value > 0
+    assert report.granted + report.rejected == report.arrivals == driver.arrivals_seen
+    wait = manager.stats.histogram("wait_ns")
+    assert len(wait) == report.granted
+    assert report.latency["p99"] == wait.quantile(0.99) > 0.0
+    assert report.latency["p99.9"] == wait.quantile(0.999)
+
+
+def test_live_tenants_addressing_error_is_not_swallowed(monkeypatch):
+    """A data op by a tenant that was never revoked has no revocation to
+    blame: its AddressError is a bug, and it ends the run."""
+
+    def stray_read(session, vaddr, size):
+        raise AddressError(f"stray read at {vaddr:#x}")
+
+    monkeypatch.setattr(LmpSession, "read_v", stray_read)
+    manager = scale_manager()
+    arrivals = [
+        Arrival(when_ns=0.0, slot=0, size=EXTENT, hold_ns=us(1), access=True, write=False)
+    ]
+    driver = ScaleDriver(manager, _ScriptedTraffic(small_spec(tenants=4), arrivals), mib(1))
+    with pytest.raises(AddressError, match="stray read"):
+        driver.run()
+    assert not manager.tenant("t0").revoked
+
+
 def test_autoscaler_config_validation():
     with pytest.raises(ConfigError):
         AutoscalerConfig(period_ns=0.0)
@@ -378,7 +413,7 @@ def test_run_releases_every_grant_once_and_settles():
     procs = driver.processes()
     engine.run(engine.all_of(procs))
     assert manager.stats.counter("queued").value > 0  # the queue was exercised
-    granted = sum(driver.granted_by_slot)
+    granted = sum(tenant.granted for tenant in manager.tenants.values())
     ids = [lease.lease_id for _, lease in released]
     assert len(ids) == len(set(ids)) == granted == driver.released > 0
     assert len(manager.leases) == 0  # no lease left live
