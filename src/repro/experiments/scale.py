@@ -38,7 +38,7 @@ from repro.errors import ConfigError
 from repro.mem.layout import PageGeometry
 from repro.obs.export import prometheus_text, timeseries_csv, timeseries_json
 from repro.obs.metrics import MetricsRegistry
-from repro.scale.autoscaler import AutoscalerConfig, ReflexAutoscaler
+from repro.scale.autoscaler import AutoscalerConfig, ReflexAction, ReflexAutoscaler
 from repro.scale.driver import ScaleDriver
 from repro.scale.report import ScaleReport, build_report, comparison_table, crowd_table
 from repro.scale.traffic import (
@@ -66,6 +66,7 @@ class ScaleResult:
     static: ScaleReport
     elastic: ScaleReport
     registry: MetricsRegistry  # the elastic run's windowed snapshots
+    actions: list[ReflexAction]  # the elastic run's flexes and what fired each
 
     @property
     def elastic_wins_flash(self) -> bool:
@@ -245,4 +246,5 @@ def run(
         static=static,
         elastic=elastic,
         registry=registry,
+        actions=autoscaler.actions,
     )

@@ -42,16 +42,15 @@ class LatencyModel:
         self.rho = float(rho)
         self._norm = 1.0 / (1.0 - rho) - 1.0
 
-    def latency(self, utilization: float) -> float:
-        """Latency in ns at the given utilization (clamped to [0, 1])."""
+    def __call__(self, utilization: float) -> float:
+        """Latency in ns at the given utilization (clamped to [0, 1]).
+        The solver evaluates curves in its inner loop, so a call is one
+        frame; ``rho < 1`` keeps ``_norm`` positive."""
         u = min(1.0, max(0.0, utilization))
-        if self._norm == 0:  # pragma: no cover - rho bounds prevent this
-            return self.lat_min
         g = (1.0 / (1.0 - self.rho * u) - 1.0) / self._norm
         return self.lat_min + (self.lat_max - self.lat_min) * g
 
-    def __call__(self, utilization: float) -> float:
-        return self.latency(utilization)
+    latency = __call__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LatencyModel {self.lat_min:.0f}..{self.lat_max:.0f}ns rho={self.rho}>"

@@ -64,7 +64,8 @@ class AutoscalerConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ReflexAction:
-    """One autoscaler decision, with its realized effect and cost."""
+    """One autoscaler decision: what it saw, what it did and what that
+    cost."""
 
     when_ns: float
     server_id: int
@@ -74,6 +75,17 @@ class ReflexAction:
     shared_after: int
     bytes_evacuated: int
     bytes_relocated: int
+    utilization: float  # the server's shared utilization at decision time
+    pressured: bool  # admission rejected or queued since the last tick
+    trigger: str  # "pressure" | "high_watermark" | "low_watermark"
+
+
+class _Decision(_t.NamedTuple):
+    server_id: int
+    target_shared_bytes: int
+    kind: str
+    utilization: float
+    trigger: str
 
 
 class ReflexAutoscaler:
@@ -141,20 +153,24 @@ class ReflexAutoscaler:
                 rejected > self._last_rejected or self.manager.queue_depth > 0
             )
             self._last_rejected = rejected
-            for server_id, target, kind in self._decide(pressured):
+            for decision in self._decide(pressured):
+                server_id = decision.server_id
                 before = self.manager.pool.regions[server_id].shared_bytes
-                report = yield self.manager.reflex(server_id, target)
+                report = yield self.manager.reflex(server_id, decision.target_shared_bytes)
                 self.bytes_migrated += report.bytes_evacuated + report.bytes_relocated
                 self.actions.append(
                     ReflexAction(
                         when_ns=self.engine.now,
                         server_id=server_id,
-                        kind=kind,
-                        target_shared_bytes=target,
+                        kind=decision.kind,
+                        target_shared_bytes=decision.target_shared_bytes,
                         shared_before=before,
                         shared_after=report.shared_after,
                         bytes_evacuated=report.bytes_evacuated,
                         bytes_relocated=report.bytes_relocated,
+                        utilization=decision.utilization,
+                        pressured=pressured,
+                        trigger=decision.trigger,
                     )
                 )
             if self.registry is not None:
@@ -162,11 +178,12 @@ class ReflexAutoscaler:
                 self.registry.snapshot(0, self.engine.now)
         return self.actions
 
-    def _decide(self, pressured: bool) -> list[tuple[int, int, str]]:
-        """(server_id, target_shared_bytes, kind) decisions this tick."""
+    def _decide(self, pressured: bool) -> list[_Decision]:
+        """This tick's decisions, each with the utilization it read and
+        the signal that fired it."""
         cfg = self.config
         pool = self.manager.pool
-        decisions: list[tuple[int, int, str]] = []
+        decisions: list[_Decision] = []
         for sid in sorted(pool.regions):
             region = pool.regions[sid]
             if not self.manager.runtime.deployment.server(sid).alive:
@@ -178,13 +195,14 @@ class ReflexAutoscaler:
             if pressured and shared < cap:
                 # admission is rejecting/queueing: demand already outran
                 # the pool, so skip the ramp and flex straight to the cap
-                decisions.append((sid, cap, "grow"))
+                decisions.append(_Decision(sid, cap, "grow", util, "pressure"))
             elif util >= cfg.high_watermark and shared < cap:
                 step = max(page, int((cap - shared) * cfg.grow_step) // page * page)
-                decisions.append((sid, min(cap, shared + step), "grow"))
+                target = min(cap, shared + step)
+                decisions.append(_Decision(sid, target, "grow", util, "high_watermark"))
             elif util < cfg.low_watermark and not pressured:
                 keep = int(region.shared_used_bytes * (1.0 + cfg.shrink_headroom))
                 target = max(cfg.min_shared_bytes, -(-keep // page) * page)
                 if target <= shared - page:
-                    decisions.append((sid, target, "shrink"))
+                    decisions.append(_Decision(sid, target, "shrink", util, "low_watermark"))
         return decisions

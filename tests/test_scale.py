@@ -338,9 +338,40 @@ def test_autoscaler_grows_under_pressure_and_shrinks_after():
     engine.run(engine.all_of(procs))
     kinds = {action.kind for action in scaler.actions}
     assert "grow" in kinds
+    assert "pressure" in {action.trigger for action in scaler.actions}
+    for action in scaler.actions:
+        _assert_trigger_matches(action, scaler.config)
     report = build_report("scaled", driver, scaler)
     assert report.reflex_actions == len(scaler.actions)
     assert report.bytes_migrated == scaler.bytes_migrated
+
+
+def _assert_trigger_matches(action, config: AutoscalerConfig) -> None:
+    """The recorded inputs of one flex agree with its trigger and kind."""
+    assert 0.0 <= action.utilization <= 1.0
+    if action.trigger == "pressure":
+        assert action.pressured and action.kind == "grow"
+    elif action.trigger == "high_watermark":
+        assert not action.pressured and action.kind == "grow"
+        assert action.utilization >= config.high_watermark
+    else:
+        assert action.trigger == "low_watermark"
+        assert not action.pressured and action.kind == "shrink"
+        assert action.utilization < config.low_watermark
+
+
+def test_autoscaler_actions_record_the_signal_that_fired():
+    """On a short elastic S1 run every flex carries the utilization and
+    pressure flag it read, and a trigger they and its kind agree with."""
+    from repro.experiments.scale import run
+
+    result = run(tenants=1000, duration_us=600.0, base_rate_ops_us=1.0)
+    assert {action.trigger for action in result.actions} == {
+        "high_watermark",
+        "low_watermark",
+    }
+    for action in result.actions:
+        _assert_trigger_matches(action, AutoscalerConfig())
 
 
 # --- lease expiry: one armed timer, no reaper process -------------------------
