@@ -8,7 +8,7 @@ complement" to simulator-level validation.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_check.py --smoke
 
-times one full-repo lint pass (LMP002–LMP015) and the lint mutation
+times one full-repo lint pass (LMP003–LMP015) and the lint mutation
 self-test, asserts that together they fit the budget and that every
 mutant dies, and writes ``BENCH_check.json`` for the CI artifact
 upload.

@@ -3,9 +3,9 @@
 The evaluation's ratios are only trustworthy if reruns reproduce
 bit-identical traces (DESIGN.md).  The harness registers a global event
 sink on :class:`~repro.sim.engine.Engine` — so it sees every engine a
-scenario builds internally — renders each dispatched event through
-:class:`~repro.sim.trace.Tracer` formatting, and compares the two
-streams byte for byte, reporting the first divergent event.
+scenario builds internally — renders each dispatched event as one
+text line, and compares the two streams byte for byte, reporting the
+first divergent event.
 """
 
 from __future__ import annotations
@@ -16,9 +16,14 @@ import typing as _t
 
 from repro.errors import DeterminismError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 
-TRACE_KIND = "engine.step"
+
+def format_dispatch(when: float, seq: int, event: _t.Any) -> str:
+    """One dispatched event as the text line the two runs compare."""
+    return (
+        f"[{when:14.1f}ns] {'engine':<24} {'engine.step':<20} "
+        f"event={type(event).__name__} name={getattr(event, 'name', '')} seq={seq}"
+    )
 
 
 def _scenario_figure2() -> _t.Any:
@@ -190,7 +195,7 @@ class DeterminismReport:
 
 
 class DeterminismHarness:
-    """Runs scenarios twice and diffs the ``sim.trace`` event streams."""
+    """Runs scenarios twice and diffs the engines' dispatch streams."""
 
     def __init__(
         self, scenarios: _t.Mapping[str, _t.Callable[[], _t.Any]] | None = None
@@ -198,31 +203,24 @@ class DeterminismHarness:
         self.scenarios = dict(SCENARIOS if scenarios is None else scenarios)
 
     @contextlib.contextmanager
-    def _capture(self) -> _t.Iterator[Tracer]:
-        """Route every engine's event dispatch into a fresh tracer."""
-        tracer = Tracer(enabled=(TRACE_KIND,))
+    def _capture(self) -> _t.Iterator[list[str]]:
+        """Append one formatted line per dispatch, from every engine."""
+        lines: list[str] = []
 
         def sink(_engine: Engine, when: float, seq: int, event: _t.Any) -> None:
-            tracer.emit(
-                when,
-                "engine",
-                TRACE_KIND,
-                seq=seq,
-                event=type(event).__name__,
-                name=getattr(event, "name", ""),
-            )
+            lines.append(format_dispatch(when, seq, event))
 
         Engine.add_global_event_sink(sink)
         try:
-            yield tracer
+            yield lines
         finally:
             Engine.remove_global_event_sink(sink)
 
     def capture(self, scenario: _t.Callable[[], _t.Any]) -> list[str]:
         """One run's event stream, one formatted line per dispatch."""
-        with self._capture() as tracer:
+        with self._capture() as lines:
             scenario()
-        return [record.format() for record in tracer.records]
+        return lines
 
     def run(self, name: str) -> DeterminismReport:
         """Run scenario *name* twice; compare the streams."""

@@ -12,10 +12,10 @@ repaired one; a rule that fires on both is noise, and a rule that
 fires on neither is dead weight.
 
 The mutants cover the flow rules (LMP011–LMP015) plus the shapes of
-the two retired rule ids (``docs/static_analysis.md``), so their
+the three retired rule ids (``docs/static_analysis.md``), so their
 successors prove they still catch them: a release in a ``try`` body
-(now LMP012's) and a wall-clock read in a simulated subsystem (now
-LMP010's).
+(now LMP012's), a wall-clock read in a simulated subsystem and a draw
+from the global ``random`` generator (both now LMP010's).
 
 Run via ``repro check --mutants`` (exit 1 if any survive).
 """
@@ -278,6 +278,30 @@ MUTANTS: tuple[LintMutant, ...] = (
         ),
         defect_line=4,
         path="repro/sim/__mutant__.py",
+    ),
+    # -- LMP010: global random generator ----------------------------------------
+    LintMutant(
+        name="global-random-draw",
+        rule="LMP010",
+        description=(
+            "random.randint() draws from the interpreter-global generator "
+            "instead of an injected stream (a retired rule's shape)"
+        ),
+        bad=_src(
+            """
+            import random
+
+            def jitter(limit):
+                return random.randint(0, limit)
+            """
+        ),
+        good=_src(
+            """
+            def jitter(rng, limit):
+                return rng.randint(0, limit)
+            """
+        ),
+        defect_line=4,
     ),
     # -- LMP013: unit confusion -----------------------------------------------
     LintMutant(

@@ -27,7 +27,6 @@ from repro.check.rules import (
     AmbientNondeterminismRule,
     BarePrintRule,
     FloatTimeEqualityRule,
-    GlobalRandomRule,
     LintContext,
     MutableDefaultRule,
     Rule,
@@ -39,7 +38,6 @@ from repro.check.rules import (
 
 #: every rule, in id order — the linter's registry
 ALL_RULES: tuple[Rule, ...] = (
-    GlobalRandomRule(),
     SetIterationRule(),
     FloatTimeEqualityRule(),
     MutableDefaultRule(),

@@ -9,7 +9,7 @@ doubles as its rationale, and an ``autofixable`` flag consumed by
 ``python -m repro check --fix``.
 
 This module holds the rule base, the per-file context, and the
-syntactic rules (LMP002–LMP010), which see one AST at a time.  The
+syntactic rules (LMP003–LMP010), which see one AST at a time.  The
 flow rules in :mod:`repro.check.flow.rules` (LMP011–LMP015) share the
 same base: they implement :meth:`Rule.check_function` over each
 function's CFG instead of :meth:`Rule.check` over the whole tree.
@@ -133,47 +133,6 @@ class Rule:
             autofixable=self.autofixable and fix_span is not None,
             fix_span=fix_span,
         )
-
-
-_RANDOM_OK = frozenset({"Random", "SystemRandom"})
-
-
-class GlobalRandomRule(Rule):
-    """LMP002 — module-level ``random`` calls instead of ``sim.rng``.
-
-    ``random.randint(...)`` draws from the interpreter-global generator:
-    any other component (or pytest plugin) touching it perturbs every
-    sequence after it.  Draw from the engine's named streams
-    (``engine.rng.stream("...")``) or take an explicit
-    ``random.Random`` argument.  Constructing ``random.Random(seed)``
-    is fine — that *is* an isolated stream.
-    """
-
-    id = "LMP002"
-    title = "global random module call"
-    subsystems = None  # everywhere: experiments must be reproducible too
-
-    def check(self, tree: ast.AST, ctx: LintContext) -> list[Violation]:
-        out: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "random"
-                and func.attr not in _RANDOM_OK
-            ):
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        f"random.{func.attr}() uses the process-global generator; "
-                        "draw from an injected random.Random / sim.rng stream",
-                    )
-                )
-        return out
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -568,9 +527,9 @@ class BarePrintRule(Rule):
     the host's stdout: it cannot be captured by the metrics pipeline,
     breaks quiet runs under pytest/CI, and tempts ad-hoc debugging
     output into committed code.  Route numbers through ``repro.obs``
-    (spans/metrics), return values for the caller to render, or emit
-    through ``sim.trace``.  The CLI (``cli.py``), the check runner, and
-    the report renderers are exempt — stdout is their interface.
+    (spans/metrics) or return values for the caller to render.  The CLI
+    (``cli.py``), the check runner, and the report renderers are
+    exempt — stdout is their interface.
     Suppress intentional prints with ``# noqa: LMP009``.
     """
 
@@ -627,6 +586,10 @@ _ENTROPY_CALLS = frozenset(
     }
 )
 
+#: ``random`` module attributes that build an isolated, seedable stream
+#: rather than draw from the interpreter-global generator
+_RANDOM_OK = frozenset({"Random", "SystemRandom"})
+
 #: modules allowed to read the host clock: CLI surfaces that report
 #: wall-clock timings as part of their human-facing output
 _CLOCK_EXEMPT_SUFFIXES = ("cli.py", "check/runner.py")
@@ -643,12 +606,16 @@ class AmbientNondeterminismRule(Rule):
     ``uuid.uuid4()`` naming a lease, or an ``os.urandom()`` seeding a
     workload makes two runs of the same scenario differ even though
     the DES itself is deterministic — the determinism harness then
-    diffs noise, and cached results stop being comparable.  Take
-    timestamps from ``engine.now``, ids from counters, and randomness
-    from an injected ``random.Random`` / ``sim.rng`` stream.  The CLI
-    and the check runner are exempt (reporting wall-clock timings is
-    their interface); suppress intentional reads with
-    ``# noqa: LMP010``.
+    diffs noise, and cached results stop being comparable.  A
+    module-level ``random.randint(...)`` is the seeded form of the same
+    hazard: it draws from the interpreter-global generator, so any other
+    component (or pytest plugin) touching it perturbs every sequence
+    after it; constructing ``random.Random(seed)`` is fine — that *is*
+    an isolated stream.  Take timestamps from ``engine.now``, ids from
+    counters, and randomness from an injected ``random.Random`` /
+    ``sim.rng`` stream.  The CLI and the check runner are exempt
+    (reporting wall-clock timings is their interface); suppress
+    intentional reads with ``# noqa: LMP010``.
     """
 
     id = "LMP010"
@@ -670,6 +637,7 @@ class AmbientNondeterminismRule(Rule):
                 "os",
                 "uuid",
                 "secrets",
+                "random",
             ):
                 for alias in node.names:
                     from_imports[alias.asname or alias.name] = (
@@ -702,6 +670,16 @@ class AmbientNondeterminismRule(Rule):
                         f"ambient entropy {dotted}() defeats seeded "
                         "reproducibility; use a counter or an injected "
                         "random.Random (# noqa: LMP010 if intentional)",
+                    )
+                )
+            elif head == "random" and tail not in _RANDOM_OK:
+                out.append(
+                    self.violation(
+                        ctx,
+                        node,
+                        f"{dotted}() uses the process-global generator; draw "
+                        "from an injected random.Random / sim.rng stream "
+                        "(# noqa: LMP010 if intentional)",
                     )
                 )
         return out

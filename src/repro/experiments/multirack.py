@@ -2,14 +2,17 @@
 
 "We envision LMPs providing 10–100 TB of shared memory."  One rack of
 servers doesn't get there; cascaded CXL switches with Port-Based
-Routing do.  This experiment builds leaf-spine pods and measures what
-scale-out actually costs:
+Routing do.  This experiment builds leaf-spine pods — the same
+:func:`~repro.topology.multirack.build_multirack_deployment` pods the
+S1 serving scenario runs on — and measures what scale-out costs:
 
-* **latency tiers** — local vs same-rack (2 hops) vs cross-rack
-  (4 hops through a spine): the NUMA-distance hierarchy placement and
-  migration must respect at scale,
-* **cross-rack bandwidth** — bisection bandwidth as racks are added,
-  for two spine provisioning levels (the incast argument, pod-scale),
+* **latency tiers** — an idle 64 B load probe from one server to its
+  own DRAM, a same-rack peer (one leaf) and a cross-rack peer (leaf,
+  spine, leaf): the NUMA-distance hierarchy placement and migration
+  must respect at scale,
+* **cross-rack bandwidth** — saturating copies from every server in
+  one half of the pod to its mirror in the other half, solved by the
+  fluid model over the pod's copy routes, as racks are added,
 * **capacity ladder** — racks needed for 10 and 100 TB pools, plus the
   size of the coarse global map at that scale (the §5 translation
   structure staying "small" is what makes two-step translation viable).
@@ -20,27 +23,21 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.report import format_table
-from repro.hw.link import LINK_PRESETS
 from repro.mem.layout import PageGeometry
 from repro.topology.multirack import (
-    MultiRackFabric,
     MultiRackSpec,
-    build_multirack,
+    build_multirack_deployment,
     racks_for_capacity,
 )
+from repro.units import gib
 
 
 @dataclasses.dataclass(frozen=True)
 class LatencyTier:
     tier: str
     hops: int
-    dram_ns: float
-    hop_latency_ns: float
-    transfer_64b_ns: float
-
-    @property
-    def total_ns(self) -> float:
-        return self.dram_ns + self.hop_latency_ns + self.transfer_64b_ns
+    #: measured end-to-end latency of one 64 B load on an idle pod
+    latency_ns: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +60,8 @@ class MultiRackResult:
 
     def render(self) -> str:
         tiers = format_table(
-            ["tier", "hops", "DRAM (ns)", "fabric (ns)", "64B wire (ns)", "total (ns)"],
-            [
-                (t.tier, t.hops, t.dram_ns, t.hop_latency_ns, t.transfer_64b_ns, t.total_ns)
-                for t in self.tiers
-            ],
+            ["tier", "link hops", "measured idle 64B load (ns)"],
+            [(t.tier, t.hops, t.latency_ns) for t in self.tiers],
             title="A7a access-latency tiers in a leaf-spine LMP pod",
         )
         scale = format_table(
@@ -91,75 +85,61 @@ class MultiRackResult:
         return tiers + "\n\n" + scale + "\n\n" + capacity
 
 
-def _latency_tiers(fabric: MultiRackFabric) -> tuple[LatencyTier, ...]:
-    origin, same_rack, cross_rack = fabric.sample_servers()
-    link_rate = LINK_PRESETS[fabric.spec.link].bandwidth
-    dram_ns = 82.0  # every tier ends in a DRAM access (Table 1)
-    tiers = [LatencyTier("local DRAM", 0, dram_ns, 0.0, 64.0 / 97.0)]
-    for tier, peer in (("same rack", same_rack), ("cross rack", cross_rack)):
-        route = fabric.graph.route(origin, peer)
-        tiers.append(
-            LatencyTier(
-                tier=tier,
-                hops=route.hops,
-                dram_ns=dram_ns,
-                hop_latency_ns=route.hop_latency,
-                transfer_64b_ns=64.0 / link_rate,
-            )
+def _latency_tiers(spec: MultiRackSpec) -> tuple[LatencyTier, ...]:
+    """Probe each tier once on one idle pod."""
+    deployment = build_multirack_deployment(spec)
+    origin = spec.server_name(0, 0)
+    peers = [("local DRAM", 0, origin)]
+    if spec.servers_per_rack > 1:
+        peers.append(("same rack", 2, spec.server_name(0, 1)))
+    if spec.racks > 1:
+        peers.append(("cross rack", 4, spec.server_name(spec.racks - 1, 0)))
+    return tuple(
+        LatencyTier(
+            tier, hops, deployment.run(deployment.transport.probe_latency(origin, peer))
         )
-    return tuple(tiers)
+        for tier, hops, peer in peers
+    )
 
 
-def _scale_points(spec: MultiRackSpec, rack_counts: tuple[int, ...]) -> tuple[ScalePoint, ...]:
-    points = []
-    for racks in rack_counts:
-        scaled = dataclasses.replace(spec, racks=racks)
-        fabric = build_multirack(scaled)
-        half = racks // 2
-        if half == 0:
-            points.append(
-                ScalePoint(
-                    racks=racks,
-                    servers=scaled.total_servers,
-                    pool_tib=scaled.pool_capacity_bytes / 2**40,
-                    bisection_gbps=float("inf"),
-                    per_server_cross_gbps=float("inf"),
-                )
-            )
-            continue
-        left = [
-            scaled.server_name(r, s)
-            for r in range(half)
-            for s in range(scaled.servers_per_rack)
-        ]
-        right = [
-            scaled.server_name(r, s)
-            for r in range(half, racks)
-            for s in range(scaled.servers_per_rack)
-        ]
-        bisection = fabric.graph.bisection_bandwidth(left, right)
-        points.append(
-            ScalePoint(
-                racks=racks,
-                servers=scaled.total_servers,
-                pool_tib=scaled.pool_capacity_bytes / 2**40,
-                bisection_gbps=bisection,
-                per_server_cross_gbps=bisection / len(left),
-            )
+def _scale_point(spec: MultiRackSpec) -> ScalePoint:
+    """Every server in the first half of the racks copies to its mirror
+    in the second half at once; the fluid solver shares the trunks."""
+    deployment = build_multirack_deployment(spec)
+    half = spec.racks // 2
+    size = gib(1)
+    done = [
+        deployment.fluid.transfer(
+            deployment.switch.copy_route(
+                spec.server_name(rack, index), spec.server_name(rack + half, index)
+            ).path,
+            size,
         )
-    return tuple(points)
+        for rack in range(half)
+        for index in range(spec.servers_per_rack)
+    ]
+    deployment.run(deployment.engine.all_of(done))
+    bisection = len(done) * size / deployment.engine.now  # bytes/ns = GB/s
+    return ScalePoint(
+        racks=spec.racks,
+        servers=spec.total_servers,
+        pool_tib=spec.pool_capacity_bytes / 2**40,
+        bisection_gbps=bisection,
+        per_server_cross_gbps=bisection / len(done),
+    )
 
 
 def run(spec: MultiRackSpec | None = None) -> MultiRackResult:
     """Tiers + scale-out + capacity ladder for one pod shape."""
     spec = spec or MultiRackSpec()
-    fabric = build_multirack(spec)
     geometry = PageGeometry()
     hundred_tb = 100 * 10**12
     return MultiRackResult(
         spec=spec,
-        tiers=_latency_tiers(fabric),
-        scale_points=_scale_points(spec, (2, 4, 8)),
+        tiers=_latency_tiers(spec),
+        scale_points=tuple(
+            _scale_point(dataclasses.replace(spec, racks=racks)) for racks in (2, 4, 8)
+        ),
         racks_for_10tb=racks_for_capacity(10 * 10**12, spec),
         racks_for_100tb=racks_for_capacity(hundred_tb, spec),
         global_map_entries_100tb=hundred_tb // geometry.extent_bytes,

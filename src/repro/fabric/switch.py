@@ -57,12 +57,8 @@ class _Port:
 
 
 class FabricSwitch:
-    """A single non-blocking rack switch with PBR-style port lookup.
-
-    ``backplane_rate`` optionally bounds aggregate cross-switch traffic;
-    by default the switch is non-blocking (per-port limits only), like
-    the paper's assumed CXL fabric switch.
-    """
+    """A single non-blocking rack switch with PBR-style port lookup:
+    per-port limits only, like the paper's assumed CXL fabric switch."""
 
     def __init__(
         self,
@@ -70,7 +66,6 @@ class FabricSwitch:
         fluid: FluidModel,
         name: str = "switch",
         port_count: int = 32,
-        backplane_rate: float | None = None,
     ) -> None:
         if port_count < 1:
             raise ConfigError(f"port_count must be >= 1, got {port_count}")
@@ -79,9 +74,6 @@ class FabricSwitch:
         self.name = name
         self.port_count = port_count
         self._ports: dict[str, _Port] = {}
-        self.backplane = (
-            Capacity(f"{name}.backplane", backplane_rate) if backplane_rate else None
-        )
 
     # -- wiring ---------------------------------------------------------------
 
@@ -100,10 +92,6 @@ class FabricSwitch:
                 "physical pools consume extra ports — the paper's cost point"
             )
         self._ports[name] = _Port(name, link, device)
-
-    @property
-    def ports_used(self) -> int:
-        return len(self._ports)
 
     def _port(self, name: str) -> _Port:
         try:
@@ -126,9 +114,9 @@ class FabricSwitch:
     def read_route(self, requester: str, owner: str) -> AccessRoute:
         """Route for *requester* loading from memory owned by *owner*.
 
-        Data flows owner's DRAM -> owner's uplink -> (backplane) ->
-        requester's downlink.  A same-endpoint access never touches the
-        fabric — the logical pool's key performance property (§3.1).
+        Data flows owner's DRAM -> owner's uplink -> requester's
+        downlink.  A same-endpoint access never touches the fabric — the
+        logical pool's key performance property (§3.1).
         """
         owner_port = self._port(owner)
         device = owner_port.device
@@ -142,15 +130,8 @@ class FabricSwitch:
                 description=f"{requester} local",
             )
         requester_port = self._port(requester)
-        path: tuple[Capacity, ...] = (
-            device.channel,
-            owner_port.link.up,
-            requester_port.link.down,
-        )
-        if self.backplane is not None:
-            path = (device.channel, owner_port.link.up, self.backplane, requester_port.link.down)
         return AccessRoute(
-            path=path,
+            path=(device.channel, owner_port.link.up, requester_port.link.down),
             curve=requester_port.link.latency_model,
             remote=True,
             description=f"{requester} reads {owner}",
@@ -171,20 +152,8 @@ class FabricSwitch:
                 description=f"{requester} local write",
             )
         requester_port = self._port(requester)
-        path: tuple[Capacity, ...] = (
-            requester_port.link.up,
-            owner_port.link.down,
-            device.channel,
-        )
-        if self.backplane is not None:
-            path = (
-                requester_port.link.up,
-                self.backplane,
-                owner_port.link.down,
-                device.channel,
-            )
         return AccessRoute(
-            path=path,
+            path=(requester_port.link.up, owner_port.link.down, device.channel),
             curve=requester_port.link.latency_model,
             remote=True,
             description=f"{requester} writes {owner}",
@@ -204,22 +173,8 @@ class FabricSwitch:
                 remote=False,
                 description=f"{src_owner} local copy",
             )
-        path: tuple[Capacity, ...] = (
-            src.device.channel,
-            src.link.up,
-            dst.link.down,
-            dst.device.channel,
-        )
-        if self.backplane is not None:
-            path = (
-                src.device.channel,
-                src.link.up,
-                self.backplane,
-                dst.link.down,
-                dst.device.channel,
-            )
         return AccessRoute(
-            path=path,
+            path=(src.device.channel, src.link.up, dst.link.down, dst.device.channel),
             curve=dst.link.latency_model,
             remote=True,
             description=f"copy {src_owner} -> {dst_owner}",

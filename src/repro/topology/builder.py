@@ -22,7 +22,6 @@ from repro.hw.pool_device import PoolDevice
 from repro.hw.server import Server
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidModel
-from repro.sim.trace import Tracer
 from repro.topology.specs import DeploymentKind, DeploymentSpec, paper_logical, paper_physical_cache, paper_physical_nocache
 
 
@@ -37,7 +36,6 @@ class Deployment:
     servers: list[Server]
     pool: PoolDevice | None
     transport: MemoryTransport
-    tracer: Tracer
 
     @property
     def kind(self) -> DeploymentKind:
@@ -66,7 +64,6 @@ def build(spec: DeploymentSpec, seed: int = 0) -> Deployment:
     """Wire the spec into hardware on a fresh engine."""
     engine = Engine(seed=seed)
     fluid = FluidModel(engine)
-    tracer = Tracer()
     switch = FabricSwitch(engine, fluid, port_count=spec.switch_ports)
 
     servers = [
@@ -97,7 +94,6 @@ def build(spec: DeploymentSpec, seed: int = 0) -> Deployment:
         servers=servers,
         pool=pool,
         transport=transport,
-        tracer=tracer,
     )
 
 

@@ -2,15 +2,16 @@
 
 The paper's evaluation is one switch; its vision ("We envision LMPs
 providing 10–100 TB of shared memory") needs CXL 3 Port-Based Routing
-across cascaded switches.  This module builds those fabrics as
-:class:`~repro.fabric.routing.FabricGraph` pods:
+across cascaded switches.  This module builds those pods as one
+routable :class:`RackedSwitch`:
 
 * one leaf switch per rack, each with N servers,
-* a spine layer interconnecting the leaves (configurable trunk width),
+* a spine layer interconnecting the leaves, modelled as one uplink and
+  one downlink trunk per rack (configurable trunk width),
 
-and provides the capacity arithmetic (how many racks reach 100 TB, how
-much cross-rack bandwidth the spine must carry) that the scale-out
-experiment reports.
+and provides the capacity arithmetic (how many racks reach 100 TB)
+that the scale-out experiment reports.  The S1 serving scenario and
+the A7 experiment run on the same pods.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ConfigError
-from repro.fabric.routing import FabricGraph
 from repro.fabric.switch import AccessRoute, FabricSwitch
 from repro.fabric.transport import MemoryTransport
 from repro.hw.latency import ShiftedCurve
@@ -26,7 +26,6 @@ from repro.hw.link import LINK_PRESETS, RemoteLink
 from repro.hw.server import Server
 from repro.sim.engine import Engine
 from repro.sim.fluid import Capacity, FluidModel
-from repro.sim.trace import Tracer
 from repro.topology.builder import Deployment
 from repro.topology.specs import DeploymentKind, DeploymentSpec
 from repro.units import gib
@@ -41,12 +40,11 @@ class MultiRackSpec:
     server_dram_bytes: int = gib(256)
     link: str = "link0"
     trunk_width: float = 4.0  # leaf<->spine capacity in server-link multiples
-    spine_count: int = 2
     hop_latency_ns: float = 25.0  # per wire+retimer+switch-pipeline hop
 
     def __post_init__(self) -> None:
-        if self.racks < 1 or self.servers_per_rack < 1 or self.spine_count < 1:
-            raise ConfigError("racks, servers_per_rack and spine_count must be >= 1")
+        if self.racks < 1 or self.servers_per_rack < 1:
+            raise ConfigError("racks and servers_per_rack must be >= 1")
         if self.link not in LINK_PRESETS:
             raise ConfigError(f"unknown link {self.link!r}")
         if self.trunk_width < 1.0:
@@ -67,53 +65,6 @@ class MultiRackSpec:
     def leaf_name(self, rack: int) -> str:
         return f"leaf{rack}"
 
-    def spine_name(self, index: int) -> str:
-        return f"spine{index}"
-
-
-@dataclasses.dataclass
-class MultiRackFabric:
-    """A built pod: the graph plus its spec."""
-
-    spec: MultiRackSpec
-    engine: Engine
-    fluid: FluidModel
-    graph: FabricGraph
-
-    def sample_servers(self) -> tuple[str, str, str]:
-        """(a server, a same-rack peer, a cross-rack peer) for probes."""
-        spec = self.spec
-        same = spec.server_name(0, 1) if spec.servers_per_rack > 1 else spec.server_name(0, 0)
-        cross = spec.server_name(spec.racks - 1, 0) if spec.racks > 1 else same
-        return spec.server_name(0, 0), same, cross
-
-
-def build_multirack(spec: MultiRackSpec, seed: int = 0) -> MultiRackFabric:
-    """Wire the pod: servers -> leaf per rack, leaves -> all spines."""
-    engine = Engine(seed=seed)
-    fluid = FluidModel(engine)
-    graph = FabricGraph(engine, fluid)
-    link_rate = LINK_PRESETS[spec.link].bandwidth
-
-    for rack in range(spec.racks):
-        graph.add_switch(spec.leaf_name(rack), port_count=spec.servers_per_rack + spec.spine_count)
-        for index in range(spec.servers_per_rack):
-            name = spec.server_name(rack, index)
-            graph.add_endpoint(name)
-            graph.connect(
-                name, spec.leaf_name(rack), bandwidth=link_rate, hop_latency=spec.hop_latency_ns
-            )
-    for spine in range(spec.spine_count):
-        graph.add_switch(spec.spine_name(spine), port_count=spec.racks)
-        for rack in range(spec.racks):
-            graph.connect(
-                spec.leaf_name(rack),
-                spec.spine_name(spine),
-                bandwidth=link_rate * spec.trunk_width / spec.spine_count,
-                hop_latency=spec.hop_latency_ns,
-            )
-    return MultiRackFabric(spec=spec, engine=engine, fluid=fluid, graph=graph)
-
 
 def racks_for_capacity(target_bytes: int, spec: MultiRackSpec) -> int:
     """How many racks of this shape reach *target_bytes* of pool."""
@@ -129,8 +80,7 @@ class RackedSwitch(FabricSwitch):
     trunk and the destination rack's downlink trunk (shared
     :class:`~repro.sim.fluid.Capacity` constraints sized by
     ``trunk_width``) and pay two extra fabric hops of latency — the
-    leaf -> spine -> leaf path of :func:`build_multirack`, made usable
-    by the load/store transport instead of only the analytic model."""
+    leaf -> spine -> leaf path."""
 
     def __init__(
         self,
@@ -253,5 +203,4 @@ def build_multirack_deployment(
         servers=servers,
         pool=None,
         transport=transport,
-        tracer=Tracer(),
     )

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.check.determinism import SCENARIOS, DeterminismHarness
+from repro.check.determinism import SCENARIOS, DeterminismHarness, format_dispatch
 from repro.errors import DeterminismError
 from repro.sim.engine import Engine
 
@@ -83,3 +83,15 @@ def test_capture_isolates_runs():
     assert first  # events were actually recorded
     # no sink leaks: captures outside the context see nothing
     assert not Engine._global_event_sinks
+
+
+def test_dispatch_line_format():
+    class Tick:
+        name = "tick"
+
+    assert format_dispatch(12.5, 3, Tick()) == (
+        "[          12.5ns] engine                   engine.step          "
+        "event=Tick name=tick seq=3"
+    )
+    # events without a name render an empty one
+    assert format_dispatch(0.0, 1, object()).endswith("event=object name= seq=1")

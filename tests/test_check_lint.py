@@ -66,15 +66,16 @@ def test_lmp001_ignores_outside_sim_subsystems():
     )
 
 
-# --- LMP002 global random -----------------------------------------------------
+# --- global random (retired id, now LMP010) -----------------------------------
 
 
 def test_lmp002_flags_global_random_calls():
-    assert "LMP002" in rule_ids("import random\nx = random.randint(0, 9)\n")
+    assert "LMP010" in rule_ids("import random\nx = random.randint(0, 9)\n")
+    assert "LMP010" in rule_ids("from random import choice\nx = choice([1, 2])\n")
 
 
 def test_lmp002_allows_explicit_generators():
-    assert "LMP002" not in rule_ids(
+    assert "LMP010" not in rule_ids(
         "import random\nrng = random.Random(7)\nx = rng.randint(0, 9)\n"
     )
 

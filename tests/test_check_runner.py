@@ -197,10 +197,11 @@ def test_flow_mutants_all_caught(clean_tree):
     assert code == EXIT_CLEAN
     out = stream.getvalue()
     assert "MISSED" not in out
-    assert "/18 seeded defect(s) caught" in out
+    assert "/19 seeded defect(s) caught" in out
     # the retired rules' shapes die at their seeded lines
     assert "caught  release-in-try-body [LMP012] at repro/core/__mutant__.py:2" in out
     assert "caught  wall-clock-in-sim [LMP010] at repro/sim/__mutant__.py:4" in out
+    assert "caught  global-random-draw [LMP010] at repro/core/__mutant__.py:4" in out
 
 
 def test_flow_json_payload(flow_dirty_tree):
@@ -214,7 +215,7 @@ def test_flow_json_payload(flow_dirty_tree):
     assert violation["line"] == 4
     assert violation["path"].endswith("bad_flow.py")
     assert "flow" not in payload and "flow_mutants" not in payload
-    assert len(payload["lint_mutants"]) == 18
+    assert len(payload["lint_mutants"]) == 19
     assert all(m["caught"] for m in payload["lint_mutants"])
 
 
@@ -253,7 +254,7 @@ def test_fix_rewrites_tmp_tree(dirty_tree):
 
 
 def test_select_limits_rules(dirty_tree):
-    code = run_check([dirty_tree], select=["LMP002"], stream=io.StringIO())
+    code = run_check([dirty_tree], select=["LMP010"], stream=io.StringIO())
     assert code == EXIT_CLEAN  # LMP003 not selected
     code = run_check([dirty_tree], select=["LMP003"], stream=io.StringIO())
     assert code == EXIT_FINDINGS

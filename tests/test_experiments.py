@@ -356,7 +356,7 @@ def test_accelerator_shipping_frees_the_cpu(cheap):
 def test_multirack_tiers_and_bisection_scaling(cheap):
     result = cheap["multirack"]
     local, same_rack, cross_rack = result.tiers
-    assert local.total_ns < same_rack.total_ns < cross_rack.total_ns
+    assert local.latency_ns < same_rack.latency_ns < cross_rack.latency_ns
     assert cross_rack.hops == 4
     # bisection bandwidth scales linearly with racks at fixed trunk width
     first, *_rest, last = result.scale_points
@@ -364,6 +364,20 @@ def test_multirack_tiers_and_bisection_scaling(cheap):
         first.bisection_gbps * last.racks / first.racks, rel=0.01
     )
     assert result.racks_for_100tb > result.racks_for_10tb
+
+
+def test_multirack_tiers_are_the_pod_that_b0_and_s1_run(cheap):
+    """A7 probes the same pod model S1 runs: its same-rack load costs
+    B0's one-switch hardware cache-line load, and crossing racks adds
+    the two leaf-spine hops."""
+    _local, same_rack, cross_rack = cheap["multirack"].tiers
+    hardware_64b = cheap["software"].latency_points[0]
+    assert hardware_64b.size_bytes == 64
+    assert same_rack.latency_ns == pytest.approx(hardware_64b.hardware_latency_ns)
+    spec = cheap["multirack"].spec
+    assert cross_rack.latency_ns == pytest.approx(
+        same_rack.latency_ns + 2 * spec.hop_latency_ns
+    )
 
 
 def test_application_kernels_favor_logical(cheap):

@@ -4,7 +4,10 @@ baseline, scaled links, multi-rack fabrics, and the CLI."""
 from __future__ import annotations
 
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +23,6 @@ from repro.hw.specs import LOCAL_DDR4
 from repro.topology.builder import build_logical
 from repro.topology.multirack import (
     MultiRackSpec,
-    build_multirack,
     build_multirack_deployment,
     racks_for_capacity,
 )
@@ -100,25 +102,43 @@ def test_register_scaled_link_halves_bandwidth():
 
 
 def test_multirack_builds_expected_shape():
-    spec = MultiRackSpec(racks=3, servers_per_rack=4, spine_count=2)
-    fabric = build_multirack(spec)
+    spec = MultiRackSpec(racks=3, servers_per_rack=4)
+    deployment = build_multirack_deployment(spec)
     assert spec.total_servers == 12
+    assert [s.name for s in deployment.servers[3:5]] == ["r0s3", "r1s0"]
     # server -> leaf -> spine -> leaf -> server across racks
-    route = fabric.graph.route("r0s0", "r2s3")
-    assert route.hops == 4
-    assert any(node.startswith("spine") for node in route.nodes)
+    route = deployment.switch.read_route("r0s0", "r2s3")
+    assert "x-rack r2->r0" in route.description
+    assert [c.name for c in route.path][-2:] == ["pod.leaf2.up", "pod.leaf0.down"]
     # same-rack stays on the leaf
-    route = fabric.graph.route("r0s0", "r0s1")
-    assert route.hops == 2
+    route = deployment.switch.read_route("r0s0", "r0s1")
+    assert not any(c.name.startswith("pod.leaf") for c in route.path)
 
 
 def test_multirack_cross_rack_transfer_uses_trunk():
-    spec = MultiRackSpec(racks=2, servers_per_rack=2, trunk_width=2.0, spine_count=1)
-    fabric = build_multirack(spec)
-    done = fabric.graph.transfer("r0s0", "r1s0", 34.5e6)
-    fabric.engine.run(done)
+    spec = MultiRackSpec(racks=2, servers_per_rack=2, trunk_width=2.0)
+    deployment = build_multirack_deployment(spec)
+    route = deployment.switch.copy_route("r0s0", "r1s0")
+    deployment.run(deployment.fluid.transfer(route.path, 34.5e6))
     # bottleneck is the server link (34.5), not the 69 GB/s trunk
-    assert fabric.engine.now == pytest.approx(1e6, rel=0.01)
+    assert deployment.engine.now == pytest.approx(1e6, rel=0.01)
+
+
+def test_simulator_import_path_leaves_networkx_unloaded():
+    """Only the graph workload needs networkx; the pod model, the
+    figures, the cluster driver and S1 must not pay for importing it."""
+    code = (
+        "import sys\n"
+        "import repro.topology.multirack, repro.experiments.figures\n"
+        "import repro.cluster.driver, repro.scale\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_racked_switch_cross_rack_routes_share_one_shifted_curve():

@@ -1,5 +1,5 @@
-"""Tests for the fabric: switch routing, PBR graphs, transport, and
-incast."""
+"""Tests for the fabric: switch routing, leaf-spine pods, transport,
+and incast."""
 
 from __future__ import annotations
 
@@ -7,19 +7,19 @@ import pytest
 
 from repro.errors import AddressError, ConfigError
 from repro.fabric.incast import measure_incast
-from repro.fabric.routing import FabricGraph
 from repro.fabric.switch import FabricSwitch
 from repro.hw.link import LINK_PRESETS
 from repro.hw.server import Server
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidModel
+from repro.topology.multirack import MultiRackSpec, build_multirack_deployment
 from repro.units import gib, mib
 
 
-def make_rack(servers=2, port_count=32, backplane=None):
+def make_rack(servers=2, port_count=32):
     engine = Engine()
     fluid = FluidModel(engine)
-    switch = FabricSwitch(engine, fluid, port_count=port_count, backplane_rate=backplane)
+    switch = FabricSwitch(engine, fluid, port_count=port_count)
     racked = [
         Server(engine, fluid, i, gib(24), LINK_PRESETS["link0"]) for i in range(servers)
     ]
@@ -63,12 +63,6 @@ def test_copy_route_touches_both_drams():
     assert names[-1] == "server1.dram.chan"
 
 
-def test_backplane_inserted_when_configured():
-    _engine, _fluid, switch, _servers = make_rack(backplane=100.0)
-    route = switch.read_route("server0", "server1")
-    assert any("backplane" in c.name for c in route.path)
-
-
 def test_port_exhaustion():
     engine, fluid, switch, _servers = make_rack(servers=2, port_count=2)
     extra = Server(engine, fluid, 9, gib(1), LINK_PRESETS["link0"])
@@ -88,74 +82,64 @@ def test_unknown_endpoint_rejected():
         switch.read_route("server0", "nowhere")
 
 
-# --- fabric graph (PBR) ----------------------------------------------------------
+# --- leaf-spine pods (PBR across racks) ------------------------------------------
 
 
-def make_two_switch_fabric():
-    engine = Engine()
-    fluid = FluidModel(engine)
-    fabric = FabricGraph(engine, fluid)
-    fabric.add_switch("sw0")
-    fabric.add_switch("sw1")
-    for name in ("h0", "h1", "h2"):
-        fabric.add_endpoint(name)
-    fabric.connect("h0", "sw0", bandwidth=34.5)
-    fabric.connect("h1", "sw0", bandwidth=34.5)
-    fabric.connect("h2", "sw1", bandwidth=34.5)
-    fabric.connect("sw0", "sw1", bandwidth=68.0)
-    return engine, fabric
+def make_pod(trunk_width=2.0):
+    return build_multirack_deployment(
+        MultiRackSpec(racks=2, servers_per_rack=2, trunk_width=trunk_width)
+    )
 
 
 def test_pbr_route_spans_switches():
-    _engine, fabric = make_two_switch_fabric()
-    route = fabric.route("h0", "h2")
-    assert route.nodes == ("h0", "sw0", "sw1", "h2")
-    assert route.hops == 3
-    assert route.hop_latency == pytest.approx(75.0)
+    pod = make_pod()
+    route = pod.switch.read_route("r0s0", "r1s0")
+    names = [c.name for c in route.path]
+    # data climbs the owner's leaf trunk and descends the requester's
+    assert names == [
+        "r1s0.dram.chan",
+        "r1s0.link.up",
+        "r0s0.link.down",
+        "pod.leaf1.up",
+        "pod.leaf0.down",
+    ]
+    assert route.remote
 
 
 def test_same_switch_route_is_short():
-    _engine, fabric = make_two_switch_fabric()
-    assert fabric.route("h0", "h1").hops == 2
+    pod = make_pod()
+    route = pod.switch.read_route("r0s0", "r0s1")
+    assert [c.name for c in route.path] == [
+        "r0s1.dram.chan",
+        "r0s1.link.up",
+        "r0s0.link.down",
+    ]
 
 
 def test_self_route_is_empty():
-    _engine, fabric = make_two_switch_fabric()
-    route = fabric.route("h0", "h0")
-    assert route.path == ()
+    pod = make_pod()
+    route = pod.switch.read_route("r1s1", "r1s1")
+    assert not route.remote
+    assert route.path == (pod.servers[3].dram.channel,)
 
 
 def test_no_path_raises():
-    engine = Engine()
-    fabric = FabricGraph(engine, FluidModel(engine))
-    fabric.add_endpoint("a")
-    fabric.add_endpoint("b")
-    with pytest.raises(ConfigError, match="no fabric path"):
-        fabric.route("a", "b")
-
-
-def test_graph_transfer_times_cross_trunk():
-    engine, fabric = make_two_switch_fabric()
-    done = fabric.transfer("h0", "h2", 34.5e6)
-    engine.run(done)
-    assert engine.now == pytest.approx(1e6, rel=1e-6)
-
-
-def test_graph_port_exhaustion():
-    engine = Engine()
-    fabric = FabricGraph(engine, FluidModel(engine))
-    fabric.add_endpoint("a")  # endpoints have 1 port
-    fabric.add_endpoint("b")
-    fabric.add_endpoint("c")
-    fabric.connect("a", "b", bandwidth=1.0)
-    with pytest.raises(ConfigError, match="out of ports"):
-        fabric.connect("a", "c", bandwidth=1.0)
+    pod = make_pod()
+    with pytest.raises(ConfigError, match="out of range"):
+        pod.switch.assign_rack("r1s1", 2)
 
 
 def test_bisection_bandwidth():
-    _engine, fabric = make_two_switch_fabric()
-    # h0,h1 -> h2 is limited by h2's single 34.5 link
-    assert fabric.bisection_bandwidth(["h0", "h1"], ["h2"]) == pytest.approx(34.5)
+    # both servers of rack 0 copy to rack 1 at once: the 1x trunk, not
+    # the two 34.5 GB/s server links, bounds the cut
+    pod = make_pod(trunk_width=1.0)
+    size = 34.5e6
+    done = [
+        pod.fluid.transfer(pod.switch.copy_route(f"r0s{i}", f"r1s{i}").path, size)
+        for i in range(2)
+    ]
+    pod.run(pod.engine.all_of(done))
+    assert 2 * size / pod.engine.now == pytest.approx(34.5)
 
 
 # --- transport ----------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Counter, Histogram, StatSet, TimeWeighted
-from repro.sim.trace import TraceRecord, Tracer
 
 
 # --- rng ----------------------------------------------------------------------
@@ -189,44 +188,3 @@ def test_statset_flattens_collectors():
 def test_statset_reuses_collectors():
     stats = StatSet()
     assert stats.counter("x") is stats.counter("x")
-
-
-# --- tracer ------------------------------------------------------------------
-
-
-def test_tracer_filters_by_kind():
-    tracer = Tracer()
-    tracer.enable("migrate")
-    tracer.emit(1.0, "pool", "migrate", extent=4)
-    tracer.emit(2.0, "pool", "allocate", size=10)
-    assert len(tracer.records) == 1
-    assert tracer.records[0].payload == {"extent": 4}
-
-
-def test_tracer_wildcard():
-    tracer = Tracer()
-    tracer.enable("*")
-    tracer.emit(1.0, "a", "x")
-    tracer.emit(2.0, "b", "y")
-    assert len(tracer.records) == 2
-
-
-def test_tracer_disable():
-    tracer = Tracer(enabled=["x"])
-    tracer.disable("x")
-    tracer.emit(1.0, "a", "x")
-    assert not tracer.records
-
-
-def test_trace_record_format():
-    record = TraceRecord(12.5, "pool", "migrate", {"extent": 3, "dst": 1})
-    line = record.format()
-    assert "pool" in line and "migrate" in line and "extent=3" in line
-
-
-def test_tracer_dump_and_clear():
-    tracer = Tracer(enabled=["k"])
-    tracer.emit(1.0, "c", "k", a=1)
-    assert "a=1" in tracer.dump()
-    tracer.clear()
-    assert tracer.dump() == ""
