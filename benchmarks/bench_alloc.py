@@ -8,8 +8,9 @@ throughput lives.  The CI smoke job::
 
 verifies every detector/observability seam, ``Gauntlet._obs`` among
 them, defaults to ``None`` (zero-cost convention; checked by
-``_harness.assert_seams_cold``), measures ops/sec and fragmentation for
-every allocator on the churn trace, checks that installing
+``_harness.assert_seams_cold``), measures ops/sec and fragmentation of
+the first-fit arena on the churn trace, with and without compaction,
+checks that installing
 :mod:`repro.obs` neither changes the scores nor costs more than a few
 percent, and writes everything to ``BENCH_alloc.json`` for the CI
 artifact upload.
@@ -23,15 +24,15 @@ from _harness import assert_seams_cold, write_json
 
 from repro.core.migration import ArenaCompactor
 from repro.experiments import alloc
-from repro.mem.arena import Gauntlet, allocator_names
+from repro.mem.arena import Gauntlet
 
 #: the same tight arena the A10 experiment uses
 CAPACITY = alloc.ARENA_CAPACITY
 
 
-def _replay(allocator: str, ops: int):
+def _replay(ops: int):
     gauntlet = Gauntlet(capacity=CAPACITY)
-    return gauntlet.replay(allocator, "churn", ops=ops, seed=7)
+    return gauntlet.replay("churn", ops=ops, seed=7)
 
 
 # --- smoke (CI: artifact + zero-cost guard) --------------------------------------
@@ -40,30 +41,28 @@ def _replay(allocator: str, ops: int):
 def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
     assert_seams_cold()
     results: dict[str, dict[str, float]] = {}
-    for name in allocator_names():
-        _replay(name, 512)  # warm-up: imports and bytecode out of the timing
-    for name in allocator_names():
-        started = time.perf_counter()
-        report = _replay(name, ops)
-        elapsed = time.perf_counter() - started
-        results[name] = {
-            "ops_per_sec": round(ops / elapsed, 1),
-            "ext_frag_mean": round(report.ext_frag_mean, 4),
-            "ext_frag_max": round(report.ext_frag_max, 4),
-            "internal_frag": round(report.internal_fragmentation, 4),
-            "failures": report.failures,
-            "largest_hole_min_ratio": round(report.largest_hole_min_ratio, 4),
-        }
-        print(
-            f"{name:12s}: {results[name]['ops_per_sec']:>10.0f} ops/s  "
-            f"efrag {report.ext_frag_mean:.3f} (max {report.ext_frag_max:.3f})  "
-            f"ifrag {report.internal_fragmentation:.3f}  fail {report.failures}"
-        )
+    _replay(512)  # warm-up: imports and bytecode out of the timing
+    started = time.perf_counter()
+    report = _replay(ops)
+    elapsed = time.perf_counter() - started
+    results["first-fit"] = {
+        "ops_per_sec": round(ops / elapsed, 1),
+        "ext_frag_mean": round(report.ext_frag_mean, 4),
+        "ext_frag_max": round(report.ext_frag_max, 4),
+        "internal_frag": round(report.internal_fragmentation, 4),
+        "failures": report.failures,
+        "largest_hole_min_ratio": round(report.largest_hole_min_ratio, 4),
+    }
+    print(
+        f"first-fit: {results['first-fit']['ops_per_sec']:>10.0f} ops/s  "
+        f"efrag {report.ext_frag_mean:.3f} (max {report.ext_frag_max:.3f})  "
+        f"ifrag {report.internal_fragmentation:.3f}  fail {report.failures}"
+    )
 
     # compaction pass, sim-time cost included in the artifact
     compact = Gauntlet(capacity=CAPACITY, compactor=ArenaCompactor(threshold=0.2))
-    creport = compact.replay("best-fit", "churn", ops=ops, seed=7)
-    results["best-fit+compaction"] = {
+    creport = compact.replay("churn", ops=ops, seed=7)
+    results["first-fit+compaction"] = {
         "ext_frag_mean": round(creport.ext_frag_mean, 4),
         "ext_frag_max": round(creport.ext_frag_max, 4),
         "compactions": creport.compactions,
@@ -71,7 +70,7 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
         "compaction_cost_ns": creport.compaction_cost_ns,
     }
     print(
-        f"best-fit+compaction: efrag {creport.ext_frag_mean:.3f} "
+        f"first-fit+compaction: efrag {creport.ext_frag_mean:.3f} "
         f"({creport.compactions} passes, {creport.compaction_bytes_moved / 1024:.0f} KiB moved)"
     )
 
@@ -81,12 +80,12 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
 
     baseline = results["first-fit"]
     started = time.perf_counter()
-    _replay("first-fit", ops)
+    _replay(ops)
     bare = time.perf_counter() - started
     obs = Observability()
     with obs.activated():
         started = time.perf_counter()
-        obs_report = _replay("first-fit", ops)
+        obs_report = _replay(ops)
         with_obs = time.perf_counter() - started
     assert_seams_cold()
     if round(obs_report.ext_frag_mean, 4) != baseline["ext_frag_mean"]:

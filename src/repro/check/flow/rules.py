@@ -266,7 +266,7 @@ _LMP011_VERBS = {
 class HandleLifecycleRule(Rule):
     """LMP011 — allocator handle used after ``free``/``relocate``.
 
-    Tracks :class:`~repro.mem.arena.AllocatorProtocol` facts
+    Tracks :class:`~repro.mem.allocator.FreeListAllocator` facts
     (``allocate``/``free``/``relocate``/``compact``) through the CFG.
     A handle freed or relocated on *any* path reaching a later
     ``free``/``relocate``/``resolve``/``read``/``write`` of the same

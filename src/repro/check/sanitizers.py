@@ -3,9 +3,10 @@
 We have no silicon to validate the models against, so the sanitizers
 enforce the invariants real hardware would:
 
-* :class:`AllocSanitizer` shadows every :class:`FreeListAllocator` /
-  :class:`BuddyAllocator` instance and detects double-free, use-after-
-  free, overlapping grants, and leaked blocks at scenario teardown.
+* :class:`AllocSanitizer` shadows every :class:`FreeListAllocator` and
+  :class:`~repro.core.regions.RegionManager` frame pool and detects
+  double-free, use-after-free, overlapping grants, and leaked blocks at
+  scenario teardown.
 * :class:`CoherenceSanitizer` re-checks MESI-style invariants on the
   coherence directory after every protocol transition: at most one
   Modified owner, no Shared copies coexisting with Modified, and the
@@ -31,7 +32,7 @@ from repro.errors import (
     UseAfterFreeError,
 )
 from repro.core.regions import RegionManager
-from repro.mem.allocator import Allocation, BuddyAllocator, FreeListAllocator
+from repro.mem.allocator import Allocation, FreeListAllocator, handle_offset
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.coherence.protocol import CoherenceDirectory
@@ -75,17 +76,18 @@ class _AllocState:
         self.freed[offset] = size
 
 
-_AnyAllocator = _t.Union[FreeListAllocator, BuddyAllocator, RegionManager]
+_AnyAllocator = _t.Union[FreeListAllocator, RegionManager]
 
 
 class AllocSanitizer:
-    """Wraps the allocator classes with shadow range tracking.
+    """Wraps the allocators with shadow range tracking.
 
-    ``install()`` patches ``allocate``/``free`` on both allocator
-    classes; every instance (old or new) is tracked from its next call
-    on.  Misuse raises precise :class:`~repro.errors.SanitizerError`
-    subclasses that still inherit the plain allocator errors, so code
-    guarding ``AllocationError`` keeps working.
+    ``install()`` patches ``allocate``/``free`` on
+    :class:`~repro.mem.allocator.FreeListAllocator`; every instance (old
+    or new) is tracked from its next call on.  Misuse raises precise
+    :class:`~repro.errors.SanitizerError` subclasses that still inherit
+    the plain allocator errors, so code guarding ``AllocationError``
+    keeps working.
 
     :class:`~repro.core.regions.RegionManager` frame pools (the logical
     pool's real backing store) are shadowed too, one page-sized block
@@ -100,34 +102,20 @@ class AllocSanitizer:
     _STATE_ATTR = "_repro_check_shadow"
 
     def __init__(self) -> None:
-        self._originals: dict[type, tuple[tuple[str, _t.Callable], ...]] = {}
+        self._originals: tuple[_t.Callable, _t.Callable] | None = None
         self._region_originals: tuple[_t.Callable, _t.Callable] | None = None
 
     # -- install / uninstall -------------------------------------------------
 
     def install(self) -> None:
-        from repro.mem.arena.bestfit import BestFitAllocator
-        from repro.mem.arena.slab import SlabAllocator
-        from repro.mem.arena.tenant import TenantArenaAllocator
-
         if AllocSanitizer._active is not None:
             raise SanitizerError("an AllocSanitizer is already installed")
-        for cls in (FreeListAllocator, BuddyAllocator, BestFitAllocator, SlabAllocator):
-            self._originals[cls] = (("allocate", cls.allocate), ("free", cls.free))
-            cls.allocate = self._wrap_allocate(cls.allocate)  # type: ignore[method-assign]
-            cls.free = self._wrap_free(cls.free)  # type: ignore[method-assign]
-        # the tenant arena's plain allocate() delegates to allocate_for()
-        # — wrapping both would double-record every grant, so only the
-        # funnel is patched
-        self._originals[TenantArenaAllocator] = (
-            ("allocate_for", TenantArenaAllocator.allocate_for),
-            ("free", TenantArenaAllocator.free),
+        self._originals = (FreeListAllocator.allocate, FreeListAllocator.free)
+        FreeListAllocator.allocate = self._wrap_allocate(  # type: ignore[method-assign]
+            FreeListAllocator.allocate
         )
-        TenantArenaAllocator.allocate_for = self._wrap_allocate(  # type: ignore[method-assign]
-            TenantArenaAllocator.allocate_for
-        )
-        TenantArenaAllocator.free = self._wrap_free(  # type: ignore[method-assign]
-            TenantArenaAllocator.free
+        FreeListAllocator.free = self._wrap_free(  # type: ignore[method-assign]
+            FreeListAllocator.free
         )
         self._region_originals = (
             RegionManager.allocate_frames,
@@ -144,11 +132,11 @@ class AllocSanitizer:
     def uninstall(self) -> None:
         if AllocSanitizer._active is not self:
             raise SanitizerError("this AllocSanitizer is not installed")
-        for cls, entries in self._originals.items():
-            for attr, original in entries:
-                setattr(cls, attr, original)
-        self._originals.clear()
-        assert self._region_originals is not None
+        assert self._originals is not None and self._region_originals is not None
+        FreeListAllocator.allocate, FreeListAllocator.free = (  # type: ignore[method-assign]
+            self._originals
+        )
+        self._originals = None
         RegionManager.allocate_frames, RegionManager.free_frames = (  # type: ignore[method-assign]
             self._region_originals
         )
@@ -175,9 +163,8 @@ class AllocSanitizer:
     def _wrap_allocate(self, inner: _t.Callable) -> _t.Callable:
         sanitizer = self
 
-        def allocate(alloc_self: _AnyAllocator, *args: _t.Any, **kwargs: _t.Any) -> Allocation:
-            # *args absorbs both allocate(size) and allocate_for(tenant, size)
-            granted: Allocation = inner(alloc_self, *args, **kwargs)
+        def allocate(alloc_self: FreeListAllocator, size: int) -> Allocation:
+            granted: Allocation = inner(alloc_self, size)
             state = sanitizer._state(alloc_self)
             clash = state.overlapping_live(granted.offset, granted.size)
             if clash is not None:
@@ -193,10 +180,8 @@ class AllocSanitizer:
     def _wrap_free(self, inner: _t.Callable) -> _t.Callable:
         sanitizer = self
 
-        def free(alloc_self: _AnyAllocator, allocation: Allocation | int) -> None:
-            offset = (
-                allocation.offset if isinstance(allocation, Allocation) else allocation
-            )
+        def free(alloc_self: FreeListAllocator, allocation: Allocation | int) -> None:
+            offset = handle_offset(allocation)
             state = sanitizer._state(alloc_self)
             if offset in state.freed and offset not in state.live:
                 raise DoubleFreeError(

@@ -29,6 +29,7 @@ import typing as _t
 from repro.core.pool import LogicalMemoryPool
 from repro.core.profiling import AccessProfiler, dominant
 from repro.errors import CapacityError, ConfigError, MigrationError
+from repro.mem.allocator import FreeListAllocator
 from repro.units import gib
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -226,14 +227,11 @@ class ArenaCompactor:
         self.copy_bytes_per_ns = copy_bytes_per_ns
         self.reports: list[CompactionReport] = []
 
-    def should_compact(self, allocator: _t.Any) -> bool:
-        """True when *allocator* can relocate and is past the threshold."""
-        return bool(
-            getattr(allocator, "supports_compaction", False)
-            and allocator.fragmentation() > self.threshold
-        )
+    def should_compact(self, allocator: FreeListAllocator) -> bool:
+        """True when *allocator* is past the fragmentation threshold."""
+        return allocator.fragmentation() > self.threshold
 
-    def compact(self, allocator: _t.Any) -> CompactionReport:
+    def compact(self, allocator: FreeListAllocator) -> CompactionReport:
         """Relocate every live block, lowest first, into the lowest hole.
 
         Ascending order makes each slide monotone leftward, so one pass

@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.hw.cache import PageCache
 from repro.hw.cpu import AccessSegment
-from repro.mem.arena.protocol import make_allocator
+from repro.mem.allocator import FreeListAllocator
 from repro.mem.interleave import LocalFirstPlacement, PlacementPolicy
 from repro.mem.layout import GlobalAddress, PageGeometry
 from repro.mem.page_table import Protection
@@ -583,7 +583,6 @@ class PhysicalMemoryPool(MemoryPool):
         deployment: Deployment,
         geometry: PageGeometry | None = None,
         cache_fraction: float = 1.0,
-        allocator: str = "first-fit",
     ) -> None:
         if not deployment.kind.is_physical or deployment.pool is None:
             raise ConfigError(
@@ -593,14 +592,8 @@ class PhysicalMemoryPool(MemoryPool):
             raise ConfigError(f"cache_fraction must be in (0, 1], got {cache_fraction}")
         super().__init__(deployment, geometry)
         self.pool_device = deployment.pool
-        # any registered strategy can manage the pool box's range; the
-        # logical pool has no such knob because its backing store is the
-        # per-server frame sets of RegionManager, not a byte range
-        self.allocator_name = allocator
-        self._allocator = make_allocator(
-            allocator,
-            self.pool_device.dram.capacity_bytes,
-            align=self.geometry.page_bytes,
+        self._allocator = FreeListAllocator(
+            self.pool_device.dram.capacity_bytes, align=self.geometry.page_bytes
         )
         self._buffer_backing: dict[int, _t.Any] = {}
         self.caches: dict[int, PageCache] = {}

@@ -1,27 +1,22 @@
-"""A10 — the allocator gauntlet: strategies for a shared pool's arena.
+"""A10 — the allocator gauntlet: does a shared pool's arena stay usable?
 
 The paper's flexibility argument (§4.5) assumes the shared pool stays
-*allocatable* while many servers churn through it.  Whether that holds
-depends on the allocation strategy, so we race five of them
-(:mod:`repro.mem.arena`) through adversarial traces and score
+*allocatable* while many servers churn through it.  We replay
+adversarial traces (:mod:`repro.mem.arena`) against the pool's
+first-fit :class:`~repro.mem.allocator.FreeListAllocator`, score
 fragmentation, then ablate live compaction with its copy cost charged
-to the simulation clock, and finally show the same strategies managing
-a real physical pool box.
+to the simulation clock.
 
-Three tables:
+Two tables:
 
-1. the gauntlet — every registered allocator against every trace
-   (churn, bimodal, pinning, Zipf tenant skew) in a deliberately tight
-   1 MiB arena, scoring failure rate, internal and external
-   fragmentation, and largest-hole survival;
-2. the compaction ablation — the two relocatable allocators replay the
-   churn trace on the DES clock with compaction off and on;
-   ``migration%`` is the honest share of simulated time the copies
-   cost (the same number the obs latency breakdown shows when
-   installed);
-3. pool selection — :class:`~repro.core.pool.PhysicalMemoryPool` built
-   with each strategy managing its pool box, fragmentation after a
-   mixed allocate/free pattern.
+1. the gauntlet — first-fit against every trace (churn, bimodal,
+   pinning, Zipf tenant skew) in a deliberately tight 1 MiB arena,
+   scoring failure rate, internal and external fragmentation, and
+   largest-hole survival;
+2. the compaction ablation — the churn trace on the DES clock with
+   compaction off and on; ``migration%`` is the honest share of
+   simulated time the copies cost (the same number the obs latency
+   breakdown shows when installed).
 
 Everything derives from seeds and allocator state — the ``alloc``
 determinism scenario replays a reduced run twice and insists the
@@ -34,17 +29,8 @@ import dataclasses
 
 from repro.analysis.report import format_table
 from repro.core.migration import ArenaCompactor
-from repro.core.pool import PhysicalMemoryPool
-from repro.mem.arena import (
-    Gauntlet,
-    GauntletReport,
-    allocator_names,
-    run_gauntlet,
-    trace_names,
-)
+from repro.mem.arena import Gauntlet, GauntletReport, run_gauntlet, trace_names
 from repro.sim.engine import Engine
-from repro.topology.builder import build_physical
-from repro.units import mib
 
 #: the gauntlet arena is deliberately tight so fragmentation has teeth
 ARENA_CAPACITY = 1 << 20
@@ -57,7 +43,6 @@ COMPACTION_THRESHOLD = 0.2
 class AblationRow:
     """One DES churn replay, compaction off or on."""
 
-    allocator: str
     compaction: bool
     ext_frag_mean: float
     ext_frag_max: float
@@ -73,26 +58,13 @@ class AblationRow:
 
 
 @dataclasses.dataclass(frozen=True)
-class PoolRow:
-    """One physical pool box managed by one strategy."""
-
-    allocator: str
-    live_buffers: int
-    pooled_free_gib: float
-    fragmentation: float
-    largest_hole_gib: float
-
-
-@dataclasses.dataclass(frozen=True)
 class AllocResult:
     gauntlet: tuple[GauntletReport, ...]
     ablation: tuple[AblationRow, ...]
-    pools: tuple[PoolRow, ...]
 
     def render(self) -> str:
         gauntlet_rows = [
             (
-                r.allocator,
                 r.trace,
                 r.allocs,
                 r.failures,
@@ -105,7 +77,6 @@ class AllocResult:
         ]
         first = format_table(
             [
-                "allocator",
                 "trace",
                 "allocs",
                 "fail",
@@ -116,13 +87,12 @@ class AllocResult:
             ],
             gauntlet_rows,
             title=(
-                f"A10 gauntlet: {ARENA_CAPACITY // 1024} KiB arena, "
+                f"A10 gauntlet: first-fit, {ARENA_CAPACITY // 1024} KiB arena, "
                 "external fragmentation = 1 - largest_hole/free"
             ),
         )
         ablation_rows = [
             (
-                r.allocator,
                 "on" if r.compaction else "off",
                 f"{100 * r.ext_frag_mean:.1f}",
                 f"{100 * r.ext_frag_max:.1f}",
@@ -134,7 +104,6 @@ class AllocResult:
         ]
         second = format_table(
             [
-                "allocator",
                 "compaction",
                 "ext frag %",
                 "ext max %",
@@ -144,95 +113,37 @@ class AllocResult:
             ],
             ablation_rows,
             title=(
-                "compaction ablation (churn trace, DES clock): copies are "
-                f"charged at threshold {COMPACTION_THRESHOLD}"
+                "compaction ablation (first-fit, churn trace, DES clock): copies "
+                f"are charged at threshold {COMPACTION_THRESHOLD}"
             ),
         )
-        pool_rows = [
-            (
-                r.allocator,
-                r.live_buffers,
-                f"{r.pooled_free_gib:.1f}",
-                f"{100 * r.fragmentation:.1f}",
-                f"{r.largest_hole_gib:.1f}",
-            )
-            for r in self.pools
-        ]
-        third = format_table(
-            ["allocator", "buffers", "free GiB", "frag %", "hole GiB"],
-            pool_rows,
-            title="per-pool selection: PhysicalMemoryPool(allocator=...) after mixed churn",
-        )
-        return "\n\n".join([first, second, third])
+        return "\n\n".join([first, second])
 
 
 def _run_ablation(ops: int, seed: int) -> list[AblationRow]:
     rows: list[AblationRow] = []
-    for allocator in ("first-fit", "best-fit"):
-        for compaction in (False, True):
-            compactor = (
-                ArenaCompactor(threshold=COMPACTION_THRESHOLD) if compaction else None
-            )
-            gauntlet = Gauntlet(capacity=ARENA_CAPACITY, compactor=compactor)
-            engine = Engine(seed=seed)
-            proc = gauntlet.replay_process(engine, allocator, "churn", ops=ops, seed=seed)
-            engine.run()
-            report = proc.value
-            rows.append(
-                AblationRow(
-                    allocator=allocator,
-                    compaction=compaction,
-                    ext_frag_mean=report.ext_frag_mean,
-                    ext_frag_max=report.ext_frag_max,
-                    passes=report.compactions,
-                    bytes_moved=report.compaction_bytes_moved,
-                    cost_ns=report.compaction_cost_ns,
-                    sim_ns=engine.now,
-                )
-            )
-    return rows
-
-
-def _run_pools(seed: int) -> list[PoolRow]:
-    rows: list[PoolRow] = []
-    for allocator in allocator_names():
-        deployment = build_physical("link0", cache=False, seed=seed)
-        pool = PhysicalMemoryPool(deployment, allocator=allocator)
-        # mixed churn: fill with alternating sizes, free every other
-        # buffer, then allocate again into the holes
-        buffers = [
-            pool.allocate(mib(256) if i % 2 else mib(64), requester_id=0, name=f"b{i}")
-            for i in range(24)
-        ]
-        for buffer in buffers[::2]:
-            pool.free(buffer)
-        survivors = buffers[1::2]
-        survivors.extend(
-            pool.allocate(mib(128), requester_id=0, name=f"r{i}") for i in range(6)
-        )
-        arena = pool._allocator
+    for compaction in (False, True):
+        compactor = ArenaCompactor(threshold=COMPACTION_THRESHOLD) if compaction else None
+        gauntlet = Gauntlet(capacity=ARENA_CAPACITY, compactor=compactor)
+        engine = Engine(seed=seed)
+        proc = gauntlet.replay_process(engine, "churn", ops=ops, seed=seed)
+        engine.run()
+        report = proc.value
         rows.append(
-            PoolRow(
-                allocator=allocator,
-                live_buffers=len(survivors),
-                pooled_free_gib=pool.pooled_free_bytes / (1 << 30),
-                fragmentation=arena.fragmentation(),
-                largest_hole_gib=arena.largest_hole / (1 << 30),
+            AblationRow(
+                compaction=compaction,
+                ext_frag_mean=report.ext_frag_mean,
+                ext_frag_max=report.ext_frag_max,
+                passes=report.compactions,
+                bytes_moved=report.compaction_bytes_moved,
+                cost_ns=report.compaction_cost_ns,
+                sim_ns=engine.now,
             )
         )
     return rows
 
 
 def run(ops: int = 12000, ablation_ops: int = 12000, seed: int = 7) -> AllocResult:
-    gauntlet = run_gauntlet(
-        allocator_names(),
-        trace_names(),
-        capacity=ARENA_CAPACITY,
-        ops=ops,
-        seed=seed,
-    )
+    gauntlet = run_gauntlet(trace_names(), capacity=ARENA_CAPACITY, ops=ops, seed=seed)
     ablation = _run_ablation(ablation_ops, seed)
-    pools = _run_pools(seed)
-    return AllocResult(
-        gauntlet=tuple(gauntlet), ablation=tuple(ablation), pools=tuple(pools)
-    )
+    return AllocResult(gauntlet=tuple(gauntlet), ablation=tuple(ablation))

@@ -5,11 +5,10 @@ The building blocks under the LMP runtime's addressing scheme (§5
 
 * :mod:`repro.mem.layout` — addresses, extents, page geometry,
   private/shared/coherent region descriptors,
-* :mod:`repro.mem.allocator` — free-list and buddy allocators for
-  carving physical ranges out of a device,
-* :mod:`repro.mem.arena` — the pluggable allocator registry (five
-  strategies behind one protocol) and the adversarial-trace gauntlet
-  that ranks them,
+* :mod:`repro.mem.allocator` — the first-fit free-list allocator that
+  carves physical ranges out of a device,
+* :mod:`repro.mem.arena` — the adversarial-trace gauntlet that scores
+  the allocator's fragmentation under churn,
 * :mod:`repro.mem.page_table` — the *fine-grained, resolved locally*
   second translation step (logical page -> local frame),
 * :mod:`repro.mem.global_map` — the *coarse-grained, globally
@@ -18,12 +17,7 @@ The building blocks under the LMP runtime's addressing scheme (§5
   allocation across the pool's shared regions.
 """
 
-from repro.mem.allocator import BuddyAllocator, FreeListAllocator
-from repro.mem.arena.protocol import (
-    AllocatorProtocol,
-    allocator_names,
-    make_allocator,
-)
+from repro.mem.allocator import FreeListAllocator
 from repro.mem.global_map import GlobalMap, MapCache, MapEntry
 from repro.mem.interleave import (
     CapacityWeightedPlacement,
@@ -40,8 +34,6 @@ from repro.mem.layout import (
 from repro.mem.page_table import PageTable, Protection
 
 __all__ = [
-    "AllocatorProtocol",
-    "BuddyAllocator",
     "CapacityWeightedPlacement",
     "FreeListAllocator",
     "GlobalAddress",
@@ -53,8 +45,6 @@ __all__ = [
     "PageTable",
     "PlacementPolicy",
     "Protection",
-    "allocator_names",
-    "make_allocator",
     "Region",
     "RegionKind",
     "RoundRobinPlacement",

@@ -1,24 +1,15 @@
-"""Physical-range allocators.
+"""The shared-pool byte-range allocator.
 
-Two classic designs with identical interfaces:
-
-* :class:`FreeListAllocator` — sorted free list with first-fit
-  placement and eager coalescing.  Used for shared-region carving,
-  where allocations are large and long-lived.  Best fit lives in
-  :class:`repro.mem.arena.bestfit.BestFitAllocator`.
-* :class:`BuddyAllocator` — power-of-two buddy system.  Used for the
-  coherent region's small synchronization objects, where fast free/alloc
-  and bounded fragmentation matter more than tight packing.
-
-Both allocate from an abstract byte range; callers bind the range to a
-device/region.  Both track the statistics used by the sizing policies
-and expose the gauges (:attr:`largest_hole`, :meth:`fragmentation`)
-the :mod:`repro.mem.arena` gauntlet scores.
-
-They are the reference implementations of
-:class:`repro.mem.arena.protocol.AllocatorProtocol`; the competing
-strategies (size-class slab, per-tenant arenas, size-indexed best fit)
-live in :mod:`repro.mem.arena` behind the same protocol.
+:class:`FreeListAllocator` is a sorted free list with first-fit
+placement and eager coalescing.  It carves the physical pool box
+(:class:`~repro.core.pool.PhysicalMemoryPool`) and is the arena the
+:mod:`repro.mem.arena` gauntlet replays adversarial traces against.  It
+allocates from an abstract byte range; callers bind the range to a
+device.  It tracks the statistics the sizing policies use and exposes
+the gauges (:attr:`~FreeListAllocator.largest_hole`,
+:meth:`~FreeListAllocator.fragmentation`) the gauntlet scores, and
+:meth:`~FreeListAllocator.relocate` is the left slide
+:class:`~repro.core.migration.ArenaCompactor` compacts with.
 
 Misuse diagnosis is typed: freeing a range that is currently free
 raises :class:`~repro.errors.DoubleFreeError`, a handle the allocator
@@ -100,9 +91,6 @@ class FreeListAllocator:
     First fit always takes the lowest adequate hole, which is also the
     left slide :meth:`relocate` needs for compaction.
     """
-
-    #: compaction can relocate live blocks (see :meth:`relocate`)
-    supports_compaction: bool = True
 
     def __init__(self, capacity: int, align: int = 64) -> None:
         if capacity <= 0:
@@ -232,139 +220,3 @@ class FreeListAllocator:
                 assert offset + size <= hoff or hoff + hsize <= offset, (
                     "live allocation overlaps a hole"
                 )
-
-
-class BuddyAllocator:
-    """Power-of-two buddy allocator.
-
-    Capacity is rounded down to a power of two; minimum block size is
-    ``min_block``.  Frees recombine buddies eagerly.
-    """
-
-    #: buddy blocks are identified by their order-aligned offsets;
-    #: moving one would change its identity, so no compaction
-    supports_compaction: bool = False
-
-    def __init__(self, capacity: int, min_block: int = 4096) -> None:
-        if capacity < min_block:
-            raise ConfigError(f"capacity {capacity} smaller than min block {min_block}")
-        if min_block <= 0 or (min_block & (min_block - 1)) != 0:
-            raise ConfigError(f"min_block must be a power of two, got {min_block}")
-        self.min_block = min_block
-        self.capacity = 1 << (capacity.bit_length() - 1)
-        self._max_order = (self.capacity // min_block).bit_length() - 1
-        #: free lists per order; order 0 == min_block
-        self._free: list[set[int]] = [set() for _ in range(self._max_order + 1)]
-        self._free[self._max_order].add(0)
-        self._live: dict[int, int] = {}  # offset -> order
-        self.bytes_allocated = 0
-        self.alloc_count = 0
-        self.fail_count = 0
-
-    def _order_for(self, size: int) -> int:
-        blocks = (size + self.min_block - 1) // self.min_block
-        order = max(0, (blocks - 1).bit_length())
-        return order
-
-    def block_size(self, order: int) -> int:
-        return self.min_block << order
-
-    @property
-    def bytes_free(self) -> int:
-        return self.capacity - self.bytes_allocated
-
-    @property
-    def largest_hole(self) -> int:
-        """The largest free block (eager recombination keeps this honest)."""
-        for order in range(self._max_order, -1, -1):
-            if self._free[order]:
-                return self.block_size(order)
-        return 0
-
-    def fragmentation(self) -> float:
-        """1 - largest_block/free: 0 when free space is one max block."""
-        free = self.bytes_free
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_hole / free
-
-    def live_allocations(self) -> list[Allocation]:
-        """Every live block, sorted by offset."""
-        return [
-            Allocation(off, self.block_size(order))
-            for off, order in sorted(self._live.items())
-        ]
-
-    def allocate(self, size: int) -> Allocation:
-        """Grant a block of the smallest power-of-two size >= *size*."""
-        if size <= 0:
-            raise AllocationError(f"allocation size must be positive, got {size}")
-        order = self._order_for(size)
-        if order > self._max_order:
-            self.fail_count += 1
-            raise AllocationError(f"{size} bytes exceeds buddy capacity {self.capacity}")
-        # find the smallest order with a free block, splitting down
-        source = order
-        while source <= self._max_order and not self._free[source]:
-            source += 1
-        if source > self._max_order:
-            self.fail_count += 1
-            raise AllocationError(
-                f"buddy allocator exhausted for {size} bytes (order {order})"
-            )
-        offset = min(self._free[source])  # deterministic choice
-        self._free[source].discard(offset)
-        while source > order:
-            source -= 1
-            buddy = offset + self.block_size(source)
-            self._free[source].add(buddy)
-        self._live[offset] = order
-        granted = self.block_size(order)
-        self.bytes_allocated += granted
-        self.alloc_count += 1
-        return Allocation(offset, granted)
-
-    def free(self, allocation: Allocation | int) -> None:
-        """Return a block; buddies recombine as far as possible."""
-        offset = handle_offset(allocation)
-        order = self._live.pop(offset, None)
-        if order is None:
-            raise self._classify_bad_free(offset)
-        self.bytes_allocated -= self.block_size(order)
-        while order < self._max_order:
-            buddy = offset ^ self.block_size(order)
-            if buddy not in self._free[order]:
-                break
-            self._free[order].discard(buddy)
-            offset = min(offset, buddy)
-            order += 1
-        self._free[order].add(offset)
-
-    def _classify_bad_free(self, offset: int) -> AllocationError:
-        if offset < 0 or offset >= self.capacity or offset % self.min_block:
-            return UnknownHandleError(
-                f"free() of offset {offset}: not a block boundary inside "
-                f"[0, {self.capacity})"
-            )
-        for order, blocks in enumerate(self._free):
-            block = self.block_size(order)
-            if (offset // block) * block in blocks:
-                return DoubleFreeError(
-                    f"free() of offset {offset}: range is already free "
-                    f"(inside order-{order} block)"
-                )
-        return UnknownHandleError(
-            f"free() of offset {offset}: no allocation starts there "
-            "(mid-block or never granted)"
-        )
-
-    def check_invariants(self) -> None:
-        """Assert internal consistency (used by property tests)."""
-        free_bytes = sum(
-            self.block_size(order) * len(blocks)
-            for order, blocks in enumerate(self._free)
-        )
-        assert free_bytes + self.bytes_allocated == self.capacity, "byte conservation"
-        for order, blocks in enumerate(self._free):
-            for offset in blocks:
-                assert offset % self.block_size(order) == 0, "block alignment"

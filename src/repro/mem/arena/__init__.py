@@ -1,37 +1,18 @@
-"""Pluggable shared-pool allocators and the gauntlet that ranks them.
+"""The allocator gauntlet: adversarial traces replayed against the
+shared pool's first-fit arena.
 
-See :mod:`repro.mem.arena.protocol` for the strategy registry and
-:mod:`repro.mem.arena.gauntlet` for adversarial trace replay.
+See :mod:`repro.mem.arena.traces` for the traces and
+:mod:`repro.mem.arena.gauntlet` for the scored replay.
 """
 
-from repro.mem.arena.bestfit import BestFitAllocator
 from repro.mem.arena.gauntlet import Gauntlet, GauntletReport, run_gauntlet
-from repro.mem.arena.protocol import (
-    ALLOCATORS,
-    AllocatorProtocol,
-    RelocatableAllocator,
-    TenantAwareAllocator,
-    allocator_names,
-    make_allocator,
-)
-from repro.mem.arena.slab import SlabAllocator
-from repro.mem.arena.tenant import TenantArenaAllocator
 from repro.mem.arena.traces import TRACES, TraceOp, make_trace, trace_names
 
 __all__ = [
-    "ALLOCATORS",
-    "AllocatorProtocol",
-    "BestFitAllocator",
     "Gauntlet",
     "GauntletReport",
-    "RelocatableAllocator",
-    "SlabAllocator",
     "TRACES",
-    "TenantArenaAllocator",
-    "TenantAwareAllocator",
     "TraceOp",
-    "allocator_names",
-    "make_allocator",
     "make_trace",
     "run_gauntlet",
     "trace_names",

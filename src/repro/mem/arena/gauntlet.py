@@ -1,10 +1,10 @@
 """The allocator gauntlet: adversarial trace replay with scoring.
 
 :class:`Gauntlet` replays a deterministic trace (see
-:mod:`repro.mem.arena.traces`) against any registered allocator and
-scores what the paper's shared-pool story actually depends on: does the
-pool stay *usable* under churn, or does it fragment until large
-allocations fail?
+:mod:`repro.mem.arena.traces`) against the shared pool's first-fit
+:class:`~repro.mem.allocator.FreeListAllocator` and scores what the
+paper's shared-pool story actually depends on: does the pool stay
+*usable* under churn, or does it fragment until large allocations fail?
 
 Scores (all derived from allocator state, never wall clock, so a
 same-seed replay is byte-identical — the ``alloc`` determinism scenario
@@ -34,8 +34,7 @@ import dataclasses
 import typing as _t
 
 from repro.errors import AllocationError
-from repro.mem.allocator import Allocation
-from repro.mem.arena.protocol import AllocatorProtocol, make_allocator
+from repro.mem.allocator import Allocation, FreeListAllocator
 from repro.mem.arena.traces import ALLOC, TraceOp, make_trace
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,9 +45,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclasses.dataclass(frozen=True)
 class GauntletReport:
-    """One (allocator, trace) replay, fully scored."""
+    """One trace replay, fully scored."""
 
-    allocator: str
     trace: str
     ops: int
     allocs: int
@@ -73,10 +71,10 @@ class GauntletReport:
 
 
 class Gauntlet:
-    """Replays adversarial traces against pluggable allocators."""
+    """Replays adversarial traces against a first-fit arena."""
 
     #: installed by repro.obs.Observability: fragmentation gauges and
-    #: histograms per (allocator, trace), compaction counters, and the
+    #: histograms per trace, compaction counters, and the
     #: migration category on the running span.
     _obs: _t.ClassVar[_t.Any] = None
 
@@ -97,14 +95,13 @@ class Gauntlet:
 
     def replay(
         self,
-        allocator_name: str,
         trace_name: str,
         ops: int = 20000,
         seed: int = 0,
         trace: list[TraceOp] | None = None,
     ) -> GauntletReport:
         """Replay synchronously; returns the deterministic report."""
-        steps = self._steps(allocator_name, trace_name, ops, seed, trace)
+        steps = self._steps(trace_name, ops, seed, trace)
         report = None
         for report in steps:
             pass
@@ -116,7 +113,6 @@ class Gauntlet:
     def replay_process(
         self,
         engine: "Engine",
-        allocator_name: str,
         trace_name: str,
         ops: int = 20000,
         seed: int = 0,
@@ -128,14 +124,13 @@ class Gauntlet:
         ``migration`` latency category of the surrounding request span.
         """
         return engine.process(
-            self._replay_body(engine, allocator_name, trace_name, ops, seed, trace),
-            name=f"gauntlet.{allocator_name}.{trace_name}",
+            self._replay_body(engine, trace_name, ops, seed, trace),
+            name=f"gauntlet.{trace_name}",
         )
 
     def _replay_body(
         self,
         engine: "Engine",
-        allocator_name: str,
         trace_name: str,
         ops: int,
         seed: int,
@@ -144,10 +139,10 @@ class Gauntlet:
         obs = Gauntlet._obs
         span = None
         if obs is not None:
-            span = obs.gauntlet_begin(engine, allocator_name, trace_name)
+            span = obs.gauntlet_begin(engine, trace_name)
         batch = 0
         report = None
-        for step in self._steps(allocator_name, trace_name, ops, seed, trace):
+        for step in self._steps(trace_name, ops, seed, trace):
             if isinstance(step, GauntletReport):
                 report = step
                 break
@@ -166,7 +161,6 @@ class Gauntlet:
 
     def _steps(
         self,
-        allocator_name: str,
         trace_name: str,
         ops: int,
         seed: int,
@@ -180,8 +174,7 @@ class Gauntlet:
         """
         if trace is None:
             trace = make_trace(trace_name, ops=ops, seed=seed)
-        allocator = make_allocator(allocator_name, self.capacity)
-        tenant_aware = hasattr(allocator, "allocate_for")
+        allocator = FreeListAllocator(self.capacity)
         obs = Gauntlet._obs
 
         slots: dict[int, Allocation] = {}
@@ -203,9 +196,7 @@ class Gauntlet:
             frag_samples.append(frag)
             hole_min_ratio = min(hole_min_ratio, allocator.largest_hole / self.capacity)
             if obs is not None:
-                obs.arena_sample(
-                    allocator_name, trace_name, frag, allocator.largest_hole
-                )
+                obs.arena_sample(trace_name, frag, allocator.largest_hole)
             cost = 0
             if self.compactor is not None and self.compactor.should_compact(allocator):
                 pass_report = self.compactor.compact(allocator)
@@ -219,20 +210,17 @@ class Gauntlet:
                         slots[slot] = Allocation(moved, held.size)
                 frag_samples.append(allocator.fragmentation())
                 if obs is not None:
-                    obs.arena_compaction(allocator_name, trace_name, pass_report)
+                    obs.arena_compaction(trace_name, pass_report)
             return cost
 
         for op in trace:
             if op.kind == ALLOC:
                 try:
-                    if tenant_aware and op.tenant != "default":
-                        grant = allocator.allocate_for(op.tenant, op.size)  # type: ignore[attr-defined]
-                    else:
-                        grant = allocator.allocate(op.size)
+                    grant = allocator.allocate(op.size)
                 except AllocationError:
                     failures += 1
                     if obs is not None:
-                        obs.arena_failure(allocator_name, trace_name)
+                        obs.arena_failure(trace_name)
                 else:
                     slots[op.slot] = grant
                     allocs += 1
@@ -259,7 +247,6 @@ class Gauntlet:
         assert allocator.bytes_allocated == 0, "drain left live bytes"
 
         yield GauntletReport(
-            allocator=allocator_name,
             trace=trace_name,
             ops=len(trace),
             allocs=allocs,
@@ -278,26 +265,12 @@ class Gauntlet:
 
 
 def run_gauntlet(
-    allocators: _t.Sequence[str],
     traces: _t.Sequence[str],
     capacity: int = 1 << 22,
     ops: int = 20000,
     seed: int = 0,
     compactor: "ArenaCompactor | None" = None,
 ) -> list[GauntletReport]:
-    """Replay every (allocator, trace) pair; reports in input order."""
+    """Replay every trace; reports in input order."""
     gauntlet = Gauntlet(capacity=capacity, compactor=compactor)
-    return [
-        gauntlet.replay(name, trace, ops=ops, seed=seed)
-        for name in allocators
-        for trace in traces
-    ]
-
-
-# re-exported for callers that only need the protocol surface
-__all__ = [
-    "Gauntlet",
-    "GauntletReport",
-    "run_gauntlet",
-    "AllocatorProtocol",
-]
+    return [gauntlet.replay(trace, ops=ops, seed=seed) for trace in traces]

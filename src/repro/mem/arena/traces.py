@@ -3,8 +3,8 @@
 Each generator produces a deterministic list of :class:`TraceOp` from a
 seed (via :class:`~repro.sim.rng.RngStreams`, so two same-seed calls are
 identical).  Ops name logical *slots*, not addresses — the gauntlet maps
-slots to whatever handles the allocator under test grants — so one trace
-replays bit-identically against all five strategies.
+slots to the handles the allocator grants, and a compaction pass can
+move those handles without touching the trace.
 
 The four workloads each provoke a known allocator failure mode:
 
@@ -19,8 +19,9 @@ The four workloads each provoke a known allocator failure mode:
     around them forever — the workload where only compaction (or
     segregated placement) saves the largest hole.
 ``zipf``
-    tenant-skewed churn (Zipf popularity over 8 tenants) — exercises
-    magazine locality and flush pressure in the per-tenant arena.
+    tenant-skewed churn (Zipf popularity over 8 tenants) — each
+    tenant's lifetimes interleave with every other tenant's in one
+    shared address space.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ class TraceOp:
 
     ``slot`` is a logical identifier: an ``alloc`` op binds it, the
     matching ``free`` op releases it.  ``size`` is meaningful only for
-    allocs; ``tenant`` routes tenant-aware allocators.
+    allocs.
     """
 
     kind: str
     slot: int
     size: int = 0
-    tenant: str = "default"
 
 
 class _Builder:
@@ -56,19 +56,17 @@ class _Builder:
     def __init__(self) -> None:
         self.ops: list[TraceOp] = []
         self.live: list[int] = []  # sorted live slots
-        self.slot_tenant: dict[int, str] = {}
         self._next = 0
 
-    def alloc(self, size: int, tenant: str = "default") -> int:
+    def alloc(self, size: int) -> int:
         slot = self._next
         self._next += 1
-        self.ops.append(TraceOp(ALLOC, slot, size, tenant))
+        self.ops.append(TraceOp(ALLOC, slot, size))
         bisect.insort(self.live, slot)
-        self.slot_tenant[slot] = tenant
         return slot
 
     def free(self, slot: int) -> None:
-        self.ops.append(TraceOp(FREE, slot, 0, self.slot_tenant.pop(slot)))
+        self.ops.append(TraceOp(FREE, slot))
         self.live.pop(bisect.bisect_left(self.live, slot))
 
     def free_random(self, rng: _t.Any) -> None:
@@ -154,7 +152,7 @@ def zipf_trace(ops: int = 20000, seed: int = 0, tenants: int = 8) -> list[TraceO
         tenant = f"t{bisect.bisect_left(cumulative, rng.random())}"
         mine = per_tenant[tenant]
         if len(mine) < target or rng.random() < 0.5:
-            mine.append(b.alloc(rng.randint(64, 2048), tenant))
+            mine.append(b.alloc(rng.randint(64, 2048)))
         else:
             slot = mine.pop(rng.randrange(len(mine)))
             b.free(slot)

@@ -505,58 +505,35 @@ class Observability:
 
     # -- arena gauntlet seam -------------------------------------------------
 
-    def gauntlet_begin(self, engine: _t.Any, allocator: str, trace: str) -> Span:
+    def gauntlet_begin(self, engine: _t.Any, trace: str) -> Span:
         """Open the request-root span for one gauntlet replay."""
-        span = self.recorder.open(f"gauntlet.{allocator}", "request", engine)
+        span = self.recorder.open("gauntlet", "request", engine)
         span.attrs["op"] = f"gauntlet:{trace}"
-        span.attrs["allocator"] = allocator
         return span
 
     def gauntlet_end(self, span: Span, now: float) -> None:
         self.recorder.finish(span, now)
 
-    def arena_sample(
-        self, allocator: str, trace: str, fragmentation: float, largest_hole: int
-    ) -> None:
+    def arena_sample(self, trace: str, fragmentation: float, largest_hole: int) -> None:
         """One fragmentation sample: gauge (latest) plus histogram (the
-        whole replay's distribution) per (allocator, trace)."""
+        whole replay's distribution) per trace."""
+        self.metrics.set_gauge("repro_arena_fragmentation", fragmentation, trace=trace)
+        self.metrics.observe("repro_arena_fragmentation_hist", fragmentation, trace=trace)
         self.metrics.set_gauge(
-            "repro_arena_fragmentation", fragmentation, allocator=allocator, trace=trace
-        )
-        self.metrics.observe(
-            "repro_arena_fragmentation_hist",
-            fragmentation,
-            allocator=allocator,
-            trace=trace,
-        )
-        self.metrics.set_gauge(
-            "repro_arena_largest_hole_bytes",
-            float(largest_hole),
-            allocator=allocator,
-            trace=trace,
+            "repro_arena_largest_hole_bytes", float(largest_hole), trace=trace
         )
 
-    def arena_failure(self, allocator: str, trace: str) -> None:
-        self.metrics.inc(
-            "repro_arena_alloc_failures_total", 1.0, allocator=allocator, trace=trace
-        )
+    def arena_failure(self, trace: str) -> None:
+        self.metrics.inc("repro_arena_alloc_failures_total", 1.0, trace=trace)
 
-    def arena_compaction(self, allocator: str, trace: str, report: _t.Any) -> None:
+    def arena_compaction(self, trace: str, report: _t.Any) -> None:
         """Fold one compaction pass into the metrics registry."""
+        self.metrics.inc("repro_arena_compactions_total", 1.0, trace=trace)
         self.metrics.inc(
-            "repro_arena_compactions_total", 1.0, allocator=allocator, trace=trace
-        )
-        self.metrics.inc(
-            "repro_arena_compaction_bytes_total",
-            float(report.bytes_moved),
-            allocator=allocator,
-            trace=trace,
+            "repro_arena_compaction_bytes_total", float(report.bytes_moved), trace=trace
         )
         self.metrics.set_gauge(
-            "repro_arena_fragmentation",
-            report.fragmentation_after,
-            allocator=allocator,
-            trace=trace,
+            "repro_arena_fragmentation", report.fragmentation_after, trace=trace
         )
 
     # -- stat-source federation ----------------------------------------------

@@ -133,9 +133,16 @@ class RackedSwitch(FabricSwitch):
     ) -> AccessRoute:
         if not route.remote:
             return route
-        src_rack = self._rack_of.get(src)
-        dst_rack = self._rack_of.get(dst)
-        if src_rack is None or dst_rack is None or src_rack == dst_rack:
+        try:
+            src_rack = self._rack_of[src]
+            dst_rack = self._rack_of[dst]
+        except KeyError as exc:
+            # guessing same-rack would silently drop the trunk legs
+            raise ConfigError(
+                f"endpoint {exc.args[0]!r} is attached to {self.name} but was "
+                "never given a rack (call assign_rack)"
+            ) from None
+        if src_rack == dst_rack:
             return route
         path = route.path + (self._trunk_up[src_rack], self._trunk_down[dst_rack])
         link = self.link_of(link_endpoint)

@@ -1,24 +1,17 @@
-"""Stateful property tests of the shared-pool allocator contract.
+"""Stateful property test of the shared-pool allocator contract.
 
-One :class:`AllocatorMachine` drives every registered strategy
-(first-fit, best-fit, buddy, slab, tenant-arena) through random
+:class:`AllocatorMachine` drives the first-fit
+:class:`~repro.mem.allocator.FreeListAllocator` through random
 allocate/free/misuse/compaction interleavings and checks, after every
-step, the contract :class:`repro.mem.arena.protocol.AllocatorProtocol`
-promises:
+step, the contract its callers rely on:
 
 * granted ranges never overlap a live grant;
 * byte accounting conserves — ``bytes_allocated`` equals the sum of
-  granted sizes, and each implementation's own ``check_invariants``
-  (hole coalescing, index consistency, slab partitioning, magazine
-  conservation) holds;
+  granted sizes, and ``check_invariants`` (sorted, disjoint, coalesced
+  holes) holds;
 * misuse raises typed :class:`~repro.errors.AllocationError`
   subclasses, never corrupts state;
-* draining every live block returns the arena to one maximal hole
-  (except the tenant arena, whose magazines legitimately cache blocks
-  — there the caller-byte view must reach zero instead).
-
-This subsumes the ad-hoc ``*_under_random_ops`` tests that previously
-covered only the two classic allocators.
+* draining every live block returns the arena to one maximal hole.
 """
 
 from __future__ import annotations
@@ -35,34 +28,25 @@ from hypothesis.stateful import (
 
 from repro.core.migration import ArenaCompactor
 from repro.errors import AllocationError
-from repro.mem.allocator import Allocation
-from repro.mem.arena import allocator_names, make_allocator
+from repro.mem.allocator import Allocation, FreeListAllocator
 
 CAPACITY = 1 << 16
 
-TENANTS = ("default", "t0", "t1")
-
 
 class AllocatorMachine(RuleBasedStateMachine):
-    """Random op sequences against one strategy, contract-checked."""
-
-    #: overridden per generated subclass below
-    allocator_name: str = "first-fit"
+    """Random op sequences against the first-fit arena, contract-checked."""
 
     @initialize()
     def setup(self) -> None:
-        self.allocator = make_allocator(self.allocator_name, CAPACITY)
+        self.allocator = FreeListAllocator(CAPACITY)
         self.live: list[Allocation] = []
 
     # -- rules ----------------------------------------------------------------
 
-    @rule(size=st.integers(1, 3000), tenant=st.sampled_from(TENANTS))
-    def allocate(self, size: int, tenant: str) -> None:
+    @rule(size=st.integers(1, 3000))
+    def allocate(self, size: int) -> None:
         try:
-            if tenant != "default" and hasattr(self.allocator, "allocate_for"):
-                grant = self.allocator.allocate_for(tenant, size)
-            else:
-                grant = self.allocator.allocate(size)
+            grant = self.allocator.allocate(size)
         except AllocationError:
             return
         assert grant.size >= size, "granted less than requested"
@@ -87,7 +71,7 @@ class AllocatorMachine(RuleBasedStateMachine):
         with pytest.raises(AllocationError):
             self.allocator.allocate(0)
 
-    @precondition(lambda self: self.allocator.supports_compaction and self.live)
+    @precondition(lambda self: self.live)
     @rule()
     def compact(self) -> None:
         """A full compaction pass must preserve every live block under a
@@ -114,31 +98,20 @@ class AllocatorMachine(RuleBasedStateMachine):
         assert 0.0 <= self.allocator.fragmentation() <= 1.0
 
     def teardown(self) -> None:
-        # drain: caller bytes must reach zero; coalescing must restore
-        # one maximal hole wherever no cache layer retains blocks
+        # drain: caller bytes must reach zero and coalescing must
+        # restore one maximal hole
         for grant in self.live:
             self.allocator.free(grant)
         self.live = []
         self.allocator.check_invariants()
         assert self.allocator.bytes_allocated == 0, "drain left live bytes"
-        if self.allocator_name != "tenant-arena":
-            assert self.allocator.largest_hole == CAPACITY, (
-                "full drain did not coalesce back to one hole"
-            )
+        assert self.allocator.largest_hole == CAPACITY, (
+            "full drain did not coalesce back to one hole"
+        )
         super().teardown()
 
 
-# one deterministic TestCase per registered strategy, so every allocator
-# gets the full example budget (sampled_from inside one machine would
-# spread coverage unevenly)
-for _name in allocator_names():
-    _machine = type(
-        f"{_name.title().replace('-', '')}Machine",
-        (AllocatorMachine,),
-        {"allocator_name": _name},
-    )
-    _machine.TestCase.settings = settings(
-        max_examples=25, stateful_step_count=40, deadline=None
-    )
-    globals()[f"TestArena{_name.title().replace('-', '')}"] = _machine.TestCase
-del _name, _machine
+AllocatorMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=40, deadline=None
+)
+TestArenaFirstFit = AllocatorMachine.TestCase

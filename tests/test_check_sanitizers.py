@@ -17,7 +17,7 @@ from repro.errors import (
     SanitizerError,
     UseAfterFreeError,
 )
-from repro.mem.allocator import BuddyAllocator, FreeListAllocator
+from repro.mem.allocator import FreeListAllocator
 from repro.units import mib
 
 
@@ -34,7 +34,7 @@ def test_double_free_raises_precise_error(alloc_sanitizer):
 
 def test_double_free_still_an_allocation_error(alloc_sanitizer):
     # pre-sanitizer callers guard AllocationError; keep them working
-    alloc = BuddyAllocator(4096, min_block=256)
+    alloc = FreeListAllocator(4096)
     a = alloc.allocate(256)
     alloc.free(a)
     with pytest.raises(AllocationError):

@@ -12,7 +12,11 @@ from repro.hw.link import LINK_PRESETS
 from repro.hw.server import Server
 from repro.sim.engine import Engine
 from repro.sim.fluid import FluidModel
-from repro.topology.multirack import MultiRackSpec, build_multirack_deployment
+from repro.topology.multirack import (
+    MultiRackSpec,
+    RackedSwitch,
+    build_multirack_deployment,
+)
 from repro.units import gib, mib
 
 
@@ -123,10 +127,26 @@ def test_self_route_is_empty():
     assert route.path == (pod.servers[3].dram.channel,)
 
 
-def test_no_path_raises():
+def test_out_of_range_rack_raises():
     pod = make_pod()
     with pytest.raises(ConfigError, match="out of range"):
         pod.switch.assign_rack("r1s1", 2)
+
+
+def test_unassigned_endpoint_raises_instead_of_routing_same_rack():
+    engine = Engine()
+    fluid = FluidModel(engine)
+    switch = RackedSwitch(engine, fluid, MultiRackSpec(racks=2, servers_per_rack=2))
+    for i in range(2):
+        server = Server(engine, fluid, i, gib(24), LINK_PRESETS["link0"])
+        switch.attach(server.name, server.link, server.dram)
+    switch.assign_rack("server0", 0)
+    with pytest.raises(ConfigError, match="'server1'.*never given a rack"):
+        switch.read_route("server0", "server1")
+    with pytest.raises(ConfigError, match="'server1'.*never given a rack"):
+        switch.copy_route("server1", "server0")
+    # a local route crosses no rack boundary and needs no rack
+    assert not switch.read_route("server1", "server1").remote
 
 
 def test_bisection_bandwidth():

@@ -1,14 +1,12 @@
-"""Tests for the free-list and buddy allocators.  Their stateful
-conservation-invariant coverage lives in ``test_arena_properties.py``,
-shared with the other three arena strategies."""
+"""Tests for the first-fit free-list allocator.  Its stateful
+conservation-invariant coverage lives in ``test_arena_properties.py``."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import AllocationError, ConfigError
-from repro.mem.allocator import BuddyAllocator, FreeListAllocator
-from repro.mem.arena.bestfit import BestFitAllocator
+from repro.mem.allocator import FreeListAllocator
 
 
 # --- free list ---------------------------------------------------------------
@@ -32,20 +30,6 @@ def test_freelist_first_fit_order():
     c = alloc.allocate(128)  # first fit: takes a's hole
     assert c.offset == a.offset
     assert b.offset == 256
-
-
-def test_best_fit_prefers_tight_hole():
-    # the big hole comes first, so first fit would take it
-    alloc = BestFitAllocator(1024, align=64)
-    a = alloc.allocate(640)
-    b = alloc.allocate(128)
-    c = alloc.allocate(256)
-    alloc.free(a)  # 640-byte hole at 0
-    alloc.free(c)  # 256-byte hole at the end
-    d = alloc.allocate(256)
-    assert d.offset == c.offset  # tight fit chosen over the big hole
-    alloc.check_invariants()
-    assert b.offset == 640
 
 
 def test_freelist_coalesces_neighbors():
@@ -113,69 +97,3 @@ def test_freelist_alloc_count_counts_requests_not_live_blocks():
 def test_freelist_rejects_nonpositive_alloc():
     with pytest.raises(AllocationError):
         FreeListAllocator(1024).allocate(0)
-
-
-# stateful invariant coverage (random alloc/free interleavings) lives in
-# tests/test_arena_properties.py now, uniformly across all five strategies
-
-
-# --- buddy ------------------------------------------------------------------
-
-
-def test_buddy_rounds_to_power_of_two():
-    buddy = BuddyAllocator(4096, min_block=256)
-    a = buddy.allocate(300)
-    assert a.size == 512
-    assert buddy.bytes_allocated == 512
-
-
-def test_buddy_split_and_recombine():
-    buddy = BuddyAllocator(1024, min_block=256)
-    a = buddy.allocate(256)
-    b = buddy.allocate(256)
-    c = buddy.allocate(512)
-    with pytest.raises(AllocationError):
-        buddy.allocate(256)
-    buddy.free(a)
-    buddy.free(b)
-    buddy.free(c)
-    # fully recombined: a max-order allocation succeeds again
-    d = buddy.allocate(1024)
-    assert d.offset == 0
-
-
-def test_buddy_buddies_merge_only_with_partner():
-    buddy = BuddyAllocator(1024, min_block=256)
-    blocks = [buddy.allocate(256) for _ in range(4)]
-    buddy.free(blocks[0])
-    buddy.free(blocks[2])  # not buddies: no merge
-    with pytest.raises(AllocationError):
-        buddy.allocate(512)
-    buddy.free(blocks[1])  # 0+1 merge now
-    assert buddy.allocate(512).offset == 0
-
-
-def test_buddy_oversized_request_rejected():
-    buddy = BuddyAllocator(1024, min_block=256)
-    with pytest.raises(AllocationError):
-        buddy.allocate(2048)
-
-
-def test_buddy_double_free_rejected():
-    buddy = BuddyAllocator(1024, min_block=256)
-    a = buddy.allocate(256)
-    buddy.free(a)
-    with pytest.raises(AllocationError):
-        buddy.free(a)
-
-
-def test_buddy_config_validation():
-    with pytest.raises(ConfigError):
-        BuddyAllocator(128, min_block=256)
-    with pytest.raises(ConfigError):
-        BuddyAllocator(1024, min_block=300)
-
-
-def test_buddy_config_validation_rejects_bad_min_block():
-    with pytest.raises(ConfigError):
-        BuddyAllocator(1024, min_block=-256)
