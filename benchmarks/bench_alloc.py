@@ -10,14 +10,16 @@ verifies every detector/observability seam, ``Gauntlet._obs`` among
 them, defaults to ``None`` (zero-cost convention; checked by
 ``_harness.assert_seams_cold``), measures ops/sec and fragmentation of
 the first-fit arena on the churn trace, with and without compaction,
-checks that installing
-:mod:`repro.obs` neither changes the scores nor costs more than a few
-percent, and writes everything to ``BENCH_alloc.json`` for the CI
-artifact upload.
+checks that installing :mod:`repro.obs` leaves the whole
+:class:`~repro.mem.arena.gauntlet.GauntletReport` unchanged, and writes
+everything to ``BENCH_alloc.json`` for the CI artifact upload.  The
+wall-clock ratio with and without obs is recorded there, never gated:
+one replay of a few thousand ops is too noisy to gate on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from _harness import assert_seams_cold, write_json
@@ -74,11 +76,10 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
         f"({creport.compactions} passes, {creport.compaction_bytes_moved / 1024:.0f} KiB moved)"
     )
 
-    # obs overhead: same replay with every seam installed must match the
-    # uninstalled scores and stay within a few percent wall clock
+    # obs: the same replay with every seam installed must produce the
+    # same report; its wall-clock ratio is recorded, not gated
     from repro.obs import Observability
 
-    baseline = results["first-fit"]
     started = time.perf_counter()
     _replay(ops)
     bare = time.perf_counter() - started
@@ -88,10 +89,14 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
         obs_report = _replay(ops)
         with_obs = time.perf_counter() - started
     assert_seams_cold()
-    if round(obs_report.ext_frag_mean, 4) != baseline["ext_frag_mean"]:
+    if obs_report != report:
+        changed = [
+            f"{f.name}: {getattr(report, f.name)} -> {getattr(obs_report, f.name)}"
+            for f in dataclasses.fields(report)
+            if getattr(report, f.name) != getattr(obs_report, f.name)
+        ]
         raise SystemExit(
-            "observability changed the gauntlet scores: "
-            f"{obs_report.ext_frag_mean:.4f} with obs vs {baseline['ext_frag_mean']}"
+            "observability changed the gauntlet report: " + "; ".join(changed)
         )
     overhead = with_obs / bare if bare else 1.0
     results["_meta"] = {"ops": ops, "obs_overhead": round(overhead, 3)}

@@ -2,11 +2,10 @@
 
 A TLA-style micro-checker: each protocol is abstracted as a
 :class:`~repro.check.model.spec.ModelSpec` (initial states, enabled
-actions, a pure next-state function, invariants, optional liveness),
-and the :class:`~repro.check.model.explorer.Explorer` enumerates every
-reachable configuration at a bounded scope — breadth-first for shortest
-counterexamples, with sleep-set partial-order reduction for
-safety-only specs and a fair-lasso search for liveness.
+actions, a pure next-state function, invariants), and the
+:class:`~repro.check.model.explorer.Explorer` enumerates every
+reachable configuration at a bounded scope — breadth-first for
+shortest counterexamples, with sleep-set partial-order reduction.
 
 What makes this more than a toy: every spec carries a **replay
 adapter** that drives its counterexamples through the real
@@ -44,7 +43,6 @@ from repro.check.model.replay import (
 from repro.check.model.spec import (
     Action,
     Invariant,
-    LivenessProperty,
     ModelSpec,
     State,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "Explorer",
     "Invariant",
     "LeaseSpec",
-    "LivenessProperty",
     "ModelSpec",
     "ModelViolation",
     "RecoverySpec",

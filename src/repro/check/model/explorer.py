@@ -1,18 +1,15 @@
-"""Explicit-state exploration: BFS/DFS, sleep sets, invariants, lassos.
+"""Explicit-state exploration: BFS/DFS, sleep sets, invariants, deadlocks.
 
 The explorer enumerates every state a :class:`~repro.check.model.spec.
 ModelSpec` can reach inside the configured scope, checking invariants
-on each new state, flagging terminal states that are not legal stopping
-points as deadlocks, and — after the state graph is complete — hunting
-*fair lassos* for the spec's liveness properties (a reachable cycle on
-which an obligation stays pending forever despite weak fairness).
+on each new state and flagging terminal states that are not legal
+stopping points as deadlocks.
 
 Reduction: *sleep sets* (Godefroid).  A sleep set prunes transitions
 whose interleaving is provably redundant with an already-explored
 independent action; every reachable **state** is still visited, so
 invariant and deadlock checking stay exact — the reduction only saves
-transitions.  Because pruned edges could hide cycles, sleep sets are
-disabled automatically while liveness properties are being checked.
+transitions.
 
 Counterexamples: BFS parent links give a shortest trace to any
 violating state; :func:`minimize_trace` then greedily deletes actions
@@ -26,7 +23,7 @@ import collections
 import dataclasses
 import typing as _t
 
-from repro.check.model.spec import Action, Invariant, LivenessProperty, ModelSpec, State
+from repro.check.model.spec import Action, Invariant, ModelSpec, State
 from repro.errors import ModelCheckError
 
 
@@ -34,12 +31,11 @@ from repro.errors import ModelCheckError
 class ModelViolation:
     """One property violation with its (minimized) counterexample."""
 
-    kind: str  # "invariant" | "deadlock" | "final" | "liveness"
+    kind: str  # "invariant" | "deadlock" | "final"
     property: str
     message: str
     trace: tuple[Action, ...]
     state: str  # rendered violating state
-    cycle: tuple[Action, ...] = ()  # liveness only: the unfair-forever loop
 
     def render(self) -> str:
         lines = [f"{self.kind} violation: {self.property}", f"  {self.message}"]
@@ -48,9 +44,6 @@ class ModelViolation:
             lines.extend(f"    {i + 1}. {a.render()}" for i, a in enumerate(self.trace))
         else:
             lines.append("  trace: <initial state>")
-        if self.cycle:
-            lines.append(f"  then forever ({len(self.cycle)} action(s)):")
-            lines.extend(f"    ... {a.render()}" for a in self.cycle)
         lines.append(f"  state: {self.state}")
         return "\n".join(lines)
 
@@ -60,7 +53,6 @@ class ModelViolation:
             "property": self.property,
             "message": self.message,
             "trace": [a.render() for a in self.trace],
-            "cycle": [a.render() for a in self.cycle],
             "state": self.state,
         }
 
@@ -75,7 +67,6 @@ class ExplorationResult:
     depth: int
     complete: bool  # False when a state or depth cap truncated the search
     por_used: bool
-    liveness_checked: bool
     violations: list[ModelViolation]
 
     @property
@@ -90,10 +81,7 @@ class ExplorationResult:
             f"{', sleep-set POR' if self.por_used else ''}"
         )
         if self.ok:
-            checks = "invariants + deadlock"
-            if self.liveness_checked:
-                checks += " + liveness"
-            return f"{summary} — {checks} hold"
+            return f"{summary} — invariants + deadlock hold"
         parts = [f"{summary} — {len(self.violations)} violation(s)"]
         parts.extend(v.render() for v in self.violations)
         return "\n".join(parts)
@@ -118,15 +106,13 @@ class Explorer:
         self.max_depth = max_depth
         self.max_states = max_states
         self.strategy = strategy
-        # pruned edges could hide liveness cycles: full graph when needed
-        self.por = por and not spec.liveness()
+        self.por = por
         self._ids: dict[State, int] = {}
         self._states: list[State] = []
         self._depth: list[int] = []
         self._parent: list[tuple[int, Action] | None] = []
         self._sleep: list[frozenset[Action]] = []
         self._explored: list[set[Action]] = []
-        self._edges: list[tuple[int, int, Action]] = []
 
     # -- state bookkeeping ---------------------------------------------------
 
@@ -160,7 +146,6 @@ class Explorer:
     def run(self) -> ExplorationResult:
         spec = self.spec
         invariants = tuple(spec.invariants())
-        violations: list[ModelViolation] = []
         transitions = 0
         complete = True
 
@@ -203,13 +188,12 @@ class Explorer:
                 )
                 known = successor in self._ids
                 tid = self._intern(successor, depth + 1, (sid, action))
-                self._edges.append((sid, tid, action))
                 if not known:
                     bad = self._check_invariants(invariants, tid)
                     if bad is not None:
                         return self._result(transitions, complete, [bad])
                     if len(self._states) >= self.max_states:
-                        return self._result(transitions, False, violations)
+                        return self._result(transitions, False, [])
                     self._sleep[tid] = child_sleep
                     frontier.append(tid)
                 elif self.por:
@@ -221,21 +205,10 @@ class Explorer:
                         frontier.append(tid)
                 done_before.append(action)
 
-        liveness_checked = False
-        if complete:
-            for prop in spec.liveness():
-                liveness_checked = True
-                lasso = self._find_fair_lasso(prop)
-                if lasso is not None:
-                    violations.append(lasso)
-        return self._result(transitions, complete, violations, liveness_checked)
+        return self._result(transitions, complete, [])
 
     def _result(
-        self,
-        transitions: int,
-        complete: bool,
-        violations: list[ModelViolation],
-        liveness_checked: bool = False,
+        self, transitions: int, complete: bool, violations: list[ModelViolation]
     ) -> ExplorationResult:
         return ExplorationResult(
             spec_name=self.spec.name,
@@ -244,7 +217,6 @@ class Explorer:
             depth=max(self._depth, default=0),
             complete=complete,
             por_used=self.por,
-            liveness_checked=liveness_checked,
             violations=violations,
         )
 
@@ -315,148 +287,6 @@ class Explorer:
             assert link is not None
             cursor = link[0]
         return self._states[cursor]
-
-    # -- liveness: fair-lasso search over the explored graph -------------------
-
-    def _find_fair_lasso(self, prop: LivenessProperty) -> ModelViolation | None:
-        """A strongly connected pending-subgraph component is a
-        counterexample when every fair action kind continuously enabled
-        across it is taken inside it (weak fairness cannot escape)."""
-        pending = {
-            sid for sid, state in enumerate(self._states) if prop.pending(state)
-        }
-        if not pending:
-            return None
-        adjacency: dict[int, list[tuple[int, Action]]] = {sid: [] for sid in pending}
-        self_loops: set[int] = set()
-        for src, dst, action in self._edges:
-            if src in pending and dst in pending:
-                adjacency[src].append((dst, action))
-                if src == dst:
-                    self_loops.add(src)
-        for component in _tarjan_sccs(adjacency):
-            members = set(component)
-            if len(members) == 1 and next(iter(component)) not in self_loops:
-                continue  # a single node with no self-loop is not a cycle
-            taken = {
-                action.kind
-                for src, dst, action in self._edges
-                if src in members and dst in members
-            }
-            fair = True
-            for kind in sorted(prop.fair_kinds):
-                continuously_enabled = all(
-                    any(a.kind == kind for a in self.spec.enabled(self._states[sid]))
-                    for sid in sorted(members)
-                )
-                if continuously_enabled and kind not in taken:
-                    fair = False  # fairness would eventually fire this action
-                    break
-            if not fair:
-                continue
-            entry = min(sorted(members), key=lambda sid: self._depth[sid])
-            cycle = self._cycle_within(entry, members)
-            return ModelViolation(
-                kind="liveness",
-                property=prop.name,
-                message=(
-                    prop.description
-                    or f"obligation stays pending around a fair cycle of "
-                    f"{len(members)} state(s)"
-                ),
-                trace=self._trace_to(entry),
-                state=self.spec.describe_state(self._states[entry]),
-                cycle=cycle,
-            )
-        return None
-
-    def _cycle_within(self, entry: int, members: set[int]) -> tuple[Action, ...]:
-        """A shortest closed walk from *entry* back to itself inside the
-        component, for the counterexample report."""
-        adjacency: dict[int, list[tuple[int, Action]]] = {sid: [] for sid in members}
-        for src, dst, action in self._edges:
-            if src in members and dst in members:
-                adjacency[src].append((dst, action))
-        # BFS from entry's successors back to entry
-        best: tuple[Action, ...] | None = None
-        for first_dst, first_action in adjacency[entry]:
-            if first_dst == entry:
-                return (first_action,)
-            back: dict[int, tuple[int, Action]] = {}
-            queue: collections.deque[int] = collections.deque([first_dst])
-            seen = {first_dst}
-            while queue:
-                sid = queue.popleft()
-                if sid == entry:
-                    break
-                for dst, action in adjacency[sid]:
-                    if dst not in seen:
-                        seen.add(dst)
-                        back[dst] = (sid, action)
-                        queue.append(dst)
-            if entry in back or entry in seen:
-                walk: list[Action] = []
-                cursor = entry
-                while cursor != first_dst:
-                    cursor, action = back[cursor]
-                    walk.append(action)
-                walk.append(first_action)
-                walk.reverse()
-                candidate = tuple(walk)
-                if best is None or len(candidate) < len(best):
-                    best = candidate
-        return best or ()
-
-
-def _tarjan_sccs(
-    adjacency: dict[int, list[tuple[int, Action]]]
-) -> list[list[int]]:
-    """Iterative Tarjan: strongly connected components of *adjacency*."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = adjacency.get(node, [])
-            for pos in range(child_pos, len(successors)):
-                succ = successors[pos][0]
-                if succ not in index:
-                    work[-1] = (node, pos + 1)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
 
 
 def minimize_trace(

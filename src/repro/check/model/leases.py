@@ -1,11 +1,15 @@
-"""Spec 2: TTL lease lifecycle × crash-driven revocation.
+"""Spec 2: lease expiry at the deadline × crash-driven revocation.
 
 Abstracts :class:`~repro.cluster.leases.LeaseTable` plus the
-:class:`~repro.cluster.manager.PoolManager`'s sweeper and the
-detector-driven revocation path.  Time is a bounded integer clock
-(``tick``), every lease footprint is one quota unit, and each tenant
-keeps a *handle set* — the lease ids it still believes it holds, which
-survives sweeps (a zombie tenant does not learn its lease expired).
+:class:`~repro.cluster.manager.PoolManager`'s expiry heap
+(:meth:`~repro.cluster.manager.PoolManager.expire_after`, the one lease
+expiry the S1 open loop runs) and the detector-driven revocation path.
+Time is a bounded integer clock: a grant is an acquire whose lease is
+handed to ``expire_after(ttl)``, and each ``tick`` advances the clock
+and frees every lease that falls due.  Every lease footprint is one
+quota unit, and each tenant keeps a *handle set* — the lease ids it
+still believes it holds, which survives expiry (a zombie tenant does
+not learn its lease expired).
 
 Checked invariants:
 
@@ -18,16 +22,13 @@ Checked invariants:
   leases and zero quota.
 * **no orphan lease** — every live lease has a holder that can still
   release it.
+* **no lease past its deadline** — no live lease has ``expires <= t``:
+  the expiry frees every due lease at its instant, not eventually.
 
-Liveness (fair-lasso search): an expired lease is eventually reclaimed
-— under weak fairness for ``sweep``/``tick``, no reachable cycle keeps
-an expired lease live forever.
-
-The replay adapter drives a real :class:`PoolManager` (TTL leases, a
-heartbeat :class:`FailureDetector`, the
-:meth:`~repro.cluster.manager.PoolManager.sweep_expired` seam) with one
-simulated-time tick per model tick, so expiry boundaries land exactly
-where the model puts them.
+The replay adapter drives a real :class:`PoolManager` (``expire_after``
+leases, a heartbeat :class:`FailureDetector`) with one simulated-time
+tick per model tick, so deadlines land exactly where the model puts
+them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import dataclasses
 import typing as _t
 
 from repro.check.model.replay import ReplayRecorder, ReplayResult
-from repro.check.model.spec import Action, Invariant, LivenessProperty, ModelSpec, State
+from repro.check.model.spec import Action, Invariant, ModelSpec, State
 from repro.errors import ClusterError, LeaseError, ModelCheckError
 
 #: one model tick in simulated nanoseconds (replay scale)
@@ -60,10 +61,10 @@ class LeaseModelState:
 
 
 class LeaseSpec(ModelSpec):
-    """Model of grant / renew / release / sweep / tick / crash."""
+    """Model of grant / release / tick / crash."""
 
     name = "leases"
-    description = "TTL leases x crash revocation: double-grant, ledger, liveness"
+    description = "lease expiry x crash revocation: double-grant, ledger, deadlines"
 
     def __init__(
         self,
@@ -112,7 +113,6 @@ class LeaseSpec(ModelSpec):
     def enabled(self, state: State) -> _t.Sequence[Action]:
         s = _t.cast(LeaseModelState, state)
         actions: list[Action] = []
-        live_ids = {entry[0] for entry in s.leases}
         for tenant in range(self.tenants):
             if s.revoked[tenant]:
                 continue
@@ -123,11 +123,7 @@ class LeaseSpec(ModelSpec):
             ):
                 actions.append(Action("grant", (tenant,)))
             for lease_id in s.handles[tenant]:
-                if lease_id in live_ids:
-                    actions.append(Action("renew", (tenant, lease_id)))
                 actions.append(Action("release", (tenant, lease_id)))
-        if any(expires <= s.t for _lid, _tenant, expires in s.leases):
-            actions.append(Action("sweep"))
         if s.t < self.horizon:
             actions.append(Action("tick"))
         for tenant in range(self.tenants):
@@ -139,14 +135,10 @@ class LeaseSpec(ModelSpec):
         s = _t.cast(LeaseModelState, state)
         if action.kind == "grant":
             return self._apply_grant(s, int(action.payload[0]))
-        if action.kind == "renew":
-            return self._apply_renew(s, int(action.payload[0]), int(action.payload[1]))
         if action.kind == "release":
             return self._apply_release(s, int(action.payload[0]), int(action.payload[1]))
-        if action.kind == "sweep":
-            return self._apply_sweep(s)
         if action.kind == "tick":
-            return dataclasses.replace(s, t=s.t + 1)
+            return self._apply_tick(s)
         if action.kind == "crash":
             return self._apply_crash(s, int(action.payload[0]))
         raise ModelCheckError(f"leases: unknown action {action.render()}")
@@ -167,39 +159,35 @@ class LeaseSpec(ModelSpec):
             grants_left=s.grants_left - 1,
         )
 
-    def _apply_renew(
-        self, s: LeaseModelState, tenant: int, lease_id: int
-    ) -> LeaseModelState:
-        renewed = tuple(
-            (lid, owner, s.t + self.ttl) if lid == lease_id else (lid, owner, expires)
-            for lid, owner, expires in s.leases
-        )
-        return dataclasses.replace(s, leases=renewed)
-
     def _apply_release(
         self, s: LeaseModelState, tenant: int, lease_id: int
     ) -> LeaseModelState:
         live = any(lid == lease_id for lid, _owner, _expires in s.leases)
         next_state = dataclasses.replace(s, handles=_drop(s.handles, tenant, lease_id))
         if not live:
-            return next_state  # already swept or revoked: handle drop only
+            return next_state  # already expired or revoked: handle drop only
         return dataclasses.replace(
             next_state,
             leases=tuple(e for e in s.leases if e[0] != lease_id),
             used=_bump(s.used, tenant, -1),
         )
 
-    def _apply_sweep(
-        self, s: LeaseModelState, reclaim_expired: bool = True
+    def _apply_tick(
+        self, s: LeaseModelState, free_every_due: bool = True
     ) -> LeaseModelState:
-        if not reclaim_expired:
-            return s  # the seeded mutant: the sweeper that forgets to sweep
-        survivors = tuple(e for e in s.leases if e[2] > s.t)
+        t = s.t + 1
+        due = [e for e in s.leases if e[2] <= t]
+        if not free_every_due:
+            due = due[:1]  # the seeded mutant: only the lowest-id due lease
         used = list(s.used)
-        for _lid, tenant, expires in s.leases:
-            if expires <= s.t:
-                used[tenant] -= 1  # freeing the buffer refunds the quota
-        return dataclasses.replace(s, leases=survivors, used=tuple(used))
+        for _lid, tenant, _expires in due:
+            used[tenant] -= 1  # freeing the buffer refunds the quota
+        return dataclasses.replace(
+            s,
+            t=t,
+            leases=tuple(e for e in s.leases if e not in due),
+            used=tuple(used),
+        )
 
     def _apply_crash(
         self, s: LeaseModelState, tenant: int, refund: bool = True
@@ -227,6 +215,7 @@ class LeaseSpec(ModelSpec):
             Invariant("quota-bound", self._check_quota),
             Invariant("no-use-after-revoke", self._check_revoked),
             Invariant("no-orphan-lease", self._check_orphans),
+            Invariant("no-lease-past-deadline", self._check_deadlines),
         )
 
     def _check_unique_ids(self, state: State) -> str | None:
@@ -278,22 +267,15 @@ class LeaseSpec(ModelSpec):
                 return f"live lease {lid} has no holder able to release it"
         return None
 
-    def liveness(self) -> _t.Sequence[LivenessProperty]:
-        def pending(state: State) -> bool:
-            s = _t.cast(LeaseModelState, state)
-            return any(expires <= s.t for _lid, _tenant, expires in s.leases)
-
-        return (
-            LivenessProperty(
-                name="expired-leases-eventually-reclaimed",
-                pending=pending,
-                fair_kinds=frozenset({"sweep", "tick"}),
-                description=(
-                    "an expired lease stays live around a cycle that is fair "
-                    "to the sweeper — capacity leaks to a zombie tenant"
-                ),
-            ),
-        )
+    def _check_deadlines(self, state: State) -> str | None:
+        s = _t.cast(LeaseModelState, state)
+        for lid, _tenant, expires in s.leases:
+            if expires <= s.t:
+                return (
+                    f"lease {lid} is still live at t={s.t}, past its "
+                    f"deadline {expires}"
+                )
+        return None
 
     def describe_state(self, state: State) -> str:
         s = _t.cast(LeaseModelState, state)
@@ -328,9 +310,9 @@ class LeaseSpec(ModelSpec):
             snoop_filter_lines=64,
         )
         engine = runtime.engine
-        manager = PoolManager(runtime, default_ttl=self.ttl * TICK_NS)
+        manager = PoolManager(runtime)
         # a 1 ns heartbeat keeps crash-detection skew far below one tick,
-        # so expiry boundaries land exactly where the model puts them
+        # so deadlines land exactly where the model puts them
         detector = FailureDetector(deployment, interval=1.0, miss_threshold=1)
         manager.attach_detector(detector)
         for tenant in range(self.tenants):
@@ -362,18 +344,12 @@ class LeaseSpec(ModelSpec):
                         f"rejected: {type(exc).__name__}"
                     )
                 else:
+                    manager.expire_after(lease, self.ttl * TICK_NS)
                     lease_map[lease.lease_id] = lease
                     recorder.expect(
                         lease.lease_id == state.next_id,
                         f"granted lease id {lease.lease_id}, model expected "
                         f"{state.next_id}",
-                    )
-            elif action.kind == "renew":
-                try:
-                    manager.renew(lease_map[int(action.payload[1])])
-                except LeaseError:
-                    recorder.mismatch(
-                        "renew raised LeaseError on a lease the model holds live"
                     )
             elif action.kind == "release":
                 lease_id = int(action.payload[1])
@@ -387,16 +363,15 @@ class LeaseSpec(ModelSpec):
                     recorder.expect(
                         not live, "release raised LeaseError on a live lease"
                     )
-            elif action.kind == "sweep":
-                swept_model = len(state.leases) - len(succ.leases)
-                swept = manager.sweep_expired()
-                recorder.expect(
-                    swept == swept_model,
-                    f"sweeper reclaimed {swept} lease(s), model expected "
-                    f"{swept_model}",
-                )
             elif action.kind == "tick":
+                freed_model = len(state.leases) - len(succ.leases)
+                expired = manager.expired
                 engine.run(engine.now + TICK_NS)
+                recorder.expect(
+                    manager.expired - expired == freed_model,
+                    f"expiry freed {manager.expired - expired} lease(s), model "
+                    f"expected {freed_model}",
+                )
             elif action.kind == "crash":
                 tenant = int(action.payload[0])
                 home = manager.tenant(f"t{tenant}").spec.home_server
@@ -422,9 +397,7 @@ class LeaseSpec(ModelSpec):
     ) -> None:
         for tenant in range(self.tenants):
             tid = f"t{tenant}"
-            concrete_ids = tuple(
-                lease.lease_id for lease in manager.leases.of_tenant(tid)
-            )
+            concrete_ids = tuple(manager.tenant(tid).leases)
             expected_ids = tuple(lid for lid, owner, _e in s.leases if owner == tenant)
             recorder.expect(
                 concrete_ids == expected_ids,

@@ -70,11 +70,11 @@ class CrashSkipsRefund(LeaseSpec):
         return super()._apply_crash(s, tenant, refund=False)
 
 
-class SweepIgnoresExpiry(LeaseSpec):
-    def _apply_sweep(
-        self, s: LeaseModelState, reclaim_expired: bool = True
+class ExpiryFreesHeadOnly(LeaseSpec):
+    def _apply_tick(
+        self, s: LeaseModelState, free_every_due: bool = True
     ) -> LeaseModelState:
-        return super()._apply_sweep(s, reclaim_expired=False)
+        return super()._apply_tick(s, free_every_due=False)
 
 
 # -- admission mutants --------------------------------------------------------
@@ -153,10 +153,10 @@ MUTANTS: tuple[Mutant, ...] = (
         CrashSkipsRefund.at_scope,
     ),
     Mutant(
-        "sweep-ignores-expiry",
+        "expiry-frees-head-only",
         "leases",
-        "a sweeper that never reclaims expired leases (liveness)",
-        SweepIgnoresExpiry.at_scope,
+        "an expiry pass that frees only the lowest-id due lease",
+        ExpiryFreesHeadOnly.at_scope,
     ),
     Mutant(
         "admission-ignores-quota",
@@ -257,8 +257,7 @@ def run_mutants(
             states=result.states,
         )
         if replay and violation.trace:
-            # a liveness lasso's bug lives in its cycle, so replay that too
-            replayed = checked_replay(spec, violation.trace + violation.cycle)
+            replayed = checked_replay(spec, violation.trace)
             report.replay_diverged = replayed.diverged
             report.replay_deterministic = replayed.deterministic
         reports.append(report)

@@ -8,16 +8,12 @@ States must be *canonical and hashable* (tuples of tuples, frozensets
 rendered as sorted tuples) so the explorer can deduplicate them; two
 states that compare equal are the same protocol configuration.
 
-Correctness properties come in three flavors:
+Correctness properties come in two flavors:
 
 * :class:`Invariant` — a predicate over every reachable state (SWMR,
-  quota conservation, no overcommit ...).
+  quota conservation, no lease past its deadline ...).
 * *final* invariants — predicates over terminal states only (no waiter
   left behind once all activity has quiesced).
-* :class:`LivenessProperty` — "eventually" properties checked by lasso
-  search: a reachable cycle on which ``pending`` holds throughout and
-  every *fair* action is either taken or sometime-disabled is a
-  counterexample (weak fairness, TLA's ``WF``).
 
 Every spec also carries a :meth:`ModelSpec.replay` adapter that drives
 the *real* implementation through a counterexample trace inside the
@@ -42,8 +38,8 @@ State = _t.Hashable
 class Action:
     """One named transition of a protocol state machine.
 
-    ``kind`` is the action family (``store``, ``sweep``, ``crash`` ...)
-    used by fairness constraints and the independence relation;
+    ``kind`` is the action family (``store``, ``tick``, ``crash`` ...)
+    used by the independence relation;
     ``payload`` carries the arguments (host, line, tenant ...) and makes
     the action unique within a state's enabled set.
     """
@@ -65,25 +61,6 @@ class Invariant:
 
     name: str
     check: _t.Callable[[State], str | None]
-
-
-@dataclasses.dataclass(frozen=True)
-class LivenessProperty:
-    """An "eventually" property checked by fair-lasso search.
-
-    ``pending`` marks states where the obligation is outstanding (an
-    expired lease still live, a fitting waiter still queued).  A cycle
-    of pending states is only a counterexample if it is *weakly fair*
-    to ``fair_kinds``: every fair action continuously enabled around
-    the cycle must be taken on it — a cycle that merely refuses to
-    schedule the sweeper is not a protocol bug, the sweeper eventually
-    runs.
-    """
-
-    name: str
-    pending: _t.Callable[[State], bool]
-    fair_kinds: frozenset[str]
-    description: str = ""
 
 
 class ModelSpec(abc.ABC):
@@ -112,10 +89,6 @@ class ModelSpec(abc.ABC):
 
     def final_invariants(self) -> _t.Sequence[Invariant]:
         """Properties of terminal states (no action enabled)."""
-        return ()
-
-    def liveness(self) -> _t.Sequence[LivenessProperty]:
-        """Eventually-properties checked by fair-lasso search."""
         return ()
 
     def is_final(self, state: State) -> bool:

@@ -116,8 +116,7 @@ def run_model_checks(
     where ``result`` is an
     :class:`~repro.check.model.ExplorationResult` and ``replay`` is a
     :class:`~repro.check.model.ReplayResult` (or None when the spec
-    held).  Counterexample replays include a liveness lasso's cycle, so
-    the deterministic repro exhibits the bug, not just its prefix.
+    held).
     """
     from repro.check.model import Explorer, build_spec, checked_replay
 
@@ -130,8 +129,8 @@ def run_model_checks(
         replay = None
         if result.violations:
             violation = result.violations[0]
-            if violation.trace or violation.cycle:
-                replay = checked_replay(spec, violation.trace + violation.cycle)
+            if violation.trace:
+                replay = checked_replay(spec, violation.trace)
         records.append(
             {"spec": name, "result": result, "replay": replay, "elapsed_s": elapsed}
         )
@@ -476,7 +475,6 @@ def run_check(
                         "depth": record["result"].depth,
                         "complete": record["result"].complete,
                         "por": record["result"].por_used,
-                        "liveness_checked": record["result"].liveness_checked,
                         "elapsed_s": record["elapsed_s"],
                         "violations": [
                             v.to_json() for v in record["result"].violations

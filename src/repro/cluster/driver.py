@@ -245,7 +245,6 @@ class ClusterDriver:
                         op_kind = yield from self._data_op(
                             session, mapping, offset, size, lock, rng
                         )
-                        manager.renew(lease)
                 except AdmissionError:
                     # rejected: back off and move on (counted by the manager)
                     if span is not None:

@@ -7,10 +7,11 @@ path never chases raw buffers around, it revokes a tenant's leases and
 each one knows exactly which buffer (and therefore which frames, via
 the pool's page tables) to give back.
 
-Leases may carry a TTL.  A tenant that keeps touching its memory renews
-them as a side effect; one that silently dies stops renewing, and the
-manager's sweeper reclaims the expired leases — the soft-state design
-that keeps a rack from leaking capacity to zombie tenants.
+A lease given a deadline
+(:meth:`~repro.cluster.manager.PoolManager.expire_after`) carries it
+in ``expires_at``, and the manager frees the lease at that instant
+whatever its holder does: a tenant that silently dies cannot keep the
+capacity.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class Lease:
     def size(self) -> int:
         return self.buffer.size
 
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
 
 class LeaseTable:
     """The rack-wide registry of live leases."""
@@ -61,9 +59,6 @@ class LeaseTable:
         #: not scan the table (a live buffer's base address is unique)
         self._by_buffer: dict[int, Lease] = {}
         self._next_id = 1
-        self.total_granted = 0
-        self.total_released = 0
-        self.total_expired = 0
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -74,7 +69,6 @@ class LeaseTable:
         buffer: "Buffer",
         footprint_bytes: int,
         now: float,
-        ttl: float | None = None,
     ) -> Lease:
         lease = Lease(
             lease_id=self._next_id,
@@ -82,12 +76,10 @@ class LeaseTable:
             buffer=buffer,
             footprint_bytes=footprint_bytes,
             granted_at=now,
-            expires_at=math.inf if ttl is None else now + ttl,
         )
         self._next_id += 1
         self._by_id[lease.lease_id] = lease
         self._by_buffer[_buffer_key(buffer)] = lease
-        self.total_granted += 1
         return lease
 
     def release(self, lease: Lease) -> None:
@@ -99,15 +91,9 @@ class LeaseTable:
         key = _buffer_key(lease.buffer)
         if self._by_buffer.get(key) is lease:
             del self._by_buffer[key]
-        self.total_released += 1
 
     def is_live(self, lease_id: int) -> bool:
         return lease_id in self._by_id
-
-    def renew(self, lease: Lease, now: float, ttl: float) -> None:
-        if lease.lease_id not in self._by_id:
-            raise LeaseError(f"cannot renew dead lease {lease.lease_id}")
-        lease.expires_at = now + ttl
 
     def lookup(self, lease_id: int) -> Lease:
         try:
@@ -122,25 +108,6 @@ class LeaseTable:
         if lease is not None and lease.buffer is buffer:
             return lease
         return None
-
-    def of_tenant(self, tenant_id: str) -> list[Lease]:
-        """Live leases of one tenant, in grant order."""
-        return [
-            self._by_id[lease_id]
-            for lease_id in sorted(self._by_id)
-            if self._by_id[lease_id].tenant_id == tenant_id
-        ]
-
-    def expired(self, now: float) -> list[Lease]:
-        """Live leases whose TTL has lapsed, in grant order.  Only the
-        lapsed subset is sorted, so sweeps stay cheap at scale."""
-        lapsed = [
-            lease_id
-            for lease_id, lease in self._by_id.items()
-            if lease.expired(now)
-        ]
-        lapsed.sort()
-        return [self._by_id[lease_id] for lease_id in lapsed]
 
     def live_bytes(self) -> int:
         """Extent-granular footprint of every live lease."""

@@ -10,7 +10,8 @@ server's shared region and mediates *all* cross-server allocation:
   are rejected,
 * grants are placed by a pluggable scheduler
   (:mod:`repro.cluster.placement`) and held under leases
-  (:mod:`repro.cluster.leases`),
+  (:mod:`repro.cluster.leases`), which the manager frees at the
+  deadline :meth:`PoolManager.expire_after` sets,
 * a :class:`~repro.core.failures.detector.FailureDetector` callback
   revokes a crashed server's tenants, reclaiming every frame they held
   — which the :class:`~repro.check.sanitizers.AllocSanitizer`'s shadow
@@ -24,6 +25,8 @@ every other scenario.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import math
 import typing as _t
 
 from repro.cluster.admission import AdmissionController, Decision
@@ -47,6 +50,7 @@ from repro.sim.stats import StatSet
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.failures.detector import Detection, FailureDetector
+    from repro.sim.events import Timeout
     from repro.sim.process import Process
 
 
@@ -127,11 +131,7 @@ class _TenantObserver(SessionObserver):
         footprint = manager.footprint(buffer.size)
         self.tenant.charge(footprint)
         lease = manager.leases.grant(
-            self.tenant.tenant_id,
-            buffer,
-            footprint,
-            now=manager.engine.now,
-            ttl=manager.default_ttl,
+            self.tenant.tenant_id, buffer, footprint, now=manager.engine.now
         )
         self.tenant.leases[lease.lease_id] = lease
         self.tenant.granted += 1
@@ -162,10 +162,7 @@ class PoolManager:
         runtime: LmpRuntime,
         policy: str | PlacementPolicy = "first-fit",
         admission: AdmissionController | None = None,
-        default_ttl: float | None = None,
     ) -> None:
-        if default_ttl is not None and default_ttl <= 0:
-            raise ConfigError(f"default_ttl must be positive, got {default_ttl}")
         self.runtime = runtime
         self.engine = runtime.engine
         self.pool = runtime.pool
@@ -173,7 +170,6 @@ class PoolManager:
         # the scheduler decides placement for every grant the rack makes
         self.pool.placement = self.policy
         self.admission = admission or AdmissionController()
-        self.default_ttl = default_ttl
         self.leases = LeaseTable()
         self.tenants: dict[str, TenantState] = {}
         self.stats = StatSet("cluster")
@@ -183,6 +179,16 @@ class PoolManager:
         #: wake-up; the batch caller runs one queue pass at the end
         self._defer_service = False
         self.reclaim_reports: list[ReclaimReport] = []
+        #: leases waiting to expire: (due, push seq, lease), a min-heap
+        self._expiries: list[tuple[float, int, Lease]] = []
+        self._expiry_seq = 0
+        #: the one armed expiry timer and the instant it fires at
+        self._timer: "Timeout | None" = None
+        self._timer_due = math.inf
+        #: called once, the next time no lease waits to expire
+        self._expiry_idle: list[_t.Callable[[], None]] = []
+        #: leases freed at their deadline
+        self.expired = 0
 
     # -- tenant lifecycle ----------------------------------------------------
 
@@ -317,8 +323,8 @@ class PoolManager:
 
         The per-free queue pass is what makes bulk expiry O(batch x
         queue) at 10k-tenant scale; deferring it to one pass at the end
-        keeps batched reclamation linear.  Leases already dead (revoked,
-        expired) are skipped.  Returns the number actually released."""
+        keeps batched reclamation linear.  Leases already dead (released,
+        revoked) are skipped.  Returns the number actually released."""
         released = 0
         self._defer_service = True
         try:
@@ -331,11 +337,6 @@ class PoolManager:
             self._defer_service = False
         self._service_queue()
         return released
-
-    def renew(self, lease: Lease) -> None:
-        """Refresh a TTL lease (no-op when leases do not expire)."""
-        if self.default_ttl is not None:
-            self.leases.renew(lease, self.engine.now, self.default_ttl)
 
     # -- the re-flex seam (§4.5) ----------------------------------------------
 
@@ -453,7 +454,7 @@ class PoolManager:
         tenant.revoked = True
         tenant.revoke_reason = reason
         page_bytes = self.pool.geometry.page_bytes
-        leases = self.leases.of_tenant(tenant_id)
+        leases = list(tenant.leases.values())  # grant order; frees shrink it
         bytes_reclaimed = 0
         for lease in leases:
             bytes_reclaimed += lease.footprint_bytes
@@ -492,18 +493,58 @@ class PoolManager:
 
     # -- lease expiry --------------------------------------------------------
 
-    def sweep_expired(self) -> int:
-        """Reclaim every lease expired as of ``engine.now``; returns the
-        count.  One sweep — the model checker's replay adapters and the
-        tests drive it at exact instants."""
-        expired = 0
-        for lease in self.leases.expired(self.engine.now):
-            tenant = self.tenant(lease.tenant_id)
-            self._control_session(tenant).free(lease.buffer)
-            self.leases.total_expired += 1
-            expired += 1
-            self.stats.counter("leases.expired").add()
-        return expired
+    def expire_after(self, lease: Lease, delay_ns: float) -> None:
+        """Free *lease* *delay_ns* from now, at ``lease.expires_at``.
+
+        Expiry costs no process: due leases wait on one heap, one engine
+        timeout is armed for its head, and that timeout's callback frees
+        every lease due at its instant through :meth:`release_many`, so
+        a thousand simultaneous expiries cost one admission-queue pass.
+        A lease falling due before the armed instant re-arms the timer;
+        a superseded timer is ignored when it fires.  A lease released
+        or revoked before its deadline is skipped when it falls due."""
+        due = self.engine.now + delay_ns
+        lease.expires_at = due
+        self._expiry_seq += 1
+        heapq.heappush(self._expiries, (due, self._expiry_seq, lease))
+        if due < self._timer_due:
+            self._arm(due)
+
+    def when_no_expiry_pending(self, callback: _t.Callable[[], None]) -> None:
+        """Call *callback* once no lease waits to expire: at once if none
+        does, else right after the last one due is freed."""
+        if self._expiries:
+            self._expiry_idle.append(callback)
+        else:
+            callback()
+
+    def _arm(self, due: float) -> None:
+        engine = self.engine
+        timer = engine.timeout(due - engine.now)
+        timer.callbacks.append(self._expire)
+        self._timer = timer
+        self._timer_due = due
+
+    def _expire(self, timer: Event) -> None:
+        if timer is not self._timer:
+            return  # superseded by an earlier-due lease's timer
+        heap = self._expiries
+        now = self.engine.now
+        # now + (due - now) can round to one ulp short of due; then the
+        # head is not due yet and the timer is simply re-armed for it
+        if heap[0][0] <= now:
+            batch: list[Lease] = []
+            while heap and heap[0][0] <= now:
+                batch.append(heapq.heappop(heap)[2])
+            self.expired += self.release_many(batch)
+        if heap:
+            self._arm(heap[0][0])
+        else:
+            self._timer = None
+            self._timer_due = math.inf
+            idle, self._expiry_idle = self._expiry_idle, []
+            for callback in idle:
+                callback()
 
     # -- reporting -----------------------------------------------------------
 
@@ -512,11 +553,11 @@ class PoolManager:
         return len(self._queue)
 
     def rejection_rate(self) -> float:
-        """Rejected requests / all concluded requests."""
-        granted = self.stats.counter("granted").value
-        rejected = (
-            self.stats.counter("rejected.quota").value
-            + self.stats.counter("rejected.capacity").value
-        )
+        """Refused requests / all concluded requests, from the tenant
+        ledger: quota, capacity and revoked refusals alike."""
+        granted = rejected = 0
+        for tenant in self.tenants.values():
+            granted += tenant.granted
+            rejected += tenant.rejected
         total = granted + rejected
         return rejected / total if total else 0.0

@@ -7,15 +7,12 @@ structure: tenants are *slots* (plain ints naming manager-registered
 tenants, whose grants and refusals the manager's ledger counts), one
 pump process replays the :class:`~repro.scale.traffic.OpenLoopTraffic`
 arrival stream, and each request is a short-lived process that enters
-through :meth:`~repro.cluster.manager.PoolManager.acquire` (admission
-control, placement, leases — the real front door, decided at the call)
-and parks its lease on an expiry heap.  Expiry costs no process: one
-engine timeout is armed for the heap head, and its callback
-batch-releases every due lease through
-:meth:`~repro.cluster.manager.PoolManager.release_many`, so a thousand
-simultaneous expiries cost one admission-queue pass, not a thousand.
-A grant re-arms the timer only when its lease falls due before the
-armed instant; a superseded timer is ignored when it fires.
+through :meth:`~repro.cluster.manager.PoolManager.acquire`
+(admission control, placement, leases — the real front door, decided
+at the call) and, after its data op, hands its lease to
+:meth:`~repro.cluster.manager.PoolManager.expire_after`.  Expiry costs
+no process: the manager keeps one expiry heap and one armed timer, and
+batch-frees every lease due at an instant in one admission-queue pass.
 
 Per-event work is O(log heap) + O(log tenants): no per-tenant process,
 no per-tenant eager RNG (access streams spawn lazily on a slot's first
@@ -24,8 +21,6 @@ data op), no O(tenants) scans anywhere on the hot path.
 
 from __future__ import annotations
 
-import heapq
-import math
 import typing as _t
 
 from repro.cluster.driver import DATA_OP_FAULTS, tolerated_fault
@@ -38,7 +33,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.leases import Lease
     from repro.cluster.manager import PoolManager
     from repro.scale.traffic import Arrival, OpenLoopTraffic
-    from repro.sim.events import Event, Timeout
+    from repro.sim.events import Event
     from repro.sim.process import Process
 
 
@@ -62,7 +57,6 @@ class ScaleDriver:
             raise ConfigError("the pool has no servers to home tenants on")
         n = spec.tenants
         self.arrivals_seen = 0
-        self.released = 0
         self.drained = 0
         self.crowd_arrivals = [0] * len(spec.flash_crowds)
         self.crowd_rejects = [0] * len(spec.flash_crowds)
@@ -71,14 +65,10 @@ class ScaleDriver:
         self.drain_grace_ns = 10.0 * spec.hold_mean_ns
         self._ids = [f"t{slot}" for slot in range(n)]
         self._slot_rng: dict[int, "random.Random"] = {}
-        self._heap: list[tuple[float, int, "Lease"]] = []
-        self._seq = 0
         self._inflight = 0
         self._pump_done = False
-        #: the one armed expiry timer and the instant it fires at
-        self._timer: "Timeout | None" = None
-        self._timer_due = math.inf
-        #: succeeds with ``released`` once nothing is left to expire
+        #: succeeds with the manager's expired-lease count once nothing
+        #: is left to arrive, grant or expire
         self._settled = self.engine.event("scale.settled")
         for slot in range(n):
             manager.register_tenant(
@@ -93,8 +83,8 @@ class ScaleDriver:
 
     def processes(self) -> list["Event"]:
         """Spawn the pump and the end-of-run drain; between them, the
-        event that succeeds with ``released`` once the heap is empty,
-        the pump is done, and no request is in flight."""
+        event that succeeds with ``manager.expired`` once the pump is
+        done, no request is in flight, and no lease waits to expire."""
         pump = self.engine.process(self._pump_body(), name="scale.pump")
         drain = self.engine.process(self._drain_body(pump), name="scale.drain")
         return [pump, self._settled, drain]
@@ -125,7 +115,6 @@ class ScaleDriver:
     # -- one request ----------------------------------------------------------
 
     def _request_body(self, arrival: "Arrival") -> _t.Generator[_t.Any, _t.Any, None]:
-        engine = self.engine
         manager = self.manager
         slot = arrival.slot
         try:
@@ -144,11 +133,7 @@ class ScaleDriver:
                     if not tolerated_fault(exc, manager.tenant(self._ids[slot])):
                         raise
                     # the rack failed under the data op; the lease still expires
-            due = engine.now + arrival.hold_ns
-            self._seq += 1
-            heapq.heappush(self._heap, (due, self._seq, lease))
-            if due < self._timer_due:
-                self._arm(due)
+            manager.expire_after(lease, arrival.hold_ns)
         finally:
             self._inflight -= 1
             if self._inflight == 0:
@@ -176,39 +161,13 @@ class ScaleDriver:
         finally:
             session.unmap(mapping)
 
-    # -- lease expiry -------------------------------------------------------
-
-    def _arm(self, due: float) -> None:
-        engine = self.engine
-        timer = engine.timeout(due - engine.now)
-        timer.callbacks.append(self._expire)
-        self._timer = timer
-        self._timer_due = due
-
-    def _expire(self, timer: "Event") -> None:
-        if timer is not self._timer:
-            return  # superseded by an earlier-due grant's timer
-        heap = self._heap
-        now = self.engine.now
-        # now + (due - now) can round to one ulp short of due; then the
-        # head is not due yet and the timer is simply re-armed for it
-        if heap[0][0] <= now:
-            batch: list["Lease"] = []
-            while heap and heap[0][0] <= now:
-                batch.append(heapq.heappop(heap)[2])
-            # one admission pass for the whole batch (release_many)
-            self.released += self.manager.release_many(batch)
-        if heap:
-            self._arm(heap[0][0])
-        else:
-            self._timer = None
-            self._timer_due = math.inf
-            self._settle()
-
     def _settle(self) -> None:
-        # true at most once: past it, nothing can arrive, grant or fall due
-        if not self._heap and self._pump_done and self._inflight == 0:
-            self._settled.succeed(self.released)
+        # true at most once: past it, nothing can arrive or be granted
+        if self._pump_done and self._inflight == 0:
+            manager = self.manager
+            manager.when_no_expiry_pending(
+                lambda: self._settled.succeed(manager.expired)
+            )
 
     # -- the drain ------------------------------------------------------------
 

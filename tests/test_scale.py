@@ -17,6 +17,7 @@ from repro.cluster.leases import Lease
 from repro.cluster.manager import PoolManager
 from repro.cluster.tenants import TenantSpec
 from repro.core.api import LmpSession
+from repro.core.failures.detector import FailureDetector
 from repro.core.runtime import LmpRuntime
 from repro.errors import AddressError, ConfigError
 from repro.mem.layout import PageGeometry
@@ -428,12 +429,38 @@ def test_every_lease_released_at_its_due_instant():
     # slot 3 falls due at 3 us, the instant slot 1's timer was armed
     # for: one batch frees both
     assert batches == [us(3), us(7), us(10)]
-    assert len(released) == driver.released == 4
+    assert len(released) == manager.expired == 4
     for when, lease in released:
         slot = int(lease.tenant_id[1:])
         assert lease.granted_at == starts[slot]
-        assert when == starts[slot] + holds[slot]
-    assert driver._timer is None  # nothing left armed
+        assert when == lease.expires_at == starts[slot] + holds[slot]
+    assert manager._timer is None  # nothing left armed
+
+
+def test_lease_revoked_while_pending_expiry_is_skipped_and_timer_rearms():
+    manager = scale_manager()
+    engine = manager.engine
+    detector = FailureDetector(manager.runtime.deployment, interval=us(1), miss_threshold=1)
+    manager.attach_detector(detector)
+    manager.register_tenant(TenantSpec(tenant_id="doomed", home_server=0, quota_bytes=mib(1)))
+    manager.register_tenant(TenantSpec(tenant_id="live", home_server=1, quota_bytes=mib(1)))
+    doomed = engine.run(manager.acquire("doomed", EXTENT))
+    live = engine.run(manager.acquire("live", EXTENT))
+    manager.expire_after(doomed, us(5))
+    manager.expire_after(live, us(8))
+    released = _record_releases(manager)
+    manager.runtime.deployment.server(0).crash()
+    engine.run(detector.monitor(us(2)))  # the crash revokes the pending lease
+    assert manager.tenant("doomed").revoked
+    assert not manager.leases.is_live(doomed.lease_id)
+    engine.run(doomed.expires_at)
+    # the dead lease is skipped, not freed twice, and the timer re-arms
+    # for the next live deadline
+    assert released == [] and manager.expired == 0
+    assert manager._timer_due == live.expires_at
+    engine.run(live.expires_at)
+    assert released == [(live.expires_at, live)] and manager.expired == 1
+    assert manager._timer is None and len(manager.leases) == 0
 
 
 def test_run_releases_every_grant_once_and_settles():
@@ -446,11 +473,11 @@ def test_run_releases_every_grant_once_and_settles():
     assert manager.stats.counter("queued").value > 0  # the queue was exercised
     granted = sum(tenant.granted for tenant in manager.tenants.values())
     ids = [lease.lease_id for _, lease in released]
-    assert len(ids) == len(set(ids)) == granted == driver.released > 0
+    assert len(ids) == len(set(ids)) == granted == manager.expired > 0
     assert len(manager.leases) == 0  # no lease left live
     assert all(not tenant.leases for tenant in manager.tenants.values())
     assert manager.queue_depth == 0  # no admission waiter left queued
-    assert procs[1].value == driver.released
+    assert procs[1].value == manager.expired
 
 
 def test_open_loop_events_per_arrival_bounded():
