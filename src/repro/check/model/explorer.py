@@ -106,7 +106,8 @@ class Explorer:
         self.max_depth = max_depth
         self.max_states = max_states
         self.strategy = strategy
-        self.por = por
+        # sleep sets only prune with some independence declared
+        self.por = por and type(spec).independent is not ModelSpec.independent
         self._ids: dict[State, int] = {}
         self._states: list[State] = []
         self._depth: list[int] = []

@@ -449,6 +449,8 @@ class PoolManager:
 
         Safe against a crashed home server: freeing walks the page
         tables and region managers, which survive the host's death.
+        Like :meth:`release_many`, the frees skip their admission
+        wake-ups, and one queue pass at the end serves the waiters.
         """
         tenant = self.tenant(tenant_id)
         tenant.revoked = True
@@ -456,9 +458,13 @@ class PoolManager:
         page_bytes = self.pool.geometry.page_bytes
         leases = list(tenant.leases.values())  # grant order; frees shrink it
         bytes_reclaimed = 0
-        for lease in leases:
-            bytes_reclaimed += lease.footprint_bytes
-            self._control_session(tenant).free(lease.buffer)
+        self._defer_service = True
+        try:
+            for lease in leases:
+                bytes_reclaimed += lease.footprint_bytes
+                self._control_session(tenant).free(lease.buffer)
+        finally:
+            self._defer_service = False
         failed = 0
         for waiter in [w for w in self._queue if w.tenant_id == tenant_id]:
             self._queue.remove(waiter)

@@ -25,6 +25,7 @@ import typing as _t
 
 from repro.errors import ConfigError
 from repro.hw.dram import MemoryDevice
+from repro.hw.latency import LatencyModel
 from repro.hw.link import RemoteLink
 from repro.sim.fluid import Capacity, FluidModel, path_utilization
 
@@ -38,7 +39,7 @@ class AccessRoute:
 
     path: tuple[Capacity, ...]
     #: utilization of the hottest capacity on *path* -> latency in ns
-    curve: _t.Callable[[float], float]
+    curve: LatencyModel
     remote: bool
     description: str = ""
 

@@ -32,6 +32,7 @@ import dataclasses
 import typing as _t
 
 from repro.errors import ConfigError
+from repro.hw.latency import LatencyModel
 from repro.sim.fluid import Capacity, FluidModel, LoadCap, path_utilization
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,11 +54,11 @@ class AccessSegment:
 
     path: tuple[Capacity, ...]
     nbytes: int
-    curve: _t.Callable[[float], float]
+    curve: LatencyModel
     label: str = ""
     fill_path: tuple[Capacity, ...] | None = None
     fill_bytes: int = 0
-    fill_curve: _t.Callable[[float], float] | None = None
+    fill_curve: LatencyModel | None = None
 
 
 class Core:

@@ -45,6 +45,7 @@ from repro.sim.events import Event, lazy_event
 from repro.sim.stats import StatSet
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hw.latency import LatencyModel
     from repro.sim.engine import Engine
 
 
@@ -99,10 +100,13 @@ class LoadCap:
     requests in flight against a round trip that lengthens as the path
     fills.  Caps compare by value, with the curve compared by identity,
     so every core streaming one route under one curve joins one
-    :class:`_PathGroup`.
+    :class:`_PathGroup`.  The curve is linear-fractional in ``u``
+    (:mod:`repro.hw.latency`), and so is the cap: the solver balances a
+    capacity whose load-capped flows share one curve in closed form
+    (:func:`_utilization_root`).
     """
 
-    curve: _t.Callable[[float], float]
+    curve: LatencyModel
     mlp_bytes: float
 
     def __post_init__(self) -> None:
@@ -110,8 +114,19 @@ class LoadCap:
             raise SimulationError(f"load cap needs positive bytes in flight, got {self.mlp_bytes}")
 
     def at(self, utilization: float) -> float:
-        """The cap in bytes/ns at *utilization* (unbounded at zero latency)."""
-        latency = self.curve(utilization)
+        """The cap in bytes/ns at *utilization* (unbounded at zero latency).
+
+        The solver's inner loop: the curve's own clamp and arithmetic,
+        in its order, inline, so the cap is ``mlp_bytes / curve(u)`` bit
+        for bit in one frame."""
+        curve = self.curve
+        u = utilization
+        if u > 1.0:
+            u = 1.0
+        elif not u >= 0.0:
+            u = 0.0
+        g = (1.0 / (1.0 - curve.rho * u) - 1.0) / curve.norm
+        latency = curve.lat_min + (curve.lat_max - curve.lat_min) * g + curve.offset_ns
         if latency <= 0:
             return math.inf
         return self.mlp_bytes / latency
@@ -725,7 +740,15 @@ def _utilization_root(rate: float, other: float, terms: list[tuple[int, LoadCap]
     """The utilization ``u`` in [0, 1] of a capacity of *rate* that
     carries *other* bytes/ns plus ``n`` flows at ``cap.at(u)`` for each
     ``(n, cap)`` in *terms*; 1.0 when even the caps at full load
-    saturate it."""
+    saturate it.
+
+    When every cap shares one curve ``lat(u) = (a + b u) / (1 - rho u)``
+    (:mod:`repro.hw.latency`), the balance ``other + M / lat(u) = u B``
+    with ``M = sum(n * mlp_bytes)`` is, times ``a + b u > 0``, the
+    quadratic ``(other - u B)(a + b u) + M (1 - rho u) = 0``.  It is
+    positive at 0 and negative at 1, so exactly one root lies between,
+    taken in the cancellation-safe form.  Caps on several curves fall
+    back to :func:`_falling_root`."""
 
     def excess(u: float) -> float:
         total = other
@@ -733,7 +756,26 @@ def _utilization_root(rate: float, other: float, terms: list[tuple[int, LoadCap]
             total += n * cap.at(u)
         return total - u * rate
 
-    return _falling_root(excess, 1.0, excess(1.0), lambda _u, f: f == 0.0)
+    f_full = excess(1.0)
+    if f_full >= 0.0:
+        return 1.0
+    curve = terms[0][1].curve
+    in_flight = 0.0
+    for n, cap in terms:
+        if cap.curve is not curve:
+            return _falling_root(excess, 1.0, f_full, lambda _u, f: f == 0.0)
+        in_flight += n * cap.mlp_bytes
+    rho = curve.rho
+    a = curve.lat_min + curve.offset_ns
+    b = rho * ((curve.lat_max - curve.lat_min) / curve.norm - a)
+    # quad u^2 + beta u + gamma = 0 with gamma > 0.  When q > 0 the root
+    # in [0, 1] is gamma / q, the other being negative or past 1; q < 0
+    # needs beta > 0, hence b > 0 and quad < 0, and the root is q / quad
+    quad = -b * rate
+    beta = other * b - a * rate - in_flight * rho
+    gamma = other * a + in_flight
+    q = -0.5 * (beta + math.copysign(math.sqrt(max(0.0, beta * beta - 4.0 * quad * gamma)), beta))
+    return min(1.0, max(0.0, gamma / q if q > 0.0 else q / quad))
 
 
 def _falling_root(

@@ -21,7 +21,7 @@ import dataclasses
 from repro.errors import ConfigError
 from repro.fabric.switch import AccessRoute, FabricSwitch
 from repro.fabric.transport import MemoryTransport
-from repro.hw.latency import ShiftedCurve
+from repro.hw.latency import LatencyModel
 from repro.hw.link import LINK_PRESETS, RemoteLink
 from repro.hw.server import Server
 from repro.sim.engine import Engine
@@ -95,9 +95,9 @@ class RackedSwitch(FabricSwitch):
         self.spec = spec
         self._rack_of: dict[str, int] = {}
         self._cross_latency_ns = 2.0 * spec.hop_latency_ns
-        #: one shifted curve per endpoint link, so every cross-rack
+        #: one offset curve per endpoint link, so every cross-rack
         #: route through that link shares one curve object
-        self._cross_curves: dict[RemoteLink, ShiftedCurve] = {}
+        self._cross_curves: dict[RemoteLink, LatencyModel] = {}
         trunk_rate = LINK_PRESETS[spec.link].bandwidth * spec.trunk_width
         self._trunk_up = [
             Capacity(f"{name}.{spec.leaf_name(r)}.up", trunk_rate)
@@ -148,8 +148,8 @@ class RackedSwitch(FabricSwitch):
         link = self.link_of(link_endpoint)
         curve = self._cross_curves.get(link)
         if curve is None:
-            curve = self._cross_curves[link] = ShiftedCurve(
-                link.latency_model, self._cross_latency_ns
+            curve = self._cross_curves[link] = link.latency_model.shifted(
+                self._cross_latency_ns
             )
         return AccessRoute(
             path=path,

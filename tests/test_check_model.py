@@ -158,6 +158,13 @@ def test_coherence_spec_uses_por():
     assert with_por.transitions <= without.transitions
 
 
+@pytest.mark.parametrize("name", ["leases", "admission", "recovery"])
+def test_specs_without_independent_actions_claim_no_por(name: str):
+    result = Explorer(build_spec(name, "smoke")).run()
+    assert not result.por_used
+    assert ", sleep-set POR" not in result.render()
+
+
 def test_determinism_same_exploration_twice():
     a = Explorer(build_spec("admission", "smoke")).run()
     b = Explorer(build_spec("admission", "smoke")).run()

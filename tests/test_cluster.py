@@ -414,6 +414,32 @@ def test_revoke_tenant_reclaims_every_frame(alloc_sanitizer):
         alloc_sanitizer.assert_no_leaks(manager.pool.regions[sid])
 
 
+def test_revoking_several_leases_serves_the_queue_in_one_pass():
+    manager = small_manager()
+    engine = manager.engine
+    manager.register_tenant(spec("victim", quota=mib(64)))
+    manager.register_tenant(spec("waiter", quota=mib(64)))
+    free = manager.pool_free_bytes() // EXTENT * EXTENT
+    for size in (EXTENT, EXTENT, free - 2 * EXTENT):
+        engine.run(manager.acquire("victim", size))
+    waiting = manager.acquire("waiter", 2 * EXTENT)
+    assert manager.queue_depth == 1
+    passes = []
+    service_queue = manager._service_queue
+
+    def counted():
+        passes.append(manager.queue_depth)
+        service_queue()
+
+    manager._service_queue = counted
+    report = manager.revoke_tenant("victim")
+    assert report.leases_revoked == 3
+    assert passes == [1]  # one pass, after every lease is freed
+    lease = engine.run(waiting)
+    assert lease.tenant_id == "waiter"
+    manager.release(lease)
+
+
 def test_revocation_fails_queued_requests():
     manager = small_manager()
     manager.register_tenant(spec("big", quota=mib(64)))

@@ -110,6 +110,18 @@ def test_pbr_route_spans_switches():
     assert route.remote
 
 
+def test_cross_rack_curve_is_the_link_curve_plus_two_hops_bit_for_bit():
+    pod = make_pod()
+    route = pod.switch.read_route("r0s0", "r1s0")
+    base = pod.switch.link_of("r0s0").latency_model
+    hops = 2.0 * pod.switch.spec.hop_latency_ns
+    for u in (-0.5, 0.0, 0.25, 0.95, 1.0, 1.5):
+        assert route.curve(u) == base(u) + hops
+    # every cross-rack route through that link shares the one curve
+    assert pod.switch.read_route("r0s0", "r1s1").curve is route.curve
+    assert pod.switch.read_route("r0s0", "r0s1").curve is base
+
+
 def test_same_switch_route_is_short():
     pod = make_pod()
     route = pod.switch.read_route("r0s0", "r0s1")

@@ -9,6 +9,8 @@ closed-form math on randomized cases (hypothesis).
 from __future__ import annotations
 
 import math
+import typing as _t
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.hw.latency import LatencyModel
-from repro.sim.fluid import Capacity, FluidModel, LoadCap
+from repro.sim import fluid as fluid_module
+from repro.sim.fluid import Capacity, FluidModel, LoadCap, _utilization_root
 
 
 def make() -> tuple[Engine, FluidModel]:
@@ -536,6 +539,108 @@ def _bisect(f, lo: float = 0.0, hi: float = 1.0) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _excess(rate: float, other: float, terms) -> _t.Callable[[float], float]:
+    """A capacity's load balance: what it carries minus ``u * rate``,
+    summed in the solver's order so the sign at full load agrees."""
+
+    def excess(u: float) -> float:
+        total = other
+        for n, cap in terms:
+            total += n * cap.at(u)
+        return total - u * rate
+
+    return excess
+
+
+def _curve_shapes(shape: str):
+    """A curve whose linear-fractional numerator ``a + b u`` rises
+    (``b > 0``), falls (``b < 0``) or is flat (``lat_max == lat_min``,
+    ``b == -rho * lat_min``)."""
+    slope = {"rising": st.floats(1.01, 50.0), "falling": st.floats(0.0, 0.99)}
+
+    @st.composite
+    def curve(draw):
+        lat_min = draw(st.floats(20.0, 500.0))
+        rho = draw(st.floats(0.05, 0.99))
+        if shape == "flat":
+            return LatencyModel(lat_min, lat_min, rho)
+        offset = draw(st.floats(0.0, 200.0))
+        norm = 1.0 / (1.0 - rho) - 1.0
+        # spread = k * norm * a gives b = rho * a * (k - 1)
+        spread = draw(slope[shape]) * norm * (lat_min + offset)
+        return LatencyModel(lat_min, lat_min + spread, rho, offset_ns=offset)
+
+    return curve()
+
+
+_terms = st.lists(st.tuples(st.integers(1, 8), st.floats(64.0, 2048.0)), min_size=1, max_size=4)
+
+
+def _root_paths(rate: float, other: float, terms) -> tuple[float, int]:
+    """``_utilization_root``'s answer and how many Illinois searches it ran."""
+    with mock.patch.object(
+        fluid_module, "_falling_root", wraps=fluid_module._falling_root
+    ) as falling:
+        u = _utilization_root(rate, other, terms)
+    return u, falling.call_count
+
+
+@pytest.mark.parametrize("shape", ["rising", "falling", "flat"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rate=st.floats(1.0, 200.0), load=st.floats(0.0, 0.95), terms=_terms)
+def test_utilization_root_on_one_curve_matches_bisection(shape, data, rate, load, terms):
+    """One curve: the closed-form root agrees with 200 bisection steps
+    of the balance itself, with no Illinois search."""
+    curve = data.draw(_curve_shapes(shape))
+    a = curve.lat_min + curve.offset_ns
+    b = curve.rho * ((curve.lat_max - curve.lat_min) / curve.norm - a)
+    assert b > 0 if shape == "rising" else b < 0
+    caps = [(n, LoadCap(curve, mlp)) for n, mlp in terms]
+    other = load * rate
+    excess = _excess(rate, other, caps)
+    u, searches = _root_paths(rate, other, caps)
+    assert searches == 0
+    if excess(1.0) >= 0.0:
+        assert u == 1.0
+    else:
+        assert u == pytest.approx(_bisect(excess), rel=1e-12)
+
+
+@given(curve=_curve_shapes("falling"), rate=st.floats(1.0, 200.0), terms=_terms)
+def test_utilization_root_is_one_when_full_load_still_saturates(curve, rate, terms):
+    caps = [(n, LoadCap(curve, mlp)) for n, mlp in terms]
+    # whatever the caps add at full load, the rest alone fills the capacity
+    assert _root_paths(rate, rate, caps) == (1.0, 0)
+    # at the edge and just below it the balance at full load decides
+    edge = max(0.0, rate - sum(n * cap.at(1.0) for n, cap in caps))
+    for other in (edge * (1.0 - 1e-9), edge):
+        excess = _excess(rate, other, caps)
+        u, searches = _root_paths(rate, other, caps)
+        assert searches == 0
+        assert u == 1.0 if excess(1.0) >= 0.0 else u == pytest.approx(_bisect(excess), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    curves=st.tuples(_curve_shapes("falling"), _curve_shapes("rising")),
+    rate=st.floats(1.0, 200.0),
+    load=st.floats(0.0, 0.95),
+    terms=_terms,
+)
+def test_utilization_root_on_several_curves_searches(curves, rate, load, terms):
+    """Caps on different curves take the Illinois search, which agrees
+    with bisection too."""
+    caps = [(n, LoadCap(curves[k % 2], mlp)) for k, (n, mlp) in enumerate(terms + [(1, 64.0)])]
+    other = load * rate
+    excess = _excess(rate, other, caps)
+    u, searches = _root_paths(rate, other, caps)
+    if excess(1.0) >= 0.0:
+        assert (u, searches) == (1.0, 0)
+    else:
+        assert searches == 1
+        assert u == pytest.approx(_bisect(excess), rel=1e-12)
 
 
 def _group_rates(fluid: FluidModel) -> dict[tuple, float]:
