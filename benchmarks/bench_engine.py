@@ -10,10 +10,14 @@ Six workloads:
   driver on the paper's logical rack: the end-to-end number ROADMAP
   item 1 (10k-tenant serving) actually gates on.
 * ``cluster_dense`` — the bandwidth-saturated steady state: 1024
-  tenants streaming 256 KiB reads through the shared fabric, keeping
-  ~1000 flows in flight.  This is the regime the transition-driven
-  fluid solver exists for — the seed engine pays O(#flows) per event
-  here, the solver pays nothing between rate changes.
+  tenants issuing 256 KiB reads and writes (30% writes) through the
+  shared fabric, keeping ~1000 flows in flight.  This is the regime the
+  transition-driven fluid solver exists for — the seed engine pays
+  O(#flows) per event here, the solver pays nothing between rate
+  changes.  The flows form one group per server's DRAM channel, and no
+  group is capped, so a transition re-solves only the one group it
+  touches; a write's payload is fixed once at the call and each page op
+  stores a zero-copy slice of it.
 * ``figure_stream`` — the paper's 14-core vector sum on one
   Physical-cache pool (Figure 3's 24 GB vector, link0): every core
   stream is a flow whose memory-level-parallelism cap depends on the
@@ -200,6 +204,12 @@ def cluster_dense(
 
 # -- workload 5: capped figure stream -----------------------------------------
 
+#: vector-sum repetitions per timed round: one is about 1 ms and 104
+#: events on the reference clock, so a round lasts about 0.2 s, long
+#: enough that its rate is steady
+FIGURE_STREAM_REPETITIONS = 200
+
+
 
 def figure_stream(
     repetitions: int = 10, now: _harness.Now = time.perf_counter
@@ -270,7 +280,7 @@ def _configs() -> list[_harness.Config]:
         ("cluster_slice", "events_per_sec", timed(lambda now: cluster_slice(32, 150, now))),
         ("cluster_dense", "events_per_sec", timed(lambda now: cluster_dense(1024, 12, now))),
         ("figure_stream", "bytes_per_sec",
-         timed(lambda now: figure_stream(10, now), extra="bytes")),
+         timed(lambda now: figure_stream(FIGURE_STREAM_REPETITIONS, now), extra="bytes")),
         ("alloc_free", "pages_per_sec", timed(lambda now: alloc_free(10, now), extra="pages")),
     ]
 

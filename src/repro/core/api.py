@@ -175,7 +175,9 @@ class LmpSession:
         )
 
     def write_v(self, vaddr: int, data: bytes) -> "Process":
-        """Write through a virtual address; the process returns bytes written."""
+        """Write through a virtual address; the process returns bytes
+        written.  The payload is fixed at the call: changing *data* after
+        this call does not change what is stored."""
         buffer, offset = self._resolve(vaddr, len(data))
         self._observe_access(buffer, offset, len(data), write=True)
         return self._traced(
@@ -191,6 +193,8 @@ class LmpSession:
         )
 
     def write(self, buffer: Buffer, offset: int, data: bytes) -> "Process":
+        """Write *data* at *offset*; the process returns bytes written.
+        The payload is fixed at the call, as for :meth:`write_v`."""
         self._observe_access(buffer, offset, len(data), write=True)
         return self._traced(
             "write", len(data),

@@ -23,6 +23,7 @@ from repro.core.buffer import Buffer
 from repro.core.failures.erasure import ReedSolomon
 from repro.core.pool import LogicalMemoryPool
 from repro.errors import ConfigError, MemoryFailureError, RecoveryError
+from repro.fabric.transport import fixed_payload
 from repro.mem.interleave import PinnedPlacement
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,9 +97,11 @@ class ReplicatedBuffer:
     # -- data path ----------------------------------------------------------------
 
     def write(self, requester_id: int, offset: int, data: bytes) -> "Process":
-        """Update every live mirror; the process returns bytes written."""
+        """Update every live mirror; the process returns bytes written.
+        The payload is fixed at the call."""
+        payload = fixed_payload(data)
         return self.pool.engine.process(
-            self._write_body(requester_id, offset, data), name=f"{self.name}.write"
+            self._write_body(requester_id, offset, payload), name=f"{self.name}.write"
         )
 
     def _write_body(self, requester_id: int, offset: int, data: bytes):
@@ -224,14 +227,15 @@ class ErasureCodedBuffer:
     # -- data path ----------------------------------------------------------------
 
     def put(self, requester_id: int, data: bytes) -> "Process":
-        """Encode and store the whole object; the process returns the
-        total (data + parity) bytes written."""
+        """Encode and store the whole object, fixed at the call; the
+        process returns the total (data + parity) bytes written."""
         if len(data) != self.data_len:
             raise ConfigError(
                 f"{self.name} holds exactly {self.data_len} bytes, got {len(data)}"
             )
+        payload = fixed_payload(data)  # encoded when the process runs
         return self.pool.engine.process(
-            self._put_body(requester_id, data), name=f"{self.name}.put"
+            self._put_body(requester_id, payload), name=f"{self.name}.put"
         )
 
     def _put_body(self, requester_id: int, data: bytes):

@@ -47,6 +47,7 @@ from repro.errors import (
     MemoryFailureError,
     MigrationError,
 )
+from repro.fabric.transport import fixed_payload
 from repro.hw.cache import PageCache
 from repro.hw.cpu import AccessSegment
 from repro.mem.allocator import FreeListAllocator
@@ -126,7 +127,10 @@ class MemoryPool(abc.ABC):
 
     @abc.abstractmethod
     def write(self, requester_id: int, buffer: Buffer, offset: int, data: bytes) -> "Process":
-        """Functional write; the returned process yields bytes written."""
+        """Functional write; the returned process yields bytes written.
+
+        The payload is fixed at the call: changing *data* afterwards does
+        not change what is stored."""
 
     @abc.abstractmethod
     def locality_fraction(self, requester_id: int, buffer: Buffer) -> float:
@@ -386,12 +390,15 @@ class LogicalMemoryPool(MemoryPool):
         return b"".join(chunks)
 
     def write(self, requester_id: int, buffer: Buffer, offset: int, data: bytes) -> "Process":
-        addr, _ = buffer.slice_addresses(offset, len(data))
+        """Functional write, page by page; the payload is fixed at the call
+        and each page op stores a zero-copy slice of it."""
+        payload = fixed_payload(data)
+        addr, _ = buffer.slice_addresses(offset, len(payload))
         return self.engine.process(
-            self._write_body(requester_id, addr, data), name="lmp.write"
+            self._write_body(requester_id, addr, payload), name="lmp.write"
         )
 
-    def _write_body(self, requester_id: int, addr: GlobalAddress, data: bytes):
+    def _write_body(self, requester_id: int, addr: GlobalAddress, data: memoryview):
         requester = self.deployment.server(requester_id)
         pos = int(addr)
         written = 0
@@ -416,7 +423,7 @@ class LogicalMemoryPool(MemoryPool):
                 requester.name,
                 owner_server.name,
                 translation.dram_offset,
-                bytes(data[written : written + take]),
+                data[written : written + take],
             )
             pos += take
             written += take
@@ -782,12 +789,14 @@ class PhysicalMemoryPool(MemoryPool):
         return data
 
     def write(self, requester_id: int, buffer: Buffer, offset: int, data: bytes) -> "Process":
-        buffer.slice_addresses(offset, len(data))
+        """Functional write; the payload is fixed at the call."""
+        payload = fixed_payload(data)
+        buffer.slice_addresses(offset, len(payload))
         return self.engine.process(
-            self._write_body(requester_id, buffer, offset, data), name="pmp.write"
+            self._write_body(requester_id, buffer, offset, payload), name="pmp.write"
         )
 
-    def _write_body(self, requester_id: int, buffer: Buffer, offset: int, data: bytes):
+    def _write_body(self, requester_id: int, buffer: Buffer, offset: int, data: memoryview):
         if not self.pool_device.alive:
             raise MemoryFailureError("the physical pool is down")
         requester = self.deployment.server(requester_id)

@@ -32,6 +32,20 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
 
 
+def fixed_payload(data: bytes | bytearray | memoryview) -> memoryview:
+    """*data* as it stands now, as a flat byte view: a write's payload is
+    fixed when ``write`` is called, not when its bytes arrive.
+
+    ``bytes``, and read-only contiguous views of ``bytes``, cannot
+    change, so they are used as they are; any other buffer is copied
+    once.  Slicing the result is zero-copy, so a write split into page
+    ops copies nothing more."""
+    view = memoryview(data)
+    if view.readonly and isinstance(view.obj, bytes) and view.c_contiguous:
+        return view.cast("B")
+    return memoryview(bytes(view))
+
+
 class MemoryTransport:
     """Issue loads/stores/copies between endpoints attached to a switch."""
 
@@ -133,10 +147,13 @@ class MemoryTransport:
             lambda: self.switch.device_of(owner).read_bytes(addr, size),
         )
 
-    def write(self, requester: str, owner: str, addr: int, data: bytes) -> Event:
-        """Store *data*; the returned event fires with the number of
-        bytes written."""
+    def write(
+        self, requester: str, owner: str, addr: int, data: bytes | bytearray | memoryview
+    ) -> Event:
+        """Store *data*, fixed at the call (:func:`fixed_payload`); the
+        returned event fires with the number of bytes written."""
         route = self.switch.write_route(requester, owner)
+        data = fixed_payload(data)
         size = len(data)
         self.writes_issued += 1
         self.bytes_written += size

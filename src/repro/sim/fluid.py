@@ -13,9 +13,20 @@ has a rate; rates are the max-min fair allocation subject to
   latency).
 
 The allocation is recomputed with the Bertsekas–Gallager water-filling
-algorithm whenever a flow starts or finishes.  Load-dependent caps are
-solved inside that recompute, as the fixed point at which every such
-cap equals its value at the utilization the resulting rates produce
+algorithm at every flow start and finish.  While no flow in the model
+has a rate cap, the recompute re-solves only the *component* the
+transition touches: the groups connected, through shared capacities, to
+the started flow's path and to the capacities of the flows that
+finished (:meth:`FluidModel._component`).  Uncapped max-min rates split
+exactly over the connected components of the group–capacity graph, and
+the waterfill over one component performs the same float operations in
+the same order as over all of them, so every other component's rates
+stand bit for bit.  A cap breaks that: capped groups freeze in batches
+set by the global bottleneck order, which couples components at the ulp
+level, so while any group anywhere is capped every recompute solves all
+groups.  Load-dependent caps are solved inside that global recompute,
+as the fixed point at which every such cap equals its value at the
+utilization the resulting rates produce
 (:meth:`FluidModel._solve_load_caps`).  Between recomputations flow
 progress is linear, so the model is exact — not a discretized
 approximation — while remaining event-driven and fast: the number of
@@ -186,9 +197,9 @@ class _PathGroup:
     a heap of targets instead of scanning every flow.
     """
 
-    __slots__ = ("path", "cap", "limit", "u", "members", "rate", "service", "heap")
+    __slots__ = ("path", "cap", "limit", "u", "members", "rate", "service", "heap", "seq")
 
-    def __init__(self, path: tuple[Capacity, ...], cap: "float | LoadCap") -> None:
+    def __init__(self, path: tuple[Capacity, ...], cap: "float | LoadCap", seq: int) -> None:
         self.path = path
         #: the members' common rate cap (inf when uncapped)
         self.cap = cap
@@ -207,10 +218,17 @@ class _PathGroup:
         #: (target, seq, flow) min-heap of pending completions; seq is a
         #: model-wide start counter so equal targets pop in start order
         self.heap: list[tuple[float, int, Transfer]] = []
+        #: model-wide creation counter: the group's place in
+        #: ``FluidModel._groups``, which orders every waterfill
+        self.seq = seq
 
 
 def _start_order(entry: tuple[float, int, Transfer]) -> int:
     return entry[1]
+
+
+def _creation_order(group: _PathGroup) -> int:
+    return group.seq
 
 
 class FluidModel:
@@ -227,16 +245,21 @@ class FluidModel:
         self._transfers: dict[Transfer, None] = {}
         self._last_advance = engine.now
         self._tick_generation = 0
-        #: bookkeeping maintained incrementally at flow start/finish so
-        #: each recompute and drain costs O(#groups + #capacities)
-        #: instead of O(#flows x path length): flows keyed by identical
-        #: (path, rate cap) — the solver's input — and per-capacity flow
-        #: crossing refcounts (the drain's byte-accounting input)
+        #: bookkeeping maintained incrementally at group creation and
+        #: retirement, so each recompute and drain costs O(#groups +
+        #: #capacities) instead of O(#flows x path length): flows keyed
+        #: by identical (path, rate cap) — the solver's input — and, per
+        #: crossed capacity, the groups that cross it (the component
+        #: search's graph and the drain's byte-accounting input)
         self._groups: dict[tuple[tuple[Capacity, ...], float | LoadCap], _PathGroup] = {}
+        self._cap_groups: dict[Capacity, dict[_PathGroup, None]] = {}
+        self._group_seq = 0
         #: the groups whose cap is a LoadCap, in creation order: only a
         #: recompute with one of these present solves a fixed point
         self._load_capped: dict[_PathGroup, None] = {}
-        self._caps: dict[Capacity, int] = {}
+        #: how many groups have a finite float cap: with these or a load
+        #: cap present, every recompute solves all groups
+        self._float_capped = 0
         #: monotonic flow-start counter: the tie-break for equal
         #: completion targets and the retirement order of completions
         self._flow_seq = 0
@@ -275,16 +298,10 @@ class FluidModel:
         flow = Transfer(tuple(path), size, rate_cap, done, self.engine.now, tag=tag)
         finished = self._advance()
         self._transfers[flow] = None
-        caps = self._caps
-        for cap in flow.path:  # a duplicated node counts per crossing
-            caps[cap] = caps.get(cap, 0) + 1
         key = (flow.path, rate_cap)
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = _PathGroup(flow.path, rate_cap)
-            if type(rate_cap) is LoadCap:
-                group.u = path_utilization(flow.path)
-                self._load_capped[group] = None
+            group = self._new_group(key)
         group.members[flow] = None
         self._flow_seq += 1
         flow._vtarget = group.service + flow.remaining
@@ -293,12 +310,43 @@ class FluidModel:
             # Completions pop off the group heaps exactly once, so they
             # must be retired here rather than rediscovered by a later
             # drain.  _finish recomputes with the new flow already in place.
-            self._finish(finished)
+            self._finish(finished, flow.path)
         else:
-            self._recompute()
+            self._recompute(flow.path)
         return done
 
     # -- internals ---------------------------------------------------------
+
+    def _new_group(self, key: tuple[tuple[Capacity, ...], "float | LoadCap"]) -> _PathGroup:
+        path, rate_cap = key
+        self._group_seq += 1
+        group = self._groups[key] = _PathGroup(path, rate_cap, self._group_seq)
+        cap_groups = self._cap_groups
+        for cap in path:
+            crossing = cap_groups.get(cap)
+            if crossing is None:
+                crossing = cap_groups[cap] = {}
+            crossing[group] = None
+        if type(rate_cap) is LoadCap:
+            group.u = path_utilization(path)
+            self._load_capped[group] = None
+        elif rate_cap != math.inf:
+            self._float_capped += 1
+        return group
+
+    def _retire_group(self, key: tuple[tuple[Capacity, ...], "float | LoadCap"]) -> None:
+        group = self._groups.pop(key)
+        cap_groups = self._cap_groups
+        for cap in group.path:
+            crossing = cap_groups.get(cap)
+            if crossing is not None:  # None: a duplicated node, already cleared
+                crossing.pop(group, None)
+                if not crossing:
+                    del cap_groups[cap]
+        if type(group.cap) is LoadCap:
+            del self._load_capped[group]
+        elif group.cap != math.inf:
+            self._float_capped -= 1
 
     def _advance(self) -> list[Transfer] | None:
         """Drain bytes according to current rates up to the current time.
@@ -317,7 +365,7 @@ class FluidModel:
         # interval, so each capacity's byte total grows by exactly
         # used_rate * dt — one counter add per capacity instead of one
         # per flow crossing.
-        for cap in self._caps:
+        for cap in self._cap_groups:
             used = cap._used_rate
             if used > 0.0:
                 counter = cap._bytes_counter
@@ -362,31 +410,26 @@ class FluidModel:
             finished.append(flow)
         return finished
 
-    def _finish(self, finished: list[Transfer]) -> None:
-        """Retire *finished* flows (already popped off their group heaps)."""
-        caps = self._caps
+    def _finish(self, finished: list[Transfer], started: tuple[Capacity, ...] = ()) -> None:
+        """Retire *finished* flows (already popped off their group heaps);
+        *started* is the path of a flow that started at this transition."""
         groups = self._groups
         now = self.engine.now
+        touched = list(started)
         for flow in finished:
             del self._transfers[flow]
             key = (flow.path, flow.rate_cap)
             group = groups[key]
             del group.members[flow]
             if not group.members:
-                del groups[key]
-                if type(group.cap) is LoadCap:
-                    del self._load_capped[group]
-            for cap in flow.path:
-                n = caps[cap] - 1
-                if n:
-                    caps[cap] = n
-                else:
-                    del caps[cap]
+                self._retire_group(key)
+            touched.extend(flow.path)
             if not flow.done.triggered:
                 flow.done.succeed(now - flow.started_at)
-        self._recompute()
+        self._recompute(touched)
         # Capacities that just lost their last flow are absent from the
         # recompute set; refresh them so utilization reads as idle.
+        caps = self._cap_groups
         for flow in finished:
             for cap in flow.path:
                 if cap not in caps:
@@ -396,9 +439,16 @@ class FluidModel:
                         gauge = cap._util_gauge = cap.stats.gauge("utilization", 0.0, 0.0)
                     gauge.update(0.0, now)
 
-    def _recompute(self) -> None:
-        """Re-solve every group's rate and publish capacity usage."""
-        used = self._solve_load_caps() if self._load_capped else self._waterfill()
+    def _recompute(self, touched: _t.Iterable[Capacity]) -> None:
+        """Re-solve the rates a transition on the *touched* capacities
+        can change and publish those capacities' usage: the touched
+        component's groups while no group is capped, else every group."""
+        if self._load_capped:
+            used = self._solve_load_caps()
+        elif self._float_capped:
+            used = self._waterfill()
+        else:
+            used = self._waterfill(self._component(touched))
         now = self.engine.now
         for cap, rate in used.items():
             cap._used_rate = rate
@@ -408,10 +458,37 @@ class FluidModel:
             gauge.update(rate / cap.rate, now)
         self._schedule_next_tick()
 
-    def _waterfill(self) -> dict[Capacity, float]:
+    def _component(self, touched: _t.Iterable[Capacity]) -> _t.Collection[_PathGroup]:
+        """The groups connected to the *touched* capacities through
+        shared capacities, in ``_groups`` order: the waterfill over them
+        alone is the waterfill over all groups, restricted to them, when
+        no group is capped.  A lone group needs no search: re-solving it
+        untouched gives it the rate it has."""
+        if len(self._groups) <= 1:
+            return self._groups.values()
+        cap_groups = self._cap_groups
+        found: dict[_PathGroup, None] = {}
+        seen = set(touched)
+        frontier = list(seen)
+        for cap in frontier:  # grows as the search reaches further capacities
+            for group in cap_groups.get(cap, ()):
+                if group not in found:
+                    found[group] = None
+                    for other in group.path:
+                        if other not in seen:
+                            seen.add(other)
+                            frontier.append(other)
+        if len(found) == len(self._groups):
+            return self._groups.values()
+        if len(found) > 1:
+            return sorted(found, key=_creation_order)
+        return found
+
+    def _waterfill(self, groups: _t.Collection[_PathGroup] | None = None) -> dict[Capacity, float]:
         """Water-filling max-min allocation (Bertsekas–Gallager), one
         unknown per ``(path, rate cap)`` group, each capped at its
-        ``limit``; returns each crossed capacity's used rate.
+        ``limit``; returns each crossed capacity's used rate.  It solves
+        *groups*, in ``_groups`` order, or all of them.
 
         Max-min fairness never distinguishes flows that cross the
         identical capacity path under the identical cap: water-filling
@@ -422,23 +499,25 @@ class FluidModel:
         frozen group rates (``rate * n`` per crossing), so nothing here
         rescans the flow set.
         """
-        groups = self._groups
+        if groups is None:
+            groups = self._groups.values()
         inf = math.inf
         # `remaining` doubles as the (insertion-ordered) capacity set, so
         # bottleneck tie-breaks are reproducible across runs.
         remaining: dict[Capacity, float] = {}
         unfrozen_at: dict[Capacity, int] = {}
         capped: list[_PathGroup] = []
-        for group in groups.values():
+        unfrozen: dict[_PathGroup, tuple[Capacity, ...]] = {}
+        for group in groups:
             n = len(group.members)
+            unfrozen[group] = path = group.path
             if group.limit != inf:
                 capped.append(group)
-            for cap in group.path:  # a duplicated node counts once per crossing
+            for cap in path:  # a duplicated node counts once per crossing
                 remaining[cap] = cap.rate
                 unfrozen_at[cap] = unfrozen_at.get(cap, 0) + n
         used = dict.fromkeys(remaining, 0.0)
 
-        unfrozen = {group: group.path for group in groups.values()}
         while unfrozen:
             # Bottleneck share among capacity nodes.
             best_share = inf
@@ -455,14 +534,13 @@ class FluidModel:
             # cap binds at or below the bottleneck share freezes at it
             # first.  An uncapped group never satisfies `limit <= best_share`
             # (best_share is finite while any group is unfrozen).
-            freeze = [(g, g.limit) for g in capped if g.limit <= best_share]
+            freeze = [(g, g.limit) for g in capped if g.limit <= best_share] if capped else None
             if not freeze:
                 if best_cap is None:
                     # No capacity constrains the rest and no cap binds:
                     # flows over an empty path, which transfer() excludes.
                     raise SimulationError("water-filling found flows with no constraints")
-                share = remaining[best_cap] / unfrozen_at[best_cap]
-                freeze = [(g, share) for g, path in unfrozen.items() if best_cap in path]
+                freeze = [(g, best_share) for g, path in unfrozen.items() if best_cap in path]
             for group, rate in freeze:
                 # charge the members to every capacity they cross (a
                 # duplicated node once per crossing)

@@ -131,7 +131,10 @@ def test_replicas_on_distinct_servers(logical_pool):
 
 def test_replicated_write_updates_all(logical_pool, logical_deployment):
     replicated = ReplicatedBuffer(logical_pool, mib(4), copies=2)
-    logical_deployment.run(replicated.write(0, 10, b"everywhere"))
+    payload = bytearray(b"everywhere")
+    write = replicated.write(0, 10, payload)
+    payload[:] = b"overwrites"  # the payload was fixed at the call
+    logical_deployment.run(write)
     for replica in replicated.replicas:
         data = logical_deployment.run(logical_pool.read(0, replica, 10, 10))
         assert data == b"everywhere"
@@ -179,7 +182,10 @@ def test_replication_config(logical_pool):
 def test_coded_buffer_round_trip(logical_pool, logical_deployment):
     payload = random.Random(3).randbytes(5000)
     coded = ErasureCodedBuffer(logical_pool, 5000, data_shards=2, parity_shards=1)
-    logical_deployment.run(coded.put(0, payload))
+    reused = bytearray(payload)
+    put = coded.put(0, reused)
+    reused[:] = bytes(5000)  # the payload was fixed at the call
+    logical_deployment.run(put)
     assert logical_deployment.run(coded.get(0)) == payload
     assert coded.storage_overhead == pytest.approx(0.5)
 

@@ -116,6 +116,36 @@ def test_write_spanning_pages(logical_pool, logical_deployment):
     assert data == blob
 
 
+def _overwrite(engine, payload: bytearray, after: float | None) -> None:
+    """Reuse the caller's buffer for 0x02 bytes: at once (before the
+    engine runs the write), or *after* ns while the write is in flight."""
+    if after is None:
+        payload[:] = b"\x02" * len(payload)
+        return
+
+    def later():
+        yield engine.timeout(after)
+        payload[:] = b"\x02" * len(payload)
+
+    engine.process(later())
+
+
+@pytest.mark.parametrize("after", [None, 1.0])
+def test_logical_write_payload_is_fixed_at_the_call(logical_pool, logical_deployment, after):
+    """A write split into page ops stores the payload as it stood when
+    the write was issued: reusing the buffer meanwhile tears nothing."""
+    engine = logical_deployment.engine
+    page = logical_pool.geometry.page_bytes
+    buffer = logical_pool.allocate(3 * page, requester_id=0)
+    payload = bytearray(b"\x01") * (3 * page)
+    write = logical_pool.write(0, buffer, 0, payload)
+    _overwrite(engine, payload, after)
+    assert engine.run(write) == 3 * page
+    data = engine.run(logical_pool.read(0, buffer, 0, 3 * page))
+    assert [data[k * page] for k in range(3)] == [1, 1, 1]
+    assert data == b"\x01" * (3 * page)
+
+
 def test_crashed_owner_raises_on_access(logical_pool, logical_deployment):
     buffer = logical_pool.allocate(gib(8), requester_id=1)
     logical_deployment.servers[1].crash()
@@ -247,6 +277,21 @@ def test_physical_functional_round_trip(physical_nocache_pool, physical_nocache_
     )
     data = physical_nocache_deployment.run(physical_nocache_pool.read(2, buffer, 5000, 6))
     assert data == b"pooled"
+
+
+@pytest.mark.parametrize("after", [None, 1.0])
+def test_physical_write_payload_is_fixed_at_the_call(
+    physical_nocache_pool, physical_nocache_deployment, after
+):
+    """The pool stores the payload as it stood at the call, not what the
+    caller's buffer holds when the bytes arrive."""
+    engine = physical_nocache_deployment.engine
+    buffer = physical_nocache_pool.allocate(mib(16), requester_id=0)
+    payload = bytearray(b"\x01") * 4096
+    write = physical_nocache_pool.write(0, buffer, 0, payload)
+    _overwrite(engine, payload, after)
+    engine.run(write)
+    assert engine.run(physical_nocache_pool.read(0, buffer, 0, 4096)) == b"\x01" * 4096
 
 
 def test_free_invalidates_cached_pages(physical_cache_pool):

@@ -754,8 +754,8 @@ def test_load_caps_are_a_fixed_point_after_every_recompute(flows):
     recompute = fluid._recompute
     checked = [0]
 
-    def checked_recompute() -> None:
-        recompute()
+    def checked_recompute(touched) -> None:
+        recompute(touched)
         _assert_fixed_point(fluid, _REF_RATES, nodes)
         checked[0] += 1
 
@@ -839,8 +839,8 @@ def test_float_caps_keep_the_parent_waterfill_bit_for_bit(flows):
     nodes = [Capacity(f"c{k}", rate) for k, rate in enumerate(_REF_RATES)]
     recompute = fluid._recompute
 
-    def checked_recompute() -> None:
-        recompute()
+    def checked_recompute(touched) -> None:
+        recompute(touched)
         assert not fluid._load_capped
         groups = [(g.path, g.cap, len(g.members)) for g in fluid._groups.values()]
         rates, used = _parent_waterfill(groups)
@@ -857,6 +857,77 @@ def test_float_caps_keep_the_parent_waterfill_bit_for_bit(flows):
 
     engine.process(launcher())
     engine.run()
+
+
+#: two capacity regions that share no capacity: 0-2 and 3-4
+_SPLIT_RATES = (10.0, 7.0, 13.0, 5.0, 11.0)
+_SPLIT_PATHS = _REF_PATHS + ((3,), (4,), (3, 4), (4, 3, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e8),
+            st.sampled_from(_SPLIT_PATHS),
+            st.floats(1e7, 1e9),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_component_resolve_is_the_full_waterfill_bit_for_bit(flows):
+    """Uncapped flows over two regions that share no capacity: after
+    every transition, each group's rate and each crossed capacity's
+    usage equal the waterfill over all groups, bit for bit, though a
+    transition re-solves only the component it touches."""
+    engine, fluid = make()
+    nodes = [Capacity(f"c{k}", rate) for k, rate in enumerate(_SPLIT_RATES)]
+    recompute = fluid._recompute
+
+    def checked_recompute(touched) -> None:
+        recompute(touched)
+        groups = [(g.path, g.cap, len(g.members)) for g in fluid._groups.values()]
+        rates, used = _parent_waterfill(groups)
+        assert _group_rates(fluid) == rates
+        assert {node: node._used_rate for node in used} == used
+
+    fluid._recompute = checked_recompute
+
+    def launcher():
+        for gap, path, size in flows:
+            if gap:
+                yield engine.timeout(gap)
+            fluid.transfer([nodes[k] for k in path], size)
+
+    engine.process(launcher())
+    engine.run()
+    assert not fluid._groups and not fluid._cap_groups
+    assert all(node._used_rate == 0.0 for node in nodes)
+
+
+@pytest.mark.parametrize("cap", [2.0, LoadCap(_DDR4, _MLP)], ids=["float", "load"])
+def test_a_capped_group_anywhere_makes_the_solve_global(cap):
+    """A transition in one region re-solves every group while a capped
+    group flows in another region, and only its own region after."""
+    engine, fluid = make()
+    a, b = Capacity("a", 10.0), Capacity("b", 10.0)
+    fluid.transfer([a], 1e6)
+    capped = fluid.transfer([b], 1e3, rate_cap=cap)
+    solved: list[set] = []
+    waterfill = fluid._waterfill
+
+    def spy(groups=None):
+        solved.append({g.path for g in (fluid._groups.values() if groups is None else groups)})
+        return waterfill(groups)
+
+    fluid._waterfill = spy
+    fluid.transfer([a], 1e6)
+    assert solved and all(paths == {(a,), (b,)} for paths in solved)
+    engine.run(capped)
+    solved.clear()
+    fluid.transfer([a], 1e6)
+    assert solved == [{(a,)}]
 
 
 def test_load_caps_that_cannot_settle_raise():
