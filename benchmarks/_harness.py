@@ -4,8 +4,8 @@
 configurations; everything else lives here, once:
 
 * :func:`assert_seams_cold` — every detector/observability seam is
-  ``None`` and a fresh engine takes the bare dispatch loop, so the
-  rates measure the simulator, not sink dispatch (``bench_cluster`` and
+  ``None`` and no event sink is installed, so the rates measure the
+  simulator, not sink dispatch (``bench_cluster`` and
   ``bench_alloc`` run it too);
 * :func:`load_baseline` — the committed floors, or a failure when the
   file is missing;
@@ -48,8 +48,8 @@ Config = tuple[str, str, _t.Callable[[Now], dict[str, float]]]
 
 
 def assert_seams_cold() -> None:
-    """Every monitor and observability seam defaults to ``None``, and a
-    fresh engine takes the bare dispatch fast path."""
+    """Every monitor and observability seam defaults to ``None``, and no
+    event sink is installed."""
     from repro.core.api import LmpSession
     from repro.core.coherence.protocol import CoherenceDirectory
     from repro.obs.tracing import seam_targets
@@ -71,7 +71,7 @@ def assert_seams_cold() -> None:
     if Engine._global_event_sinks:
         raise SystemExit(
             "fresh engine is instrumented: event sinks are installed, so "
-            "the bare dispatch fast path will not engage"
+            "the timed run would measure sink dispatch"
         )
 
 

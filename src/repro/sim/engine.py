@@ -6,13 +6,12 @@ time are broken by a monotonically increasing sequence number — two runs
 of the same model produce byte-identical traces.
 
 The future-event set is one ``heapq`` list of ``(when, seq, event)``
-entries, and the dispatch path is specialized for throughput (see
-``docs/performance.md``):
+entries.  ``run()`` drives one dispatch loop (see ``docs/performance.md``):
 
-* Two run loops — *bare* (no sinks: the common case) and
-  *instrumented* (sinks hoisted out of the loop) — selected per
-  ``run()`` and re-selected mid-run whenever an event sink is added
-  or removed (a class-level epoch counter invalidates the bare loop).
+* It reads the live :attr:`Engine._global_event_sinks` list and calls the
+  sinks only when the list is non-empty.  The list is only mutated in
+  place, so a sink added or removed inside a callback applies to the
+  very next dispatch.
 * :class:`~repro.sim.events.Timeout` objects are pooled: a timeout that
   reaches dispatch with no outside references left is recycled by the
   next ``engine.timeout(...)`` call instead of re-allocated.
@@ -32,10 +31,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-
-#: returned by a drain loop when instrumentation changed under it and the
-#: dispatcher must pick a different specialized loop
-_RESELECT = object()
 
 #: cap on the per-engine recycled-timeout free list
 _TIMEOUT_POOL_MAX = 64
@@ -60,7 +55,8 @@ class Engine:
     #: sinks observing event dispatch on every engine, called as
     #: fn(engine, when, seq, event).  The determinism harness and
     #: repro.obs register here, so they also capture scenarios that
-    #: build their own engines.
+    #: build their own engines.  Mutated only in place: the dispatch loop
+    #: holds the list object itself.
     _global_event_sinks: _t.ClassVar[list[_t.Callable[..., None]]] = []
 
     #: installed by repro.check.races.RaceSanitizer.  ``on_drain(engine)``
@@ -69,12 +65,6 @@ class Engine:
     #: run() returns control to the caller (a happens-before join back to
     #: top-level code).  None = one class-attribute test per run() call.
     _monitor: _t.ClassVar[_t.Any] = None
-
-    #: bumped whenever a global event sink is installed or removed.
-    #: The bare dispatch loop snapshots it and bails out to reselect
-    #: when it moves, so a sink registered from inside a callback still
-    #: observes the very next event.
-    _instr_epoch: _t.ClassVar[int] = 0
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
@@ -85,7 +75,7 @@ class Engine:
         #: number of events processed, for instrumentation.  Counted at
         #: pop, before callbacks run, so a raising callback still counts.
         self.events_processed = 0
-        #: recycled Timeout objects (drain path only; see _drain loops)
+        #: recycled Timeout objects (see _dispatch)
         self._timeout_pool: list[Timeout] = []
 
     # -- clock --------------------------------------------------------------
@@ -104,24 +94,23 @@ class Engine:
     def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
         """Create an event that fires *delay* nanoseconds from now.
 
-        Reuses a pooled :class:`Timeout` when the dispatch loop has
-        recycled one; a pooled instance is indistinguishable from a
-        fresh one (all mutable state is reset here).
+        The one place a :class:`Timeout` is armed: it reuses one that the
+        dispatch loop recycled when there is one, and a pooled instance is
+        indistinguishable from a fresh one (all state is set here).
         """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay}")
         pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay}")
-            t = pool.pop()
-            t.callbacks = []
-            t._value = value
-            t._ok = True
-            t._defused = False
-            t.delay = delay
-            self._seq += 1
-            heapq.heappush(self._heap, (self._now + delay, self._seq, t))
-            return t
-        return Timeout(self, delay, value)
+        t = pool.pop() if pool else Timeout.__new__(Timeout)
+        t.engine = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._defused = False
+        t.delay = delay
+        self._seq += 1
+        heapq.heappush(self._heap, (self._now + delay, self._seq, t))
+        return t
 
     def process(self, generator: _t.Generator, name: str = "") -> Process:
         """Spawn a process from a generator; returns the process (an event
@@ -148,12 +137,10 @@ class Engine:
         event's callbacks run.
         """
         cls._global_event_sinks.append(sink)
-        cls._instr_epoch += 1
 
     @classmethod
     def remove_global_event_sink(cls, sink: _t.Callable[..., None]) -> None:
         cls._global_event_sinks.remove(sink)
-        cls._instr_epoch += 1
 
     # -- running -----------------------------------------------------------
 
@@ -166,7 +153,7 @@ class Engine:
         """Process exactly one event.
 
         This is the readable reference implementation of one dispatch;
-        ``run()`` uses specialized loops with identical semantics.
+        ``run()``'s loop has identical semantics.
         """
         if not self._heap:
             raise DeadlockError("step() called with an empty event heap")
@@ -185,36 +172,28 @@ class Engine:
             # errors never pass silently.
             raise event.value
 
-    # -- specialized dispatch loops ----------------------------------------
-    #
-    # Each loop runs events until the queue is dry (returns True), the
-    # stop flag fills or the deadline passes (returns False), or the
-    # instrumentation epoch moves (returns _RESELECT).  `stop` is a list
-    # filled by an event callback; `deadline` is an absolute time or None.
+    # -- the dispatch loop ---------------------------------------------------
 
     def _dispatch(self, stop: list | None, deadline: float | None) -> bool:
-        while True:
-            if Engine._global_event_sinks:
-                result = self._drain_instrumented(stop, deadline)
-            else:
-                result = self._drain_bare(stop, deadline)
-            if result is not _RESELECT:
-                return _t.cast(bool, result)
+        """Run events until the queue is dry (True), or until the *stop*
+        list fills or the next event lies past *deadline* (False).
 
-    def _drain_bare(self, stop: list | None, deadline: float | None) -> _t.Any:
-        """The hot loop: heap inlined, no sinks, timeout recycling."""
+        *stop* is filled by an event callback; *deadline* is an absolute
+        time or None.
+        """
         heap = self._heap
         pool = self._timeout_pool
-        epoch = Engine._instr_epoch
+        sinks = Engine._global_event_sinks
         pop = heapq.heappop
         while heap:
             if deadline is not None and heap[0][0] > deadline:
                 return False
-            if Engine._instr_epoch != epoch:
-                return _RESELECT
-            when, _seq, event = pop(heap)
+            when, seq, event = pop(heap)
             self._now = when
             self.events_processed += 1
+            if sinks:
+                for sink in sinks:
+                    sink(self, when, seq, event)
             callbacks = event.callbacks
             event.callbacks = None
             for callback in callbacks:
@@ -229,35 +208,6 @@ class Engine:
                 and getrefcount(event) == 2
             ):
                 pool.append(event)
-            if stop is not None and stop:
-                return False
-        return True
-
-    def _drain_instrumented(self, stop: list | None, deadline: float | None) -> _t.Any:
-        """Sinks hoisted: the list *object* is captured (not a copy), so
-        mid-run appends/removals stay visible; the epoch check drops back
-        to reselection when instrumentation empties."""
-        heap = self._heap
-        pop = heapq.heappop
-        sinks = Engine._global_event_sinks
-        epoch = Engine._instr_epoch
-        while heap:
-            if deadline is not None and heap[0][0] > deadline:
-                return False
-            if Engine._instr_epoch != epoch:
-                return _RESELECT
-            when, seq, event = pop(heap)
-            self._now = when
-            self.events_processed += 1
-            for sink in sinks:
-                sink(self, when, seq, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            assert callbacks is not None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event.value
             if stop is not None and stop:
                 return False
         return True

@@ -131,22 +131,13 @@ def lazy_event(engine: "Engine", prefix: str, suffix: _t.Any) -> Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
+
+    Armed (fresh or recycled) only by :meth:`Engine.timeout
+    <repro.sim.engine.Engine.timeout>`.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, engine: "Engine", delay: float, value: _t.Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
-        # no super().__init__: the slots are set directly (this runs once
-        # per non-recycled timeout, the kernel's most-allocated object)
-        self.engine = engine
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-        engine._schedule(self, delay=delay)
 
     @property
     def name(self) -> str:

@@ -780,10 +780,6 @@ class FluidModel:
         # ulp would fire "now", advance by dt == 0, and drain nothing.
         horizon = max(horizon, 4.0 * math.ulp(self.engine.now))
 
-        tick = Event(self.engine, name="fluid.tick")
-        tick._value = None
-        tick._ok = True
-
         def _fire(_ev: Event, gen: int = generation) -> None:
             if gen != self._tick_generation:
                 return  # a newer recompute superseded this tick
@@ -797,8 +793,7 @@ class FluidModel:
                 # Nothing finished (so nothing rescheduled): keep ticking.
                 self._schedule_next_tick()
 
-        tick.callbacks.append(_fire)
-        self.engine._schedule(tick, delay=horizon)
+        self.engine.timeout(horizon).callbacks.append(_fire)
 
 
 #: utilization this close to 1 is a saturated capacity: the waterfill's

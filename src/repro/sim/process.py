@@ -13,7 +13,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Timeout, lazy_event
+from repro.sim.events import Event, lazy_event
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -73,78 +73,49 @@ class Process(Event):
         if obs is not None:
             obs.on_resume(self, event)
         self._waiting_on = None
-        try:
-            if event._ok:
-                target = self._generator.send(event._value)
-            else:
-                event.defuse()
-                target = self._generator.throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            if monitor is not None:
-                monitor.on_finish(self)
-            if obs is not None:
-                obs.on_finish(self)
-            return
-        except BaseException as exc:
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
-                raise
-            self.fail(exc)
-            if monitor is not None:
-                monitor.on_finish(self)
-            if obs is not None:
-                obs.on_finish(self)
-            return
-
-        if type(target) is Timeout and target.callbacks is not None:
-            # Fast path for the overwhelmingly common suspension: the body
-            # yielded a pending Timeout.  Skips the isinstance check and
-            # the `processed` property below; behavior is identical.
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
-            if monitor is not None:
-                monitor.on_suspend(self, target)
-            if obs is not None:
-                obs.on_suspend(self, target)
-            return
-
-        if not isinstance(target, Event):
-            exc = SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Events"
-            )
+        generator = self._generator
+        ok, value = event._ok, event._value
+        if not ok:
+            event.defuse()
+        while True:
             try:
-                self._generator.throw(exc)
+                target = generator.send(value) if ok else generator.throw(value)
             except StopIteration as stop:
                 self.succeed(stop.value)
-            except BaseException as inner:
-                if isinstance(inner, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
+                break
+            except BaseException as exc:
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
                     raise
-                self.fail(inner)
+                self.fail(exc)
+                break
+            if not isinstance(target, Event):
+                # A bad yield: throw the error into the body and handle
+                # whatever it yields next like any other yield.
+                ok = False
+                value = SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must yield Events"
+                )
+                continue
+            callbacks = target.callbacks
+            if callbacks is None:
+                # The event already fired: resume on the next tick with its value.
+                relay = lazy_event(self.engine, "relay", self._name)
+                relay._value = target._value
+                relay._ok = target._ok
+                if not target._ok:
+                    target.defuse()
+                    relay._defused = True
+                relay.callbacks.append(self._resume)
+                self.engine._schedule(relay, delay=0.0)
+            else:
+                self._waiting_on = target
+                callbacks.append(self._resume)
             if monitor is not None:
-                monitor.on_finish(self)
+                monitor.on_suspend(self, target)
             if obs is not None:
-                obs.on_finish(self)
+                obs.on_suspend(self, target)
             return
-
-        if target.processed:
-            # The event already fired: resume on the next tick with its value.
-            relay = lazy_event(self.engine, "relay", self._name)
-            relay._value = target._value
-            relay._ok = target._ok
-            if not target._ok:
-                target.defuse()
-                relay._defused = True
-            relay.callbacks.append(self._resume)
-            self.engine._schedule(relay, delay=0.0)
-            if monitor is not None:
-                monitor.on_suspend(self, target)
-            if obs is not None:
-                obs.on_suspend(self, target)
-        else:
-            self._waiting_on = target
-            assert target.callbacks is not None
-            target.callbacks.append(self._resume)
-            if monitor is not None:
-                monitor.on_suspend(self, target)
-            if obs is not None:
-                obs.on_suspend(self, target)
+        if monitor is not None:
+            monitor.on_finish(self)
+        if obs is not None:
+            obs.on_finish(self)

@@ -129,6 +129,21 @@ def test_process_must_yield_events(engine):
         engine.run(engine.process(bad()))
 
 
+def test_process_recovers_from_a_bad_yield(engine):
+    """The error thrown into a body that yielded a non-Event is an
+    ordinary resume: the body may catch it and wait on a real event."""
+
+    def forgiving():
+        try:
+            yield 42  # not an Event
+        except SimulationError:
+            yield engine.timeout(5.0)
+        return "done"
+
+    assert engine.run(engine.process(forgiving())) == "done"
+    assert engine.now == 5.0
+
+
 def test_process_requires_generator(engine):
     with pytest.raises(SimulationError, match="generator"):
         engine.process(lambda: None)  # type: ignore[arg-type]
@@ -335,9 +350,56 @@ def _run_with_sink(engine: Engine) -> None:
 @settings(max_examples=60, deadline=None)
 @given(program=_PROGRAM)
 def test_run_dispatch_matches_step_reference(program):
-    """``step()`` is the documented reference dispatch: both specialized
-    ``run()`` loops — bare (with timeout recycling) and instrumented —
-    must produce the same dispatch trace, final clock, and event count."""
+    """``step()`` is the documented reference dispatch: ``run()``'s loop,
+    with timeout recycling, must produce the same dispatch trace, final
+    clock, and event count with and without an event sink installed."""
     reference = _dispatch_trace(program, _step_until_dry)
     assert _dispatch_trace(program, Engine.run) == reference
     assert _dispatch_trace(program, _run_with_sink) == reference
+
+
+# -- event sinks and timeout recycling -------------------------------------------
+
+
+def test_sink_changes_inside_a_callback_apply_to_the_next_dispatch(engine):
+    seen: list[float] = []
+
+    def sink(_engine, when, _seq, _event) -> None:
+        seen.append(when)
+
+    try:
+        engine.timeout(1.0).callbacks.append(
+            lambda _e: Engine.add_global_event_sink(sink)
+        )
+        engine.timeout(2.0).callbacks.append(
+            lambda _e: Engine.remove_global_event_sink(sink)
+        )
+        engine.timeout(3.0)
+        engine.run()
+    finally:
+        if sink in Engine._global_event_sinks:
+            Engine.remove_global_event_sink(sink)
+    # added at t=1: sees t=2 (sinks run before callbacks); removed at t=2
+    assert seen == [2.0]
+
+
+def test_timeout_dispatched_under_a_sink_is_recycled(engine):
+    seen: list[float] = []
+
+    def sink(_engine, when, _seq, _event) -> None:
+        seen.append(when)
+
+    Engine.add_global_event_sink(sink)
+    try:
+        engine.timeout(1.0)
+        engine.run()
+        pooled = list(engine._timeout_pool)
+        assert len(pooled) == 1
+        again = engine.timeout(2.0, value="v")
+        assert again is pooled[0]
+        assert again.delay == 2.0 and again.callbacks == [] and not again.processed
+        assert engine.run(again) == "v"
+    finally:
+        Engine.remove_global_event_sink(sink)
+    assert seen == [1.0, 3.0]
+    assert engine.now == 3.0
