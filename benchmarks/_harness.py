@@ -3,9 +3,9 @@
 ``bench_engine.py`` and ``bench_scale.py`` hand :func:`smoke` a list of
 configurations; everything else lives here, once:
 
-* :func:`assert_seams_cold` — every detector/observability seam is
-  ``None`` and no event sink is installed, so the rates measure the
-  simulator, not sink dispatch (``bench_cluster`` and
+* :func:`assert_seams_cold` — the instrumentation a new engine takes
+  is off: no observer, no monitor and no event sink, so the rates
+  measure the simulator, not sink dispatch (``bench_cluster`` and
   ``bench_alloc`` run it too);
 * :func:`load_baseline` — the committed floors, or a failure when the
   file is missing;
@@ -48,27 +48,18 @@ Config = tuple[str, str, _t.Callable[[Now], dict[str, float]]]
 
 
 def assert_seams_cold() -> None:
-    """Every monitor and observability seam defaults to ``None``, and no
-    event sink is installed."""
-    from repro.core.api import LmpSession
-    from repro.core.coherence.protocol import CoherenceDirectory
-    from repro.obs.tracing import seam_targets
-    from repro.sim.engine import Engine
-    from repro.sim.process import Process
+    """A new engine would be built cold: the process-wide defaults hold
+    no observer, no monitor and no event sink."""
+    from repro.sim.engine import DEFAULTS
 
-    slots = {
-        "Process._monitor": Process._monitor,
-        "Engine._monitor": Engine._monitor,
-        "LmpSession._access_monitor": LmpSession._access_monitor,
-        "CoherenceDirectory._race_hook": CoherenceDirectory._race_hook,
-    }
-    # the observability seams: the list Observability.install() fills
-    for target, attr in seam_targets():
-        slots[f"{target.__name__}.{attr}"] = getattr(target, attr)
-    stale = [name for name, value in slots.items() if value is not None]
+    stale = [
+        f"DEFAULTS.{name}"
+        for name, value in (("obs", DEFAULTS.obs), ("monitor", DEFAULTS.monitor))
+        if value is not None
+    ]
     if stale:
         raise SystemExit(f"detector seams unexpectedly installed: {', '.join(stale)}")
-    if Engine._global_event_sinks:
+    if DEFAULTS.sinks:
         raise SystemExit(
             "fresh engine is instrumented: event sinks are installed, so "
             "the timed run would measure sink dispatch"

@@ -6,15 +6,17 @@ throughput lives.  The CI smoke job::
 
     PYTHONPATH=src python benchmarks/bench_alloc.py --smoke
 
-verifies every detector/observability seam, ``Gauntlet._obs`` among
-them, defaults to ``None`` (zero-cost convention; checked by
-``_harness.assert_seams_cold``), measures ops/sec and fragmentation of
-the first-fit arena on the churn trace, with and without compaction,
-checks that installing :mod:`repro.obs` leaves the whole
-:class:`~repro.mem.arena.gauntlet.GauntletReport` unchanged, and writes
-everything to ``BENCH_alloc.json`` for the CI artifact upload.  The
-wall-clock ratio with and without obs is recorded there, never gated:
-one replay of a few thousand ops is too noisy to gate on.
+verifies that a new engine would be built cold (no observer, monitor
+or event sink; checked by ``_harness.assert_seams_cold``), measures
+ops/sec and fragmentation of the first-fit arena on the churn trace,
+with and without compaction, and writes everything to
+``BENCH_alloc.json`` for the CI artifact upload.  It then replays the
+trace on the simulation clock (``Gauntlet.replay_process``) twice: on a
+cold engine, and on an engine built inside ``Observability.activated()``.
+The observed replay must record ``repro_arena_fragmentation`` and return
+the same :class:`~repro.mem.arena.gauntlet.GauntletReport` as the cold
+one.  The wall-clock ratio between the two is recorded, never gated: one
+replay of a few thousand ops is too noisy to gate on.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from _harness import assert_seams_cold, write_json
 from repro.core.migration import ArenaCompactor
 from repro.experiments import alloc
 from repro.mem.arena import Gauntlet
+from repro.sim.engine import Engine
 
 #: the same tight arena the A10 experiment uses
 CAPACITY = alloc.ARENA_CAPACITY
@@ -35,6 +38,13 @@ CAPACITY = alloc.ARENA_CAPACITY
 def _replay(ops: int):
     gauntlet = Gauntlet(capacity=CAPACITY)
     return gauntlet.replay("churn", ops=ops, seed=7)
+
+
+def _des_replay(ops: int):
+    """The replay on a fresh engine: observed iff obs is installed now."""
+    engine = Engine(seed=7)
+    proc = Gauntlet(capacity=CAPACITY).replay_process(engine, "churn", ops=ops, seed=7)
+    return engine.run(proc)
 
 
 # --- smoke (CI: artifact + zero-cost guard) --------------------------------------
@@ -76,32 +86,37 @@ def smoke(ops: int = 20000, out: str = "BENCH_alloc.json") -> None:
         f"({creport.compactions} passes, {creport.compaction_bytes_moved / 1024:.0f} KiB moved)"
     )
 
-    # obs: the same replay with every seam installed must produce the
-    # same report; its wall-clock ratio is recorded, not gated
+    # obs: the DES replay on an engine built under obs must record the
+    # arena metrics and produce the same report as on a cold engine; its
+    # wall-clock ratio is recorded, not gated
     from repro.obs import Observability
 
     started = time.perf_counter()
-    _replay(ops)
+    cold_report = _des_replay(ops)
     bare = time.perf_counter() - started
     obs = Observability()
     with obs.activated():
         started = time.perf_counter()
-        obs_report = _replay(ops)
+        obs_report = _des_replay(ops)
         with_obs = time.perf_counter() - started
     assert_seams_cold()
-    if obs_report != report:
-        changed = [
-            f"{f.name}: {getattr(report, f.name)} -> {getattr(obs_report, f.name)}"
-            for f in dataclasses.fields(report)
-            if getattr(report, f.name) != getattr(obs_report, f.name)
-        ]
-        raise SystemExit(
-            "observability changed the gauntlet report: " + "; ".join(changed)
-        )
+    recorded = {name for _kind, name, _labels, _value in obs.metrics.collect()}
+    if "repro_arena_fragmentation" not in recorded:
+        raise SystemExit("observability recorded no repro_arena_fragmentation")
+    for label, replayed in (("cold", cold_report), ("observed", obs_report)):
+        if replayed != report:
+            changed = [
+                f"{f.name}: {getattr(report, f.name)} -> {getattr(replayed, f.name)}"
+                for f in dataclasses.fields(report)
+                if getattr(report, f.name) != getattr(replayed, f.name)
+            ]
+            raise SystemExit(
+                f"the {label} DES replay changed the gauntlet report: " + "; ".join(changed)
+            )
     overhead = with_obs / bare if bare else 1.0
     results["_meta"] = {"ops": ops, "obs_overhead": round(overhead, 3)}
-    print(f"obs overhead on first-fit churn: {overhead:.2f}x uninstalled")
-    print("detector seams (Gauntlet._obs among them): all None (zero-cost path) — OK")
+    print(f"obs overhead on the first-fit churn DES replay: {overhead:.2f}x cold")
+    print("new engines are built cold; the observed replay recorded arena metrics — OK")
 
     write_json(out, {"trace": "churn", "results": results})
 

@@ -4,11 +4,12 @@ The CI smoke job::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --smoke
 
-verifies the detector seams are genuinely uninstalled (every hook slot
-is ``None``, checked by ``_harness.assert_seams_cold``) and prints
+verifies that new engines are built cold (no observer, monitor or
+event sink, checked by ``_harness.assert_seams_cold``) and prints
 bare-engine and driver wall-clock numbers, so a regression that makes
 the instrumentation non-zero-cost shows up as a step change in the
-logged throughput.
+logged throughput.  The same driver run on a rack built inside
+``Observability.activated()`` must record request spans.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def smoke(events: int = 100_000, tenants: int = 8) -> None:
     report = _drive(tenants)
     drive = time.perf_counter() - started
 
-    # observability overhead check: same driver run with repro.obs
-    # installed vs. the uninstalled (seams = None) baseline just timed
+    # observability overhead check: the same driver run on a rack built
+    # with repro.obs installed vs. the cold baseline just timed
     from repro.obs import Observability
 
     obs = Observability()
@@ -82,7 +83,7 @@ def smoke(events: int = 100_000, tenants: int = 8) -> None:
         started = time.perf_counter()
         obs_report = _drive(tenants)
         with_obs = time.perf_counter() - started
-    assert_seams_cold()  # activated() must restore every seam
+    assert_seams_cold()  # activated() must leave later engines cold
 
     print(
         f"bare engine: {events} events in {bare:.3f}s "
@@ -96,12 +97,14 @@ def smoke(events: int = 100_000, tenants: int = 8) -> None:
         f"driver with repro.obs installed: {with_obs:.3f}s "
         f"({with_obs / drive:.2f}x uninstalled, {len(obs.recorder.spans)} spans)"
     )
+    if not any(span.component == "request" for span in obs.recorder.spans):
+        raise SystemExit("observability recorded no request span")
     if obs_report.total_ops != report.total_ops:
         raise SystemExit(
             "observability changed the simulation: "
             f"{obs_report.total_ops} ops with obs vs {report.total_ops} without"
         )
-    print("detector seams: all None (zero-cost path) — OK")
+    print("new engines are built cold; the observed run recorded spans — OK")
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ The CI scale-bench job::
 
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke
 
-runs them through ``_harness.smoke``: it asserts every
-detector/observability seam defaults to ``None`` and that no event sink is installed,
-then writes ``BENCH_scale.json`` and exits non-zero if the committed
+runs them through ``_harness.smoke``: it asserts that a new engine
+would be built with no observer, monitor or event sink, then writes
+``BENCH_scale.json`` and exits non-zero if the committed
 baseline ``benchmarks/baselines/BENCH_scale_baseline.json`` is missing,
 lacks a floor for any configuration, or any rate (read on the reference
 clock) drops more than 20% below its floor.  ``--capture`` measures

@@ -6,7 +6,9 @@ whole story: every tenant request becomes the root of a causal span
 tree (request -> session access -> coherence transaction -> fabric hop
 -> DRAM service), the metrics registry federates the control plane's
 counters, and the exporters write a Perfetto-loadable trace plus a
-Prometheus snapshot:
+Prometheus snapshot.  The rack is built inside ``obs.activated()``:
+an engine is observed only when it is built while obs is installed.
+The tour exits non-zero if it recorded no request span.
 
     $ python examples/observability_tour.py
     $ # then open obs-tour/trace.json in https://ui.perfetto.dev
@@ -35,7 +37,7 @@ TENANTS = 6
 OPS_PER_TENANT = 20
 
 
-def main() -> None:
+def build_rack() -> tuple[ClusterDriver, list[TenantSpec]]:
     deployment = build_logical("link0", server_count=4, server_dram_bytes=mib(32))
     runtime = LmpRuntime(
         deployment,
@@ -54,11 +56,18 @@ def main() -> None:
         TenantSpec(tenant_id=f"t{i:02d}", home_server=i % 4, quota_bytes=mib(8))
         for i in range(TENANTS)
     ]
+    return driver, specs
 
+
+def main() -> None:
     print("== run the rack with observability installed ==\n")
     obs = Observability()
     with obs.activated():
+        # built inside the block, so the rack's engine takes the observer
+        driver, specs = build_rack()
         report = driver.run(specs, OPS_PER_TENANT)
+    if not any(span.component == "request" for span in obs.recorder.spans):
+        raise SystemExit("observability recorded no request span")
     print(
         f"{report.total_ops} tenant ops, fairness {report.fairness:.3f}, "
         f"{len(obs.recorder.spans)} spans recorded"

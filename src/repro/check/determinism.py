@@ -1,8 +1,9 @@
 """Seed-determinism harness: run a scenario twice, diff its event streams.
 
 The evaluation's ratios are only trustworthy if reruns reproduce
-bit-identical traces (DESIGN.md).  The harness registers a global event
-sink on :class:`~repro.sim.engine.Engine` — so it sees every engine a
+bit-identical traces (DESIGN.md).  The harness adds an event sink to
+the defaults every new :class:`~repro.sim.engine.Engine` takes
+(:data:`repro.sim.engine.DEFAULTS`) — so it sees every engine a
 scenario builds internally — renders each dispatched event as one
 text line, and compares the two streams byte for byte, reporting the
 first divergent event.
@@ -15,7 +16,7 @@ import dataclasses
 import typing as _t
 
 from repro.errors import DeterminismError
-from repro.sim.engine import Engine
+from repro.sim.engine import DEFAULTS, Engine
 
 
 def format_dispatch(when: float, seq: int, event: _t.Any) -> str:
@@ -204,17 +205,18 @@ class DeterminismHarness:
 
     @contextlib.contextmanager
     def _capture(self) -> _t.Iterator[list[str]]:
-        """Append one formatted line per dispatch, from every engine."""
+        """Append one formatted line per dispatch, from every engine
+        built inside the block."""
         lines: list[str] = []
 
         def sink(_engine: Engine, when: float, seq: int, event: _t.Any) -> None:
             lines.append(format_dispatch(when, seq, event))
 
-        Engine.add_global_event_sink(sink)
+        DEFAULTS.sinks.append(sink)
         try:
             yield lines
         finally:
-            Engine.remove_global_event_sink(sink)
+            DEFAULTS.sinks.remove(sink)
 
     def capture(self, scenario: _t.Callable[[], _t.Any]) -> list[str]:
         """One run's event stream, one formatted line per dispatch."""

@@ -10,7 +10,8 @@ three detectors:
 * **Happens-before (vector clocks).**  Every simulation process carries
   a vector clock.  Fork (``engine.process``) and join (yielding a
   process, or an ``AllOf`` of processes) edges come from the
-  :class:`~repro.sim.process.Process` monitor seam; release→acquire
+  engine's ``monitor`` slot, which every
+  :class:`~repro.sim.process.Process` calls; release→acquire
   edges come from :class:`~repro.sim.resources.Semaphore` /
   :class:`~repro.sim.resources.Store` handoffs, from the
   ``core.coherence.sync`` primitives, and from coherence-directory
@@ -35,11 +36,16 @@ three detectors:
   holders of the semaphore/lock it queues on) and raises
   :class:`~repro.errors.DeadlockError` carrying the cycle.
 
-All instrumentation is installed by monkey-patching and class-level
-hook slots, exactly like :class:`~repro.check.sanitizers.AllocSanitizer`
-— with no sanitizer installed the hooks are single ``is None`` tests,
-so the engine hot path stays at full speed (the ``bench_cluster.py
---smoke`` CI job guards this).
+``install()`` makes the detector the default ``monitor`` of every
+engine built afterwards (:data:`repro.sim.engine.DEFAULTS`); processes,
+sessions and coherence directories call their engine's monitor, so an
+engine built before ``install()`` stays unmonitored.  The sync
+resources are still patched at class level, like
+:class:`~repro.check.sanitizers.AllocSanitizer`, so an uninstalled
+detector reports nothing more, even from an engine built while it was
+installed.  With no detector the
+hooks are single ``is None`` tests, so the engine hot path stays at full
+speed (the ``bench_cluster.py --smoke`` CI job guards this).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.core.api import LmpSession, SessionObserver
 from repro.core.coherence.protocol import CoherenceDirectory
 from repro.core.coherence.sync import CohortLock, SpinLock, TicketLock
 from repro.errors import DataRaceError, DeadlockError, LocksetError, SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import DEFAULTS, Engine
 from repro.sim.events import AllOf, Event
 from repro.sim.process import Process
 from repro.sim.resources import Semaphore, Store
@@ -279,20 +285,14 @@ class RaceSanitizer(SessionObserver):
         if RaceSanitizer._active is not None:
             raise SimulationError("RaceSanitizer is already installed")
         RaceSanitizer._active = self
-        Process._monitor = self
-        Engine._monitor = self
-        LmpSession._access_monitor = self
-        CoherenceDirectory._race_hook = self._on_line_op
+        DEFAULTS.monitor = self
         self._patch_resources()
 
     def uninstall(self) -> None:
         if RaceSanitizer._active is not self:
             raise SimulationError("this RaceSanitizer is not installed")
         self._unpatch_resources()
-        CoherenceDirectory._race_hook = None
-        LmpSession._access_monitor = None
-        Engine._monitor = None
-        Process._monitor = None
+        DEFAULTS.monitor = None
         RaceSanitizer._active = None
         # Reports stay for inspection; shadow refs are dropped so engines,
         # processes and pools from the monitored run can be collected.
@@ -525,7 +525,8 @@ class RaceSanitizer(SessionObserver):
                 _join(self._root.clock, entry[1])
 
     def on_drain(self, engine: Engine) -> None:
-        if not self.deadlock:
+        # an engine built while installed keeps calling after uninstall()
+        if not self.deadlock or RaceSanitizer._active is not self:
             return
         blocked = [
             info
@@ -639,7 +640,7 @@ class RaceSanitizer(SessionObserver):
 
     # -- coherence-line sync edges ------------------------------------------
 
-    def _on_line_op(
+    def on_line_op(
         self, directory: CoherenceDirectory, op: str, host: int | None, line: int
     ) -> None:
         if not self.hb:
@@ -666,7 +667,9 @@ class RaceSanitizer(SessionObserver):
         size: int,
         write: bool,
     ) -> None:
-        if not (self.hb or self.lockset):
+        # an engine built while installed keeps calling after uninstall(),
+        # when the sync resources are no longer patched: report nothing
+        if not (self.hb or self.lockset) or RaceSanitizer._active is not self:
             return
         info = self._cur()
         pool = session.runtime.pool

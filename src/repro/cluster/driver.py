@@ -138,11 +138,6 @@ class DriverReport:
 class ClusterDriver:
     """Spawns one process per tenant and collects the report."""
 
-    #: installed by repro.obs.Observability: opens one request span per
-    #: tenant op (the root of the causal tree) and folds the finished
-    #: report into the metrics registry.  None = disabled.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         manager: PoolManager,
@@ -205,7 +200,9 @@ class ClusterDriver:
     ) -> _t.Generator[_t.Any, _t.Any, int | None]:
         mix = self.mix
         manager = self.manager
-        obs = ClusterDriver._obs
+        # the engine's observer: one request span per tenant op, the root
+        # of the causal tree
+        obs = self.engine.obs
         tenant = manager.tenant(spec.tenant_id)
         rng = self.engine.rng.stream(f"cluster.tenant.{spec.tenant_id}")
         sessions: list["LmpSession"] = [
@@ -287,7 +284,7 @@ class ClusterDriver:
         done = self.engine.all_of(procs)
         self.engine.run(done)
         report = self.report(specs)
-        obs = ClusterDriver._obs
+        obs = self.engine.obs
         if obs is not None:
             obs.ingest_report(report)
         return report

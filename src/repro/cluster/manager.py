@@ -152,11 +152,6 @@ class _TenantObserver(SessionObserver):
 class PoolManager:
     """Admission + placement + leases over one :class:`LmpRuntime`."""
 
-    #: installed by repro.obs.Observability: charges admission queueing
-    #: time to the latency categories of the span that was running when
-    #: the request queued.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         runtime: LmpRuntime,
@@ -254,7 +249,7 @@ class PoolManager:
             tenant.queued += 1
             self.stats.counter("queued").add()
             self._arrivals += 1
-            obs = PoolManager._obs
+            obs = self.engine.obs
             waiter = _Waiter(
                 order=(-int(tenant.spec.priority), self._arrivals),
                 tenant_id=tenant_id,
@@ -421,7 +416,8 @@ class PoolManager:
                 continue
             waited = self.engine.now - waiter.enqueued_at
             self.stats.histogram("wait_ns").record(waited)
-            obs = PoolManager._obs
+            # charged to the span that was running when the request queued
+            obs = self.engine.obs
             if obs is not None and waiter.span is not None:
                 obs.add("cat_queue_ns", waited, waiter.span)
             waiter.event.succeed(lease)

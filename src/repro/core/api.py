@@ -81,16 +81,6 @@ class SessionObserver:
 class LmpSession:
     """One application's handle, bound to its home server."""
 
-    #: installed by repro.check.races.RaceSanitizer: every data-path
-    #: access on *every* session is reported here (in addition to the
-    #: per-session observer).  None = one class-attribute test per access.
-    _access_monitor: _t.ClassVar[SessionObserver | None] = None
-
-    #: installed by repro.obs.Observability: wraps every data-path access
-    #: in a session span that closes when the access process completes.
-    #: None = one class-attribute test per access.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         runtime: LmpRuntime,
@@ -148,7 +138,9 @@ class LmpSession:
     def _observe_access(
         self, buffer: Buffer, offset: int, size: int, write: bool
     ) -> None:
-        monitor = LmpSession._access_monitor
+        # the engine's race detector sees every session's accesses, in
+        # addition to this session's own observer
+        monitor = self.runtime.engine.monitor
         if monitor is not None:
             monitor.on_access(self, buffer, offset, size, write)
         if self.observer is not None:
@@ -157,7 +149,7 @@ class LmpSession:
     def _traced(self, op: str, nbytes: int, proc_fn: _t.Callable[[], "Process"]) -> "Process":
         """Run *proc_fn* inside a session span (closed when the returned
         data-path process completes)."""
-        obs = LmpSession._obs
+        obs = self.runtime.engine.obs
         if obs is None:
             return proc_fn()
         span = obs.session_begin(self, op, nbytes)

@@ -70,18 +70,6 @@ class CoherenceDirectory:
     #: invariants after every transition (None = checks disabled)
     _sanitizer: _t.ClassVar["CoherenceSanitizer | None"] = None
 
-    #: installed by repro.check.races.RaceSanitizer; called as
-    #: fn(directory, op, host, line) at the completion of every load /
-    #: store / rmw.  Loads are acquire edges, stores release edges, rmws
-    #: both — this is what gives the sync primitives (and any app-level
-    #: protocol built on coherent lines) their happens-before ordering.
-    _race_hook: _t.ClassVar[_t.Any] = None
-
-    #: installed by repro.obs.Observability: annotates the running
-    #: transaction's span (op/host/line/hit, latency categories) and
-    #: counts protocol ops in the metrics registry.  None = disabled.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         deployment: "Deployment",
@@ -146,9 +134,13 @@ class CoherenceDirectory:
         sanitizer = type(self)._sanitizer
         if sanitizer is not None:
             sanitizer.verify_line(self, line)
-        hook = type(self)._race_hook
-        if hook is not None and op:
-            hook(self, op, host, line)
+        # the engine's race detector takes every completed load / store /
+        # rmw: loads are acquire edges, stores release edges, rmws both,
+        # which gives the sync primitives (and any protocol built on
+        # coherent lines) their happens-before ordering
+        monitor = self.engine.monitor
+        if monitor is not None and op:
+            monitor.on_line_op(self, op, host, line)
 
     def _latency(self, requester: int, target: int) -> float:
         """Loaded latency requester -> target (local curve when equal)."""
@@ -211,7 +203,7 @@ class CoherenceDirectory:
     def _load_body(self, host: int, line: int):
         self._check_line(line)
         self.stats.loads += 1
-        obs = type(self)._obs
+        obs = self.engine.obs
         entry = self._entry(line)
         if line in self._caches[host] and entry.owner in (None, host):
             self.stats.cache_hits += 1
@@ -269,7 +261,7 @@ class CoherenceDirectory:
     def _store_body(self, host: int, line: int, value: int):
         self._check_line(line)
         self.stats.stores += 1
-        obs = type(self)._obs
+        obs = self.engine.obs
         entry = self._entry(line)
         if entry.owner == host:
             self.stats.cache_hits += 1
@@ -319,7 +311,7 @@ class CoherenceDirectory:
     def _rmw_body(self, host: int, line: int, fn: _t.Callable[[int], int]):
         self._check_line(line)
         self.stats.rmws += 1
-        obs = type(self)._obs
+        obs = self.engine.obs
         home = self.home_of(line)
         home_latency = self._latency(host, home)
         if obs is not None:
@@ -392,7 +384,7 @@ class CoherenceDirectory:
         if not victims:
             return
         worst = max(self._latency(home, v) for v in victims)
-        obs = type(self)._obs
+        obs = self.engine.obs
         if obs is not None:
             obs.add("cat_link_ns", worst)
         yield self.engine.timeout(worst)
@@ -410,7 +402,7 @@ class CoherenceDirectory:
         """Insert into the home's snoop filter, back-invalidating victims
         if the filter overflows."""
         victims = self.snoop_filters[home].track(line, host)
-        obs = type(self)._obs
+        obs = self.engine.obs
         for victim_line, victim_sharers in victims:
             if not victim_sharers:
                 continue

@@ -66,10 +66,6 @@ class BalancerReport:
 class LocalityBalancer:
     """Periodic migration policy over a logical pool."""
 
-    #: installed by repro.obs.Observability: annotates the epoch process
-    #: span with migration counts and feeds the metrics registry.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         pool: LogicalMemoryPool,
@@ -168,7 +164,7 @@ class LocalityBalancer:
             skipped_low_gain=skipped_gain,
         )
         self.reports.append(report)
-        obs = LocalityBalancer._obs
+        obs = self.pool.engine.obs
         if obs is not None:
             obs.epoch_done(report)
         return report

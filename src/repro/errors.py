@@ -113,8 +113,9 @@ class LeaseError(ClusterError):
 
 
 class ObservabilityError(ReproError):
-    """The ``repro.obs`` subsystem was misused (double-install, seams
-    already occupied, or an export asked of an empty recorder)."""
+    """The ``repro.obs`` subsystem was misused (double-install, another
+    observer already installed, or an export asked of an empty
+    recorder)."""
 
 
 class SanitizerError(ReproError):

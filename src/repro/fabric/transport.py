@@ -49,11 +49,6 @@ def fixed_payload(data: bytes | bytearray | memoryview) -> memoryview:
 class MemoryTransport:
     """Issue loads/stores/copies between endpoints attached to a switch."""
 
-    #: installed by repro.obs.Observability: opens one span per operation
-    #: (route, bytes) and charges its link/fabric/DRAM time to the
-    #: latency-breakdown categories.  None = disabled.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(self, engine: "Engine", fluid: FluidModel, switch: FabricSwitch) -> None:
         self.engine = engine
         self.fluid = fluid
@@ -95,7 +90,9 @@ class MemoryTransport:
         """
         engine = self.engine
         name = self._op_name(op, requester, sep, owner)
-        obs = MemoryTransport._obs
+        # the engine's observer: one span per operation (route, bytes),
+        # its link/fabric/DRAM time charged to the latency categories
+        obs = engine.obs
         latency = route.loaded_latency()
         span = None
         if obs is not None:

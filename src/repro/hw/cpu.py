@@ -64,11 +64,6 @@ class AccessSegment:
 class Core:
     """One hardware thread streaming data through the fluid model."""
 
-    #: installed by repro.obs.Observability: charges per-segment stream
-    #: time to the latency-breakdown categories on the core's process
-    #: span.  None = one class-attribute load per stream body.
-    _obs: _t.ClassVar[_t.Any] = None
-
     #: segment labels served by this server's own DRAM (everything else
     #: crossed the fabric): "local" direct hits and "cached" page-cache
     #: hits.  See LogicalMemoryPool.access_segments for the label set.
@@ -98,8 +93,10 @@ class Core:
 
     def _stream_body(self, segments: list[AccessSegment]):
         moved = 0
-        obs = Core._obs
         engine = self.engine
+        # the engine's observer charges per-segment stream time to the
+        # latency categories on this process's span
+        obs = engine.obs
         for seg in segments:
             nbytes = seg.nbytes
             if nbytes <= 0:

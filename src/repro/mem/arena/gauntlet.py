@@ -20,12 +20,14 @@ locks this in):
 
 Wall-clock throughput lives in ``benchmarks/bench_alloc.py``, not here.
 
-The ``_obs`` seam follows the repo's zero-cost convention: ``None``
-until :meth:`repro.obs.Observability.install` fills it, one class-attr
-load on the sampled path otherwise.  The DES variant
-(:meth:`Gauntlet.replay_process`) additionally charges compaction's
-copy cost to the simulation clock under the running request span, so
-the obs latency breakdown shows an honest ``migration`` column.
+Observation follows the repo's convention that instrumentation belongs
+to an engine.  The pure :meth:`Gauntlet.replay` holds no engine and is
+never observed: it is the reference the DES replay is tested against.
+:meth:`Gauntlet.replay_process` reports to its engine's ``obs`` (None =
+off): fragmentation gauges and histograms per trace, compaction
+counters, and compaction's copy cost charged to the simulation clock
+under the running request span, so the obs latency breakdown shows an
+honest ``migration`` column.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import typing as _t
 from repro.errors import AllocationError
 from repro.mem.allocator import Allocation, FreeListAllocator
 from repro.mem.arena.traces import ALLOC, TraceOp, make_trace
+from repro.sim.engine import Engine
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.migration import ArenaCompactor
-    from repro.sim.engine import Engine
     from repro.sim.process import Process
 
 
@@ -73,11 +75,6 @@ class GauntletReport:
 class Gauntlet:
     """Replays adversarial traces against a first-fit arena."""
 
-    #: installed by repro.obs.Observability: fragmentation gauges and
-    #: histograms per trace, compaction counters, and the
-    #: migration category on the running span.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         capacity: int = 1 << 22,
@@ -100,8 +97,9 @@ class Gauntlet:
         seed: int = 0,
         trace: list[TraceOp] | None = None,
     ) -> GauntletReport:
-        """Replay synchronously; returns the deterministic report."""
-        steps = self._steps(trace_name, ops, seed, trace)
+        """Replay synchronously, unobserved; returns the deterministic
+        report."""
+        steps = self._steps(trace_name, ops, seed, trace, obs=None)
         report = None
         for report in steps:
             pass
@@ -136,13 +134,13 @@ class Gauntlet:
         seed: int,
         trace: list[TraceOp] | None,
     ) -> _t.Any:
-        obs = Gauntlet._obs
+        obs = engine.obs
         span = None
         if obs is not None:
             span = obs.gauntlet_begin(engine, trace_name)
         batch = 0
         report = None
-        for step in self._steps(trace_name, ops, seed, trace):
+        for step in self._steps(trace_name, ops, seed, trace, obs):
             if isinstance(step, GauntletReport):
                 report = step
                 break
@@ -165,17 +163,18 @@ class Gauntlet:
         ops: int,
         seed: int,
         trace: list[TraceOp] | None,
+        obs: _t.Any,
     ) -> _t.Iterator[_t.Any]:
         """Drive the replay, yielding ``(ops_done, compaction_ns)`` after
         every sample window and the final :class:`GauntletReport` last.
 
         One loop serves both entry points: :meth:`replay` drains it,
-        :meth:`replay_process` turns each window into simulated time.
+        :meth:`replay_process` turns each window into simulated time and
+        passes its engine's observer as *obs* (None = unobserved).
         """
         if trace is None:
             trace = make_trace(trace_name, ops=ops, seed=seed)
         allocator = FreeListAllocator(self.capacity)
-        obs = Gauntlet._obs
 
         slots: dict[int, Allocation] = {}
         allocs = frees = failures = 0
@@ -271,6 +270,13 @@ def run_gauntlet(
     seed: int = 0,
     compactor: "ArenaCompactor | None" = None,
 ) -> list[GauntletReport]:
-    """Replay every trace; reports in input order."""
+    """Replay every trace on its own engine, so an installed
+    :class:`repro.obs.Observability` records each; reports in input
+    order."""
     gauntlet = Gauntlet(capacity=capacity, compactor=compactor)
-    return [gauntlet.replay(trace, ops=ops, seed=seed) for trace in traces]
+    reports: list[GauntletReport] = []
+    for trace in traces:
+        engine = Engine(seed=seed)
+        proc = gauntlet.replay_process(engine, trace, ops=ops, seed=seed)
+        reports.append(engine.run(proc))
+    return reports

@@ -13,13 +13,13 @@ Usage::
 
     obs = Observability()
     with obs.activated():
-        run_experiment()
+        run_experiment()          # builds its engines inside the block
     obs.dump("obs-out/")          # trace.json, metrics.prom, ...
 
-Everything is off by default: the seams the facade fills are ``None``
-class attributes, costing one attribute load per call site when
-uninstalled (the ``bench_cluster.py --smoke`` overhead gate keeps it
-under 2%).
+Everything is off by default: an engine takes the facade as its
+``obs`` only when it is built while the facade is installed, and a cold
+engine's ``obs`` is ``None``, costing one attribute load per call site
+(the ``bench_cluster.py --smoke`` overhead gate keeps it under 2%).
 """
 
 from repro.obs.export import chrome_trace, prometheus_text, spans_json, write_dump

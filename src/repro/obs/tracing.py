@@ -8,13 +8,16 @@ tenant request contains the session access it issued, which contains
 the ``lmp.read`` pool process, the ``read:A<-B`` transport hop, and (for
 locked ops) the coherence transactions behind the lock.
 
-The machinery mirrors the zero-cost seam style of ``repro.check``: every
-instrumented class carries a ``_obs`` class attribute that defaults to
-``None``; the hot path pays one class-attribute load plus an ``is
-None`` test, and nothing else, until :meth:`Observability.install` fills
-the seams.  Span identifiers come from a plain counter (never ``id()``
-or wall time), so two same-seed runs emit byte-identical traces — the
-property the ``obs`` determinism scenario locks in.
+Instrumentation belongs to the engine: every instrumented object reads
+its engine's ``obs`` slot, which is ``None`` unless the engine was built
+while an :class:`Observability` was installed (see
+:mod:`repro.sim.engine`).  The hot path pays one attribute load plus an
+``is None`` test, and nothing else, on a cold engine; an engine built
+outside :meth:`Observability.activated` stays cold even while another,
+observed engine runs beside it.  Span identifiers come from a plain
+counter (never ``id()`` or wall time), so two same-seed runs emit
+byte-identical traces — the property the ``obs`` determinism scenario
+locks in.
 
 Causality across interleaved processes works through per-process scope
 stacks: each :class:`~repro.sim.process.Process` owns a stack of open
@@ -31,6 +34,7 @@ import typing as _t
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.engine import DEFAULTS
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -201,7 +205,7 @@ class SpanRecorder:
         else:
             self.add("cat_dram_ns", latency_ns + transfer_ns, span)
 
-    # -- process seam (mirrors repro.check's Process._monitor protocol) ------
+    # -- process lifecycle (the protocol the engine's monitor also takes) ----
 
     def on_create(self, proc: "Process") -> None:
         span = self.start(proc.name, "process", proc.engine)
@@ -209,10 +213,7 @@ class SpanRecorder:
 
     def on_resume(self, proc: "Process", event: "Event") -> None:
         scope = proc._obs_scope
-        if scope is None:
-            # the process predates install(); adopt it now
-            span = self.start(proc.name, "process", proc.engine)
-            scope = proc._obs_scope = [span]
+        assert scope is not None  # on_create gave every observed process one
         self._active = scope
 
     def on_suspend(self, proc: "Process", target: "Event") -> None:
@@ -228,44 +229,12 @@ class SpanRecorder:
         self._active = self._base
 
 
-#: (module path, attribute) for every class-level seam install() fills
-_SEAMS: tuple[tuple[str, str, str], ...] = (
-    ("repro.sim.process", "Process", "_obs"),
-    ("repro.core.api", "LmpSession", "_obs"),
-    ("repro.core.coherence.protocol", "CoherenceDirectory", "_obs"),
-    ("repro.fabric.transport", "MemoryTransport", "_obs"),
-    ("repro.hw.cpu", "Core", "_obs"),
-    ("repro.core.migration", "LocalityBalancer", "_obs"),
-    ("repro.mem.arena.gauntlet", "Gauntlet", "_obs"),
-    ("repro.cluster.manager", "PoolManager", "_obs"),
-    ("repro.cluster.driver", "ClusterDriver", "_obs"),
-)
-
-#: module-level seam for the §4.1 microbenchmark driver (a function, not
-#: a class, so its hook is a module global rather than a ClassVar)
-_MODULE_SEAMS: tuple[tuple[str, str], ...] = (("repro.workloads.vector_sum", "_obs"),)
-
-
-def seam_targets() -> list[tuple[_t.Any, str]]:
-    """(owner, attribute) for every seam ``install()`` fills: the one
-    list the benchmarks and tests check for cold (``None``) seams."""
-    import importlib
-
-    targets: list[tuple[_t.Any, str]] = []
-    for module_name, class_name, attr in _SEAMS:
-        module = importlib.import_module(module_name)
-        targets.append((getattr(module, class_name), attr))
-    for module_name, attr in _MODULE_SEAMS:
-        targets.append((importlib.import_module(module_name), attr))
-    return targets
-
-
 class Observability:
     """The one-stop facade: spans + metrics + all seam semantics.
 
-    ``install()`` fills every ``_obs`` seam with this object and hooks a
-    global engine event sink for metrics; ``uninstall()`` restores every
-    seam to ``None``.  All seam-facing methods live here so the
+    ``install()`` makes this object the ``obs`` of every engine built
+    afterwards, with its metrics event sink; ``uninstall()`` stops that
+    for engines built later.  All seam-facing methods live here so the
     instrumented modules only ever call one object.
     """
 
@@ -286,37 +255,23 @@ class Observability:
     # -- install / uninstall -------------------------------------------------
 
     def install(self) -> None:
-        """Fill every seam; raises if any observability is already live."""
-        from repro.sim.engine import Engine
-
+        """Observe every engine built from now on; raises if any
+        observability is already installed."""
         if self._installed:
             raise ObservabilityError("this Observability is already installed")
-        targets = seam_targets()
-        busy = [
-            f"{target.__name__}.{attr}"
-            for target, attr in targets
-            if getattr(target, attr) is not None
-        ]
-        if busy:
-            raise ObservabilityError(
-                f"observability seams already installed: {', '.join(busy)}"
-            )
-        for target, attr in targets:
-            setattr(target, attr, self)
-        Engine.add_global_event_sink(self._event_sink)
+        if DEFAULTS.obs is not None:
+            raise ObservabilityError("another Observability is already installed")
+        DEFAULTS.obs = self
+        DEFAULTS.sinks.append(self._event_sink)
         self._installed = True
 
     def uninstall(self) -> None:
-        """Restore every seam to ``None`` (idempotent)."""
-        from repro.sim.engine import Engine
-
+        """Leave engines built from now on cold (idempotent).  Engines
+        built while installed keep this observer."""
         if not self._installed:
             return
-        for target, attr in seam_targets():
-            if getattr(target, attr) is self:
-                setattr(target, attr, None)
-        with contextlib.suppress(ValueError):
-            Engine.remove_global_event_sink(self._event_sink)
+        DEFAULTS.obs = None
+        DEFAULTS.sinks.remove(self._event_sink)
         self._installed = False
 
     @property

@@ -8,7 +8,7 @@ of the same model produce byte-identical traces.
 The future-event set is one ``heapq`` list of ``(when, seq, event)``
 entries.  ``run()`` drives one dispatch loop (see ``docs/performance.md``):
 
-* It reads the live :attr:`Engine._global_event_sinks` list and calls the
+* It reads the engine's own live :attr:`Engine.sinks` list and calls the
   sinks only when the list is non-empty.  The list is only mutated in
   place, so a sink added or removed inside a callback applies to the
   very next dispatch.
@@ -19,6 +19,19 @@ entries.  ``run()`` drives one dispatch loop (see ``docs/performance.md``):
 None of this changes observable order: ``(when, seq)`` dispatch order,
 sink call points, and error semantics are identical to the simple
 ``step()`` loop, which remains the readable reference implementation.
+
+Instrumentation belongs to the engine.  Each engine carries three
+slots: :attr:`Engine.obs` (a :class:`repro.obs.Observability`),
+:attr:`Engine.monitor` (a :class:`repro.check.races.RaceSanitizer`) and
+its event-sink list.  ``Engine.__init__`` copies them from
+:data:`DEFAULTS`, the one process-wide setting, which
+``Observability.install()``, ``RaceSanitizer.install()`` and the
+determinism harness fill.  An engine's instrumentation is therefore
+fixed when it is built: one built before ``install()`` or after
+``uninstall()`` stays cold, so an observed and a cold engine can run
+side by side in one process.  Every instrumented object reads its
+engine's slots; ``None`` means off, at the cost of one attribute load
+and an ``is None`` test.
 """
 
 from __future__ import annotations
@@ -34,6 +47,25 @@ from repro.sim.rng import RngStreams
 
 #: cap on the per-engine recycled-timeout free list
 _TIMEOUT_POOL_MAX = 64
+
+
+class Instrumentation:
+    """The instrumentation a new :class:`Engine` takes when it is built."""
+
+    __slots__ = ("obs", "monitor", "sinks")
+
+    def __init__(self) -> None:
+        #: set by repro.obs.Observability.install()
+        self.obs: _t.Any = None
+        #: set by repro.check.races.RaceSanitizer.install()
+        self.monitor: _t.Any = None
+        #: filled by Observability.install() (metrics) and the determinism
+        #: harness (trace capture)
+        self.sinks: list[_t.Callable[..., None]] = []
+
+
+#: the one process-wide default; each Engine copies it in ``__init__``
+DEFAULTS = Instrumentation()
 
 
 class Engine:
@@ -52,20 +84,6 @@ class Engine:
         assert proc.value == "done"
     """
 
-    #: sinks observing event dispatch on every engine, called as
-    #: fn(engine, when, seq, event).  The determinism harness and
-    #: repro.obs register here, so they also capture scenarios that
-    #: build their own engines.  Mutated only in place: the dispatch loop
-    #: holds the list object itself.
-    _global_event_sinks: _t.ClassVar[list[_t.Callable[..., None]]] = []
-
-    #: installed by repro.check.races.RaceSanitizer.  ``on_drain(engine)``
-    #: fires when the event heap runs dry (the deadlock detector's
-    #: wait-for-graph snapshot point); ``on_run_exit(engine)`` fires when
-    #: run() returns control to the caller (a happens-before join back to
-    #: top-level code).  None = one class-attribute test per run() call.
-    _monitor: _t.ClassVar[_t.Any] = None
-
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         #: the future-event set: a ``heapq`` list ordered by (when, seq)
@@ -77,6 +95,17 @@ class Engine:
         self.events_processed = 0
         #: recycled Timeout objects (see _dispatch)
         self._timeout_pool: list[Timeout] = []
+        #: the observer every instrumented object on this engine calls
+        #: (spans and metrics); None = tracing off
+        self.obs: _t.Any = DEFAULTS.obs
+        #: the race detector: process lifecycle, session accesses and
+        #: coherence line ops, plus ``on_drain(engine)`` when the heap runs
+        #: dry and ``on_run_exit(engine)`` when run() returns; None = off
+        self.monitor: _t.Any = DEFAULTS.monitor
+        #: called as fn(engine, when, seq, event) just before an event's
+        #: callbacks run.  Mutated only in place: the dispatch loop holds
+        #: the list object itself.
+        self.sinks: list[_t.Callable[..., None]] = list(DEFAULTS.sinks)
 
     # -- clock --------------------------------------------------------------
 
@@ -129,19 +158,6 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
 
-    @classmethod
-    def add_global_event_sink(cls, sink: _t.Callable[..., None]) -> None:
-        """Register *sink* on every engine, present and future.
-
-        Called as ``sink(engine, when, seq, event)`` just before the
-        event's callbacks run.
-        """
-        cls._global_event_sinks.append(sink)
-
-    @classmethod
-    def remove_global_event_sink(cls, sink: _t.Callable[..., None]) -> None:
-        cls._global_event_sinks.remove(sink)
-
     # -- running -----------------------------------------------------------
 
     def peek(self) -> float:
@@ -160,7 +176,7 @@ class Engine:
         when, seq, event = heapq.heappop(self._heap)
         self._now = when
         self.events_processed += 1
-        for sink in Engine._global_event_sinks:
+        for sink in self.sinks:
             sink(self, when, seq, event)
         callbacks = event.callbacks
         event.callbacks = None  # marks the event processed
@@ -183,7 +199,7 @@ class Engine:
         """
         heap = self._heap
         pool = self._timeout_pool
-        sinks = Engine._global_event_sinks
+        sinks = self.sinks
         pop = heapq.heappop
         while heap:
             if deadline is not None and heap[0][0] > deadline:
@@ -223,7 +239,7 @@ class Engine:
         * ``until=<Event>`` — run until that event is processed and
           return its value (raising if it failed).
         """
-        monitor = Engine._monitor
+        monitor = self.monitor
         if until is None:
             self._dispatch(None, None)
             if monitor is not None:

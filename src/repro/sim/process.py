@@ -24,16 +24,11 @@ class Process(Event):
 
     __slots__ = ("_generator", "_waiting_on", "_obs_scope")
 
-    #: installed by repro.check.races.RaceSanitizer to observe process
-    #: lifecycle (fork/join/suspend edges for vector clocks and the
-    #: wait-for graph).  None = hooks disabled; the hot path then pays
-    #: only one class-attribute load + ``is None`` test per resume.
-    _monitor: _t.ClassVar[_t.Any] = None
-
-    #: installed by repro.obs.Observability: the same lifecycle protocol,
-    #: used to open/close process spans and switch the active span scope
-    #: on every resume/suspend.  None = tracing disabled.
-    _obs: _t.ClassVar[_t.Any] = None
+    # The engine's ``monitor`` (fork/join/suspend edges for vector clocks
+    # and the wait-for graph) and ``obs`` (process spans and the active
+    # span scope) both take the lifecycle calls on_create / on_resume /
+    # on_suspend / on_finish.  None = off: one attribute load and an
+    # ``is None`` test each per resume.
 
     def __init__(self, engine: "Engine", generator: _t.Generator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -46,10 +41,10 @@ class Process(Event):
         self._waiting_on: Event | None = None
         #: stack of spans opened inside this process (managed by repro.obs)
         self._obs_scope: list | None = None
-        monitor = Process._monitor
+        monitor = engine.monitor
         if monitor is not None:
             monitor.on_create(self)
-        obs = Process._obs
+        obs = engine.obs
         if obs is not None:
             obs.on_create(self)
         # Kick off the process via an immediately-scheduled init event.
@@ -66,10 +61,11 @@ class Process(Event):
     # -- internals ----------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        monitor = Process._monitor
+        engine = self.engine
+        monitor = engine.monitor
         if monitor is not None:
             monitor.on_resume(self, event)
-        obs = Process._obs
+        obs = engine.obs
         if obs is not None:
             obs.on_resume(self, event)
         self._waiting_on = None
@@ -99,14 +95,14 @@ class Process(Event):
             callbacks = target.callbacks
             if callbacks is None:
                 # The event already fired: resume on the next tick with its value.
-                relay = lazy_event(self.engine, "relay", self._name)
+                relay = lazy_event(engine, "relay", self._name)
                 relay._value = target._value
                 relay._ok = target._ok
                 if not target._ok:
                     target.defuse()
                     relay._defused = True
                 relay.callbacks.append(self._resume)
-                self.engine._schedule(relay, delay=0.0)
+                engine._schedule(relay, delay=0.0)
             else:
                 self._waiting_on = target
                 callbacks.append(self._resume)

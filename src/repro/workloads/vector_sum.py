@@ -19,16 +19,9 @@ return a result with ``feasible=False`` instead of raising, because
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.core.pool import MemoryPool
 from repro.errors import CapacityError
-
-#: installed by repro.obs.Observability: one request span per benchmark
-#: repetition.  A module-level seam (not a ClassVar) because this driver
-#: is a plain function running at the top level of the simulation —
-#: figure2 never goes through LmpSession.  None = disabled.
-_obs: _t.Any = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +93,7 @@ def run_vector_sum(
             for offset, length in shards
         ]
         started = engine.now
-        obs = _obs
+        obs = engine.obs
         span = obs.rep_begin(engine, config, link, _rep) if obs is not None else None
         procs = server.socket.parallel_stream(per_core_segments)
         engine.run(engine.all_of(procs))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.check.determinism import SCENARIOS, DeterminismHarness, format_dispatch
 from repro.errors import DeterminismError
-from repro.sim.engine import Engine
+from repro.sim.engine import DEFAULTS, Engine
 
 
 def test_figure2_is_deterministic():
@@ -81,8 +81,9 @@ def test_capture_isolates_runs():
     second = harness.capture(tiny)
     assert first == second
     assert first  # events were actually recorded
-    # no sink leaks: captures outside the context see nothing
-    assert not Engine._global_event_sinks
+    # no sink leaks: an engine built after the captures has no sink
+    assert not DEFAULTS.sinks
+    assert not Engine(seed=3).sinks
 
 
 def test_dispatch_line_format():

@@ -17,8 +17,7 @@ from repro.check.races import RaceSanitizer
 from repro.core.api import LmpSession
 from repro.core.runtime import LmpRuntime
 from repro.errors import DataRaceError, DeadlockError, LocksetError, SanitizerError, SimulationError
-from repro.sim.engine import Engine
-from repro.sim.process import Process
+from repro.sim.engine import DEFAULTS, Engine
 from repro.sim.resources import Mutex, Semaphore, Store
 from repro.units import mib
 
@@ -273,26 +272,20 @@ def test_deadlock_detection_can_be_disabled():
 
 
 def test_install_is_exclusive_and_uninstall_restores_everything():
-    from repro.core.api import LmpSession as Session
-    from repro.core.coherence.protocol import CoherenceDirectory
-    from repro.sim.engine import Engine as Eng
-
     orig_acquire = Semaphore.acquire
     orig_release = Semaphore.release
+    before = Engine(seed=0)
     detector = RaceSanitizer()
     with detector.installed():
-        assert Process._monitor is detector
-        assert Eng._monitor is detector
-        assert Session._access_monitor is detector
-        assert CoherenceDirectory._race_hook is not None
+        assert DEFAULTS.monitor is detector
+        assert Engine(seed=0).monitor is detector
+        assert before.monitor is None  # built before install(): stays cold
         assert Semaphore.acquire is not orig_acquire
         with pytest.raises(SimulationError):
             RaceSanitizer().install()
-    # the hot-path seams are all back to literal None / originals
-    assert Process._monitor is None
-    assert Eng._monitor is None
-    assert Session._access_monitor is None
-    assert CoherenceDirectory._race_hook is None
+    # the default and the patched resources are back to None / originals
+    assert DEFAULTS.monitor is None
+    assert Engine(seed=0).monitor is None
     assert Semaphore.acquire is orig_acquire
     assert Semaphore.release is orig_release
     with pytest.raises(SimulationError):
@@ -313,6 +306,28 @@ def test_reports_survive_uninstall():
         eng.run()
     assert detector.races  # kept for post-run inspection
     assert not detector._procs  # shadow refs dropped
+
+
+def test_engine_built_while_installed_reports_nothing_after_uninstall():
+    """Its monitor is fixed at construction, but once uninstalled the
+    sync resources are no longer patched: a mutex-ordered pair of
+    writers must not read as a race."""
+    detector = RaceSanitizer()
+    with detector.installed():
+        dep, s0, s1, buf = _two_tenants()
+        eng = dep.engine
+    assert eng.monitor is detector
+    mutex = Mutex(eng)
+
+    def tenant(session, payload):
+        yield mutex.acquire()
+        yield session.write(buf, 0, payload)
+        mutex.release()
+
+    eng.process(tenant(s0, b"a" * 64), name="tenant.a")
+    eng.process(tenant(s1, b"b" * 64), name="tenant.b")
+    eng.run()
+    assert detector.clean and detector.accesses_seen == 0
 
 
 # --- conftest marker plumbing -----------------------------------------------------

@@ -313,13 +313,17 @@ def test_acquire_grants_and_rejections_conclude_at_the_call():
 
 
 def test_queued_acquire_concludes_when_served_and_records_its_wait():
-    manager = small_manager()
-    engine = manager.engine
-    manager.register_tenant(spec("big", quota=mib(64)))
-    manager.register_tenant(spec("waiter", quota=mib(64)))
-    big = engine.run(manager.acquire("big", manager.pool_free_bytes() // EXTENT * EXTENT))
     obs = Observability()
     with obs.activated():
+        # built inside the block: an engine is observed only if it is
+        # built while obs is installed
+        manager = small_manager()
+        engine = manager.engine
+        manager.register_tenant(spec("big", quota=mib(64)))
+        manager.register_tenant(spec("waiter", quota=mib(64)))
+        big = engine.run(
+            manager.acquire("big", manager.pool_free_bytes() // EXTENT * EXTENT)
+        )
 
         def requester():
             request = obs.recorder.open("request", "request", engine)

@@ -269,6 +269,17 @@ def test_alloc_experiment_renders_two_tables():
     assert [r.compaction for r in result.ablation] == [False, True]
 
 
+def test_alloc_obs_dump_holds_arena_metrics_for_every_trace(tmp_path):
+    """``repro run alloc --obs`` replays each trace on its own engine,
+    built while obs is installed, so every trace reports its arena."""
+    from repro.cli import main
+
+    assert main(["run", "alloc", "--obs", str(tmp_path)]) == 0
+    prom = (tmp_path / "alloc" / "metrics.prom").read_text()
+    for trace in trace_names():
+        assert f'repro_arena_fragmentation{{trace="{trace}"}}' in prom
+
+
 def test_alloc_registered_everywhere():
     from repro.check.determinism import SCENARIOS
     from repro.cli import EXPERIMENTS

@@ -3,8 +3,9 @@
 The load-bearing claims: (1) a tenant request with a locked data op
 yields one *connected* causal tree spanning at least four layers;
 (2) two same-seed runs export byte-identical Chrome trace JSON;
-(3) every seam defaults to ``None`` and ``uninstall()`` restores it;
-(4) the exporters render valid, loadable formats.
+(3) an engine is observed only when it is built while obs is
+installed, so an observed and a cold engine run side by side; (4) the
+exporters render valid, loadable formats.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.obs import (
 )
 from repro.obs.export import timeseries_csv, timeseries_json
 from repro.obs.report import iter_dump_dirs, load_spans
-from repro.sim.engine import Engine
+from repro.check.determinism import format_dispatch
+from repro.sim.engine import DEFAULTS, Engine
 from repro.sim.stats import Histogram
 from repro.topology.builder import build_logical
 from repro.units import kib, mib
@@ -40,8 +42,8 @@ from repro.units import kib, mib
 # --- helpers ---------------------------------------------------------------------
 
 
-def _drive(lock_fraction: float = 0.5, tenants: int = 3, ops: int = 10):
-    """A small multi-tenant run; returns (obs, report)."""
+def _cluster(lock_fraction: float = 0.5, tenants: int = 3):
+    """A small multi-tenant rack on a fresh engine; returns (driver, specs)."""
     deployment = build_logical("link0", server_count=2, server_dram_bytes=mib(8))
     runtime = LmpRuntime(
         deployment,
@@ -59,8 +61,14 @@ def _drive(lock_fraction: float = 0.5, tenants: int = 3, ops: int = 10):
         TenantSpec(tenant_id=f"t{i:02d}", home_server=i % 2, quota_bytes=mib(8))
         for i in range(tenants)
     ]
+    return driver, specs
+
+
+def _drive(lock_fraction: float = 0.5, tenants: int = 3, ops: int = 10):
+    """A small observed multi-tenant run; returns (obs, report)."""
     obs = Observability()
     with obs.activated():
+        driver, specs = _cluster(lock_fraction, tenants)
         report = driver.run(specs, ops)
     return obs, report
 
@@ -79,32 +87,31 @@ def _subtree_depth(span, kids) -> int:
     return 1 + max((_subtree_depth(child, kids) for child in below), default=0)
 
 
-# --- seams -----------------------------------------------------------------------
+# --- engine slots ----------------------------------------------------------------
 
 
-def _seam_values():
-    from repro.obs.tracing import seam_targets
-
-    return {
-        f"{target.__name__}.{attr}": getattr(target, attr)
-        for target, attr in seam_targets()
-    }
+def _cold() -> bool:
+    """No observer is installed: a fresh engine has no obs and no sink."""
+    engine = Engine()
+    return DEFAULTS.obs is None and engine.obs is None and not engine.sinks
 
 
 def test_seams_default_none_and_uninstall_restores():
-    assert all(v is None for v in _seam_values().values())
+    assert _cold()
     obs = Observability()
     obs.install()
     try:
-        assert all(v is obs for v in _seam_values().values())
+        engine = Engine()
+        assert engine.obs is obs and engine.sinks == [obs._event_sink]
         with pytest.raises(ObservabilityError):
             obs.install()  # double-install
         other = Observability()
         with pytest.raises(ObservabilityError):
-            other.install()  # seams busy
+            other.install()  # another observer is installed
     finally:
         obs.uninstall()
-    assert all(v is None for v in _seam_values().values())
+    assert _cold()
+    assert engine.obs is obs  # fixed when the engine was built
     obs.uninstall()  # idempotent
 
 
@@ -113,7 +120,86 @@ def test_activated_restores_on_exception():
     with pytest.raises(RuntimeError):
         with obs.activated():
             raise RuntimeError("boom")
-    assert all(v is None for v in _seam_values().values())
+    assert _cold()
+
+
+def _ticker(engine: Engine) -> None:
+    def body():
+        for _ in range(3):
+            yield engine.timeout(10.0)
+
+    engine.process(body(), name="ticker")
+    engine.run()
+
+
+def test_engine_built_before_install_stays_cold():
+    engine = Engine(seed=1)
+    obs = Observability()
+    with obs.activated():
+        _ticker(engine)
+    assert engine.obs is None and not engine.sinks
+    assert obs.recorder.spans == [] and obs.recorder.engines == []
+    assert not obs.metrics.collect()
+
+
+def test_engine_built_after_uninstall_is_cold():
+    obs = Observability()
+    with obs.activated():
+        pass
+    engine = Engine(seed=1)
+    _ticker(engine)
+    assert engine.obs is None and not engine.sinks
+    assert obs.recorder.spans == [] and not obs.metrics.collect()
+
+
+def _tenant_engine(ops: int = 6) -> Engine:
+    """A cluster rack with its tenant processes spawned, not yet run."""
+    driver, specs = _cluster(lock_fraction=1.0)
+    for spec in specs:
+        driver.tenant_process(spec, ops)
+    return driver.engine
+
+
+def _record_dispatch(engine: Engine) -> list[str]:
+    lines: list[str] = []
+    engine.sinks.append(
+        lambda _eng, when, seq, event: lines.append(format_dispatch(when, seq, event))
+    )
+    return lines
+
+
+def _drain(engine: Engine) -> None:
+    while engine.peek() != math.inf:
+        engine.step()
+
+
+def test_observed_and_cold_engines_run_side_by_side():
+    """One process, two engines run interleaved event by event: the cold
+    one dispatches exactly what it dispatches alone, and the observed one
+    records exactly the spans it records alone."""
+    solo_cold = _tenant_engine()
+    solo_lines = _record_dispatch(solo_cold)
+    _drain(solo_cold)
+
+    solo_obs = Observability()
+    with solo_obs.activated():
+        _drain(_tenant_engine())
+
+    cold = _tenant_engine()
+    cold_lines = _record_dispatch(cold)
+    obs = Observability()
+    with obs.activated():
+        observed = _tenant_engine()
+        while cold.peek() != math.inf or observed.peek() != math.inf:
+            for engine in (cold, observed):
+                if engine.peek() != math.inf:
+                    engine.step()
+
+    assert cold.obs is None and observed.obs is obs
+    assert solo_lines and cold_lines == solo_lines
+    assert any(s.component == "request" for s in obs.recorder.spans)
+    assert spans_json(obs) == spans_json(solo_obs)
+    assert obs.recorder.engines == [observed]
 
 
 def test_window_must_be_positive():
@@ -318,22 +404,7 @@ def test_dump_roundtrip_and_cli(tmp_path):
 def test_observability_leaves_simulation_untouched():
     """Same seed, with and without obs: identical simulation outcome."""
     _, with_obs = _drive()
-
-    deployment = build_logical("link0", server_count=2, server_dram_bytes=mib(8))
-    runtime = LmpRuntime(
-        deployment,
-        geometry=PageGeometry(page_bytes=kib(16), extent_bytes=kib(64)),
-        coherent_bytes=kib(64),
-        snoop_filter_lines=256,
-    )
-    driver = ClusterDriver(
-        PoolManager(runtime, policy="first-fit"),
-        mix=WorkloadMix(alloc_bytes=kib(192), access_bytes=kib(4), lock_fraction=0.5),
-    )
-    specs = [
-        TenantSpec(tenant_id=f"t{i:02d}", home_server=i % 2, quota_bytes=mib(8))
-        for i in range(3)
-    ]
+    driver, specs = _cluster()
     without_obs = driver.run(specs, 10)
     assert without_obs.total_ops == with_obs.total_ops
     assert without_obs.duration_ns == with_obs.duration_ns

@@ -340,11 +340,8 @@ def _run_with_sink(engine: Engine) -> None:
     def sink(*_args) -> None:
         pass
 
-    Engine.add_global_event_sink(sink)
-    try:
-        engine.run()
-    finally:
-        Engine.remove_global_event_sink(sink)
+    engine.sinks.append(sink)
+    engine.run()
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,18 +364,10 @@ def test_sink_changes_inside_a_callback_apply_to_the_next_dispatch(engine):
     def sink(_engine, when, _seq, _event) -> None:
         seen.append(when)
 
-    try:
-        engine.timeout(1.0).callbacks.append(
-            lambda _e: Engine.add_global_event_sink(sink)
-        )
-        engine.timeout(2.0).callbacks.append(
-            lambda _e: Engine.remove_global_event_sink(sink)
-        )
-        engine.timeout(3.0)
-        engine.run()
-    finally:
-        if sink in Engine._global_event_sinks:
-            Engine.remove_global_event_sink(sink)
+    engine.timeout(1.0).callbacks.append(lambda _e: engine.sinks.append(sink))
+    engine.timeout(2.0).callbacks.append(lambda _e: engine.sinks.remove(sink))
+    engine.timeout(3.0)
+    engine.run()
     # added at t=1: sees t=2 (sinks run before callbacks); removed at t=2
     assert seen == [2.0]
 
@@ -389,17 +378,14 @@ def test_timeout_dispatched_under_a_sink_is_recycled(engine):
     def sink(_engine, when, _seq, _event) -> None:
         seen.append(when)
 
-    Engine.add_global_event_sink(sink)
-    try:
-        engine.timeout(1.0)
-        engine.run()
-        pooled = list(engine._timeout_pool)
-        assert len(pooled) == 1
-        again = engine.timeout(2.0, value="v")
-        assert again is pooled[0]
-        assert again.delay == 2.0 and again.callbacks == [] and not again.processed
-        assert engine.run(again) == "v"
-    finally:
-        Engine.remove_global_event_sink(sink)
+    engine.sinks.append(sink)
+    engine.timeout(1.0)
+    engine.run()
+    pooled = list(engine._timeout_pool)
+    assert len(pooled) == 1
+    again = engine.timeout(2.0, value="v")
+    assert again is pooled[0]
+    assert again.delay == 2.0 and again.callbacks == [] and not again.processed
+    assert engine.run(again) == "v"
     assert seen == [1.0, 3.0]
     assert engine.now == 3.0
