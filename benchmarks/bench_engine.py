@@ -16,8 +16,8 @@ Six workloads:
   O(#flows) per event here, the solver pays nothing between rate
   changes.  The flows form one group per server's DRAM channel, and no
   group is capped, so a transition re-solves only the one group it
-  touches; a write's payload is fixed once at the call and each page op
-  stores a zero-copy slice of it.
+  touches.  The driver's data ops are timed accesses: they pay the
+  transport's latency and fluid transfer but move no host bytes.
 * ``figure_stream`` — the paper's 14-core vector sum on one
   Physical-cache pool (Figure 3's 24 GB vector, link0): every core
   stream is a flow whose memory-level-parallelism cap depends on the

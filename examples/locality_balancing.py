@@ -31,7 +31,7 @@ def main() -> None:
     service = LmpSession(runtime, 2)
 
     table = loader.alloc(TABLE, name="features")
-    engine.run(loader.write(table, 0, b"\x2a" * 4096))
+    engine.run(loader.write_v(loader.map(table).vaddr, b"\x2a" * 4096))
     print(
         f"features table allocated: {TABLE / 2**30:.0f} GiB on server0 "
         f"(locality for the service: {runtime.pool.locality_fraction(2, table):.0%})\n"
@@ -51,8 +51,9 @@ def main() -> None:
             f"{report.balancer.bytes_moved / 2**30:>8.1f}G"
         )
 
-    # the handle still works, contents intact, addresses unchanged
-    data = engine.run(service.read(table, 0, 4))
+    # the handle still works, contents intact, addresses unchanged: the
+    # service reads through its own virtual mapping of the same buffer
+    data = engine.run(service.read_v(service.map(table).vaddr, 4))
     print(f"\ncontents after migration: {data!r} (handle survived, as §3.2 requires)")
     total_moved = runtime.balancer.total_bytes_moved
     print(f"total bytes migrated: {total_moved / 2**30:.0f} GiB")

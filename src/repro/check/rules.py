@@ -439,6 +439,19 @@ class SetPopRule(Rule):
 #: barriers, leases — a lease *is* exclusive ownership of its buffer)
 _SYNC_ENTRY_ATTRS = frozenset({"acquire", "wait"})
 _WRITE_ATTRS = frozenset({"write", "write_v"})
+#: timed accesses: a write unless their ``write`` flag (the ``write=``
+#: keyword, else the last positional argument) is a literal ``False``
+_TIMED_ATTRS = frozenset({"timed", "timed_v"})
+
+
+def _is_write_call(call: ast.Call, attr: str) -> bool:
+    if attr in _WRITE_ATTRS:
+        return True
+    if attr not in _TIMED_ATTRS:
+        return False
+    flags = [kw.value for kw in call.keywords if kw.arg == "write"]
+    flag = flags[0] if flags else (call.args[-1] if call.args else None)
+    return not (isinstance(flag, ast.Constant) and flag.value is False)
 
 
 def _pos(node: ast.AST) -> tuple[int, int]:
@@ -470,12 +483,13 @@ class SharedWriteOutsideSyncRule(Rule):
     """LMP007 — shared-region write with no sync scope in tenant code.
 
     ``cluster`` and ``workloads`` code runs many concurrent processes
-    against one pool; a ``.write()`` / ``.write_v()`` in a function that
-    never enters a synchronization scope (no ``.acquire()`` or
-    ``.wait()`` on a lock, semaphore, barrier, or lease manager before
-    it) is exactly the shape the runtime race detector flags
-    dynamically — this rule catches it statically, before the
-    interleaving ever runs.  If the write is protected by construction
+    against one pool; a ``.write()`` / ``.write_v()`` (or a timed
+    ``.timed()`` / ``.timed_v()`` whose write flag is not a literal
+    ``False``) in a function that never enters a synchronization scope
+    (no ``.acquire()`` or ``.wait()`` on a lock, semaphore, barrier, or
+    lease manager before it) is exactly the shape the runtime race
+    detector flags dynamically — this rule catches it statically,
+    before the interleaving ever runs.  If the write is protected by construction
     (single writer, disjoint offsets reserved synchronously), suppress
     with ``# noqa: LMP007`` and say why in a comment.
     """
@@ -497,7 +511,7 @@ class SharedWriteOutsideSyncRule(Rule):
                     continue
                 if func.attr in _SYNC_ENTRY_ATTRS:
                     sync_entries.append(_pos(node))
-                elif func.attr in _WRITE_ATTRS:
+                elif _is_write_call(node, func.attr):
                     writes.append(node)
             for call in writes:
                 assert isinstance(call.func, ast.Attribute)

@@ -167,19 +167,19 @@ class ClusterDriver:
         lock: _t.Any,
         rng: "random.Random",
     ) -> _t.Generator[_t.Any, _t.Any, str]:
-        """One read or write, optionally inside the shared spinlock's
-        critical section; returns the op kind for the request span."""
+        """One timed read or write (no host bytes move), optionally inside
+        the shared spinlock's critical section; returns the op kind for
+        the request span."""
         # short-circuits when no lock is configured, so the RNG stream
         # matches a lock_fraction=0 run exactly
         locked = lock is not None and rng.random() < self.mix.lock_fraction
         if locked:
             yield lock.acquire(session.server_id)
         try:
-            if rng.random() < _WRITE_FRACTION:
-                yield session.write_v(mapping.vaddr + offset, bytes(size))
-                return "locked_write" if locked else "write"
-            yield session.read_v(mapping.vaddr + offset, size)
-            return "locked_read" if locked else "read"
+            write = rng.random() < _WRITE_FRACTION
+            yield session.timed_v(mapping.vaddr + offset, size, write)
+            kind = "write" if write else "read"
+            return f"locked_{kind}" if locked else kind
         finally:
             if locked:
                 yield lock.release(session.server_id)

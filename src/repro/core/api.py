@@ -9,6 +9,8 @@ runtime and get the paper's programming model:
 * ``read_v`` / ``write_v`` — access through virtual addresses; the
   session translates vaddr -> buffer -> logical address -> (server,
   frame) via the two-step scheme,
+* ``timed_v`` — the same access timed but carrying no bytes (what the
+  tenant drivers issue: they need its latency, not its contents),
 * ``scan`` — a timed full-bandwidth streaming pass with this server's
   cores (what the microbenchmark does),
 * ``spinlock`` — a synchronization object carved from the coherent
@@ -175,6 +177,20 @@ class LmpSession:
         return self._traced(
             "write", len(data),
             lambda: self.runtime.pool.write(self.server_id, buffer, offset, data),
+        )
+
+    def timed_v(self, vaddr: int, size: int, write: bool) -> "Process":
+        """Time a read or write of *size* bytes through a virtual address
+        without moving them: everything :meth:`read_v`/:meth:`write_v` do
+        (observers, session span, translation, crash check, profiler,
+        transport latency and transfer) except the byte store.  A timed
+        write leaves the range's contents as they were.  The process
+        returns *size*."""
+        buffer, offset = self._resolve(vaddr, size)
+        self._observe_access(buffer, offset, size, write)
+        return self._traced(
+            "write" if write else "read", size,
+            lambda: self.runtime.pool.timed(self.server_id, buffer, offset, size, write),
         )
 
     def read(self, buffer: Buffer, offset: int, size: int) -> "Process":

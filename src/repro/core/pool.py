@@ -11,7 +11,9 @@ All pools share one API:
   hops they cross, at what loaded latency),
 * :meth:`MemoryPool.read` / :meth:`MemoryPool.write` — the *functional*
   data path moving real bytes (used by the correctness tests, the
-  KV-store workload, and the failure-recovery machinery).
+  KV-store workload, and the failure-recovery machinery);
+  :meth:`LogicalMemoryPool.timed` times the same page-by-page access
+  without moving bytes (the tenant drivers' data ops).
 
 The differences between the three §4.1 configurations live entirely in
 how these methods resolve:
@@ -360,35 +362,6 @@ class LogicalMemoryPool(MemoryPool):
             self._read_body(requester_id, addr, size), name="lmp.read"
         )
 
-    def _read_body(self, requester_id: int, addr: GlobalAddress, size: int):
-        requester = self.deployment.server(requester_id)
-        chunks: list[bytes] = []
-        pos = int(addr)
-        end = pos + size
-        while pos < end:
-            page_take = self.geometry.page_bytes - self.geometry.page_offset(pos)
-            take = min(page_take, end - pos)
-            translation = self.translator.translate(requester_id, pos, write=False)
-            owner_server = self.deployment.server(translation.server_id)
-            if not owner_server.alive:
-                raise MemoryFailureError(
-                    f"read touched crashed server {owner_server.name}",
-                    server_id=translation.server_id,
-                )
-            if self.profiler is not None:
-                self.profiler.record(
-                    requester_id,
-                    self.geometry.extent_index(pos),
-                    take,
-                    remote=translation.remote,
-                )
-            data = yield self.transport.read(
-                requester.name, owner_server.name, translation.dram_offset, take
-            )
-            chunks.append(data)
-            pos += take
-        return b"".join(chunks)
-
     def write(self, requester_id: int, buffer: Buffer, offset: int, data: bytes) -> "Process":
         """Functional write, page by page; the payload is fixed at the call
         and each page op stores a zero-copy slice of it."""
@@ -398,36 +371,74 @@ class LogicalMemoryPool(MemoryPool):
             self._write_body(requester_id, addr, payload), name="lmp.write"
         )
 
-    def _write_body(self, requester_id: int, addr: GlobalAddress, data: memoryview):
-        requester = self.deployment.server(requester_id)
-        pos = int(addr)
-        written = 0
-        while written < len(data):
-            page_take = self.geometry.page_bytes - self.geometry.page_offset(pos)
-            take = min(page_take, len(data) - written)
-            translation = self.translator.translate(requester_id, pos, write=True)
+    def timed(
+        self, requester_id: int, buffer: Buffer, offset: int, size: int, write: bool
+    ) -> "Process":
+        """A read or write of [offset, offset+size) timed page by page
+        exactly as :meth:`read`/:meth:`write` are (translation, crash
+        check, profiler, transport), that moves no bytes: a timed write
+        leaves the range's contents as they were.  The process returns
+        *size*."""
+        addr, _ = buffer.slice_addresses(offset, size)
+        return self.engine.process(
+            self._timed_body(requester_id, addr, size, write),
+            name="lmp.write" if write else "lmp.read",
+        )
+
+    def _pages(
+        self, requester_id: int, addr: GlobalAddress, size: int, write: bool
+    ) -> _t.Iterator[tuple[str, int, int, int]]:
+        """The one page walk of the data path.  For each page chunk of
+        [addr, addr+size): translate it (marking it dirty for a migration
+        when *write*), refuse a crashed owner and record it with the
+        profiler, then yield ``(owner name, DRAM offset, bytes before the
+        chunk, chunk length)``.  Lazy: a chunk is translated only after
+        the previous one's access completed."""
+        geometry = self.geometry
+        start = pos = int(addr)
+        end = pos + size
+        while pos < end:
+            take = min(geometry.page_bytes - geometry.page_offset(pos), end - pos)
+            translation = self.translator.translate(requester_id, pos, write=write)
             owner_server = self.deployment.server(translation.server_id)
             if not owner_server.alive:
                 raise MemoryFailureError(
-                    f"write touched crashed server {owner_server.name}",
+                    f"{'write' if write else 'read'} touched crashed server "
+                    f"{owner_server.name}",
                     server_id=translation.server_id,
                 )
             if self.profiler is not None:
                 self.profiler.record(
                     requester_id,
-                    self.geometry.extent_index(pos),
+                    geometry.extent_index(pos),
                     take,
                     remote=translation.remote,
                 )
-            yield self.transport.write(
-                requester.name,
-                owner_server.name,
-                translation.dram_offset,
-                data[written : written + take],
-            )
+            yield owner_server.name, translation.dram_offset, pos - start, take
             pos += take
-            written += take
-        return written
+
+    def _read_body(self, requester_id: int, addr: GlobalAddress, size: int):
+        requester = self.deployment.server(requester_id).name
+        chunks: list[bytes] = []
+        for owner, dram_offset, _, take in self._pages(requester_id, addr, size, False):
+            chunks.append((yield self.transport.read(requester, owner, dram_offset, take)))
+        return b"".join(chunks)
+
+    def _write_body(self, requester_id: int, addr: GlobalAddress, data: memoryview):
+        requester = self.deployment.server(requester_id).name
+        for owner, dram_offset, done, take in self._pages(
+            requester_id, addr, len(data), True
+        ):
+            yield self.transport.write(
+                requester, owner, dram_offset, data[done : done + take]
+            )
+        return len(data)
+
+    def _timed_body(self, requester_id: int, addr: GlobalAddress, size: int, write: bool):
+        requester = self.deployment.server(requester_id).name
+        for owner, dram_offset, _, take in self._pages(requester_id, addr, size, write):
+            yield self.transport.timed(requester, owner, dram_offset, take, write)
+        return size
 
     # -- migration mechanism (policy lives in repro.core.migration) ----------------
 

@@ -10,6 +10,10 @@ use when they are not streaming (streaming goes through
 4. optionally moves *real* contents between backing stores, so
    functional layers (migration, erasure coding) keep data intact.
 
+:meth:`MemoryTransport.timed` runs steps 1-3 and the device's range
+check, but stores and fetches nothing: the tenant drivers need an
+access's time, not its bytes.
+
 Every operation runs as a callback chain rather than a simulation
 process: the latency timeout's callback starts the fluid transfer, and
 the transfer's ``on_complete`` callback touches the device and triggers
@@ -133,14 +137,32 @@ class MemoryTransport:
 
     # -- data-path operations --------------------------------------------------
 
+    def _access(
+        self,
+        requester: str,
+        owner: str,
+        size: int,
+        write: bool,
+        complete: _t.Callable[[], _t.Any],
+    ) -> Event:
+        """One load or store: its route, its counters, then :meth:`_issue`."""
+        if write:
+            route = self.switch.write_route(requester, owner)
+            self.writes_issued += 1
+            self.bytes_written += size
+            op, sep = "write", "->"
+        else:
+            route = self.switch.read_route(requester, owner)
+            self.reads_issued += 1
+            self.bytes_read += size
+            op, sep = "read", "<-"
+        return self._issue(op, requester, sep, owner, route, size, route.description, complete)
+
     def read(self, requester: str, owner: str, addr: int, size: int) -> Event:
         """Load *size* bytes; the returned event fires with the bytes
         (zeros if the range was never written)."""
-        route = self.switch.read_route(requester, owner)
-        self.reads_issued += 1
-        self.bytes_read += size
-        return self._issue(
-            "read", requester, "<-", owner, route, size, route.description,
+        return self._access(
+            requester, owner, size, False,
             lambda: self.switch.device_of(owner).read_bytes(addr, size),
         )
 
@@ -149,19 +171,25 @@ class MemoryTransport:
     ) -> Event:
         """Store *data*, fixed at the call (:func:`fixed_payload`); the
         returned event fires with the number of bytes written."""
-        route = self.switch.write_route(requester, owner)
         data = fixed_payload(data)
         size = len(data)
-        self.writes_issued += 1
-        self.bytes_written += size
 
         def complete() -> int:
             self.switch.device_of(owner).write_bytes(addr, data)
             return size
 
-        return self._issue(
-            "write", requester, "->", owner, route, size, route.description, complete,
-        )
+        return self._access(requester, owner, size, True, complete)
+
+    def timed(self, requester: str, owner: str, addr: int, size: int, write: bool) -> Event:
+        """A load or store timed, counted and range-checked exactly like
+        :meth:`read`/:meth:`write`, that moves no bytes: the owner's
+        contents stay as they were.  The returned event fires with *size*."""
+
+        def complete() -> int:
+            self.switch.device_of(owner).check_range(addr, size, write)
+            return size
+
+        return self._access(requester, owner, size, write, complete)
 
     def copy(
         self, src_owner: str, src_addr: int, dst_owner: str, dst_addr: int, size: int

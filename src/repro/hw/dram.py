@@ -169,21 +169,24 @@ class MemoryDevice:
 
     # -- contents -------------------------------------------------------------
 
+    def check_range(self, addr: int, size: int, write: bool) -> None:
+        """Raise :class:`AddressError` if [addr, addr+size) runs past the
+        device; every access checks this, whether or not it moves bytes."""
+        end = addr + size
+        if end > self.capacity_bytes:
+            op = "write" if write else "read"
+            raise AddressError(
+                f"{op} [{addr}, {end}) exceeds {self.name} capacity {self.capacity_bytes}"
+            )
+
     def write_bytes(self, addr: int, data: bytes | bytearray | memoryview) -> None:
         """Store real contents (functional tests / small buffers)."""
-        end = addr + len(data)
-        if end > self.capacity_bytes:
-            raise AddressError(
-                f"write [{addr}, {end}) exceeds {self.name} capacity {self.capacity_bytes}"
-            )
+        self.check_range(addr, len(data), write=True)
         self.store.write(addr, data)
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         """Fetch real contents."""
-        if addr + size > self.capacity_bytes:
-            raise AddressError(
-                f"read [{addr}, {addr + size}) exceeds {self.name} capacity"
-            )
+        self.check_range(addr, size, write=False)
         return self.store.read(addr, size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -142,7 +142,8 @@ class ScaleDriver:
     def _touch(
         self, slot: int, lease: "Lease", arrival: "Arrival"
     ) -> _t.Generator[_t.Any, _t.Any, None]:
-        """One read or write through the tenant's session."""
+        """One timed read or write (no host bytes move) through the
+        tenant's session."""
         session = self.manager.tenant(self._ids[slot]).sessions[0]
         rng = self._slot_rng.get(slot)
         if rng is None:
@@ -152,12 +153,9 @@ class ScaleDriver:
         offset = rng.randrange(lease.size - size + 1)
         mapping = session.map(lease.buffer)
         try:
-            if arrival.write:
-                # single writer by construction: the request writes only
-                # inside the buffer of the lease it exclusively holds
-                yield session.write_v(mapping.vaddr + offset, bytes(size))  # noqa: LMP007
-            else:
-                yield session.read_v(mapping.vaddr + offset, size)
+            # single writer by construction: the request writes only
+            # inside the buffer of the lease it exclusively holds
+            yield session.timed_v(mapping.vaddr + offset, size, arrival.write)  # noqa: LMP007
         finally:
             session.unmap(mapping)
 

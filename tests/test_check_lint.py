@@ -269,6 +269,34 @@ def test_lmp007_allows_write_after_acquire():
     assert "LMP007" not in rule_ids(source, path=CLUSTER_PATH)
 
 
+def test_lmp007_flags_timed_write_and_not_timed_read():
+    flagged = """
+    def tenant(session, vaddr, write):
+        yield session.timed_v(vaddr, 64, write)
+    """
+    assert "LMP007" in rule_ids(flagged, path=CLUSTER_PATH)
+    keyword = """
+    def tenant(session, vaddr):
+        yield session.timed_v(vaddr, 64, write=True)
+    """
+    assert "LMP007" in rule_ids(keyword, path=CLUSTER_PATH)
+    read = """
+    def tenant(session, vaddr):
+        yield session.timed_v(vaddr, 64, False)
+    """
+    assert "LMP007" not in rule_ids(read, path=CLUSTER_PATH)
+
+
+def test_lmp007_allows_timed_write_after_acquire():
+    source = """
+    def tenant(session, vaddr, mutex):
+        yield mutex.acquire()
+        yield session.timed_v(vaddr, 64, True)
+        mutex.release()
+    """
+    assert "LMP007" not in rule_ids(source, path=CLUSTER_PATH)
+
+
 def test_lmp007_scoped_to_cluster_and_workloads():
     source = """
     def tenant(session, buf):

@@ -295,10 +295,10 @@ def test_live_tenants_addressing_error_is_not_swallowed(monkeypatch):
     """A data op by a tenant that was never revoked has no revocation to
     blame: its AddressError is a bug, and it ends the run."""
 
-    def stray_read(session, vaddr, size):
+    def stray_read(session, vaddr, size, write):
         raise AddressError(f"stray read at {vaddr:#x}")
 
-    monkeypatch.setattr(LmpSession, "read_v", stray_read)
+    monkeypatch.setattr(LmpSession, "timed_v", stray_read)
     manager = scale_manager()
     arrivals = [
         Arrival(when_ns=0.0, slot=0, size=EXTENT, hold_ns=us(1), access=True, write=False)
