@@ -9,7 +9,10 @@ Measures what PR-level changes most easily regress at 10k tenants:
   admission front door (arrivals/s is the rate the experiment's CI
   smoke time depends on),
 * ``elastic_slice`` — the same replay with the re-flex autoscaler
-  ticking (the controller must stay a small constant on top).
+  ticking (the controller must stay a small constant on top),
+* ``arrival_stream`` — ``OpenLoopTraffic.arrivals()`` alone on S1's
+  flash spec (seed 0: 17,460 arrivals from 168,241 thinning candidates),
+  no simulation: arrivals generated per second.
 
 The CI scale-bench job::
 
@@ -45,6 +48,7 @@ from repro.scale import (
     ScaleDriver,
     TrafficSpec,
 )
+from repro.sim.rng import RngStreams
 from repro.topology.builder import build_logical
 from repro.units import kib, mib, us
 
@@ -70,7 +74,9 @@ def _manager(server_count: int = 4) -> PoolManager:
     return manager
 
 
-def _spec(tenants: int, duration_ns: float, rate_ops_ns: float) -> TrafficSpec:
+def _spec(
+    tenants: int, duration_ns: float, rate_ops_ns: float, flash_multiplier: float = 6.0
+) -> TrafficSpec:
     return TrafficSpec(
         tenants=tenants,
         base_rate_ops_s=rate_ops_ns * 1e9,
@@ -81,7 +87,7 @@ def _spec(tenants: int, duration_ns: float, rate_ops_ns: float) -> TrafficSpec:
             FlashCrowd(
                 start_ns=0.4 * duration_ns,
                 duration_ns=0.2 * duration_ns,
-                multiplier=6.0,
+                multiplier=flash_multiplier,
                 first_slot=int(0.6 * tenants),
                 last_slot=int(0.7 * tenants),
                 focus=0.8,
@@ -140,6 +146,20 @@ def open_loop_slice(
     return result
 
 
+def arrival_stream(now: _harness.Now = time.perf_counter) -> dict[str, float]:
+    """S1's seed-0 arrival stream alone (``repro run scale``'s spec):
+    arrivals generated per second."""
+    traffic = OpenLoopTraffic(_spec(10_000, us(4_000), 1.25e-3, 8.0), RngStreams(0))
+    started = now()
+    arrivals = sum(1 for _ in traffic.arrivals())
+    secs = now() - started
+    return {
+        "events_per_sec": round(arrivals / secs, 1),
+        "arrivals": float(arrivals),
+        "seconds": round(secs, 4),
+    }
+
+
 def _configs() -> list[_harness.Config]:
     return [
         ("construct_10k", "events_per_sec", construct_10k),
@@ -147,6 +167,7 @@ def _configs() -> list[_harness.Config]:
          lambda now: open_loop_slice(10_000, autoscale=False, now=now)),
         ("elastic_slice", "events_per_sec",
          lambda now: open_loop_slice(10_000, autoscale=True, now=now)),
+        ("arrival_stream", "events_per_sec", arrival_stream),
     ]
 
 

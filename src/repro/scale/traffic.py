@@ -19,7 +19,8 @@ Every stochastic component draws from its own named
 byte-identical per seed no matter how components are toggled relative
 to each other, and the composed rate function feeds one Lewis-thinned
 non-homogeneous Poisson process
-(:func:`~repro.workloads.generators.thinned_poisson`).
+(:func:`~repro.workloads.generators.thinned_poisson`) under the rate's
+piecewise-constant envelope.
 """
 
 from __future__ import annotations
@@ -172,24 +173,27 @@ class OpenLoopTraffic:
     Four dedicated streams: candidate arrival times (thinning), tenant
     picks, request shape (hold time / access / write draws), and the
     MMPP state timeline.  The timeline is materialized eagerly so burst
-    boundaries never depend on how many arrivals preceded them."""
+    boundaries never depend on how many arrivals preceded them.  Each
+    :meth:`arrivals` call bounds the composed rate by
+    :meth:`rate_envelope`, so thinning evaluates the rate only for the
+    candidates that bound cannot reject."""
 
     def __init__(self, spec: TrafficSpec, streams: "RngStreams") -> None:
         self.spec = spec
         self._arrive = streams.stream("scale.traffic.arrivals")
         self._pick = streams.stream("scale.traffic.tenants")
         self._shape = streams.stream("scale.traffic.shape")
+        self._burst_timeline: list[tuple[float, float]] = []
         self._bursts: PiecewiseRate | None = None
         if spec.bursts is not None:
-            self._bursts = PiecewiseRate(
-                mmpp_timeline(
-                    spec.duration_ns,
-                    spec.bursts.multiplier,
-                    spec.bursts.mean_on_ns,
-                    spec.bursts.mean_off_ns,
-                    streams.stream("scale.traffic.bursts"),
-                )
+            self._burst_timeline = mmpp_timeline(
+                spec.duration_ns,
+                spec.bursts.multiplier,
+                spec.bursts.mean_on_ns,
+                spec.bursts.mean_off_ns,
+                streams.stream("scale.traffic.bursts"),
             )
+            self._bursts = PiecewiseRate(self._burst_timeline)
         self._cumulative = zipf_cumulative(spec.tenants, spec.zipf_theta)
         self.peak_rate_per_ns = self._peak_rate_per_ns()
 
@@ -197,12 +201,40 @@ class OpenLoopTraffic:
 
     def rate_per_ns(self, t_ns: float) -> float:
         """Instantaneous aggregate arrival rate (arrivals per ns)."""
-        spec = self.spec
-        rate = spec.base_rate_ops_s / 1e9
-        if spec.diurnal is not None:
-            rate *= diurnal_multiplier(
-                t_ns, spec.diurnal.period_ns, spec.diurnal.amplitude, spec.diurnal.phase
+        diurnal = self.spec.diurnal
+        swing = 1.0
+        if diurnal is not None:
+            swing = diurnal_multiplier(
+                t_ns, diurnal.period_ns, diurnal.amplitude, diurnal.phase
             )
+        return self._composed(t_ns, swing)
+
+    def rate_envelope(self) -> list[tuple[float, float]]:
+        """A piecewise-constant bound on :meth:`rate_per_ns`, as
+        ``(start_ns, bound)`` steps from 0.
+
+        Steps break where the MMPP state or a crowd's activity changes;
+        each holds the diurnal crest ``1 + amplitude`` in place of the
+        swing.  ``amplitude * sin(x) <= amplitude`` in floats, and
+        :meth:`_composed` multiplies both in the same order, so the
+        bound holds exactly, not just up to rounding."""
+        spec = self.spec
+        cuts = {0.0, *(start for start, _ in self._burst_timeline)}
+        for crowd in spec.flash_crowds:
+            cuts.update((crowd.start_ns, crowd.end_ns))
+        crest = 1.0 if spec.diurnal is None else 1.0 + spec.diurnal.amplitude
+        return [
+            (start, self._composed(start, crest))
+            for start in sorted(cuts)
+            if start < spec.duration_ns
+        ]
+
+    def _composed(self, t_ns: float, swing: float) -> float:
+        """The base rate times *swing*, the MMPP state and the active
+        crowds at *t_ns*.  Float products are monotone in each factor,
+        so one multiplication order keeps the envelope above the rate."""
+        spec = self.spec
+        rate = spec.base_rate_ops_s / 1e9 * swing
         if self._bursts is not None:
             rate *= self._bursts.value_at(t_ns)
         for crowd in spec.flash_crowds:
@@ -240,7 +272,11 @@ class OpenLoopTraffic:
         spec = self.spec
         shape = self._shape
         for when in thinned_poisson(
-            self.rate_per_ns, self.peak_rate_per_ns, spec.duration_ns, self._arrive
+            self.rate_per_ns,
+            self.peak_rate_per_ns,
+            spec.duration_ns,
+            self._arrive,
+            self.rate_envelope(),
         ):
             slot = self._slot_at(when)
             hold = shape.expovariate(1.0 / spec.hold_mean_ns)

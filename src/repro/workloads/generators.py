@@ -7,7 +7,8 @@ cluster driver from an explicit :class:`random.Random` stream (see
 The rest of the module is *time*: open-loop arrival processes
 for the 10k-tenant serving scenario (:mod:`repro.scale`) — Zipf tenant
 popularity, diurnal sinusoids, two-state MMPP burst modulation, and
-non-homogeneous Poisson arrivals via Lewis thinning.  All of it is
+non-homogeneous Poisson arrivals via Lewis thinning with a squeeze
+against a piecewise-constant rate envelope.  All of it is
 pure-functional over explicit RNG streams, so composed scenarios stay
 byte-identical per seed.
 """
@@ -122,23 +123,45 @@ def thinned_poisson(
     peak_rate_per_ns: float,
     duration_ns: float,
     rng: random.Random,
+    envelope: _t.Sequence[tuple[float, float]],
 ) -> _t.Iterator[float]:
-    """Non-homogeneous Poisson arrival times by Lewis thinning.
+    """Non-homogeneous Poisson arrival times by Lewis thinning, squeezed.
 
     Candidate arrivals come from a homogeneous process at
-    *peak_rate_per_ns* and are accepted with probability
-    ``rate_fn(t) / peak``; *rate_fn* must never exceed the peak (excess
-    is clamped, silently flattening the overflow)."""
+    *peak_rate_per_ns*; each draws one uniform ``u`` and is accepted
+    when ``u * peak <= rate_fn(t)``.  *envelope* is a piecewise-constant
+    upper bound on *rate_fn*: ``(start_ns, bound)`` steps in increasing
+    order, the first starting at 0.  A candidate with ``u * peak`` above
+    its step's bound is rejected without calling *rate_fn*, so the rate
+    is evaluated only for candidates the bound cannot settle.
+
+    The envelope must bound *rate_fn* everywhere, exactly in floats:
+    where ``rate_fn(t)`` exceeds it, arrivals are silently lost.  So
+    are arrivals where *rate_fn* exceeds the peak, since the candidate
+    stream itself runs at the peak."""
     if peak_rate_per_ns <= 0:
         raise ConfigError(f"peak rate must be positive, got {peak_rate_per_ns}")
     if duration_ns <= 0:
         raise ConfigError(f"duration must be positive, got {duration_ns}")
+    if not envelope or envelope[0][0] > 0.0:
+        raise ConfigError("the rate envelope must have a step starting at 0")
+    # step i bounds [ends[i-1], ends[i]); candidates only move forward
+    # in time, so a pointer walks the steps
+    ends = [start for start, _ in envelope[1:]] + [math.inf]
+    bounds = [bound for _, bound in envelope]
+    step = 0
+    end, bound = ends[0], bounds[0]
+    expovariate, uniform = rng.expovariate, rng.random
     t = 0.0
     while True:
-        t += rng.expovariate(peak_rate_per_ns)
+        t += expovariate(peak_rate_per_ns)
         if t >= duration_ns:
             return
-        if rng.random() * peak_rate_per_ns <= rate_fn(t):
+        while t >= end:
+            step += 1
+            end, bound = ends[step], bounds[step]
+        u = uniform() * peak_rate_per_ns
+        if u <= bound and u <= rate_fn(t):
             yield t
 
 

@@ -8,7 +8,12 @@ transport-ledger conservation law (bytes charged == bytes moved).
 
 from __future__ import annotations
 
+import bisect
+import hashlib
+import math
+import struct
 import time
+import typing as _t
 
 import pytest
 
@@ -37,9 +42,17 @@ from repro.scale import (
 from repro.sim.rng import RngStreams
 from repro.topology.builder import build_logical
 from repro.units import kib, mib, us
+from repro.workloads.generators import mmpp_timeline
 
 EXTENT = kib(64)
 PAGE = kib(16)
+
+#: the open-loop streams' golden digests (see :func:`stream_digest`)
+S1_SEED0_DIGEST = "8dc85341b1d5609c9a2b4bc51db542f6e0f48bf5b559287b5c97ef3eff650ea6"
+SMALL_SPEC_GOLDEN = [
+    (7, 2_291, "f4e1e5230f42061d4fea3b20a53c11f1b76459de7cabda51dccb7f51f04b86c1"),
+    (8, 3_353, "31619c386a4d50e2cf21f7e8af90266300e03929600587848930457a4d6d7716"),
+]
 
 
 def scale_manager(server_count: int = 3, shared_fraction: float = 0.5) -> PoolManager:
@@ -114,7 +127,148 @@ def test_traffic_rate_composition_bounded_by_peak():
     traffic = OpenLoopTraffic(spec, RngStreams(0))
     for i in range(200):
         t = spec.duration_ns * i / 200.0
-        assert traffic.rate_per_ns(t) <= traffic.peak_rate_per_ns + 1e-12
+        assert traffic.rate_per_ns(t) <= traffic.peak_rate_per_ns
+
+
+def s1_flash_spec() -> TrafficSpec:
+    """S1's open-loop demand (``repro run scale``, lmpbench ``Flash``)."""
+    tenants, duration = 10_000, us(4_000)
+    return TrafficSpec(
+        tenants=tenants,
+        base_rate_ops_s=1.25e6,
+        duration_ns=duration,
+        zipf_theta=0.99,
+        diurnal=DiurnalCycle(period_ns=duration / 2.0, amplitude=0.4),
+        bursts=BurstModel(multiplier=3.0, mean_on_ns=us(40), mean_off_ns=us(160)),
+        flash_crowds=(
+            FlashCrowd(
+                start_ns=0.4 * duration,
+                duration_ns=0.2 * duration,
+                multiplier=8.0,
+                first_slot=6_000,
+                last_slot=7_000,
+                focus=0.8,
+            ),
+        ),
+        alloc_bytes=EXTENT,
+        hold_mean_ns=us(80),
+        access_fraction=0.25,
+        access_bytes=kib(4),
+        write_fraction=0.3,
+    )
+
+
+def stream_digest(arrivals: list[Arrival]) -> str:
+    """sha256 over every arrival's exact (when, slot, hold, access, write)."""
+    digest = hashlib.sha256()
+    for a in arrivals:
+        digest.update(struct.pack("<dqd??", a.when_ns, a.slot, a.hold_ns, a.access, a.write))
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def s1_trace() -> tuple[list[Arrival], int]:
+    """S1's seed-0 arrivals, and how many times the stream evaluated
+    the composed rate to produce them."""
+    traffic = OpenLoopTraffic(s1_flash_spec(), RngStreams(0))
+    exact = traffic.rate_per_ns
+    calls = 0
+
+    def counted(t_ns: float) -> float:
+        nonlocal calls
+        calls += 1
+        return exact(t_ns)
+
+    traffic.rate_per_ns = counted  # type: ignore[method-assign]
+    return list(traffic.arrivals()), calls
+
+
+def test_s1_seed0_arrival_stream_is_pinned(s1_trace):
+    arrivals, _calls = s1_trace
+    assert len(arrivals) == 17_460
+    assert stream_digest(arrivals) == S1_SEED0_DIGEST
+
+
+@pytest.mark.parametrize(
+    ("seed", "count", "digest"),
+    SMALL_SPEC_GOLDEN,
+    ids=[f"seed{seed}" for seed, _count, _digest in SMALL_SPEC_GOLDEN],
+)
+def test_small_spec_arrival_streams_are_pinned(seed, count, digest):
+    arrivals = list(OpenLoopTraffic(small_spec(), RngStreams(seed)).arrivals())
+    assert len(arrivals) == count
+    assert stream_digest(arrivals) == digest
+
+
+def test_squeeze_evaluates_the_rate_at_most_twice_per_arrival(s1_trace):
+    """Plain thinning evaluates the rate for all 168,241 candidates,
+    9.6 per arrival, against a peak 33.6x the base rate."""
+    arrivals, calls = s1_trace
+    assert calls <= 2 * len(arrivals)
+
+
+def _mmpp_breakpoint() -> float:
+    """A burst-state change of ``small_spec``'s seed-0 MMPP timeline."""
+    spec = small_spec()
+    assert spec.bursts is not None
+    timeline = mmpp_timeline(
+        spec.duration_ns,
+        spec.bursts.multiplier,
+        spec.bursts.mean_on_ns,
+        spec.bursts.mean_off_ns,
+        RngStreams(0).stream("scale.traffic.bursts"),
+    )
+    return timeline[2][0]
+
+
+def _envelope_specs() -> list[_t.Any]:
+    crowd = FlashCrowd(start_ns=us(10), duration_ns=us(10), multiplier=4.0)
+    cases = []
+    for diurnal in (False, True):
+        for bursts in (False, True):
+            for crowds in (False, True):
+                name = "-".join(
+                    part
+                    for part, on in (("diurnal", diurnal), ("bursts", bursts), ("crowd", crowds))
+                    if on
+                )
+                spec = small_spec(
+                    diurnal=small_spec().diurnal if diurnal else None,
+                    bursts=small_spec().bursts if bursts else None,
+                    flash_crowds=(crowd,) if crowds else (),
+                )
+                cases.append(pytest.param(spec, id=name or "flat"))
+    overlapping = (
+        FlashCrowd(start_ns=us(8), duration_ns=us(12), multiplier=3.0),
+        FlashCrowd(start_ns=us(14), duration_ns=us(16), multiplier=5.0),
+    )
+    cases.append(pytest.param(small_spec(flash_crowds=overlapping), id="overlapping-crowds"))
+    on_mmpp = FlashCrowd(start_ns=_mmpp_breakpoint(), duration_ns=us(7), multiplier=6.0)
+    cases.append(pytest.param(small_spec(flash_crowds=(on_mmpp,)), id="crowd-on-mmpp-breakpoint"))
+    to_end = FlashCrowd(start_ns=us(30), duration_ns=us(10), multiplier=8.0)
+    assert to_end.end_ns == small_spec().duration_ns
+    cases.append(pytest.param(small_spec(flash_crowds=(to_end,)), id="crowd-ends-at-duration"))
+    return cases
+
+
+@pytest.mark.parametrize("spec", _envelope_specs())
+def test_rate_envelope_bounds_the_rate_exactly(spec):
+    traffic = OpenLoopTraffic(spec, RngStreams(0))
+    steps = traffic.rate_envelope()
+    starts = [start for start, _ in steps]
+    assert starts[0] == 0.0 and starts == sorted(set(starts))
+    assert max(bound for _, bound in steps) <= traffic.peak_rate_per_ns
+
+    def upper(t_ns: float) -> float:
+        return steps[bisect.bisect_right(starts, t_ns) - 1][1]
+
+    probes = [spec.duration_ns * i / 4_000.0 for i in range(4_000)]
+    probes += starts + [math.nextafter(start, 0.0) for start in starts[1:]]
+    for crowd in spec.flash_crowds:
+        for edge in (crowd.start_ns, crowd.end_ns):
+            assert edge in starts or edge >= spec.duration_ns
+    for t in probes:
+        assert traffic.rate_per_ns(t) <= upper(t), f"rate above envelope at {t!r}"
 
 
 def test_flash_crowd_raises_rate_and_focuses_slots():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import networkx as nx
@@ -13,7 +14,7 @@ from repro.errors import CapacityError, ConfigError
 from repro.mem.interleave import RoundRobinPlacement
 from repro.topology.builder import build_logical
 from repro.units import gib, mib
-from repro.workloads.generators import uniform_trace
+from repro.workloads.generators import thinned_poisson, uniform_trace
 from repro.workloads.graph import PooledGraph, random_graph
 from repro.workloads.kvstore import PooledKVStore, run_ycsb
 from repro.workloads.vector_sum import run_vector_sum
@@ -109,6 +110,67 @@ def test_generators_are_deterministic():
     a = list(uniform_trace(1000, 10, 20, random.Random(9)))
     b = list(uniform_trace(1000, 10, 20, random.Random(9)))
     assert a == b
+
+
+def plain_thinning(rate_fn, peak, duration_ns, rng):
+    """Lewis thinning without a squeeze: the rate for every candidate."""
+    t = 0.0
+    while True:
+        t += rng.expovariate(peak)
+        if t >= duration_ns:
+            return
+        if rng.random() * peak <= rate_fn(t):
+            yield t
+
+
+def wavy_rate(t_ns: float) -> float:
+    """A swing around 0.01/ns, 4x higher in [300, 600); at most 0.015
+    and 0.06/ns, so the envelopes below bound it with room to spare."""
+    return (1.0 + 0.5 * math.sin(t_ns / 37.0)) * (0.04 if 300.0 <= t_ns < 600.0 else 0.01)
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        [(0.0, 0.016), (300.0, 0.064), (600.0, 0.016)],  # one step per level
+        [(0.0, 0.064)],  # one flat step over the whole run
+        [(0.0, 0.016), (150.0, 0.016), (300.0, 0.064), (600.0, 0.02), (800.0, 0.016)],
+    ],
+)
+def test_squeezed_thinning_matches_the_plain_loop(envelope):
+    for seed in range(5):
+        squeezed = list(thinned_poisson(wavy_rate, 0.1, 1000.0, random.Random(seed), envelope))
+        assert squeezed == list(plain_thinning(wavy_rate, 0.1, 1000.0, random.Random(seed)))
+        assert squeezed
+
+
+def test_thinning_squeeze_skips_the_rate_below_the_envelope():
+    calls = []
+
+    def rate(t_ns: float) -> float:
+        calls.append(t_ns)
+        return wavy_rate(t_ns)
+
+    envelope = [(0.0, 0.016), (300.0, 0.064), (600.0, 0.016)]
+    arrivals = list(thinned_poisson(rate, 0.1, 1000.0, random.Random(3), envelope))
+    # about 100 candidates at the peak, of which about 30 land under the
+    # envelope (its mean is 0.0304 of the 0.1 peak)
+    assert len(arrivals) <= len(calls) < 40
+
+
+def test_thinning_loses_arrivals_where_the_envelope_is_violated():
+    """The contract: a bound below the rate silently drops arrivals."""
+    low = [(0.0, 0.015), (300.0, 0.015), (600.0, 0.015)]
+    squeezed = list(thinned_poisson(wavy_rate, 0.1, 1000.0, random.Random(3), low))
+    plain = list(plain_thinning(wavy_rate, 0.1, 1000.0, random.Random(3)))
+    assert set(squeezed) < set(plain)
+
+
+def test_thinning_validates_the_envelope():
+    with pytest.raises(ConfigError):
+        list(thinned_poisson(wavy_rate, 0.1, 1000.0, random.Random(0), []))
+    with pytest.raises(ConfigError):  # nothing bounds [0, 10)
+        list(thinned_poisson(wavy_rate, 0.1, 1000.0, random.Random(0), [(10.0, 0.1)]))
 
 
 # --- kv store ----------------------------------------------------------------
