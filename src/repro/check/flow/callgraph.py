@@ -37,7 +37,6 @@ WAIT_ATTRS = frozenset(
         "wait",
         "transfer",
         "migrate_extent",
-        "relocate_extent_locally",
         "get",  # Store.get: a blocking channel read
     }
 )

@@ -781,9 +781,7 @@ class UnitConfusionRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: waits whose bare-statement result is silently dropped
-_ENGINE_WAIT_ATTRS = frozenset(
-    {"timeout", "acquire", "transfer", "migrate_extent", "relocate_extent_locally"}
-)
+_ENGINE_WAIT_ATTRS = frozenset({"timeout", "acquire", "transfer", "migrate_extent"})
 
 
 class YieldDisciplineRule(Rule):

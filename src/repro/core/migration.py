@@ -149,10 +149,9 @@ class LocalityBalancer:
         skipped_space, skipped_gain = self._last_skips
         moved = 0
         for decision in decisions:
-            yield self.pool.migrate_extent(
+            moved += yield self.pool.migrate_extent(
                 decision.extent_index, decision.dst_server_id
             )
-            moved += self.pool.geometry.extent_bytes
         candidates = len(self.profiler.remote_bytes_by_extent())
         self.profiler.advance_epoch()
         report = BalancerReport(
@@ -355,8 +354,7 @@ class CapacityBalancer:
         moves = self.plan()
         moved_bytes = 0
         for extent_index, _src, dst in moves:
-            yield self.pool.migrate_extent(extent_index, dst)
-            moved_bytes += self.pool.geometry.extent_bytes
+            moved_bytes += yield self.pool.migrate_extent(extent_index, dst)
         report = RebalanceReport(
             moves=len(moves),
             bytes_moved=moved_bytes,
@@ -463,7 +461,7 @@ class PressureEvictor:
                 moved_extents += 1
                 evacuated += moved
 
-        # compact kept extents out of the reclaimed range (local copies)
+        # compact kept extents out of the reclaimed range (local moves)
         relocated = 0
         blockers = set(region.frames_blocking_shrink(target))
         if blockers:
@@ -476,7 +474,7 @@ class PressureEvictor:
                 if region.shared_free_bytes < extent_bytes:
                     break  # nowhere to compact to; reclaim stays partial
                 try:
-                    relocated += yield self.pool.relocate_extent_locally(extent_index)
+                    relocated += yield self.pool.migrate_extent(extent_index, server_id)
                 except CapacityError:
                     break  # frames vanished between the check and the move
 

@@ -192,9 +192,9 @@ class LogicalMemoryPool(MemoryPool):
                 # server must not keep a discarded pool's frames alive
                 server.on_crash(functools.partial(self._ledger.drop, server.server_id))
         self._buffer_extents: dict[int, list[int]] = {}
-        #: extents mid-migration/relocation: a free() racing the move
-        #: defers the teardown to the mover instead of yanking pages out
-        #: from under an in-flight copy
+        #: extents a mover is copying: a free() racing the move defers
+        #: the teardown to the mover instead of yanking pages out from
+        #: under an in-flight copy
         self._pinned_extents: set[int] = set()
         self._doomed_extents: set[int] = set()
 
@@ -267,8 +267,8 @@ class LogicalMemoryPool(MemoryPool):
             raise AddressError(f"buffer {buffer!r} is not live in this pool")
         for extent_index in extents:
             if extent_index in self._pinned_extents:
-                # a migration/relocation holds this extent; it tears the
-                # extent down (and returns the capacity) when it unpins
+                # a mover holds this extent; it tears the extent down
+                # (and returns the capacity) when it unpins
                 self._doomed_extents.add(extent_index)
                 continue
             self._teardown_extent(extent_index)
@@ -446,7 +446,14 @@ class LogicalMemoryPool(MemoryPool):
         """Move one extent's pages to *dst_server_id*, preserving logical
         addresses.  Two phases: bulk copy (concurrent writes allowed,
         tracked via dirty bits), then a bounded re-copy loop and an
-        atomic commit (remap + global-map generation bump)."""
+        atomic commit (remap + global-map generation bump).
+
+        A *dst_server_id* that already owns the extent makes this a local
+        move (compaction): the pages go to the owner's highest free
+        frames, away from the boundary a shrink reclaims, and the global
+        map is left alone because the owner does not change.  The
+        process returns the bytes moved, 0 when the extent was freed
+        before or during the move."""
         return self.engine.process(
             self._migrate_body(extent_index, dst_server_id),
             name=f"migrate.ext{extent_index}",
@@ -460,8 +467,7 @@ class LogicalMemoryPool(MemoryPool):
             return 0  # freed before we started, or another mover owns it
         entry = self.translator.global_map.lookup_extent(extent_index)
         src_id = entry.server_id
-        if src_id == dst_server_id:
-            return 0
+        local = src_id == dst_server_id
         src = self.deployment.server(src_id)
         dst = self.deployment.server(dst_server_id)
         if not dst.alive:
@@ -472,8 +478,9 @@ class LogicalMemoryPool(MemoryPool):
         page_bytes = self.geometry.page_bytes
         first_page = extent_index * pages_per_extent
         src_table = self.translator.page_table(src_id)
-        self.regions[dst_server_id].ensure_shared_free(self.geometry.extent_bytes)
-        dst_frames = self.regions[dst_server_id].allocate_frames(pages_per_extent)
+        dst_region = self.regions[dst_server_id]
+        dst_region.ensure_shared_free(self.geometry.extent_bytes)
+        dst_frames = dst_region.allocate_frames(pages_per_extent, highest=local)
         self._pinned_extents.add(extent_index)
         try:
             # Phase 1: bulk copy every page, clearing dirty bits as we go so
@@ -488,7 +495,7 @@ class LogicalMemoryPool(MemoryPool):
                 )
                 if extent_index in self._doomed_extents:
                     # the buffer was freed mid-copy: nothing left to move
-                    self.regions[dst_server_id].free_frames(dst_frames)
+                    dst_region.free_frames(dst_frames)
                     return 0
 
             # Phase 2: bounded re-copy of pages dirtied during phase 1.
@@ -511,25 +518,26 @@ class LogicalMemoryPool(MemoryPool):
                         page_bytes,
                     )
                     if extent_index in self._doomed_extents:
-                        self.regions[dst_server_id].free_frames(dst_frames)
+                        dst_region.free_frames(dst_frames)
                         return 0
 
             # Either endpoint may have died while we were copying.  A dead
-            # destination aborts cleanly (the source stays authoritative);
-            # a dead source means the extent's bytes are gone — committing a
-            # zero-filled destination copy would be silent corruption.
-            if not dst.alive:
-                self.regions[dst_server_id].free_frames(dst_frames)
-                raise MigrationError(
-                    f"migration of extent {extent_index} aborted: target "
-                    f"{dst.name} crashed mid-copy (source copy remains authoritative)"
-                )
+            # source means the extent's bytes are gone — committing a
+            # zero-filled destination copy would be silent corruption (a
+            # local move's source and destination die together).  A dead
+            # destination aborts cleanly: the source stays authoritative.
             if not src.alive:
-                self.regions[dst_server_id].free_frames(dst_frames)
+                dst_region.free_frames(dst_frames)
                 raise MemoryFailureError(
                     f"extent {extent_index} lost: source {src.name} crashed "
                     "mid-migration before the copy committed",
                     server_id=src_id,
+                )
+            if not dst.alive:
+                dst_region.free_frames(dst_frames)
+                raise MigrationError(
+                    f"migration of extent {extent_index} aborted: target "
+                    f"{dst.name} crashed mid-copy (source copy remains authoritative)"
                 )
 
             # Commit: remap atomically (single simulation instant).
@@ -539,51 +547,9 @@ class LogicalMemoryPool(MemoryPool):
                 extent_index, dst_frames, protection
             )
             self.regions[src_id].free_frames(src_frames)
-            self.translator.global_map.reassign(extent_index, dst_server_id)
+            if not local:
+                self.translator.global_map.reassign(extent_index, dst_server_id)
             return pages_per_extent * page_bytes
-        finally:
-            self._unpin_extent(extent_index)
-
-
-    def relocate_extent_locally(self, extent_index: int) -> "Process":
-        """Move an extent's pages to other frames on the *same* server
-        (compaction), freeing its current frames — how a hot extent
-        escapes a region shrink without losing locality."""
-        return self.engine.process(
-            self._relocate_body(extent_index), name=f"relocate.ext{extent_index}"
-        )
-
-    def _relocate_body(self, extent_index: int):
-        if (
-            extent_index not in self.translator.global_map
-            or extent_index in self._pinned_extents
-        ):
-            return 0  # freed before we started, or another mover owns it
-        owner = self.translator.global_map.lookup_extent(extent_index).server_id
-        server = self.deployment.server(owner)
-        pages_per_extent = self.geometry.pages_per_extent
-        page_bytes = self.geometry.page_bytes
-        first_page = extent_index * pages_per_extent
-        table = self.translator.page_table(owner)
-        new_frames = self.regions[owner].allocate_frames(pages_per_extent, highest=True)
-        self._pinned_extents.add(extent_index)
-        old_frames: list[int] = []
-        try:
-            for slot, new_frame in enumerate(new_frames):
-                old_frame = table.frames(extent_index)[slot]
-                yield self.transport.copy(
-                    server.name, old_frame, server.name, new_frame, page_bytes
-                )
-                if extent_index in self._doomed_extents:
-                    # freed mid-compaction: stop committing; pages already
-                    # moved keep their new frames (the table is the record)
-                    break
-                old_frames.append(table.relocate_page(first_page + slot, new_frame))
-            # superseded old frames, and new frames we never committed to
-            moved = len(old_frames)
-            self.regions[owner].free_frames(old_frames)
-            self.regions[owner].free_frames(new_frames[moved:])
-            return moved * page_bytes
         finally:
             self._unpin_extent(extent_index)
 

@@ -122,16 +122,6 @@ class PageTable:
         self.mapped_pages -= self._pages_per_extent
         return mapping.frames
 
-    def relocate_page(self, page_index: int, frame_offset: int) -> int:
-        """Point one mapped page at *frame_offset* (a local compaction
-        copied it there); returns the frame it leaves."""
-        self._check_frames([frame_offset])
-        extent_index, slot = divmod(page_index, self._pages_per_extent)
-        frames = self._mapping(extent_index).frames
-        old = frames[slot]
-        frames[slot] = frame_offset
-        return old
-
     # -- per-extent reads -------------------------------------------------------
 
     def extents(self) -> _t.KeysView[int]:

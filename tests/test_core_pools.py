@@ -13,6 +13,7 @@ from repro.errors import (
     MemoryFailureError,
 )
 from repro.mem.interleave import RoundRobinPlacement
+from repro.topology.builder import build_logical
 from repro.units import gib, mib
 
 
@@ -170,10 +171,24 @@ def test_migration_preserves_contents_and_addresses(logical_pool, logical_deploy
     assert data == b"stable"
 
 
-def test_migration_to_self_is_noop(logical_pool, logical_deployment):
+def test_migration_to_owner_is_a_local_move(logical_pool, logical_deployment):
+    """A move to the owner copies the extent into new frames on the same
+    server; the global map, its generation included, is left alone."""
     buffer = logical_pool.allocate(mib(256), requester_id=0)
+    logical_deployment.run(logical_pool.write(0, buffer, 1234, b"stable"))
     extent = buffer.geometry.extent_index(buffer.base)
-    assert logical_deployment.run(logical_pool.migrate_extent(extent, 0)) == 0
+    table = logical_pool.translator.page_table(0)
+    global_map = logical_pool.translator.global_map
+    old_frames = list(table.frames(extent))
+    generation = global_map.generation
+    shared_free = logical_pool.regions[0].shared_free_bytes
+    moved = logical_deployment.run(logical_pool.migrate_extent(extent, 0))
+    assert moved == mib(256)
+    assert global_map.lookup_extent(extent).server_id == 0
+    assert global_map.generation == generation
+    assert set(table.frames(extent)).isdisjoint(old_frames)
+    assert logical_pool.regions[0].shared_free_bytes == shared_free
+    assert logical_deployment.run(logical_pool.read(1, buffer, 1234, 6)) == b"stable"
 
 
 def test_migration_frees_source_frames(logical_pool, logical_deployment):
@@ -186,20 +201,38 @@ def test_migration_frees_source_frames(logical_pool, logical_deployment):
     assert logical_pool.regions[3].shared_free_bytes == dst_free - mib(256)
 
 
-def test_migration_catches_racing_writes(logical_pool, logical_deployment):
-    """A write landing mid-copy is re-copied by the dirty-page rounds."""
+def _idle_page_copy_ns(page_bytes: int) -> float:
+    """How long one page's copy within a server takes on an idle rack."""
+    idle = build_logical("link0")
+    name = idle.server(0).name
+    return idle.run(idle.transport.copy(name, 0, name, page_bytes, page_bytes))
+
+
+@pytest.mark.parametrize("dst", [1, 0], ids=["remote", "local"])
+def test_migration_catches_racing_writes(logical_pool, logical_deployment, dst):
+    """A write landing mid-copy is re-copied by the dirty-page rounds.
+
+    The remote write lands well inside the bulk copy.  The local one is
+    issued a few ns before page 0's copy completes, so it is still in
+    flight when that copy lands: a mover that commits each page as soon
+    as it is copied frees the old frame under the write and loses it."""
     engine = logical_deployment.engine
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     logical_deployment.run(logical_pool.write(0, buffer, 0, b"old-value"))
     extent = buffer.geometry.extent_index(buffer.base)
-    migration = logical_pool.migrate_extent(extent, 1)
+    if dst == 0:
+        delay = _idle_page_copy_ns(logical_pool.geometry.page_bytes) - 5.0
+    else:
+        delay = 1000.0  # well inside the bulk-copy phase
+    migration = logical_pool.migrate_extent(extent, dst)
 
     def racer():
-        yield engine.timeout(1000.0)  # well inside the bulk-copy phase
+        yield engine.timeout(delay)
         yield logical_pool.write(0, buffer, 0, b"new-value")
 
     racer_proc = engine.process(racer())
     engine.run(engine.all_of([migration, racer_proc]))
+    assert migration.value == mib(256)
     data = engine.run(logical_pool.read(2, buffer, 0, 9))
     assert data == b"new-value"
 

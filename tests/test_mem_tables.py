@@ -121,19 +121,6 @@ def test_map_extent_needs_one_frame_per_page():
     assert table.mapped_pages == 0
 
 
-def test_relocate_page_rewrites_the_frame_in_place():
-    table = PageTable(0, GEO)
-    table.map_extent(3, frames_from(0))
-    page = 3 * PPE + 4
-    entry = table.entry(page)
-    assert table.relocate_page(page, mib(2) * 1000) == mib(2) * 4
-    assert entry.frame_offset == mib(2) * 1000  # entries read the leaf's frame
-    assert table.translate(page, 9) == mib(2) * 1000 + 9
-    assert table.unmap_extent(3)[4] == mib(2) * 1000
-    with pytest.raises(AddressError):
-        table.relocate_page(page, 0)
-
-
 # --- global map --------------------------------------------------------------
 
 

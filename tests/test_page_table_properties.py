@@ -2,10 +2,11 @@
 
 The table books whole extents and makes per-page entries only on first
 touch.  This state machine drives it through map / unmap / translate /
-relocate-one-page / migrate and checks every step against the plain
-model it replaced: a dict per server from page to (frame, protection,
-access bits).  Frames handed back by ``unmap_extent``, every page's
-frame and bits, and ``mapped_pages`` must all agree.
+migrate (to another server or to the owner) and checks every step
+against the plain model it replaced: a dict per server from page to
+(frame, protection, access bits).  Frames handed back by
+``unmap_extent``, every page's frame and bits, and ``mapped_pages`` must
+all agree.
 """
 
 from __future__ import annotations
@@ -128,25 +129,14 @@ class PageTableMachine(RuleBasedStateMachine):
                 self.tables[server].translate(page, 0)
 
     @precondition(lambda self: self.owner)
-    @rule(pick=picks, slot=st.integers(0, PPE - 1))
-    def relocate_one_page(self, pick: int, slot: int) -> None:
-        extent = self._pick(pick)
-        server = self.owner[extent]
-        page = extent * PPE + slot
-        (new_frame,) = self._fresh_frames(1)
-        old = self.tables[server].relocate_page(page, new_frame)
-        assert old == self.ref[server][page].frame
-        self.ref[server][page].frame = new_frame
-
-    @precondition(lambda self: self.owner)
     @rule(pick=picks, dst=servers)
     def migrate(self, pick: int, dst: int) -> None:
         """The pool's commit: unmap on the source, map fresh frames on
-        the destination with the extent's protection; bits start clean."""
+        the destination with the extent's protection; bits start clean.
+        A local move (*dst* is the owner) commits the same way on one
+        table."""
         extent = self._pick(pick)
         src = self.owner[extent]
-        if src == dst:
-            return
         protection = self.tables[src].protection(extent)
         assert protection == self.ref[src][extent * PPE].protection
         self._unmap(extent)

@@ -3,7 +3,7 @@
 The pool keeps ``shared_free_bytes + growable_bytes()`` per live server,
 and their total, up to date from the regions' own mutators instead of
 recomputing them on every placement, admission or eviction decision.  A
-stateful machine drives random allocate / free / migrate / relocate /
+stateful machine drives random allocate / free / migrate (remote or local) /
 reclaim / resize / flex-toggle / crash sequences against a small rack
 and checks after every step that the ledger equals a full
 recomputation over the live servers, key order included (placement
@@ -108,14 +108,9 @@ class LedgerMachine(RuleBasedStateMachine):
     @precondition(lambda self: self._extents())
     @rule(index=st.integers(0, 50), dst=server_ids)
     def migrate(self, index: int, dst: int) -> None:
+        """A *dst* that owns the extent is a local move."""
         extents = self._extents()
         self._run(self.pool.migrate_extent(extents[index % len(extents)], dst))
-
-    @precondition(lambda self: self._extents())
-    @rule(index=st.integers(0, 50))
-    def relocate(self, index: int) -> None:
-        extents = self._extents()
-        self._run(self.pool.relocate_extent_locally(extents[index % len(extents)]))
 
     @rule(server=server_ids, extents=st.integers(1, 16))
     def reclaim(self, server: int, extents: int) -> None:

@@ -214,7 +214,7 @@ def test_crash_leaves_other_servers_intact(victim, data):
         deployment.run(pool.read(survivor_sid, doomed, 0, len(data)))
 
 
-# --- local relocation preserves data -------------------------------------------------
+# --- a local move preserves data -----------------------------------------------------
 
 
 @settings(max_examples=10, deadline=None)
@@ -227,7 +227,7 @@ def test_relocation_preserves_data(payload, offset):
     extent = buffer.geometry.extent_index(buffer.base)
     table = pool.translator.page_table(0)
     old_frames = list(table.frames(extent))
-    deployment.run(pool.relocate_extent_locally(extent))
+    deployment.run(pool.migrate_extent(extent, 0))
     assert table.frames(extent) != old_frames
     assert pool.locality_fraction(0, buffer) == 1.0  # still local
     data = deployment.run(pool.read(1, buffer, offset, len(payload)))

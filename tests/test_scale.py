@@ -24,7 +24,7 @@ from repro.cluster.tenants import TenantSpec
 from repro.core.api import LmpSession
 from repro.core.failures.detector import FailureDetector
 from repro.core.runtime import LmpRuntime
-from repro.errors import AddressError, ConfigError
+from repro.errors import AddressError, ConfigError, MemoryFailureError
 from repro.mem.layout import PageGeometry
 from repro.obs.export import prometheus_text
 from repro.scale import (
@@ -403,10 +403,18 @@ def test_reflex_grow_unblocks_queued_admission():
 # --- end to end: reduced elastic vs static -----------------------------------
 
 
-def test_elastic_beats_static_on_flash_rejects():
-    from repro.experiments.scale import run
+def test_elastic_beats_static_on_flash_rejects(monkeypatch):
+    from repro.experiments import scale
 
-    result = run(tenants=2000, duration_us=1500.0, base_rate_ops_us=1.0)
+    built: list[PoolManager] = []
+    build = scale._build_manager
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(scale, "_build_manager", keep)
+    result = scale.run(tenants=2000, duration_us=1500.0, base_rate_ops_us=1.0)
     assert result.static.arrivals == result.elastic.arrivals  # same trace
     assert result.static.flash_reject_rate > 0  # the crowd actually hurt
     assert result.elastic_wins_flash
@@ -416,6 +424,10 @@ def test_elastic_beats_static_on_flash_rejects():
     # the autoscaler's windowed timeline reached the exporters
     assert result.registry.series
     assert "repro_scale_shared_bytes" in prometheus_text(result.registry)
+    # once the elastic run settles no mover still holds an extent, though
+    # lease expiries raced the shrinks' moves
+    elastic_pool = built[-1].pool
+    assert not elastic_pool._pinned_extents and not elastic_pool._doomed_extents
 
 
 def test_scale_report_quantiles_include_p999():
@@ -649,16 +661,21 @@ def test_open_loop_events_per_arrival_bounded():
 # --- the open-loop race the movers must survive -------------------------------
 
 
-def test_free_during_migration_aborts_without_leaking(logical_pool, logical_deployment):
-    """An open-loop lease expiring mid-migration dooms the extent: the
-    mover must abort, tear the extent down, and leak no frames on
-    either end (the suite-wide alloc sanitizer verifies no double free)."""
+@pytest.mark.parametrize("dst", [2, 0], ids=["remote", "local"])
+def test_free_during_migration_aborts_without_leaking(
+    logical_pool, logical_deployment, dst
+):
+    """An open-loop lease expiring mid-move dooms the extent: the mover
+    must abort, tear the extent down, and leak no frames on either end
+    (the suite-wide alloc sanitizer verifies no double free).  A move to
+    the owner takes the same abort path as a move to another server."""
     engine = logical_deployment.engine
-    src_free = logical_pool.regions[0].shared_free_bytes
-    dst_free = logical_pool.regions[2].shared_free_bytes
+    free_before = {
+        sid: region.shared_free_bytes for sid, region in logical_pool.regions.items()
+    }
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     extent = buffer.geometry.extent_index(buffer.base)
-    migration = logical_pool.migrate_extent(extent, 2)
+    migration = logical_pool.migrate_extent(extent, dst)
 
     def assassin():
         yield engine.timeout(1000.0)  # well inside the bulk-copy phase
@@ -669,28 +686,32 @@ def test_free_during_migration_aborts_without_leaking(logical_pool, logical_depl
     assert migration.value == 0  # nothing committed
     tables = logical_pool.translator.page_tables.values()
     assert all(extent not in table.extents() for table in tables)
-    assert logical_pool.regions[0].shared_free_bytes == src_free
-    assert logical_pool.regions[2].shared_free_bytes == dst_free
+    assert {
+        sid: region.shared_free_bytes for sid, region in logical_pool.regions.items()
+    } == free_before
+    assert not logical_pool._pinned_extents and not logical_pool._doomed_extents
 
 
-def test_free_during_relocation_aborts_without_leaking(
-    logical_pool, logical_deployment
-):
+def test_crash_during_a_local_move_loses_the_extent(logical_pool, logical_deployment):
+    """A local move's source and destination are one server: when it
+    crashes mid-copy the extent's bytes are gone, so the move raises
+    :class:`MemoryFailureError` rather than a retryable migration abort,
+    and hands back the frames it took."""
     engine = logical_deployment.engine
-    free_before = logical_pool.regions[0].shared_free_bytes
     buffer = logical_pool.allocate(mib(256), requester_id=0)
     extent = buffer.geometry.extent_index(buffer.base)
-    relocation = logical_pool.relocate_extent_locally(extent)
+    free_before = logical_pool.regions[0].shared_free_bytes
+    migration = logical_pool.migrate_extent(extent, 0)
 
-    def assassin():
+    def crasher():
         yield engine.timeout(1000.0)
-        logical_pool.free(buffer)
+        logical_deployment.servers[0].crash()
 
-    racer = engine.process(assassin())
-    engine.run(engine.all_of([relocation, racer]))
-    tables = logical_pool.translator.page_tables.values()
-    assert all(extent not in table.extents() for table in tables)
+    engine.process(crasher())
+    with pytest.raises(MemoryFailureError, match="lost"):
+        engine.run(migration)
     assert logical_pool.regions[0].shared_free_bytes == free_before
+    assert not logical_pool._pinned_extents and not logical_pool._doomed_extents
 
 
 # --- determinism wiring -------------------------------------------------------
