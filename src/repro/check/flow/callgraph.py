@@ -37,7 +37,6 @@ WAIT_ATTRS = frozenset(
         "wait",
         "transfer",
         "migrate_extent",
-        "get",  # Store.get: a blocking channel read
     }
 )
 

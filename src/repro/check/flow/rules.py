@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.flow.callgraph import CallGraph, dotted_name
+from repro.check.flow.callgraph import WAIT_ATTRS, CallGraph, dotted_name
 from repro.check.flow.cfg import CFG, Node, probe_exprs
 from repro.check.flow.solver import BACKWARD, Domain, solve
 from repro.check.rules import LintContext, Rule, Violation
@@ -780,8 +780,10 @@ class UnitConfusionRule(Rule):
 # LMP014 — yield discipline for sim-time waits
 # ---------------------------------------------------------------------------
 
-#: waits whose bare-statement result is silently dropped
-_ENGINE_WAIT_ATTRS = frozenset({"timeout", "acquire", "transfer", "migrate_extent"})
+#: waits whose bare-statement result is silently dropped: every DES wait
+#: but ``wait``, which names blocking calls outside the DES too (a thread,
+#: a barrier, a subprocess) whose bare statement does wait
+_ENGINE_WAIT_ATTRS = WAIT_ATTRS - {"wait"}
 
 
 class YieldDisciplineRule(Rule):

@@ -8,13 +8,13 @@ happens-before metadata.  :class:`RaceSanitizer` exploits that with
 three detectors:
 
 * **Happens-before (vector clocks).**  Every simulation process carries
-  a vector clock.  Fork (``engine.process``) and join (yielding a
-  process, or an ``AllOf`` of processes) edges come from the
-  engine's ``monitor`` slot, which every
-  :class:`~repro.sim.process.Process` calls; release→acquire
-  edges come from :class:`~repro.sim.resources.Semaphore` /
-  :class:`~repro.sim.resources.Store` handoffs, from the
-  ``core.coherence.sync`` primitives, and from coherence-directory
+  a vector clock.  All edges come from the engine's ``monitor`` slot:
+  fork (``engine.process``) and join (yielding a process, or an
+  ``AllOf`` of processes) from every
+  :class:`~repro.sim.process.Process`; release→acquire from
+  :class:`~repro.sim.resources.Semaphore` (and ``Mutex``) and the
+  ``core.coherence.sync`` locks (:meth:`RaceSanitizer.on_acquire` /
+  :meth:`RaceSanitizer.on_release`); and from coherence-directory
   load/store/rmw completions (a load is an acquire edge on its line's
   clock, a store a release edge, an rmw both — so any protocol built on
   coherent lines is ordered automatically).  Every shared-region frame
@@ -38,13 +38,12 @@ three detectors:
 
 ``install()`` makes the detector the default ``monitor`` of every
 engine built afterwards (:data:`repro.sim.engine.DEFAULTS`); processes,
-sessions and coherence directories call their engine's monitor, so an
-engine built before ``install()`` stays unmonitored.  The sync
-resources are still patched at class level, like
-:class:`~repro.check.sanitizers.AllocSanitizer`, so an uninstalled
-detector reports nothing more, even from an engine built while it was
-installed.  With no detector the
-hooks are single ``is None`` tests, so the engine hot path stays at full
+sessions, semaphores, coherent locks and coherence directories call
+their engine's monitor, so an engine built before ``install()`` stays
+unmonitored.  Nothing is patched at class level.  ``uninstall()`` drops
+the shadow state, so an engine built while the detector was installed
+keeps calling it but gets no more reports.  With no detector the hooks
+are single ``is None`` tests, so the engine hot path stays at full
 speed (the ``bench_cluster.py --smoke`` CI job guards this).
 """
 
@@ -56,12 +55,10 @@ import typing as _t
 
 from repro.core.api import LmpSession, SessionObserver
 from repro.core.coherence.protocol import CoherenceDirectory
-from repro.core.coherence.sync import CohortLock, SpinLock, TicketLock
 from repro.errors import DataRaceError, DeadlockError, LocksetError, SimulationError
 from repro.sim.engine import DEFAULTS, Engine
 from repro.sim.events import AllOf, Event
 from repro.sim.process import Process
-from repro.sim.resources import Semaphore, Store
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.buffer import Buffer
@@ -199,7 +196,7 @@ class _ProcInfo:
 
 @dataclasses.dataclass
 class _SyncState:
-    """Shadow state for one semaphore / sync primitive / store."""
+    """Shadow state for one semaphore or coherent lock."""
 
     obj: _t.Any
     label: str
@@ -209,10 +206,9 @@ class _SyncState:
 
 @dataclasses.dataclass
 class _Grant:
-    """A pending event whose firing carries a sync edge to the resumer."""
+    """A pending acquisition whose firing carries a sync edge to the resumer."""
 
     event: Event
-    kind: str  #: "sem.acquire" | "lock.acquire" | "store.get"
     state: _SyncState
 
 
@@ -286,12 +282,10 @@ class RaceSanitizer(SessionObserver):
             raise SimulationError("RaceSanitizer is already installed")
         RaceSanitizer._active = self
         DEFAULTS.monitor = self
-        self._patch_resources()
 
     def uninstall(self) -> None:
         if RaceSanitizer._active is not self:
             raise SimulationError("this RaceSanitizer is not installed")
-        self._unpatch_resources()
         DEFAULTS.monitor = None
         RaceSanitizer._active = None
         # Reports stay for inspection; shadow refs are dropped so engines,
@@ -329,83 +323,6 @@ class RaceSanitizer(SessionObserver):
                 f"{len(self.lockset_reports)} lockset violation(s) detected:\n\n"
                 + "\n\n".join(r.render() for r in self.lockset_reports)
             )
-
-    # -- monkey patches over sim.resources / coherence.sync ----------------
-
-    def _patch_resources(self) -> None:
-        det = self
-        self._saved: dict[_t.Any, dict[str, _t.Any]] = {
-            Semaphore: {"acquire": Semaphore.acquire, "release": Semaphore.release},
-            Store: {"put": Store.put, "get": Store.get},
-        }
-        orig_sem_acquire = Semaphore.acquire
-        orig_sem_release = Semaphore.release
-        orig_put = Store.put
-        orig_get = Store.get
-
-        def acquire(sem: Semaphore) -> Event:
-            ev = orig_sem_acquire(sem)
-            state = det._sync_state(sem)
-            if ev.triggered:  # free slot: granted at call time
-                det._grant(det._cur(), _Grant(ev, "sem.acquire", state))
-            else:
-                det._grants[id(ev)] = _Grant(ev, "sem.acquire", state)
-            return ev
-
-        def release(sem: Semaphore) -> None:
-            det._release_edge(det._sync_state(sem), det._cur())
-            orig_sem_release(sem)
-
-        def put(store: Store, item: _t.Any) -> None:
-            state = det._sync_state(store)
-            cur = det._cur()
-            _join(state.clock, cur.clock)
-            det._bump(cur)
-            orig_put(store, item)
-
-        def get(store: Store) -> Event:
-            ev = orig_get(store)
-            state = det._sync_state(store)
-            if ev.triggered:
-                _join(det._cur().clock, state.clock)
-            else:
-                det._grants[id(ev)] = _Grant(ev, "store.get", state)
-            return ev
-
-        Semaphore.acquire = acquire  # type: ignore[method-assign]
-        Semaphore.release = release  # type: ignore[method-assign]
-        Store.put = put  # type: ignore[method-assign]
-        Store.get = get  # type: ignore[method-assign]
-
-        for cls in (SpinLock, TicketLock, CohortLock):
-            self._saved[cls] = {"acquire": cls.acquire, "release": cls.release}
-            cls.acquire = self._make_lock_acquire(cls.acquire)  # type: ignore[method-assign]
-            cls.release = self._make_lock_release(cls.release)  # type: ignore[method-assign]
-
-    def _make_lock_acquire(self, orig: _t.Callable) -> _t.Callable:
-        det = self
-
-        def acquire(lock: _t.Any, host: int) -> Process:
-            proc = orig(lock, host)
-            det._grants[id(proc)] = _Grant(proc, "lock.acquire", det._sync_state(lock))
-            return proc
-
-        return acquire
-
-    def _make_lock_release(self, orig: _t.Callable) -> _t.Callable:
-        det = self
-
-        def release(lock: _t.Any, host: int) -> Process:
-            det._release_edge(det._sync_state(lock), det._cur())
-            return orig(lock, host)
-
-        return release
-
-    def _unpatch_resources(self) -> None:
-        for cls, methods in self._saved.items():
-            for name, fn in methods.items():
-                setattr(cls, name, fn)
-        self._saved = {}
 
     # -- shadow-state lookups ----------------------------------------------
 
@@ -446,9 +363,8 @@ class RaceSanitizer(SessionObserver):
         """Apply the acquire side of a sync edge to *info*."""
         state = grant.state
         _join(info.clock, state.clock)
-        if grant.kind in ("sem.acquire", "lock.acquire"):
-            state.holders.add(info.pid)
-            info.held.append(state.label)
+        state.holders.add(info.pid)
+        info.held.append(state.label)
         if isinstance(grant.event, Process):
             child = self._procs.get(id(grant.event))
             if child is not None:
@@ -463,6 +379,20 @@ class RaceSanitizer(SessionObserver):
             info.held.remove(state.label)
         except ValueError:
             pass  # release by a non-acquirer (ownership handoff) is legal
+
+    # -- resource monitor hooks (release → acquire) --------------------------
+
+    def on_acquire(self, resource: object, event: Event) -> None:
+        """A semaphore or coherent lock handed out *event*: a slot granted
+        at call time applies at once, a pending one when it fires."""
+        grant = _Grant(event, self._sync_state(resource))
+        if event.triggered:
+            self._grant(self._cur(), grant)
+        else:
+            self._grants[id(event)] = grant
+
+    def on_release(self, resource: object) -> None:
+        self._release_edge(self._sync_state(resource), self._cur())
 
     # -- Process monitor hooks (fork / join / suspend) ----------------------
 
@@ -579,7 +509,7 @@ class RaceSanitizer(SessionObserver):
         waiting = info.proc._waiting_on if info.proc is not None else None
         for event in self._wait_targets(waiting):
             grant = self._grants.get(id(event))
-            if grant is not None and grant.kind in ("sem.acquire", "lock.acquire"):
+            if grant is not None:
                 for holder in sorted(grant.state.holders - {info.pid}):
                     held_by = self._pid_info(holder)
                     who = held_by.name if held_by is not None else f"pid {holder}"
@@ -668,7 +598,7 @@ class RaceSanitizer(SessionObserver):
         write: bool,
     ) -> None:
         # an engine built while installed keeps calling after uninstall(),
-        # when the sync resources are no longer patched: report nothing
+        # which dropped the shadow state: report nothing
         if not (self.hb or self.lockset) or RaceSanitizer._active is not self:
             return
         info = self._cur()

@@ -36,19 +36,47 @@ _BACKOFF_START = 50.0  # ns
 _BACKOFF_CAP = 3200.0  # ns
 
 
-class SpinLock:
+class _CoherentLock:
+    """The acquire/release every lock here shares.
+
+    Each call runs the lock's protocol body as a process named
+    ``{_name}.acq`` / ``{_name}.rel`` and reports it to the engine's
+    ``monitor`` (the race detector's lock-handoff edges): the acquire
+    process as a pending grant, the release before its body runs.
+    ``None`` means off.
+    """
+
+    directory: CoherenceDirectory
+    #: process-name stem, e.g. ``spinlock3``
+    _name: str
+    _acquire_body: _t.Callable[[int], _t.Generator]
+    _release_body: _t.Callable[[int], _t.Generator]
+
+    def acquire(self, host: int) -> "Process":
+        engine = self.directory.engine
+        proc = engine.process(self._acquire_body(host), name=f"{self._name}.acq")
+        monitor = engine.monitor
+        if monitor is not None:
+            monitor.on_acquire(self, proc)
+        return proc
+
+    def release(self, host: int) -> "Process":
+        engine = self.directory.engine
+        monitor = engine.monitor
+        if monitor is not None:
+            monitor.on_release(self)
+        return engine.process(self._release_body(host), name=f"{self._name}.rel")
+
+
+class SpinLock(_CoherentLock):
     """Test-and-set lock with exponential backoff."""
 
     def __init__(self, directory: CoherenceDirectory, line: int) -> None:
         self.directory = directory
         self.line = line
+        self._name = f"spinlock{line}"
         self.acquisitions = 0
         self.failed_attempts = 0
-
-    def acquire(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._acquire_body(host), name=f"spinlock{self.line}.acq"
-        )
 
     def _acquire_body(self, host: int):
         backoff = _BACKOFF_START
@@ -61,11 +89,6 @@ class SpinLock:
             yield self.directory.engine.timeout(backoff)
             backoff = min(backoff * 2.0, _BACKOFF_CAP)
 
-    def release(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._release_body(host), name=f"spinlock{self.line}.rel"
-        )
-
     def _release_body(self, host: int):
         old, _new = yield self.directory.atomic_rmw(host, self.line, lambda _v: 0)
         if old == 0:
@@ -73,7 +96,7 @@ class SpinLock:
         return True
 
 
-class TicketLock:
+class TicketLock(_CoherentLock):
     """FIFO ticket lock: one atomic to enter, shared-read spinning."""
 
     def __init__(self, directory: CoherenceDirectory, ticket_line: int, serving_line: int) -> None:
@@ -82,12 +105,8 @@ class TicketLock:
         self.directory = directory
         self.ticket_line = ticket_line
         self.serving_line = serving_line
+        self._name = f"ticket{ticket_line}"
         self.acquisitions = 0
-
-    def acquire(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._acquire_body(host), name=f"ticket{self.ticket_line}.acq"
-        )
 
     def _acquire_body(self, host: int):
         my_ticket, _ = yield self.directory.atomic_rmw(
@@ -105,11 +124,6 @@ class TicketLock:
             yield self.directory.engine.timeout(min(backoff * distance, _BACKOFF_CAP * 4))
             backoff = min(backoff * 1.5, _BACKOFF_CAP)
 
-    def release(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._release_body(host), name=f"ticket{self.ticket_line}.rel"
-        )
-
     def _release_body(self, host: int):
         _old, new = yield self.directory.atomic_rmw(
             host, self.serving_line, lambda v: v + 1
@@ -117,7 +131,7 @@ class TicketLock:
         return new
 
 
-class CohortLock:
+class CohortLock(_CoherentLock):
     """NUMA-aware lock: per-server local ticket locks + a global owner line.
 
     A thread first wins its server's local lock, then checks the global
@@ -141,6 +155,7 @@ class CohortLock:
             raise ConfigError(f"cohort_limit must be >= 1, got {cohort_limit}")
         self.directory = directory
         self.global_line = base_line
+        self._name = f"cohort{base_line}"
         self.cohort_limit = cohort_limit
         self.server_ids = list(server_ids)
         # Per-server local ticket/serving lines, chosen so each server's
@@ -162,11 +177,6 @@ class CohortLock:
         self.global_acquisitions = 0
         self.local_handoffs = 0
 
-    def acquire(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._acquire_body(host), name=f"cohort{self.global_line}.acq"
-        )
-
     def _acquire_body(self, host: int):
         self._local_waiters[host] += 1
         yield self._local[host].acquire(host)
@@ -187,11 +197,6 @@ class CohortLock:
                 return True
             yield self.directory.engine.timeout(backoff)
             backoff = min(backoff * 2.0, _BACKOFF_CAP)
-
-    def release(self, host: int) -> "Process":
-        return self.directory.engine.process(
-            self._release_body(host), name=f"cohort{self.global_line}.rel"
-        )
 
     def _release_body(self, host: int):
         keep = (

@@ -115,17 +115,22 @@ class BackingStore:
     def copy_to(self, dst: "BackingStore", src_addr: int, dst_addr: int, size: int) -> None:
         """Copy [src_addr, +size) into *dst* at *dst_addr*, touching only
         materialized source pages — a terabyte of untouched zeros copies
-        in O(1)."""
+        in O(1).  Like ``memmove``, the source is read in full before the
+        destination is zeroed, so an overlapping copy within one store
+        keeps its bytes."""
         if size <= 0:
             return
-        dst.zero_range(dst_addr, size)
         src_end = src_addr + size
+        chunks: list[tuple[int, bytearray]] = []
         for page_no in self._resident(src_addr // _PAGE, (src_end - 1) // _PAGE):
             page = self._pages[page_no]
             page_start = page_no * _PAGE
             lo = max(page_start, src_addr)
             hi = min(page_start + _PAGE, src_end)
-            dst.write(dst_addr + (lo - src_addr), page[lo - page_start : hi - page_start])
+            chunks.append((dst_addr + (lo - src_addr), page[lo - page_start : hi - page_start]))
+        dst.zero_range(dst_addr, size)
+        for addr, data in chunks:
+            dst.write(addr, data)
 
     @property
     def resident_bytes(self) -> int:

@@ -6,7 +6,7 @@ A small, dependency-free simulation core in the style of SimPy:
 * :class:`~repro.sim.events.Event` — one-shot events with callbacks.
 * :class:`~repro.sim.process.Process` — generator-based processes that
   ``yield`` events to wait on them.
-* :class:`~repro.sim.resources` — semaphores, stores and FIFO queues for
+* :class:`~repro.sim.resources` — semaphores, mutexes and FIFO queues for
   modeling contended resources.
 * :class:`~repro.sim.fluid` — a max-min fair fluid bandwidth model used
   for all data transfers (memory channels, fabric links).
@@ -20,7 +20,7 @@ from repro.sim.engine import Engine
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.fluid import Capacity, FluidModel, Transfer
 from repro.sim.process import Process
-from repro.sim.resources import FifoQueue, Mutex, Semaphore, Store
+from repro.sim.resources import FifoQueue, Mutex, Semaphore
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Counter, Histogram, StatSet, TimeWeighted
 
@@ -38,7 +38,6 @@ __all__ = [
     "RngStreams",
     "Semaphore",
     "StatSet",
-    "Store",
     "TimeWeighted",
     "Timeout",
     "Transfer",

@@ -30,7 +30,9 @@ determinism harness fill.  An engine's instrumentation is therefore
 fixed when it is built: one built before ``install()`` or after
 ``uninstall()`` stays cold, so an observed and a cold engine can run
 side by side in one process.  Every instrumented object reads its
-engine's slots; ``None`` means off, at the cost of one attribute load
+engine's slots: processes, sessions, semaphores, coherent locks and
+coherence directories all call the ``monitor``, and nothing is patched
+at class level.  ``None`` means off, at the cost of one attribute load
 and an ``is None`` test.
 """
 
@@ -98,9 +100,10 @@ class Engine:
         #: the observer every instrumented object on this engine calls
         #: (spans and metrics); None = tracing off
         self.obs: _t.Any = DEFAULTS.obs
-        #: the race detector: process lifecycle, session accesses and
-        #: coherence line ops, plus ``on_drain(engine)`` when the heap runs
-        #: dry and ``on_run_exit(engine)`` when run() returns; None = off
+        #: the race detector: process lifecycle, session accesses,
+        #: semaphore and lock acquire/release and coherence line ops, plus
+        #: ``on_drain(engine)`` when the heap runs dry and
+        #: ``on_run_exit(engine)`` when run() returns; None = off
         self.monitor: _t.Any = DEFAULTS.monitor
         #: called as fn(engine, when, seq, event) just before an event's
         #: callbacks run.  Mutated only in place: the dispatch loop holds

@@ -1,8 +1,12 @@
-"""Contended discrete resources: semaphores, mutexes, stores, FIFO queues.
+"""Contended discrete resources: semaphores, mutexes, FIFO queues.
 
 These model the *control plane* of the system (runtime queues, lock
-holders, mailbox channels).  Data-plane bandwidth is modeled separately
-by :mod:`repro.sim.fluid`.
+holders).  Data-plane bandwidth is modeled separately by
+:mod:`repro.sim.fluid`.
+
+A semaphore reports its grants and releases to its engine's ``monitor``
+(the race detector's release→acquire edges); ``None`` means off, at the
+cost of one attribute load and an ``is None`` test per call.
 """
 
 from __future__ import annotations
@@ -40,12 +44,18 @@ class Semaphore:
             ev.succeed()
         else:
             self._waiters.append(ev)
+        monitor = self.engine.monitor
+        if monitor is not None:
+            monitor.on_acquire(self, ev)
         return ev
 
     def release(self) -> None:
         """Release one slot, waking the oldest waiter if any."""
         if self._held <= 0:
             raise SimulationError("release() without a matching acquire()")
+        monitor = self.engine.monitor
+        if monitor is not None:
+            monitor.on_release(self)
         if self._waiters:
             waiter = self._waiters.popleft()
             waiter.succeed()
@@ -58,35 +68,6 @@ class Mutex(Semaphore):
 
     def __init__(self, engine: "Engine") -> None:
         super().__init__(engine, capacity=1)
-
-
-class Store:
-    """An unbounded producer/consumer channel of Python objects."""
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self._items: collections.deque[_t.Any] = collections.deque()
-        self._getters: collections.deque[Event] = collections.deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: _t.Any) -> None:
-        """Deposit an item, waking the oldest blocked getter."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        ev = Event(self.engine, name="store.get")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
 
 
 class FifoQueue:

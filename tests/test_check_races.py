@@ -5,7 +5,7 @@ processes write one shared frame with no sync edge between them, and
 the report must carry the complete happens-before evidence chain (both
 vector clocks, the epoch, and the failing clock comparison).  The
 control tests are the other half of the contract: the same access
-pattern under a mutex, a coherence spinlock, or a store handoff must
+pattern under a mutex, a coherent lock, or a semaphore handoff must
 come out race-free.
 """
 
@@ -15,10 +15,11 @@ import pytest
 
 from repro.check.races import RaceSanitizer
 from repro.core.api import LmpSession
+from repro.core.coherence.sync import CohortLock, SpinLock, TicketLock
 from repro.core.runtime import LmpRuntime
 from repro.errors import DataRaceError, DeadlockError, LocksetError, SanitizerError, SimulationError
 from repro.sim.engine import DEFAULTS, Engine
-from repro.sim.resources import Mutex, Semaphore, Store
+from repro.sim.resources import Mutex, Semaphore
 from repro.units import mib
 
 
@@ -32,6 +33,18 @@ def _two_tenants(detector_installed_engine=None):
     s1 = LmpSession(runtime, server_id=1)
     buf = s0.alloc(mib(4), name="shared")
     return dep, s0, s1, buf
+
+
+def _lock(kind, runtime):
+    """A *kind* lock on fresh lines of *runtime*'s coherent region."""
+    directory = runtime.coherence
+    if kind is SpinLock:
+        return SpinLock(directory, runtime.allocate_coherent_lines(1))
+    if kind is TicketLock:
+        line = runtime.allocate_coherent_lines(2)
+        return TicketLock(directory, line, line + 1)
+    ids = directory.server_ids
+    return CohortLock(directory, runtime.allocate_coherent_lines(1 + 2 * len(ids)), ids)
 
 
 # --- the seeded bug: unsynchronized writers --------------------------------------
@@ -133,11 +146,12 @@ def test_mutex_synchronized_writers_clean(race_sanitizer):
     ]
 
 
-def test_spinlock_synchronized_writers_clean(race_sanitizer):
-    """The coherence-line load/store/rmw edges alone must order these."""
+@pytest.mark.parametrize("kind", [SpinLock, TicketLock, CohortLock], ids=lambda k: k.__name__)
+def test_lock_synchronized_writers_clean(race_sanitizer, kind):
+    """Every coherent lock orders the writers and is held at each write."""
     dep, s0, s1, buf = _two_tenants()
     eng = dep.engine
-    lock = s0.spinlock()
+    lock = _lock(kind, s0.runtime)
 
     def tenant(session, payload):
         yield lock.acquire(session.server_id)
@@ -148,7 +162,10 @@ def test_spinlock_synchronized_writers_clean(race_sanitizer):
     eng.process(tenant(s1, b"b" * 64), name="tenant.b")
     eng.run()
 
-    assert not race_sanitizer.races, [r.render() for r in race_sanitizer.races]
+    assert race_sanitizer.clean, [r.render() for r in race_sanitizer.races] + [
+        r.render() for r in race_sanitizer.lockset_reports
+    ]
+    assert race_sanitizer.accesses_seen == 2
 
 
 def test_fork_join_edges_order_sequential_phases(race_sanitizer):
@@ -170,23 +187,25 @@ def test_fork_join_edges_order_sequential_phases(race_sanitizer):
     assert not race_sanitizer.races, [r.render() for r in race_sanitizer.races]
 
 
-def test_store_handoff_is_clean_for_hb_but_flagged_by_lockset(race_sanitizer):
-    """A put→get token pass orders the writes (no race), but no common
-    lock protects the frame — exactly the case Eraser exists for."""
+def test_semaphore_handoff_is_clean_for_hb_but_flagged_by_lockset(race_sanitizer):
+    """A release→acquire token pass orders the writes (no race), but no
+    common lock protects the frame — exactly the case Eraser exists for."""
     dep, s0, s1, buf = _two_tenants()
     eng = dep.engine
-    channel = Store(eng)
+    gate = Semaphore(eng)
 
     def first(session):
         yield session.write(buf, 0, b"1" * 64)
-        channel.put("token")
+        gate.release()
 
     def second(session):
-        yield channel.get()
+        yield gate.acquire()
         yield session.write(buf, 0, b"2" * 64)
 
     eng.process(second(s1), name="tenant.second")
     eng.process(first(s0), name="tenant.first")
+    # taken after the forks, so neither tenant inherits it as a held lock
+    assert gate.acquire().triggered
     eng.run()
 
     assert not race_sanitizer.races, [r.render() for r in race_sanitizer.races]
@@ -280,10 +299,10 @@ def test_install_is_exclusive_and_uninstall_restores_everything():
         assert DEFAULTS.monitor is detector
         assert Engine(seed=0).monitor is detector
         assert before.monitor is None  # built before install(): stays cold
-        assert Semaphore.acquire is not orig_acquire
+        assert Semaphore.acquire is orig_acquire
         with pytest.raises(SimulationError):
             RaceSanitizer().install()
-    # the default and the patched resources are back to None / originals
+    # the default is back to None and no resource was ever patched
     assert DEFAULTS.monitor is None
     assert Engine(seed=0).monitor is None
     assert Semaphore.acquire is orig_acquire
@@ -308,10 +327,44 @@ def test_reports_survive_uninstall():
     assert not detector._procs  # shadow refs dropped
 
 
+def test_install_patches_no_class():
+    """Sync edges come through the engine's monitor slot, not class
+    patching: installing a detector leaves every resource class as is."""
+    classes = (Semaphore, Mutex, SpinLock, TicketLock, CohortLock)
+    before = [dict(cls.__dict__) for cls in classes]
+    with RaceSanitizer().installed():
+        assert [dict(cls.__dict__) for cls in classes] == before
+    assert [dict(cls.__dict__) for cls in classes] == before
+
+
+def test_engine_built_before_install_records_no_sync_edges():
+    """A cold engine's mutex and coherent locks never reach a detector
+    installed after the engine was built."""
+    dep, s0, s1, buf = _two_tenants()
+    eng = dep.engine
+    detector = RaceSanitizer()
+    with detector.installed():
+        assert eng.monitor is None
+        mutex = Mutex(eng)
+        locks = [_lock(kind, s0.runtime) for kind in (SpinLock, TicketLock, CohortLock)]
+
+        def tenant(session):
+            yield mutex.acquire()
+            mutex.release()
+            for lock in locks:
+                yield lock.acquire(session.server_id)
+                yield lock.release(session.server_id)
+
+        eng.process(tenant(s0), name="tenant.a")
+        eng.process(tenant(s1), name="tenant.b")
+        eng.run()
+        assert not detector._syncs and not detector._grants and not detector._procs
+
+
 def test_engine_built_while_installed_reports_nothing_after_uninstall():
-    """Its monitor is fixed at construction, but once uninstalled the
-    sync resources are no longer patched: a mutex-ordered pair of
-    writers must not read as a race."""
+    """Its monitor is fixed at construction, so it keeps calling the
+    detector, but uninstall() dropped the shadow state: a mutex-ordered
+    pair of writers must not read as a race."""
     detector = RaceSanitizer()
     with detector.installed():
         dep, s0, s1, buf = _two_tenants()

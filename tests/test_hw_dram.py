@@ -89,6 +89,19 @@ def test_copy_to_zeroes_stale_destination():
     assert dst.read(500, 15) == bytes(15)
 
 
+def test_copy_to_within_one_store_behaves_like_memmove():
+    store = BackingStore()
+    store.write(0, b"old-value" + bytes(4087))
+    store.copy_to(store, 0, 0, 4096)  # onto itself
+    assert store.read(0, 9) == b"old-value"
+    store.write(4096, b"second-pg")
+    store.copy_to(store, 0, 4096, 8192)  # shifted up by one page
+    assert store.read(4096, 9) == b"old-value"
+    assert store.read(8192, 9) == b"second-pg"
+    store.copy_to(store, 8192, 0, 4096)  # shifted down onto a written page
+    assert store.read(0, 9) == b"second-pg"
+
+
 def test_negative_addresses_rejected():
     store = BackingStore()
     with pytest.raises(AddressError):
@@ -168,6 +181,18 @@ def test_copy_to_matches_reference_model(src_ops, dst_ops, src_addr, dst_addr, s
     dst_ref[dst_addr : dst_addr + size] = src_ref[src_addr : src_addr + size]
     assert src.read(0, _SPAN) == bytes(src_ref)
     assert dst.read(0, _SPAN) == bytes(dst_ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=_ops, src_addr=_addrs, dst_addr=_addrs, size=st.integers(0, 20_000))
+def test_copy_within_one_store_matches_reference_model(ops, src_addr, dst_addr, size):
+    """Overlapping or not, a copy within one store is a ``memmove``."""
+    store, reference = BackingStore(), bytearray(_SPAN)
+    for op in ops:
+        _apply(store, reference, op)
+    store.copy_to(store, src_addr, dst_addr, size)
+    reference[dst_addr : dst_addr + size] = reference[src_addr : src_addr + size]
+    assert store.read(0, _SPAN) == bytes(reference)
 
 
 def test_all_zero_writes_materialize_nothing():

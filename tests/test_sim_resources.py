@@ -1,11 +1,11 @@
-"""Tests for semaphores, mutexes, stores, and FIFO service centers."""
+"""Tests for semaphores, mutexes, and FIFO service centers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import FifoQueue, Mutex, Semaphore, Store
+from repro.sim.resources import FifoQueue, Mutex, Semaphore
 
 
 def test_semaphore_grants_up_to_capacity(engine):
@@ -66,40 +66,6 @@ def test_mutex_excludes(engine):
     engine.run()
     # b enters only after a leaves
     assert [t[0] for t in trace] == ["a+", "a-", "b+", "b-"]
-
-
-def test_store_put_then_get(engine):
-    store = Store(engine)
-    store.put("x")
-    assert engine.run(store.get()) == "x"
-
-
-def test_store_get_blocks_until_put(engine):
-    store = Store(engine)
-    got: list[str] = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    def producer():
-        yield engine.timeout(25.0)
-        store.put("late")
-
-    engine.process(consumer())
-    engine.process(producer())
-    engine.run()
-    assert got == ["late"]
-    assert engine.now == 25.0
-
-
-def test_store_orders_items_fifo(engine):
-    store = Store(engine)
-    for item in (1, 2, 3):
-        store.put(item)
-    assert engine.run(store.get()) == 1
-    assert engine.run(store.get()) == 2
-    assert len(store) == 1
 
 
 def test_fifo_queue_serializes_jobs(engine):
